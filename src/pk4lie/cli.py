@@ -22,7 +22,7 @@ from .notation import emit_sym_form, parse_sym_form
 from .phase_space import (
     LSA2, LSAPair, assembled_brackets, is_lie_extendible, lsa_catalog,
 )
-from .scalars import Param, ParamDomain, ParseError, Scalar
+from .scalars import ParamDomain, ParseError, Scalar
 from .structures import levi_civita, metric_from, validate_para_kahler
 from .verify import SCOPES, run_scope
 
@@ -148,16 +148,38 @@ def _resolve_geometry(args, cat: Catalog):
     return L, parse_sym_form(args.metric), dom, "inline"
 
 
+def _parse_assignments(items, L: LieAlgebra4, h: Mat4, dom: ParamDomain) -> dict:
+    """`--set PARAM=RATIONAL` items as a substitution; ParseError on a
+    malformed item or on a parameter the algebra, metric and domain lack."""
+    params = h.params() | dom.params()
+    params |= {p for v in L.brackets.values() for c in v for p in c.params()}
+    by_name = {p.name: p for p in params}
+    subst = {}
+    for item in items:
+        name, eq, value = (part.strip() for part in item.partition("="))
+        if not eq:
+            raise ParseError(f"--set {item!r}: expected PARAM=RATIONAL")
+        if name not in by_name:
+            raise ParseError(f"--set {item!r}: the entry has no parameter {name!r}")
+        try:
+            subst[by_name[name]] = Scalar.const(Fraction(value))
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"--set {item!r}: {value!r} is not a rational number") from None
+    return subst
+
+
 def cmd_geometry(args) -> int:
     cat = load_catalog(check=False)
     L, h, dom, label = _resolve_geometry(args, cat)
-    subst = {}
-    for item in args.set:
-        name, _, value = item.partition("=")
-        subst[Param(name.strip())] = Scalar.const(Fraction(value.strip()))
+    subst = _parse_assignments(args.set, L, h, dom)
     if subst:
-        L = L.substitute(subst)
-        h = h.substitute(subst)
+        try:
+            L, h = L.substitute(subst), h.substitute(subst)
+        except ZeroDivisionError:
+            _emit_geometry(args, {"entry": label, "algebra": L.serialize(),
+                                  "metric": emit_sym_form(h), "error":
+                                  "assignment makes a denominator vanish"})
+            return 1
         dom = _substitute_domain_lenient(dom, subst)
     out = {"entry": label, "algebra": L.serialize(),
            "metric": emit_sym_form(h)}

@@ -26,22 +26,10 @@ def form_apply(form: Mat4, u: Vec4, v: Vec4) -> Scalar:
         if u[i].is_zero:
             continue
         for j in range(4):
+            if v[j].is_zero or form.rows[i][j].is_zero:
+                continue
             out = out + u[i] * form.rows[i][j] * v[j]
     return out
-
-
-def check_antisymmetric(m: Mat4, domain: ParamDomain = EMPTY_DOMAIN) -> Mat4:
-    if not m.is_antisymmetric(domain):
-        raise NotSymmetric("form is not antisymmetric")
-    m.role = "bilinear-form"
-    return m
-
-
-def check_symmetric(m: Mat4, domain: ParamDomain = EMPTY_DOMAIN) -> Mat4:
-    if not m.is_symmetric(domain):
-        raise NotSymmetric("form is not symmetric")
-    m.role = "bilinear-form"
-    return m
 
 
 class LieAlgebra4:
@@ -85,10 +73,6 @@ class LieAlgebra4:
                     continue
                 out = vadd(out, vscale(u[i] * v[j], self.bracket_basis(i, j)))
         return out
-
-    def ad(self, i: int) -> Mat4:
-        cols = [self.bracket_basis(i, j) for j in range(4)]
-        return Mat4([[cols[j][r] for j in range(4)] for r in range(4)])
 
     def jacobi_defect(self) -> Dict[tuple, Vec4]:
         """Cyclic sums [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]."""

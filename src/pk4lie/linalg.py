@@ -109,15 +109,19 @@ class Mat4:
     def __matmul__(self, other: "Mat4") -> "Mat4":
         out = Mat4.zeros(self.role)
         for i in range(4):
+            row = self.rows[i]
             for j in range(4):
                 s = ZERO
                 for k in range(4):
-                    s = s + self.rows[i][k] * other.rows[k][j]
+                    a, b = row[k], other.rows[k][j]
+                    if not (a.is_zero or b.is_zero):
+                        s = s + a * b
                 out.rows[i][j] = s
         return out
 
     def apply(self, v: Vec4) -> Vec4:
-        return [sum((self.rows[i][k] * v[k] for k in range(4)), ZERO) for i in range(4)]
+        return [sum((a * x for a, x in zip(row, v) if not (a.is_zero or x.is_zero)),
+                    ZERO) for row in self.rows]
 
     def transpose(self) -> "Mat4":
         return Mat4([[self.rows[j][i] for j in range(4)] for i in range(4)], self.role)
@@ -195,10 +199,6 @@ class Mat4:
 
 def mat_from_cols(cols: Sequence[Vec4], role: str = "generic") -> Mat4:
     return Mat4([[cols[j][i] for j in range(4)] for i in range(4)], role)
-
-
-def mat_cols(m: Mat4) -> List[Vec4]:
-    return [[m.rows[i][j] for i in range(4)] for j in range(4)]
 
 
 def commutator(a: Mat4, b: Mat4) -> Mat4:

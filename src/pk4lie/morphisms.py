@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from .liealg import LieAlgebra4
-from .linalg import Mat4, Vec4, vis_zero, vsub
+from .linalg import Mat4, Vec4, vbasis, vis_zero, vsub
 from .scalars import (
     EMPTY_DOMAIN, ParamDomain, ScalarError, Verdict, identity_test,
 )
@@ -36,16 +36,11 @@ class LinMap:
     def inverse(self) -> "LinMap":
         return LinMap(self.matrix.inverse(), self.target, self.source, self.domain)
 
-    def compose(self, first: "LinMap") -> "LinMap":
-        """self after first: first.source -> self.target."""
-        return LinMap(self.matrix @ first.matrix, first.source, self.target,
-                      self.domain.merged(first.domain))
-
 
 def iso_residuals(m: LinMap) -> Dict[tuple, Vec4]:
     """P[e_i,e_j]_source - [P e_i, P e_j]_target for all basis pairs."""
     p = m.matrix
-    cols = [p.apply([int(r == c) for r in range(4)]) for c in range(4)]
+    cols = [p.apply(vbasis(c)) for c in range(4)]
     out = {}
     for i in range(4):
         for j in range(i + 1, 4):

@@ -234,9 +234,6 @@ class ConstraintSystem:
 
     equations: List[Tuple[str, Poly]]
 
-    def polys(self) -> List[Poly]:
-        return [p for _, p in self.equations]
-
     def contains(self, poly: Poly) -> bool:
         """Membership up to a rational unit."""
         from .scalars import _make_primitive

@@ -153,9 +153,6 @@ class Poly:
                     d = max(d, e)
         return d
 
-    def total_degree(self) -> int:
-        return max((sum(e for _, e in m) for m in self.terms), default=0)
-
     def __eq__(self, other):
         return isinstance(other, Poly) and self.terms == other.terms
 
@@ -270,9 +267,6 @@ class Poly:
         if self.terms[lead] < 0:
             content = -content
         return content
-
-    def leading_mono(self) -> Mono:
-        return min(self.terms, key=_mono_lex_key)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: _mono_lex_key(kv[0]))
@@ -495,8 +489,18 @@ class Scalar:
         return hash((frozenset(self.num.terms.items()), frozenset(self.den.terms.items())))
 
     # -- arithmetic
+    #
+    # Scalars are never mutated, so an operation whose result is one of its
+    # canonical operands returns that operand, and one on two constants
+    # (den = 1 in canonical form) builds its canonical result directly.
     def __add__(self, other):
         other = Scalar.of(other)
+        if other.num.is_zero:
+            return self
+        if self.num.is_zero:
+            return other
+        if self.is_const and other.is_const:
+            return Scalar(self.num + other.num, self.den, _canonical=True)
         if self.den == other.den:
             return Scalar(self.num + other.num, self.den)
         return Scalar(self.num * other.den + other.num * self.den, self.den * other.den)
@@ -504,16 +508,25 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
+        if self.num.is_zero:
+            return self
         return Scalar(-self.num, self.den, _canonical=True)
 
     def __sub__(self, other):
-        return self + (-Scalar.of(other))
+        other = Scalar.of(other)
+        if other.num.is_zero:
+            return self
+        return self + (-other)
 
     def __rsub__(self, other):
         return Scalar.of(other) - self
 
     def __mul__(self, other):
         other = Scalar.of(other)
+        if self.num.is_zero or other.num.is_zero:
+            return ZERO
+        if self.is_const and other.is_const:
+            return Scalar(self.num * other.num, self.den, _canonical=True)
         return Scalar(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -1036,8 +1049,3 @@ def identity_test(s: Scalar, domain: ParamDomain = EMPTY_DOMAIN,
             return Verdict("NonZero", witness=asg, trials=done + 1)
         done += 1
     return Verdict("ZeroSampled", trials=done)
-
-
-def sample_point(domain: ParamDomain, params: Iterable[Param],
-                 rng: random.Random, height: int = 100) -> dict:
-    return domain.sample(rng, params, height=height)

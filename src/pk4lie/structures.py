@@ -139,19 +139,6 @@ class VerificationReport:
         }
 
 
-@dataclass
-class ParaKahlerStructure:
-    algebra: LieAlgebra4
-    omega: Mat4
-    K: Mat4
-    domain: ParamDomain = EMPTY_DOMAIN
-    entry_id: str = ""
-    report: Optional[VerificationReport] = None
-
-    def metric(self) -> Mat4:
-        return metric_from(self.omega, self.K, self.domain)
-
-
 def validate_para_kahler(L: LieAlgebra4, omega: Mat4, K: Mat4,
                          domain: ParamDomain = EMPTY_DOMAIN,
                          entry_id: str = "", signature_samples: int = 32,

@@ -40,14 +40,6 @@ class EntryReport:
                 "checks": self.checks, **({"notes": self.notes} if self.notes else {})}
 
 
-def _status(reports: List[EntryReport]) -> str:
-    if any(r.status == "FAIL" for r in reports):
-        return "FAIL"
-    if any(r.status == "WARN" for r in reports):
-        return "WARN"
-    return "PASS"
-
-
 # ---------------------------------------------------------------------------
 # Suite: symplectic rows (Jacobi, closedness, nondegeneracy)
 
@@ -459,14 +451,6 @@ def _metric_candidates(h: Mat4):
                 continue
             yield xt + yt, cand
             yield xt + yt + "[-]", -cand
-
-
-def verify_isomorphism_tables(cat: Catalog, seed: int = 0,
-                              samples: int = 16) -> List[EntryReport]:
-    """Every isomorphism row: invertible on its condition, a Lie
-    isomorphism onto its instantiated target, with the transported
-    structure valid there."""
-    return run_iso_rows(cat, seed=seed, samples=samples)
 
 
 def unreferenced_phase_rows(cat: Catalog) -> List[str]:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from pk4lie.catalog import DATA_DIR
 from pk4lie.cli import main
 
@@ -86,3 +88,27 @@ def test_usage_error_exit_code(capsys):
     assert main(["verify", "not-a-scope"]) == 2
     assert main(["geometry"]) == 2
     assert main(["phase", "nope", ""]) == 2
+    capsys.readouterr()
+    # malformed --set: a usage error, refused before any substitution
+    for item in ("x=1/0", "x=abc", "x", "q=1"):
+        code, out, err = run_cli(capsys, "geometry", "curvature/d4_1/8",
+                                 "--set", item)
+        assert code == 2, item
+        assert out == "" and err.startswith("error: --set"), item
+
+
+@pytest.mark.parametrize("argv", [
+    ["curvature/d4_2/5:a", "--set", "x=0"],
+    ["structures/r2p/K1", "--set", "x=0"],
+    ["structures/r4_m1_beta/K3", "--set", "beta=0", "--set", "x=0"],
+])
+def test_geometry_assignment_hitting_a_denominator(capsys, argv):
+    code, out, _ = run_cli(capsys, "--format", "json", "geometry", *argv)
+    assert code == 1
+    data = json.loads(out)
+    assert data["error"] == "assignment makes a denominator vanish"
+    assert data["entry"] == argv[0]
+    assert "x" in data["metric"]  # the metric is reported unsubstituted
+    code, out, _ = run_cli(capsys, "geometry", *argv)
+    assert code == 1
+    assert out.splitlines()[-1] == "error:  assignment makes a denominator vanish"

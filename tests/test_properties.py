@@ -135,3 +135,28 @@ def _alg_params(L):
         for s in v:
             out |= s.params()
     return out
+
+
+def _catalog_matrices():
+    for st, h in _metrics():
+        yield st.omega, st.K, h
+    for row in CAT.curvature_list():
+        yield row.metric, row.metric.inverse(), row.metric.scale(2)
+
+
+def test_zero_skipping_products_match_naive_loops():
+    # Mat4 products and form_apply skip zero factors; the plain loops below
+    # skip nothing, so they pin the shortcut to the general sum.
+    for a, b, c in _catalog_matrices():
+        for m, n in ((a, b), (b, c), (c, a)):
+            naive = [[sum((m.rows[i][k] * n.rows[k][j] for k in range(4)),
+                          Scalar.const(0)) for j in range(4)] for i in range(4)]
+            assert (m @ n).rows == naive
+            for v in n.rows + [vbasis(i) for i in range(4)]:
+                assert m.apply(v) == [
+                    sum((m.rows[i][k] * v[k] for k in range(4)), Scalar.const(0))
+                    for i in range(4)]
+                for u in n.rows:
+                    assert form_apply(m, u, v) == sum(
+                        (u[i] * m.rows[i][j] * v[j]
+                         for i in range(4) for j in range(4)), Scalar.const(0))

@@ -190,3 +190,31 @@ def test_scalar_substitution_exact():
     s = S("(x+y)/(x-y)")
     out = s.substitute({X: S("2*y")})
     assert out == S("3")  # (2y+y)/(2y-y) = 3
+
+
+# ---------------------------------------------------------------------------
+# zero and constant shortcuts in the arithmetic agree with the general path
+
+
+def operands():
+    """Scalars weighted towards zero and constants, with rational functions."""
+    consts = st.fractions(-3, 3, max_denominator=4).map(Scalar.const)
+    quotients = st.tuples(st.one_of(consts, scalars()), scalars()).filter(
+        lambda ab: not ab[1].is_zero).map(lambda ab: ab[0] / ab[1])
+    return st.one_of(st.just(ZERO), consts, scalars(), quotients)
+
+
+def _same(fast, general):
+    assert emit_scalar(fast) == emit_scalar(general)
+    assert (fast.num, fast.den) == (general.num, general.den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(operands(), operands())
+def test_arithmetic_shortcuts_match_general_path(a, b):
+    _same(a + b, Scalar(a.num * b.den + b.num * a.den, a.den * b.den))
+    _same(a - b, Scalar(a.num * b.den - b.num * a.den, a.den * b.den))
+    _same(-a, Scalar(-a.num, a.den))
+    _same(a * b, Scalar(a.num * b.num, a.den * b.den))
+    _same(a + 0, a)
+    _same(0 * a, Scalar(Poly(), a.den))
