@@ -12,9 +12,11 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from .curvature import Geometry
 from .liealg import LieAlgebra4
 from .linalg import Mat4, mat_from_cols
 from .notation import (
@@ -240,6 +242,11 @@ class CurvatureRowEntry:
     expect_lam: Optional[Scalar]
     link: str
     notes: str
+
+    @cached_property
+    def geometry(self) -> Geometry:
+        """The row's geometry, shared by the curvature suite and its table."""
+        return Geometry(self.algebra, self.metric, self.domain)
 
 
 class Catalog:

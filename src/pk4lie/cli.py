@@ -12,10 +12,7 @@ import sys
 from fractions import Fraction
 
 from .catalog import Catalog, load_catalog
-from .curvature import (
-    classify_row, curvature, ricci, ricci_operator, scalar_curvature,
-    solve_soliton,
-)
+from .curvature import Geometry, ricci_operator, scalar_curvature
 from .liealg import LieAlgebra4
 from .linalg import Mat4, RankAmbiguous, DegenerateError
 from .notation import emit_sym_form, parse_sym_form
@@ -23,7 +20,7 @@ from .phase_space import (
     LSA2, LSAPair, assembled_brackets, is_lie_extendible, lsa_catalog,
 )
 from .scalars import ParamDomain, ParseError, Scalar
-from .structures import levi_civita, metric_from, validate_para_kahler
+from .structures import metric_from, validate_para_kahler
 from .verify import SCOPES, run_scope
 
 USAGE_ERROR = 2
@@ -113,15 +110,16 @@ def _curvature_table(cat: Catalog) -> str:
     lines = [f"{'entry':34s} {'metric':46s} {'R=0':>4s} {'Ric=0':>6s} "
              f"{'lambda':>10s}  X"]
     for row in cat.curvature_list():
+        g = row.geometry
         try:
-            c = classify_row(row.algebra, row.metric, row.domain)
-            flat = "Yes" if c.flat else "No"
-            ricflat = "Yes" if c.ricci_flat else "No"
-            if c.soliton is None:
+            sol = g.soliton
+            flat = "Yes" if g.flat else "No"
+            ricflat = "Yes" if g.ricci_flat else "No"
+            if sol is None:
                 lam, xs = "", "No"
             else:
-                lam = str(c.soliton.lam)
-                xs = "(" + ",".join(str(v) for v in c.soliton.x) + ")"
+                lam = str(sol.lam)
+                xs = "(" + ",".join(str(v) for v in sol.x) + ")"
         except RankAmbiguous as e:
             flat = ricflat = "?"
             lam, xs = "", f"branches on {e.poly!r}"
@@ -183,25 +181,24 @@ def cmd_geometry(args) -> int:
         dom = _substitute_domain_lenient(dom, subst)
     out = {"entry": label, "algebra": L.serialize(),
            "metric": emit_sym_form(h)}
+    g = Geometry(L, h, dom)
     try:
-        conn = levi_civita(L, h, dom)
+        conn = g.conn
     except DegenerateError:
         out["error"] = "metric is degenerate"
         _emit_geometry(args, out)
         return 1
     out["nabla"] = {f"e{i+1}": _mat(conn.nabla[i]) for i in range(4)}
-    r = curvature(L, conn)
-    out["curvature"] = {f"R(e{i+1},e{j+1})": _mat(r[(i, j)])
-                        for (i, j) in sorted(r.matrices)}
-    ric = ricci(L, conn, dom)
-    out["ric"] = _mat(ric)
-    ric_op = ricci_operator(h, ric)
+    out["curvature"] = {f"R(e{i+1},e{j+1})": _mat(g.R[(i, j)])
+                        for (i, j) in sorted(g.R.matrices)}
+    out["ric"] = _mat(g.ric)
+    ric_op = ricci_operator(h, g.ric)
     out["Ric"] = _mat(ric_op)
     out["scalar_curvature"] = str(scalar_curvature(ric_op))
-    out["flat"] = r.is_zero(dom)
-    out["ricci_flat"] = ric.is_zero(dom)
+    out["flat"] = g.flat
+    out["ricci_flat"] = g.ricci_flat
     try:
-        sol = solve_soliton(L, h, dom, ric)
+        sol = g.soliton
         if sol is None:
             out["soliton"] = None
         else:
@@ -209,7 +206,7 @@ def cmd_geometry(args) -> int:
                 "lambda": str(sol.lam),
                 "X": [str(v) for v in sol.x],
                 "free_parameters": sol.free_count,
-                "type": sol.type_tag(dom),
+                "type": g.soliton_type,
             }
     except RankAmbiguous as e:
         out["soliton"] = f"rank depends on parameters through {e.poly!r}"
@@ -253,12 +250,10 @@ def _emit_geometry(args, out: dict) -> None:
             print(f"{key} =")
             for row in rows:
                 print("   [" + ", ".join(f"{v:>8s}" for v in row) + "]")
-    print("ric =")
-    for row in out["ric"]:
-        print("   [" + ", ".join(f"{v:>8s}" for v in row) + "]")
-    print("Ric =")
-    for row in out["Ric"]:
-        print("   [" + ", ".join(f"{v:>8s}" for v in row) + "]")
+    for name in ("ric", "Ric"):
+        print(f"{name} =")
+        for row in out[name]:
+            print("   [" + ", ".join(f"{v:>8s}" for v in row) + "]")
     print(f"scalar curvature = {out['scalar_curvature']}")
     print(f"flat = {out['flat']}, ricci flat = {out['ricci_flat']}")
     sol = out["soliton"]

@@ -9,6 +9,7 @@ of  L_X h + ric = lambda h  with X left-invariant and lambda constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .liealg import LieAlgebra4, NotSymmetric, form_apply
@@ -164,11 +165,6 @@ def family_dimension(x: List[Scalar], lam: Scalar,
     return _eliminate([list(c) for c in cols], 5, domain)[0]
 
 
-def family_solves(L: LieAlgebra4, h: Mat4, ric_mat: Mat4, x: List[Scalar],
-                  lam: Scalar, domain: ParamDomain = EMPTY_DOMAIN) -> bool:
-    return soliton_residual(L, h, x, lam, ric_mat).is_zero(domain)
-
-
 def soliton_family_equal(L: LieAlgebra4, h: Mat4, ric_mat: Mat4,
                          computed: Optional[SolitonSolutionSet],
                          expected_x: Optional[List[Scalar]],
@@ -185,7 +181,7 @@ def soliton_family_equal(L: LieAlgebra4, h: Mat4, ric_mat: Mat4,
         return False, f"solver found a solution set of dimension {computed.free_count}"
     if computed is None:
         return False, "solver found no solution"
-    if not family_solves(L, h, ric_mat, expected_x, expected_lam, domain):
+    if not soliton_residual(L, h, expected_x, expected_lam, ric_mat).is_zero(domain):
         return False, "printed family does not satisfy the soliton equation"
     dim = family_dimension(expected_x, expected_lam, domain)
     if dim != computed.free_count:
@@ -194,23 +190,48 @@ def soliton_family_equal(L: LieAlgebra4, h: Mat4, ric_mat: Mat4,
     return True, ""
 
 
-@dataclass
-class CurvatureRow:
-    flat: bool
-    ricci_flat: bool
-    soliton: Optional[SolitonSolutionSet]
-    soliton_type: str
-    scalar_curv: Scalar
+class Geometry:
+    """Connection, curvature, Ricci form and soliton set of the metric h on L
+    over a domain, each computed once, on first use."""
+
+    def __init__(self, L: LieAlgebra4, h: Mat4,
+                 domain: ParamDomain = EMPTY_DOMAIN):
+        self.L, self.h, self.domain = L, h, domain
+
+    @cached_property
+    def conn(self) -> Connection4:
+        return levi_civita(self.L, self.h, self.domain)
+
+    @cached_property
+    def R(self) -> CurvatureTensor:
+        return curvature(self.L, self.conn)
+
+    @cached_property
+    def ric(self) -> Mat4:
+        return ricci(self.L, self.conn, self.domain)
+
+    @cached_property
+    def flat(self) -> bool:
+        return self.R.is_zero(self.domain)
+
+    @cached_property
+    def ricci_flat(self) -> bool:
+        return self.ric.is_zero(self.domain)
+
+    @cached_property
+    def soliton(self) -> Optional[SolitonSolutionSet]:
+        return solve_soliton(self.L, self.h, self.domain, self.ric)
+
+    @property
+    def soliton_type(self) -> str:
+        sol = self.soliton
+        return "none" if sol is None else sol.type_tag(self.domain)
 
 
 def classify_row(L: LieAlgebra4, h: Mat4,
-                 domain: ParamDomain = EMPTY_DOMAIN) -> CurvatureRow:
-    conn = levi_civita(L, h, domain)
-    r = curvature(L, conn)
-    ric_mat = ricci(L, conn, domain)
-    flat = r.is_zero(domain)
-    ricflat = ric_mat.is_zero(domain)
-    ric_op = ricci_operator(h, ric_mat)
-    sol = solve_soliton(L, h, domain, ric_mat)
-    stype = sol.type_tag(domain) if sol is not None else "none"
-    return CurvatureRow(flat, ricflat, sol, stype, scalar_curvature(ric_op))
+                 domain: ParamDomain = EMPTY_DOMAIN) -> Geometry:
+    """The row's Geometry with its soliton set solved, so that a rank the
+    domain leaves open raises RankAmbiguous here."""
+    g = Geometry(L, h, domain)
+    g.soliton
+    return g

@@ -12,7 +12,7 @@ from .linalg import (
 from .notation import emit_brackets, parse_brackets
 from .scalars import (
     EMPTY_DOMAIN, ParamDomain, Scalar, ScalarError, Verdict, ZERO,
-    identity_test,
+    nonvanishing,
 )
 
 
@@ -124,12 +124,7 @@ def ce_d(L: LieAlgebra4, omega: Mat4):
 def pfaffian_nondegenerate(omega: Mat4, domain: ParamDomain = EMPTY_DOMAIN,
                            trials: int = 32, seed: int = 0) -> Verdict:
     """Nondegeneracy verdict for an antisymmetric form: NonZero det on domain."""
-    det = omega.det()
-    if domain.is_zero(det):
-        return Verdict("ZeroExact")
-    if det.is_const or domain.known_nonzero(domain.reduce(det.num)):
-        return Verdict("NonZero", witness=None, trials=0)
-    return identity_test(det, domain, trials=trials, seed=seed)
+    return nonvanishing(omega.det(), domain, trials, seed)
 
 
 def nijenhuis(L: LieAlgebra4, K: Mat4) -> Dict[tuple, Vec4]:

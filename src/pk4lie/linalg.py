@@ -10,7 +10,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .scalars import (
-    EMPTY_DOMAIN, ParamDomain, Scalar, ScalarError, ZERO, ONE, emit_scalar,
+    EMPTY_DOMAIN, Constraint, Param, ParamDomain, Scalar, ScalarError, ZERO,
+    ONE, emit_scalar,
 )
 
 
@@ -277,31 +278,37 @@ def rank_on_domain(m: Mat4, domain: ParamDomain = EMPTY_DOMAIN,
     try:
         return _eliminate(rows, 4, domain)[0]
     except RankAmbiguous as e:
-        if _depth >= 4:
+        split = split_at_root(e.poly, domain) if _depth < 4 else None
+        if split is None:
             raise
-        num = domain.reduce(e.poly.num if isinstance(e.poly, Scalar) else e.poly)
-        root = _linear_root(num)
-        if root is None:
-            raise
-        var, value = root
+        var, value, branch = split
         try:
             at_root = m.substitute({var: value})
         except ZeroDivisionError:
             raise e
         r_at = rank_on_domain(at_root, domain, _depth + 1)
-        from .scalars import Constraint
-        branch = ParamDomain(domain.constraints + [Constraint(num, "!=")],
-                             domain.radicals)
         r_off = rank_on_domain(m, branch, _depth + 1)
         if r_at == r_off:
             return r_at
         raise RankAmbiguous(e.poly)
 
 
+def split_at_root(pivot: Scalar, domain: ParamDomain) -> Optional[tuple]:
+    """Case split on a pivot whose vanishing the domain leaves open:
+    (param, root, domain with the pivot nonzero) when its reduced numerator
+    has a single linear root (see _linear_root); None otherwise."""
+    num = domain.reduce(pivot.num)
+    root = _linear_root(num)
+    if root is None:
+        return None
+    var, value = root
+    return var, value, ParamDomain(domain.constraints + [Constraint(num, "!=")],
+                                   domain.radicals)
+
+
 def _linear_root(num) -> Optional[tuple]:
     """(param, root) when the polynomial is univariate of degree 1, or a
     single-variable monomial (root 0); None otherwise."""
-    from .scalars import Param
     if len(num.terms) == 1:
         mono = next(iter(num.terms))
         if len(mono) == 1:

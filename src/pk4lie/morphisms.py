@@ -8,7 +8,7 @@ from typing import Dict, Tuple
 from .liealg import LieAlgebra4
 from .linalg import Mat4, Vec4, vbasis, vis_zero, vsub
 from .scalars import (
-    EMPTY_DOMAIN, ParamDomain, ScalarError, Verdict, identity_test,
+    EMPTY_DOMAIN, ParamDomain, ScalarError, Verdict, nonvanishing,
 )
 
 
@@ -26,12 +26,7 @@ class LinMap:
     domain: ParamDomain = EMPTY_DOMAIN
 
     def invertible(self, trials: int = 32, seed: int = 0) -> Verdict:
-        det = self.matrix.det()
-        if self.domain.is_zero(det):
-            return Verdict("ZeroExact")
-        if det.is_const or self.domain.known_nonzero(self.domain.reduce(det.num)):
-            return Verdict("NonZero", witness=None, trials=0)
-        return identity_test(det, self.domain, trials=trials, seed=seed)
+        return nonvanishing(self.matrix.det(), self.domain, trials, seed)
 
     def inverse(self) -> "LinMap":
         return LinMap(self.matrix.inverse(), self.target, self.source, self.domain)

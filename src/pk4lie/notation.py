@@ -13,7 +13,7 @@ import re
 from typing import Dict, List, Optional, Tuple
 
 from .linalg import Mat4, Vec4, vzero
-from .scalars import ParseError, Scalar, ZERO, ONE, emit_scalar
+from .scalars import ParseError, Scalar, ZERO, ONE, _tokenize, emit_scalar
 
 SIGN_RE = re.compile(r"\+-|-\+")
 
@@ -90,35 +90,6 @@ class _Lin:
                     self.scalar / other.scalar)
 
 
-def _tokenize(text: str):
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(("int", text[i:j]))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(("name", text[i:j]))
-            i = j
-        elif ch in "+-*/()":
-            toks.append((ch, ch))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r} in {text!r}")
-    toks.append(("end", ""))
-    return toks
-
-
 class _LinParser:
     def __init__(self, toks, kinds: Tuple[str, ...]):
         self.toks = toks
@@ -160,6 +131,8 @@ class _LinParser:
         while self.peek() in ("*", "/"):
             op = self.next()[0]
             f = self.factor()
+            if op == "/" and f.is_scalar and f.scalar.is_zero:
+                raise ParseError("division by zero")
             out = out * f if op == "*" else out / f
         return out
 

@@ -316,24 +316,16 @@ class RowFailed(ParseError):
 
 
 def build_table_rows(cat=None) -> List[LieAlgebra4]:
-    """Every cataloged phase-space bracket family, with Jacobi and the
-    normal-form structure (omega = e13+e24, K = E11+E22-E33-E44) asserted
-    on each row's domain.  Raises RowFailed naming the first bad row."""
+    """Every cataloged phase-space bracket family, validated by the phase
+    suite (Jacobi, the normal-form structure omega = e13+e24,
+    K = E11+E22-E33-E44, and its eigenplanes) on each row's domain.  Raises
+    RowFailed naming the first bad row."""
     from .catalog import load_catalog
-    from .notation import parse_endo, parse_two_form
-    from .structures import validate_para_kahler
+    from .verify import run_phase_rows
     if cat is None:
         cat = load_catalog(check=False)
-    omega = parse_two_form("e13+e24")
-    K = parse_endo("E11+E22-E33-E44")
-    out = []
-    for entry_id, row in cat.phase_rows.items():
-        L = row.algebra()
-        if not L.is_lie_algebra():
-            raise RowFailed(entry_id, "jacobi")
-        rep = validate_para_kahler(L, omega, K, L.domain, entry_id,
-                                   signature_samples=4)
-        if not rep.valid:
-            raise RowFailed(entry_id, ",".join(rep.failing()))
-        out.append(L)
-    return out
+    for rep in run_phase_rows(cat, samples=4):
+        if rep.status != "PASS":
+            raise RowFailed(rep.entry_id, ",".join(
+                c["name"] for c in rep.checks if not c["ok"]))
+    return [row.algebra() for row in cat.phase_rows.values()]

@@ -673,6 +673,8 @@ class _P:
         while self.peek() in ("*", "/"):
             op = self.next()[0]
             f = self.factor()
+            if op == "/" and f.is_zero:
+                raise ParseError("division by zero")
             out = out * f if op == "*" else out / f
         return out
 
@@ -1049,3 +1051,15 @@ def identity_test(s: Scalar, domain: ParamDomain = EMPTY_DOMAIN,
             return Verdict("NonZero", witness=asg, trials=done + 1)
         done += 1
     return Verdict("ZeroSampled", trials=done)
+
+
+def nonvanishing(s: Scalar, domain: ParamDomain = EMPTY_DOMAIN,
+                 trials: int = 32, seed: int = 0) -> Verdict:
+    """Whether s is nonzero on the domain: ZeroExact when it vanishes there,
+    NonZero for a constant or a certified numerator (known_nonzero), and
+    otherwise the sampled verdict of identity_test."""
+    if domain.is_zero(s):
+        return Verdict("ZeroExact")
+    if s.is_const or domain.known_nonzero(domain.reduce(s.num)):
+        return Verdict("NonZero", witness=None, trials=0)
+    return identity_test(s, domain, trials=trials, seed=seed)

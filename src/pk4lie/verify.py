@@ -12,13 +12,15 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .catalog import Catalog, CurvatureRowEntry, IsoRowEntry, iso_row_payload
-from .curvature import classify_row, ricci, soliton_family_equal
+from .curvature import classify_row, soliton_family_equal, soliton_residual
 from .liealg import LieAlgebra4, ce_d, pfaffian_nondegenerate
-from .linalg import Mat4, RankAmbiguous, mat_from_cols, vis_zero
+from .linalg import (
+    DegenerateError, Mat4, RankAmbiguous, mat_from_cols, split_at_root, vis_zero,
+)
 from .morphisms import LinMap, check_equivalence, check_lie_isomorphism, transport
 from .notation import emit_endo, emit_two_form, parse_endo, parse_two_form
-from .scalars import ParamDomain, Scalar
-from .structures import levi_civita, metric_from, validate_para_kahler
+from .scalars import ParamDomain, Scalar, ScalarError
+from .structures import metric_from, validate_para_kahler
 
 NF_OMEGA_TEXT = "e13+e24"
 NF_K_TEXT = "E11+E22-E33-E44"
@@ -143,7 +145,7 @@ def _verify_iso_row(cat: Catalog, entry_id: str, row: IsoRowEntry,
                                     signature_samples=samples, seed=seed)
         rep.add("transported_structure_valid", vrep.valid,
                 "" if vrep.valid else ",".join(vrep.failing()))
-    except Exception as e:  # degenerate map: already reported above
+    except DegenerateError as e:  # already reported by "invertible"
         rep.add("transported_structure_valid", False, repr(e))
     if not all(c["ok"] for c in rep.checks):
         rep.status = "WARN" if rep.notes else "FAIL"
@@ -164,57 +166,48 @@ def run_curvature_rows(cat: Catalog, seed: int = 0) -> List[EntryReport]:
 def _verify_curvature_row(row: CurvatureRowEntry, seed: int = 0) -> EntryReport:
     rep = EntryReport(row.entry_id, "PASS", notes=row.notes)
     L, h, dom = row.algebra, row.metric, row.domain
-    det = h.det()
-    if dom.is_zero(det):
+    computed = row.geometry
+    try:
+        computed.soliton
+    except DegenerateError:
         rep.add("metric_nondegenerate", False, "identically degenerate")
         rep.status = "FAIL"
         return rep
-    branch_note = ""
-    try:
-        computed = classify_row(L, h, dom)
     except RankAmbiguous as e:
-        from .linalg import _linear_root
-        from .scalars import Constraint
-        num = dom.reduce(e.poly.num) if hasattr(e.poly, "num") else e.poly
-        root = _linear_root(num)
-        if root is None:
+        split = split_at_root(e.poly, dom)
+        if split is None:
             rep.add("classified", False, f"rank ambiguous: {e.poly!r}")
             rep.status = "FAIL"
             return rep
-        var, value = root
-        generic = type(dom)(dom.constraints + [Constraint(num, "!=")],
-                            dom.radicals)
-        computed = classify_row(L, h, generic)
+        var, value, dom = split
+        computed = classify_row(L, h, dom)
         try:
             special = classify_row(L.substitute({var: value}),
-                                   h.substitute({var: value}), dom)
+                                   h.substitute({var: value}), row.domain)
             sp = ("none" if special.soliton is None else
                   f"lam={special.soliton.lam}")
             branch_note = (f"rank jumps at {var.name}={value}; on that slice "
                            f"flat={special.flat}, ricci_flat={special.ricci_flat}, "
                            f"soliton {sp}; columns below are the generic branch")
-        except Exception:
+        except (ScalarError, ZeroDivisionError):
             branch_note = (f"rank jumps at {var.name}={value}; columns below "
                            f"are the generic branch")
-        dom = generic
         rep.add("classified_on_generic_branch", True, branch_note)
     rep.add("flat", computed.flat == row.expect_flat,
             f"computed {computed.flat}, printed {row.expect_flat}")
     rep.add("ricci_flat", computed.ricci_flat == row.expect_ricci_flat,
             f"computed {computed.ricci_flat}, printed {row.expect_ricci_flat}")
-    conn = levi_civita(L, h, dom)
-    ric = ricci(L, conn, dom)
-    same, why = soliton_family_equal(L, h, ric, computed.soliton,
+    sol = computed.soliton
+    same, why = soliton_family_equal(L, h, computed.ric, sol,
                                      row.expect_x, row.expect_lam, dom)
     printed = ("none" if row.expect_x is None else
                f"lam={row.expect_lam}, X=({','.join(str(c) for c in row.expect_x)})")
-    got = ("none" if computed.soliton is None else
-           f"lam={computed.soliton.lam}, X=({','.join(str(c) for c in computed.soliton.x)})")
+    got = ("none" if sol is None else
+           f"lam={sol.lam}, X=({','.join(str(c) for c in sol.x)})")
     rep.add("soliton_family", same, f"computed {got}; printed {printed}" +
             (f"; {why}" if why else ""))
-    if computed.soliton is not None:
-        from .curvature import soliton_residual
-        resid = soliton_residual(L, h, computed.soliton.x, computed.soliton.lam, ric)
+    if sol is not None:
+        resid = soliton_residual(L, h, sol.x, sol.lam, computed.ric)
         rep.add("soliton_residual_zero", resid.is_zero(dom))
     if computed.flat and not computed.ricci_flat:
         rep.add("flat_implies_ricci_flat", False)

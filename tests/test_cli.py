@@ -1,9 +1,12 @@
 import json
+import sys
 
 import pytest
 
-from pk4lie.catalog import DATA_DIR
-from pk4lie.cli import main
+from pk4lie import structures
+from pk4lie.catalog import DATA_DIR, load_catalog
+from pk4lie.cli import _curvature_table, main
+from pk4lie.verify import run_curvature_rows
 
 
 def run_cli(capsys, *argv):
@@ -88,6 +91,12 @@ def test_usage_error_exit_code(capsys):
     assert main(["verify", "not-a-scope"]) == 2
     assert main(["geometry"]) == 2
     assert main(["phase", "nope", ""]) == 2
+    # a literal division by zero is a parse error
+    assert main(["phase", "b2", "e3.e3=1/0*e4"]) == 2
+    assert main(["geometry", "--algebra", "[e1,e2]=e3/0",
+                 "--metric", "eps14-eps23"]) == 2
+    assert main(["geometry", "--algebra", "[e1,e2]=e3",
+                 "--metric", "eps14-eps23", "--domain", "x/0 > 0"]) == 2
     capsys.readouterr()
     # malformed --set: a usage error, refused before any substitution
     for item in ("x=1/0", "x=abc", "x", "q=1"):
@@ -112,3 +121,27 @@ def test_geometry_assignment_hitting_a_denominator(capsys, argv):
     code, out, _ = run_cli(capsys, "geometry", *argv)
     assert code == 1
     assert out.splitlines()[-1] == "error:  assignment makes a denominator vanish"
+
+
+def test_curvature_suite_and_table_build_each_connection_once(monkeypatch):
+    # Count Levi-Civita connections through every binding of the function,
+    # as imported by each pk4lie module.
+    calls = []
+    orig = structures.levi_civita
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "pk4lie" or name.startswith("pk4lie."):
+            for key, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, key, counted)
+    cat = load_catalog()
+    run_curvature_rows(cat)
+    _curvature_table(cat)
+    # one per row, plus the generic branch and the slice of the one row whose
+    # rank splits (curvature/d4_2/7)
+    assert len(cat.curvature_list()) == 115
+    assert len(calls) == 117

@@ -3,10 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pk4lie.linalg import split_at_root
 from pk4lie.scalars import (
     Constraint, DenominatorVanishes, DomainUnsatisfiable, EMPTY_DOMAIN,
-    MissingParam, Param, ParamDomain, Poly, Radical, Scalar, ZERO, ONE,
-    emit_scalar, identity_test, parse_scalar,
+    MissingParam, Param, ParamDomain, ParseError, Poly, Radical, Scalar, ZERO,
+    ONE, emit_scalar, identity_test, nonvanishing, parse_scalar,
 )
 
 X = Param("x")
@@ -145,6 +146,12 @@ def test_division_by_zero_scalar_rejected():
         S("x") / ZERO
 
 
+def test_division_by_zero_in_text_is_a_parse_error():
+    for text in ("1/0", "x/(y-y)", "(x+1)/0*y"):
+        with pytest.raises(ParseError):
+            parse_scalar(text)
+
+
 # ---------------------------------------------------------------------------
 # domains: nonvanishing certificates, radicals, substitution
 
@@ -156,6 +163,30 @@ def test_known_nonzero():
     assert dom.known_nonzero(S("-2*x").num)
     assert not dom.known_nonzero(S("x+1").num)
     assert not dom.known_nonzero(S("0").num)
+
+
+def test_nonvanishing_verdicts():
+    dom = ParamDomain.parse("x != 0")
+    assert nonvanishing(S("x-x"), dom).kind == "ZeroExact"
+    const = nonvanishing(S("3"), dom)
+    assert (const.kind, const.trials) == ("NonZero", 0)
+    cert = nonvanishing(S("x*x"), dom)
+    assert (cert.kind, cert.trials, cert.witness) == ("NonZero", 0, None)
+    # no certificate: identity_test samples a witness
+    sampled = nonvanishing(S("x+1"), dom, seed=3)
+    assert sampled.kind == "NonZero" and sampled.witness is not None
+
+
+def test_split_at_root():
+    dom = ParamDomain.parse("y > 0")
+    var, root, off = split_at_root(S("x"), dom)
+    assert (var, root) == (X, ZERO)
+    assert [repr(c) for c in off.constraints] == ["y > 0", "x != 0"]
+    var, root, off = split_at_root(S("2*x-1"), EMPTY_DOMAIN)
+    assert (var, root) == (X, S("1/2"))
+    assert [repr(c) for c in off.constraints] == ["2*x-1 != 0"]
+    assert split_at_root(S("x*x+1"), EMPTY_DOMAIN) is None
+    assert split_at_root(S("x*y+1"), EMPTY_DOMAIN) is None
 
 
 def test_radical_sampling_and_reduction():
