@@ -3,18 +3,22 @@ phase-space bracket tables, isomorphism rows and curvature rows.
 
 The data files are line oriented: an entry starts with "[section/id]"
 followed by "key: value" lines.  Entries keep their literal text so the
-CLI can dump them back byte-identically; parsed payloads are built fresh
-on demand, which keeps parameters of different entries from interacting.
+CLI can dump them back byte-identically.  Parsed payloads are built fresh
+per entry, which keeps parameters of different entries from interacting:
+algebras and phase rows on every call, structures and curvature rows on
+the first read of their key (then kept), so that answering one entry
+parses one entry.  `load_catalog(check=True)` reads every row to assert it.
 """
 
 from __future__ import annotations
 
 import random
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .curvature import Geometry
 from .liealg import LieAlgebra4
@@ -134,11 +138,12 @@ class AlgebraEntry:
         return _parse_domain(self.raw)
 
     def algebra(self, subst: Optional[Dict[Param, Scalar]] = None) -> LieAlgebra4:
+        domain = self.domain()
         L = LieAlgebra4.parse(self.raw.get("brackets"), self.entry_id.split("/")[-1],
-                              self.domain())
+                              domain)
         if subst:
             L = L.substitute(subst)
-            L.domain = self.domain().substituted(subst)
+            L.domain = domain.substituted(subst)
         return L
 
 
@@ -171,21 +176,8 @@ class StructureEntry:
     symplectic_ref: str
 
 
-@dataclass
-class PhaseRowEntry:
-    entry_id: str
-    raw: RawEntry
-
-    def domain(self) -> ParamDomain:
-        return _parse_domain(self.raw)
-
-    def algebra(self, subst: Optional[Dict[Param, Scalar]] = None) -> LieAlgebra4:
-        L = LieAlgebra4.parse(self.raw.get("brackets"),
-                              self.entry_id.split("/")[-1], self.domain())
-        if subst:
-            L = L.substitute(subst)
-            L.domain = self.domain().substituted(subst)
-        return L
+class PhaseRowEntry(AlgebraEntry):
+    """A phase-space bracket family, read like an algebra family."""
 
 
 @dataclass
@@ -249,17 +241,47 @@ class CurvatureRowEntry:
         return Geometry(self.algebra, self.metric, self.domain)
 
 
+class _LazyRows(Mapping):
+    """Rows keyed by id, with ":a"/":b" for sign variants.  A row is built
+    by `build(key, raw, variant, fields)` the first time it is read, then
+    kept; the keys, their order and membership need no build."""
+
+    def __init__(self, build):
+        self._build = build
+        self._specs: Dict[str, Tuple[RawEntry, str, Dict[str, str]]] = {}
+        self._rows: Dict[str, object] = {}
+
+    def add(self, raw: RawEntry, keys: Tuple[str, ...]) -> None:
+        for variant, fields in expand_variants(raw, keys):
+            key = raw.entry_id + (f":{variant}" if variant else "")
+            self._specs[key] = (raw, variant, fields)
+
+    def __getitem__(self, key: str):
+        if key not in self._rows:
+            self._rows[key] = self._build(key, *self._specs[key])
+        return self._rows[key]
+
+    def __contains__(self, key) -> bool:
+        return key in self._specs
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._specs)
+
+    def __len__(self) -> int:
+        return len(self._specs)
+
+
 class Catalog:
     def __init__(self):
         self.raw_entries: Dict[str, RawEntry] = {}
-        self.order: List[str] = []
         self.algebras: Dict[str, AlgebraEntry] = {}
-        self.symplectic: Dict[str, SymplecticEntry] = {}
-        self.structures: Dict[str, StructureEntry] = {}
+        self.symplectic: Mapping[str, SymplecticEntry] = _LazyRows(
+            lambda key, raw, variant, fields: SymplecticEntry(raw.entry_id, raw, variant))
+        self.structures: Mapping[str, StructureEntry] = _LazyRows(self._structure)
         self.phase_rows: Dict[str, PhaseRowEntry] = {}
         self.iso_rows: Dict[str, IsoRowEntry] = {}
-        self.curvature_rows: Dict[str, CurvatureRowEntry] = {}
-        self._expansions: Dict[str, List[str]] = {}
+        self.curvature_rows: Mapping[str, CurvatureRowEntry] = _LazyRows(
+            self._curvature_row)
 
     def dump(self, entry_id: str) -> str:
         base = entry_id.split(":")[0]
@@ -279,18 +301,54 @@ class Catalog:
         return self.raw_entries[ref]
 
     def structure_list(self) -> List[StructureEntry]:
-        out = []
-        for rid in self.order:
-            out.extend(self.structures[k] for k in self._expansions.get(rid, ())
-                       if k in self.structures)
-        return out
+        return list(self.structures.values())
 
     def curvature_list(self) -> List[CurvatureRowEntry]:
-        out = []
-        for rid in self.order:
-            out.extend(self.curvature_rows[k] for k in self._expansions.get(rid, ())
-                       if k in self.curvature_rows)
-        return out
+        return list(self.curvature_rows.values())
+
+    # -- row builders -------------------------------------------------------
+    def _structure(self, key: str, raw: RawEntry, variant: str,
+                   fields: Dict[str, str]) -> StructureEntry:
+        sym = self._symplectic_raw(raw.get("symplectic"))
+        subst = _parse_subst(raw.get("subst"))
+        algebra = self.algebra_entry(sym.get("alg")).algebra(subst)
+        named_alg = raw.get("alg")
+        if named_alg:
+            named = self.algebra_entry(named_alg).algebra()
+            if named.serialize() != algebra.serialize():
+                raise LoadAssertionFailed(
+                    key, f"substituted algebra differs from {named_alg}")
+            algebra = named
+        omega_text = fields.get("omega") or sym.get("omega")
+        if has_sign_tokens(omega_text):
+            raise LoadAssertionFailed(
+                key, "omega needs an explicit variant-free override")
+        omega = parse_two_form(omega_text)
+        sym_domain = ParamDomain.parse(sym.get("domain"))
+        if subst:
+            omega = omega.substitute(subst)
+            sym_domain = sym_domain.substituted(subst)
+        domain = algebra.domain.merged(sym_domain).merged(
+            ParamDomain.parse(fields.get("domain", "")))
+        algebra.domain = domain
+        return StructureEntry(key, raw, variant, algebra, omega,
+                              parse_endo(fields["K"]), domain, raw.get("symplectic"))
+
+    def _curvature_row(self, key: str, raw: RawEntry, variant: str,
+                       fields: Dict[str, str]) -> CurvatureRowEntry:
+        subst = _parse_subst(raw.get("subst"))
+        algebra = self.algebra_entry(raw.get("alg")).algebra(subst)
+        metric = parse_sym_form(fields["metric"])
+        domain = algebra.domain.merged(ParamDomain.parse(fields.get("domain", "")))
+        algebra.domain = domain
+        if fields.get("soliton", "").strip() == "none":
+            ex, elam = None, None
+        else:
+            ex, elam = parse_tuple4(fields["X"]), parse_scalar(fields["lam"])
+        return CurvatureRowEntry(
+            key, raw, variant, algebra, metric, domain,
+            fields.get("flat") == "yes", fields.get("ricflat") == "yes",
+            ex, elam, fields.get("link", ""), fields.get("notes", ""))
 
 
 def expand_variants(raw: RawEntry, keys: Tuple[str, ...]) -> List[Tuple[str, Dict[str, str]]]:
@@ -329,99 +387,27 @@ def load_catalog(data_dir: Optional[Path] = None, check: bool = True) -> Catalog
             if raw.entry_id in cat.raw_entries:
                 raise ParseError(f"duplicate entry id {raw.entry_id!r}")
             cat.raw_entries[raw.entry_id] = raw
-            cat.order.append(raw.entry_id)
 
     for entry_id, raw in cat.raw_entries.items():
         section = entry_id.split("/")[0]
         if section == "alg":
             cat.algebras[entry_id] = AlgebraEntry(entry_id, raw)
         elif section == "symplectic":
-            for variant, fields in expand_variants(raw, ("omega",)):
-                key = entry_id + (f":{variant}" if variant else "")
-                cat.symplectic[key] = SymplecticEntry(entry_id, raw, variant)
+            cat.symplectic.add(raw, ("omega",))
         elif section == "structures":
-            pass  # second pass; needs algebra refs
+            cat.structures.add(raw, ("omega", "K"))
         elif section in ("phase_b", "phase_c"):
             cat.phase_rows[entry_id] = PhaseRowEntry(entry_id, raw)
         elif section in ("iso_b", "iso_c"):
             cat.iso_rows[entry_id] = IsoRowEntry(entry_id, raw)
         elif section == "curvature":
-            pass  # second pass
+            cat.curvature_rows.add(raw, ("metric", "X", "lam"))
         else:
             raise ParseError(f"unknown section in id {entry_id!r}")
 
-    _load_structures(cat)
-    _load_curvature_rows(cat)
     if check:
         _run_load_assertions(cat)
     return cat
-
-
-def _load_structures(cat: Catalog) -> None:
-    for entry_id in list(cat.order):
-        if not entry_id.startswith("structures/"):
-            continue
-        raw = cat.raw_entries[entry_id]
-        sym = cat._symplectic_raw(raw.get("symplectic"))
-        alg_entry = cat.algebra_entry(sym.get("alg"))
-        subst = _parse_subst(raw.get("subst"))
-        named_alg = raw.get("alg")
-        keys = []
-        for variant, fields in expand_variants(raw, ("omega", "K")):
-            key = entry_id + (f":{variant}" if variant else "")
-            algebra = alg_entry.algebra(subst if subst else None)
-            if named_alg:
-                named = cat.algebra_entry(named_alg)
-                if named.algebra().serialize() != algebra.serialize():
-                    raise LoadAssertionFailed(
-                        key, f"substituted algebra differs from {named_alg}")
-                algebra = named.algebra()
-            omega_text = fields.get("omega") or sym.get("omega")
-            if has_sign_tokens(omega_text):
-                raise LoadAssertionFailed(
-                    key, "omega needs an explicit variant-free override")
-            omega = parse_two_form(omega_text)
-            if subst:
-                omega = omega.substitute(subst)
-            K = parse_endo(fields["K"])
-            sym_domain = ParamDomain.parse(sym.get("domain"))
-            if subst:
-                sym_domain = sym_domain.substituted(subst)
-            domain = algebra.domain.merged(sym_domain).merged(
-                ParamDomain.parse(fields.get("domain", "")))
-            algebra.domain = domain
-            cat.structures[key] = StructureEntry(
-                key, raw, variant, algebra, omega, K, domain, raw.get("symplectic"))
-            keys.append(key)
-        cat._expansions[entry_id] = keys
-
-
-def _load_curvature_rows(cat: Catalog) -> None:
-    for entry_id in list(cat.order):
-        if not entry_id.startswith("curvature/"):
-            continue
-        raw = cat.raw_entries[entry_id]
-        alg_entry = cat.algebra_entry(raw.get("alg"))
-        subst = _parse_subst(raw.get("subst"))
-        keys = []
-        for variant, fields in expand_variants(raw, ("metric", "X", "lam")):
-            key = entry_id + (f":{variant}" if variant else "")
-            algebra = alg_entry.algebra(subst if subst else None)
-            metric = parse_sym_form(fields["metric"])
-            domain = algebra.domain.merged(ParamDomain.parse(fields.get("domain", "")))
-            algebra.domain = domain
-            soliton = fields.get("soliton", "").strip()
-            if soliton == "none":
-                ex, elam = None, None
-            else:
-                ex = parse_tuple4(fields["X"])
-                elam = parse_scalar(fields["lam"])
-            cat.curvature_rows[key] = CurvatureRowEntry(
-                key, raw, variant, algebra, metric, domain,
-                fields.get("flat") == "yes", fields.get("ricflat") == "yes",
-                ex, elam, fields.get("link", ""), fields.get("notes", ""))
-            keys.append(key)
-        cat._expansions[entry_id] = keys
 
 
 def _run_load_assertions(cat: Catalog) -> None:

@@ -11,7 +11,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .catalog import Catalog, load_catalog
+from .catalog import Catalog, _alg_params, _check_satisfiable, load_catalog
 from .curvature import Geometry, ricci_operator, scalar_curvature
 from .liealg import LieAlgebra4
 from .linalg import Mat4, RankAmbiguous, DegenerateError
@@ -143,7 +143,9 @@ def _resolve_geometry(args, cat: Catalog):
         raise ParseError("geometry needs an entry id or --algebra/--metric")
     dom = ParamDomain.parse(args.domain)
     L = LieAlgebra4.parse(args.algebra, "inline", dom)
-    return L, parse_sym_form(args.metric), dom, "inline"
+    h = parse_sym_form(args.metric)
+    _check_satisfiable("inline", dom, _alg_params(L) | h.params())
+    return L, h, dom, "inline"
 
 
 def _parse_assignments(items, L: LieAlgebra4, h: Mat4, dom: ParamDomain) -> dict:
@@ -181,6 +183,11 @@ def cmd_geometry(args) -> int:
         dom = _substitute_domain_lenient(dom, subst)
     out = {"entry": label, "algebra": L.serialize(),
            "metric": emit_sym_form(h)}
+    # catalog rows are Jacobi-checked at load; inline brackets are not
+    if label == "inline" and not L.is_lie_algebra(dom):
+        out["error"] = "brackets fail the Jacobi identity"
+        _emit_geometry(args, out)
+        return 1
     g = Geometry(L, h, dom)
     try:
         conn = g.conn

@@ -6,7 +6,9 @@ from pk4lie.catalog import (
     DATA_DIR, LoadAssertionFailed, expand_variants, load_catalog,
     parse_entries,
 )
-from pk4lie.notation import parse_endo, parse_two_form
+from pk4lie.notation import (
+    emit_endo, emit_sym_form, emit_two_form, parse_endo, parse_two_form,
+)
 from pk4lie.scalars import ParseError, ScalarError
 
 CAT = load_catalog()
@@ -124,3 +126,42 @@ def test_broken_reference_fails_load(tmp_path):
                         "source: phase_b/B2", "source: phase_b/NoSuchRow")
     with pytest.raises(BrokenReference):
         load_catalog(data)
+
+
+def _row_columns(cat, key):
+    """A row's payload as text: algebra, form(s), domain, expected columns."""
+    if key in cat.structures:
+        row = cat.structures[key]
+        forms = (emit_two_form(row.omega), emit_endo(row.K), row.symplectic_ref)
+    else:
+        row = cat.curvature_rows[key]
+        forms = (emit_sym_form(row.metric), row.expect_flat, row.expect_ricci_flat,
+                 None if row.expect_x is None else [str(v) for v in row.expect_x],
+                 str(row.expect_lam), row.link, row.notes)
+    radicals = [(r.w.name, repr(r.radicand), r.solve_for.name)
+                for r in row.domain.radicals]
+    return (row.variant, row.algebra.serialize(), repr(row.algebra.domain),
+            repr(row.domain), radicals) + forms
+
+
+def test_rows_do_not_depend_on_read_order():
+    # rows are built on first read: reading them backwards must give the
+    # rows that the checked load built in file order
+    fresh = load_catalog(check=False)
+    keys = list(CAT.structures) + list(CAT.curvature_rows)
+    assert keys == list(fresh.structures) + list(fresh.curvature_rows)
+    backwards = {key: _row_columns(fresh, key) for key in reversed(keys)}
+    assert backwards == {key: _row_columns(CAT, key) for key in keys}
+
+
+def test_a_broken_structure_fails_load_and_its_own_read(tmp_path):
+    data = _broken_copy(tmp_path, "structures.txt",
+                        "subst: beta=-1\nalg: alg/r4_m1_m1\n",
+                        "subst: beta=-1\nalg: alg/d4_half\n")
+    with pytest.raises(LoadAssertionFailed):
+        load_catalog(data)
+    cat = load_catalog(data, check=False)
+    assert cat.curvature_rows["curvature/d4_half/1"].metric is not None
+    assert "structures/r4_m1_m1/K1" in cat.structures
+    with pytest.raises(LoadAssertionFailed):
+        cat.structures["structures/r4_m1_m1/K1"]

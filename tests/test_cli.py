@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from pk4lie import structures
-from pk4lie.catalog import DATA_DIR, load_catalog
+from pk4lie.catalog import DATA_DIR, Catalog, load_catalog
 from pk4lie.cli import _curvature_table, main
 from pk4lie.verify import run_curvature_rows
 
@@ -97,6 +97,9 @@ def test_usage_error_exit_code(capsys):
                  "--metric", "eps14-eps23"]) == 2
     assert main(["geometry", "--algebra", "[e1,e2]=e3",
                  "--metric", "eps14-eps23", "--domain", "x/0 > 0"]) == 2
+    # an inline domain that no point satisfies
+    assert main(["geometry", "--algebra", "[e1,e2]=x*e3",
+                 "--metric", "eps14-eps23", "--domain", "x>0, x<0"]) == 2
     capsys.readouterr()
     # malformed --set: a usage error, refused before any substitution
     for item in ("x=1/0", "x=abc", "x", "q=1"):
@@ -145,3 +148,38 @@ def test_curvature_suite_and_table_build_each_connection_once(monkeypatch):
     # rank splits (curvature/d4_2/7)
     assert len(cat.curvature_list()) == 115
     assert len(calls) == 117
+
+
+def test_geometry_inline_brackets_failing_jacobi(capsys):
+    argv = ["geometry", "--algebra", "[e1,e2]=e3; [e1,e3]=e1",
+            "--metric", "eps14-eps23"]
+    code, out, _ = run_cli(capsys, "--format", "json", *argv)
+    assert code == 1
+    assert json.loads(out) == {"entry": "inline",
+                               "algebra": "[e1,e2]=e3; [e1,e3]=e1",
+                               "metric": "eps14-eps23",
+                               "error": "brackets fail the Jacobi identity"}
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert out.splitlines() == ["entry:  inline",
+                                "algebra: [e1,e2]=e3; [e1,e3]=e1",
+                                "metric:  eps14-eps23",
+                                "error:  brackets fail the Jacobi identity"]
+
+
+def test_geometry_and_dump_build_only_the_named_row(monkeypatch, capsys):
+    built = []
+    for name in ("_structure", "_curvature_row"):
+        def counted(self, key, *args, _orig=getattr(Catalog, name)):
+            built.append(key)
+            return _orig(self, key, *args)
+        monkeypatch.setattr(Catalog, name, counted)
+    assert main(["geometry", "curvature/d4_half/1"]) == 0
+    assert built == ["curvature/d4_half/1"]
+    built.clear()
+    assert main(["geometry", "structures/rr3_m1/K1:b"]) == 0
+    assert built == ["structures/rr3_m1/K1:b"]
+    built.clear()
+    assert main(["dump", "curvature/d4_half/1"]) == 0
+    assert built == []
+    capsys.readouterr()
