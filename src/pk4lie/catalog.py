@@ -114,8 +114,16 @@ def _parse_subst(text: str) -> Dict[Param, Scalar]:
     return out
 
 
+def _domain_of(entry_id: str, text: str) -> ParamDomain:
+    """ParamDomain.parse; a constraint it refuses fails the row's load."""
+    try:
+        return ParamDomain.parse(text)
+    except ParseError as e:
+        raise LoadAssertionFailed(entry_id, f"domain {e}") from None
+
+
 def _parse_domain(entry: RawEntry, key: str = "domain") -> ParamDomain:
-    dom = ParamDomain.parse(entry.get(key))
+    dom = _domain_of(entry.entry_id, entry.get(key))
     rad = entry.get("radical")
     if rad:
         m = _RADICAL_RE.match(rad)
@@ -324,12 +332,12 @@ class Catalog:
             raise LoadAssertionFailed(
                 key, "omega needs an explicit variant-free override")
         omega = parse_two_form(omega_text)
-        sym_domain = ParamDomain.parse(sym.get("domain"))
+        sym_domain = _domain_of(sym.entry_id, sym.get("domain"))
         if subst:
             omega = omega.substitute(subst)
             sym_domain = sym_domain.substituted(subst)
         domain = algebra.domain.merged(sym_domain).merged(
-            ParamDomain.parse(fields.get("domain", "")))
+            _domain_of(key, fields.get("domain", "")))
         algebra.domain = domain
         return StructureEntry(key, raw, variant, algebra, omega,
                               parse_endo(fields["K"]), domain, raw.get("symplectic"))
@@ -339,7 +347,7 @@ class Catalog:
         subst = _parse_subst(raw.get("subst"))
         algebra = self.algebra_entry(raw.get("alg")).algebra(subst)
         metric = parse_sym_form(fields["metric"])
-        domain = algebra.domain.merged(ParamDomain.parse(fields.get("domain", "")))
+        domain = algebra.domain.merged(_domain_of(key, fields.get("domain", "")))
         algebra.domain = domain
         if fields.get("soliton", "").strip() == "none":
             ex, elam = None, None

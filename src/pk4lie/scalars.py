@@ -4,6 +4,12 @@ Every quantity in this package is a Scalar: a reduced fraction of
 multivariate polynomials with rational coefficients in a registry of named
 parameters.  Identities are decided exactly (numerator identically zero);
 random sampling is only used for sign conditions and witness production.
+
+Canonical forms need polynomial gcds and exact divisions.  Both are native:
+the multivariate gcd recurses on the lowest-index parameter and runs a
+primitive pseudo-remainder sequence over the other parameters, and exact
+division is long division by lex-leading terms.  The package has no runtime
+dependency; the tests use sympy as an independent gcd oracle.
 """
 
 from __future__ import annotations
@@ -96,14 +102,16 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(sorted(d.items()))
 
 
+_LEX_END = (float("inf"),)
+
+
 def _mono_lex_key(m: Mono) -> tuple:
-    # Descending lex over registration order: larger key = later in emission.
-    # We sort with reverse=False on this key to get lex-descending terms.
-    n = len(Param._order)
-    vec = [0] * n
-    for i, e in m:
-        vec[i] = e
-    return tuple(-v for v in vec)
+    # Lex over registration order: the lex-leading monomial has the smallest
+    # key, so an ascending sort emits terms lex-descending.  Comparing the
+    # (index, -exponent) pairs finds the first parameter where the exponent
+    # vectors differ; the end marker sorts after every pair, so a monomial
+    # that stops there has the smaller exponent.
+    return (*[(i, -e) for i, e in m], _LEX_END)
 
 
 class Poly:
@@ -291,54 +299,27 @@ def _mono_gcd(a: Mono, b: Mono) -> Mono:
 def _mono_div(m: Mono, by: Mono) -> Mono:
     d = dict(m)
     for i, e in by:
-        d[i] -= e
-        if d[i] == 0:
+        r = d.get(i, 0) - e
+        if r < 0:
+            raise ScalarError("not divisible")
+        if r:
+            d[i] = r
+        else:
             del d[i]
     return tuple(sorted(d.items()))
 
 
 def _gcd_with_monomial(mono_poly: Poly, other: Poly) -> Poly:
-    (m0, _), = mono_poly.terms.items()
-    g = m0
-    for m in other.terms:
-        g = _mono_gcd(g, m)
+    return _monomial_gcd((*mono_poly.terms, *other.terms))
+
+
+def _monomial_gcd(monos) -> Poly:
+    g = None
+    for m in monos:
+        g = m if g is None else _mono_gcd(g, m)
         if not g:
             break
     return Poly({g: _ONE})
-
-
-_sympy_cache: dict = {}
-
-
-def _to_sympy(p: Poly):
-    import sympy
-    expr = sympy.Integer(0)
-    for m, c in p.terms.items():
-        term = sympy.Rational(c.numerator, c.denominator)
-        for i, e in m:
-            name = Param._order[i].name
-            sym = _sympy_cache.get(name)
-            if sym is None:
-                sym = sympy.Symbol(name)
-                _sympy_cache[name] = sym
-            term *= sym ** e
-        expr += term
-    return expr
-
-
-def _from_sympy(expr) -> Poly:
-    import sympy
-    poly = sympy.Poly(expr, *sorted(expr.free_symbols, key=str)) if expr.free_symbols else None
-    if poly is None:
-        return Poly.const(Fraction(int(sympy.nsimplify(expr).p), int(sympy.nsimplify(expr).q))
-                          if expr.is_Rational else Fraction(str(expr)))
-    out = Poly()
-    gens = poly.gens
-    for exps, coeff in poly.terms():
-        mono = tuple(sorted((Param(str(g)).index, e) for g, e in zip(gens, exps) if e))
-        c = Fraction(int(coeff.p), int(coeff.q))
-        out = out + Poly({mono: c})
-    return out
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -355,10 +336,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return _gcd_with_monomial(b, a)
     va, vb = a.params(), b.params()
     if len(va) == 1 and va == vb:
-        return _univariate_gcd(a, b, va.pop())
-    import sympy
-    g = sympy.gcd(_to_sympy(a), _to_sympy(b))
-    return _make_primitive(_from_sympy(sympy.expand(g)))
+        return _univariate_gcd(a, b)
+    return _multivariate_gcd(a, b)
 
 
 def _make_primitive(p: Poly) -> Poly:
@@ -368,37 +347,110 @@ def _make_primitive(p: Poly) -> Poly:
     return p.scale(1 / c)
 
 
-def _univariate_gcd(a: Poly, b: Poly, p: Param) -> Poly:
-    def to_list(q: Poly):
-        d = q.degree_in(p)
-        out = [_ZERO] * (d + 1)
+# poly_gcd's univariate and multivariate branches run the same _gcd; they are
+# two functions so that a profile can count each branch.
+def _univariate_gcd(a: Poly, b: Poly) -> Poly:
+    return _make_primitive(_gcd(a, b))
+
+
+def _multivariate_gcd(a: Poly, b: Poly) -> Poly:
+    return _make_primitive(_gcd(a, b))
+
+
+# The benchmark tracer's hook: it marks the multivariate branch by this name.
+_from_sympy = _multivariate_gcd
+
+
+def _gcd(a: Poly, b: Poly) -> Poly:
+    """A gcd of a and b over Q[params], up to a rational factor.
+
+    Let v be the lowest-index parameter of a and b.  Over Q[other params]
+    each operand splits into its content in v (the gcd of its coefficients)
+    and a primitive part; the gcd is the gcd of the contents times the
+    last nonzero remainder of the primitive pseudo-remainder sequence of
+    the primitive parts.  The recursion calls only itself, never poly_gcd,
+    so poly_gcd's branch counts stay one per call.
+    """
+    if a.is_zero:
+        return b
+    if b.is_zero:
+        return a
+    if a.is_const or b.is_const:
+        return Poly({(): _ONE})
+    if len(a.terms) == 1 or len(b.terms) == 1:
+        return _monomial_gcd((*a.terms, *b.terms))
+    v = min(m[0][0] for m in (*a.terms, *b.terms) if m)
+    sa, sb = _split(a, v), _split(b, v)
+    ca, cb = _content(sa), _content(sb)
+    c = _gcd(ca, cb)
+    if max(sa) == 0 or max(sb) == 0:
+        return c     # one operand is free of v: it is its own content
+    pa, pb = _primitive(a, ca, v), _primitive(b, cb, v)
+    if max(pa) < max(pb):
+        pa, pb = pb, pa
+    while True:
+        r = _prem(pa, pb)
+        if not r:
+            return c * _join(pb, v)
+        if max(r) == 0:
+            return c     # the primitive parts are coprime
+        pa, pb = pb, _primitive(_join(r, v), _content(r), v)
+
+
+def _primitive(p: Poly, content: Poly, v: int) -> dict:
+    """p / content with coprime integer coefficients, split in v."""
+    return _split(_make_primitive(poly_divexact(p, content)), v)
+
+
+def _split(p: Poly, v: int) -> dict:
+    """{e: coefficient of v**e}, for v the lowest parameter index of p."""
+    out: dict = {}
+    for m, c in p.terms.items():
+        if m and m[0][0] == v:
+            out.setdefault(m[0][1], {})[m[1:]] = c
+        else:
+            out.setdefault(0, {})[m] = c
+    return {e: Poly(t) for e, t in out.items()}
+
+
+def _join(coeffs: dict, v: int) -> Poly:
+    """Inverse of _split."""
+    t = {}
+    for e, q in coeffs.items():
         for m, c in q.terms.items():
-            e = dict(m).get(p.index, 0)
-            out[e] += c
-        return out
+            t[((v, e),) + m if e else m] = c
+    return Poly(t)
 
-    def norm(l):
-        while l and not l[-1]:
-            l.pop()
-        return l
 
-    ra, rb = norm(to_list(a)), norm(to_list(b))
-    while rb:
-        # remainder of ra by rb over Q[p]
-        while len(ra) >= len(rb):
-            f = ra[-1] / rb[-1]
-            shift = len(ra) - len(rb)
-            for i, c in enumerate(rb):
-                ra[i + shift] -= f * c
-            norm(ra)
-            if not ra:
-                break
-        ra, rb = rb, ra
-    out = Poly()
-    for e, c in enumerate(ra):
-        if c:
-            out = out + Poly({((p.index, e),) if e else (): c})
-    return _make_primitive(out)
+def _content(coeffs: dict) -> Poly:
+    """gcd of the coefficients, smallest first, stopping at a constant."""
+    g = Poly()
+    for q in sorted(coeffs.values(), key=lambda q: len(q.terms)):
+        g = _gcd(g, q)
+        if g.is_const:
+            break
+    return g
+
+
+def _prem(a: dict, b: dict) -> dict:
+    """Pseudo-remainder of a by b, both {e: coefficient of v**e}: the part
+    of lc(b)**k * a of lower degree than b after subtracting multiples of b."""
+    db = max(b)
+    lb = b[db]
+    while a and max(a) >= db:
+        da = max(a)
+        la = a[da]
+        out = {e: q * lb for e, q in a.items() if e != da}
+        for e, q in b.items():
+            if e != db:
+                k = e + da - db
+                s = out.get(k, Poly()) - la * q
+                if s.is_zero:
+                    out.pop(k, None)
+                else:
+                    out[k] = s
+        a = out
+    return a
 
 
 def poly_divexact(a: Poly, by: Poly) -> Poly:
@@ -407,19 +459,27 @@ def poly_divexact(a: Poly, by: Poly) -> Poly:
         return a.scale(1 / by.const_value())
     if _poly_is_monomial(by):
         (m0, c0), = by.terms.items()
-        out = {}
-        for m, c in a.terms.items():
-            md = dict(m)
-            for i, e in m0:
-                if md.get(i, 0) < e:
-                    raise ScalarError("not divisible")
-            out[_mono_div(m, m0)] = c / c0
-        return Poly(out)
-    import sympy
-    q, r = sympy.div(_to_sympy(a), _to_sympy(by))
-    if sympy.expand(r) != 0:
-        raise ScalarError("not divisible")
-    return _from_sympy(sympy.expand(q))
+        return Poly({_mono_div(m, m0): c / c0 for m, c in a.terms.items()})
+    # Long division by lex-leading terms: if by divides a, the leading
+    # monomial of every remainder is a multiple of by's.
+    lead = min(by.terms, key=_mono_lex_key)
+    lc = by.terms[lead]
+    rest = [(m, c) for m, c in by.terms.items() if m != lead]
+    r = dict(a.terms)
+    q = {}
+    while r:
+        m = min(r, key=_mono_lex_key)
+        qm = _mono_div(m, lead)
+        qc = r.pop(m) / lc
+        q[qm] = qc
+        for mb, cb in rest:
+            mm = _mono_mul(qm, mb)
+            s = r.get(mm, _ZERO) - qc * cb
+            if s:
+                r[mm] = s
+            else:
+                r.pop(mm, None)
+    return Poly(q)
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +805,7 @@ def emit_scalar(s: Scalar) -> str:
 # Parameter domains and randomized identity testing
 
 
-_RELS = ("!=", ">=", "<=", ">", "<", "==")
+_RELS = ("!=", ">=", "<=", ">", "<")
 
 
 class Constraint:
@@ -766,9 +826,7 @@ class Constraint:
             return value < 0
         if self.rel == ">=":
             return value >= 0
-        if self.rel == "<=":
-            return value <= 0
-        return value == 0
+        return value <= 0
 
     def __repr__(self):
         return f"{emit_poly(self.poly)} {self.rel} 0"
@@ -810,6 +868,10 @@ class ParamDomain:
         if text:
             for piece in text.split(","):
                 piece = piece.strip()
+                if "==" in piece:
+                    # Random rationals almost never satisfy an equation.
+                    raise ParseError(f"equality constraint {piece!r} is not supported; "
+                                     "substitute the value with --set instead")
                 for rel in _RELS:
                     if rel in piece:
                         lhs, rhs = piece.split(rel, 1)

@@ -116,8 +116,17 @@ def test_unsatisfiable_domain_fails_load(tmp_path):
     data = _broken_copy(tmp_path, "phase_b.txt",
                         "domain: x != 0\n\n[phase_b/B1_1_2]",
                         "domain: x != 0, x == 0\n\n[phase_b/B1_1_2]")
-    with pytest.raises(LoadAssertionFailed):
+    with pytest.raises(LoadAssertionFailed) as e:
         load_catalog(data)
+    assert "equality constraint 'x == 0'" in e.value.check
+    # an equation is refused when the row's domain is parsed; sign
+    # constraints that no point satisfies fail the sampled check
+    data = _broken_copy(tmp_path / "signs", "phase_b.txt",
+                        "domain: x != 0\n\n[phase_b/B1_1_2]",
+                        "domain: x > 0, x < 0\n\n[phase_b/B1_1_2]")
+    with pytest.raises(LoadAssertionFailed) as e:
+        load_catalog(data)
+    assert e.value.check == "domain unsatisfiable"
 
 
 def test_broken_reference_fails_load(tmp_path):

@@ -100,6 +100,10 @@ def test_usage_error_exit_code(capsys):
     # an inline domain that no point satisfies
     assert main(["geometry", "--algebra", "[e1,e2]=x*e3",
                  "--metric", "eps14-eps23", "--domain", "x>0, x<0"]) == 2
+    # an equation is refused when the domain is parsed, whatever its height
+    for dom in ("97*x == 7", "x == 1"):
+        assert main(["geometry", "--algebra", "[e1,e2]=x*e3",
+                     "--metric", "eps14-eps23", "--domain", dom]) == 2, dom
     capsys.readouterr()
     # malformed --set: a usage error, refused before any substitution
     for item in ("x=1/0", "x=abc", "x", "q=1"):

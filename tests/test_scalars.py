@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 from pk4lie.linalg import split_at_root
 from pk4lie.scalars import (
     Constraint, DenominatorVanishes, DomainUnsatisfiable, EMPTY_DOMAIN,
-    MissingParam, Param, ParamDomain, ParseError, Poly, Radical, Scalar, ZERO,
-    ONE, emit_scalar, identity_test, nonvanishing, parse_scalar,
+    MissingParam, Param, ParamDomain, ParseError, Poly, Radical, Scalar,
+    ScalarError, ZERO, ONE, _mono_lex_key, emit_scalar, identity_test,
+    nonvanishing, parse_scalar, poly_divexact, poly_gcd,
 )
+import pk4lie
 
 X = Param("x")
 Y = Param("y")
@@ -249,3 +255,102 @@ def test_arithmetic_shortcuts_match_general_path(a, b):
     _same(a * b, Scalar(a.num * b.num, a.den * b.den))
     _same(a + 0, a)
     _same(0 * a, Scalar(Poly(), a.den))
+
+
+# ---------------------------------------------------------------------------
+# multivariate gcd and exact division against sympy
+
+
+GCD_PARAMS = ("lam", "mu", "x", "y", "z")
+
+
+def _poly(params, exps_coeffs):
+    return Poly({tuple(sorted((Param(n).index, e) for n, e in zip(params, exps) if e)): c
+                 for exps, c in exps_coeffs.items()})
+
+
+@st.composite
+def gcd_cases(draw):
+    """(g, a, b): a = g*p and b = g*q with rational coefficients over 2-4
+    parameters; one parameter, `only`, occurs in a and not in b."""
+    params = draw(st.lists(st.sampled_from(GCD_PARAMS), min_size=2, max_size=4,
+                           unique=True))
+    only = draw(st.sampled_from(params))
+    coeff = st.fractions(-5, 5, max_denominator=3).filter(bool)
+
+    def poly(names, max_size):
+        return _poly(names, draw(st.dictionaries(
+            st.tuples(*[st.integers(0, 2)] * len(names)), coeff,
+            min_size=1, max_size=max_size)))
+
+    shared = [n for n in params if n != only]
+    # random exponents stay below 3, so no random term cancels the added
+    # ones: g is a multivariate non-monomial and p involves `only`
+    g = poly(params, 3) + _poly(params[:2], {(1, 3): draw(coeff)})
+    p = poly(params, 3) + _poly([only], {(3,): draw(coeff)})
+    q = poly(shared, 3)
+    return g, g * p, g * q
+
+
+def _poly_of_sympy(expr, syms):
+    import sympy
+    out = {}
+    for exps, c in sympy.Poly(expr, *syms).terms():
+        mono = tuple(sorted((Param(str(s)).index, e) for s, e in zip(syms, exps) if e))
+        out[mono] = Fraction(int(c.p), int(c.q))
+    return Poly(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gcd_cases())
+def test_gcd_and_division_match_sympy(case):
+    import sympy
+    g, a, b = case
+    syms = [sympy.Symbol(n) for n in GCD_PARAMS]
+
+    def to_sympy(p):
+        return sympy.Poly.from_dict(
+            {tuple(dict(m).get(Param(n).index, 0) for n in GCD_PARAMS):
+             sympy.Rational(c.numerator, c.denominator) for m, c in p.terms.items()},
+            *syms, domain="QQ").as_expr()
+
+    ours = poly_gcd(a, b)
+    theirs = _poly_of_sympy(sympy.gcd(to_sympy(a), to_sympy(b)), syms)
+    assert set(ours.terms) == set(theirs.terms)
+    assert len({theirs.terms[m] / c for m, c in ours.terms.items()}) == 1
+    for p in (a, b):
+        assert poly_divexact(p, ours) * ours == p
+        assert poly_divexact(p, g) * g == p
+    with pytest.raises(ScalarError):
+        poly_divexact(a * g + Poly.const(1), g)
+
+
+def test_no_command_imports_sympy():
+    code = ("import sys, pk4lie.cli\n"
+            "from pk4lie.scalars import parse_scalar\n"
+            "s = parse_scalar('(x*y+1)*(x+y)/((x*y+1)*(x-y))')\n"
+            "assert str(s) == '(x+y)/(x-y)', s\n"
+            "assert 'sympy' not in sys.modules\n")
+    src = str(Path(pk4lie.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def _padded_lex_key(m):
+    # The registry-sized key _mono_lex_key replaced, kept as its oracle.
+    vec = [0] * len(Param._order)
+    for i, e in m:
+        vec[i] = e
+    return tuple(-v for v in vec)
+
+
+monomials = st.dictionaries(st.integers(0, len(Param._order) - 1),
+                            st.integers(1, 4), max_size=4).map(
+    lambda d: tuple(sorted(d.items())))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(monomials, min_size=2, max_size=12))
+def test_mono_lex_key_orders_as_the_padded_key(ms):
+    assert sorted(ms, key=_mono_lex_key) == sorted(ms, key=_padded_lex_key)
