@@ -21,7 +21,7 @@ from .phase_space import (
 )
 from .scalars import ParamDomain, ParseError, Scalar
 from .structures import metric_from, validate_para_kahler
-from .verify import SCOPES, run_scope
+from .verify import SCOPES, normal_form, run_scope
 
 USAGE_ERROR = 2
 
@@ -92,7 +92,7 @@ def cmd_verify(args) -> int:
     else:
         for r in reports:
             line = f"{r.status:4s} {r.entry_id}"
-            bad = [c["name"] for c in r.checks if not c["ok"]]
+            bad = r.failing()
             if bad:
                 line += f"  [{', '.join(bad)}]"
             print(line)
@@ -295,13 +295,11 @@ def cmd_phase(args) -> int:
             for (i, j, k), v in defects.items()
             if any(not c.is_zero for c in v)}
     else:
-        from .notation import parse_endo, parse_two_form
-        rep = validate_para_kahler(
-            L, parse_two_form("e13+e24"), parse_endo("E11+E22-E33-E44"),
-            pair.domain, "phase")
-        out["normal_form_valid"] = rep.valid
-        if not rep.valid:
-            out["failing_checks"] = rep.failing()
+        failed = validate_para_kahler(L, *normal_form(), pair.domain,
+                                      "phase").failing()
+        out["normal_form_valid"] = not failed
+        if failed:
+            out["failing_checks"] = failed
     if args.format == "json":
         print(json.dumps(out, indent=2))
     else:

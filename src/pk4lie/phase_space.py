@@ -305,27 +305,3 @@ def lsa_catalog() -> Dict[str, LSA2]:
     for name, (text, dom) in LSA_CATALOG_TEXT.items():
         out[name] = LSA2.parse(text, name, ParamDomain.parse(dom))
     return out
-
-
-class RowFailed(ParseError):
-    def __init__(self, row_id: str, check: str, witness: str = ""):
-        self.row_id = row_id
-        self.check = check
-        self.witness = witness
-        super().__init__(f"{row_id}: {check}" + (f" ({witness})" if witness else ""))
-
-
-def build_table_rows(cat=None) -> List[LieAlgebra4]:
-    """Every cataloged phase-space bracket family, validated by the phase
-    suite (Jacobi, the normal-form structure omega = e13+e24,
-    K = E11+E22-E33-E44, and its eigenplanes) on each row's domain.  Raises
-    RowFailed naming the first bad row."""
-    from .catalog import load_catalog
-    from .verify import run_phase_rows
-    if cat is None:
-        cat = load_catalog(check=False)
-    for rep in run_phase_rows(cat, samples=4):
-        if rep.status != "PASS":
-            raise RowFailed(rep.entry_id, ",".join(
-                c["name"] for c in rep.checks if not c["ok"]))
-    return [row.algebra() for row in cat.phase_rows.values()]

@@ -4,14 +4,15 @@ A structure is a triple (algebra, omega, K) on the fixed basis.  The
 validation report runs the full battery: Jacobi, closedness and
 nondegeneracy of omega, K*K = Id, equal eigenranks, vanishing Nijenhuis
 tensor, symmetry and neutral signature of the induced metric, and
-parallelism of K under the Levi-Civita product.
+parallelism of K under the Levi-Civita product.  It is an EntryReport,
+the row report that every verify suite returns.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Set
 
 from .linalg import DegenerateError, Mat4, Vec4, signature_of, vbasis
 from .liealg import (
@@ -101,50 +102,57 @@ def nabla_K(L: LieAlgebra4, conn: Connection4, K: Mat4) -> List[Mat4]:
 
 
 @dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class EntryReport:
+    """One verify row: its named checks, its notes and the status they give.
 
-    def __repr__(self):
-        return f"{self.name}: {'pass' if self.passed else 'FAIL'}" + (
-            f" ({self.detail})" if self.detail else "")
-
-
-@dataclass
-class VerificationReport:
+    The status rule: PASS when every check passes, WARN when a note
+    explains every failed check, FAIL otherwise.  A printed row's note
+    (`row_note`) explains each of the row's checks except a `structural`
+    one; a check's own `note` explains that check alone and joins `notes`
+    only when the check fails.
+    """
     entry_id: str
-    checks: List[CheckResult] = field(default_factory=list)
-    witness: Optional[dict] = None
+    row_note: str = ""
+    checks: List[dict] = field(default_factory=list)
+    notes: str = field(init=False)
+    explained: Set[str] = field(default_factory=set, init=False)
 
-    def add(self, name: str, passed: bool, detail: str = ""):
-        self.checks.append(CheckResult(name, passed, detail))
+    def __post_init__(self):
+        self.notes = self.row_note
 
-    @property
-    def valid(self) -> bool:
-        return all(c.passed for c in self.checks)
+    def add(self, name: str, ok: bool, detail: str = "", note: str = "",
+            structural: bool = False):
+        self.checks.append({"name": name, "ok": ok,
+                            **({"detail": detail} if detail else {})})
+        if not ok and (note or (self.row_note and not structural)):
+            self.explained.add(name)
+            if note:
+                self.note(note)
+
+    def note(self, text: str):
+        self.notes = f"{self.notes}; {text}" if self.notes else text
 
     def failing(self) -> List[str]:
-        return [c.name for c in self.checks if not c.passed]
+        return [c["name"] for c in self.checks if not c["ok"]]
+
+    @property
+    def status(self) -> str:
+        failed = self.failing()
+        if not failed:
+            return "PASS"
+        return "WARN" if self.explained.issuperset(failed) else "FAIL"
 
     def to_dict(self) -> dict:
-        return {
-            "entry": self.entry_id,
-            "valid": self.valid,
-            "checks": [{"name": c.name, "passed": c.passed,
-                        **({"detail": c.detail} if c.detail else {})}
-                       for c in self.checks],
-            **({"witness": {p.name: str(v) for p, v in self.witness.items()}}
-               if self.witness else {}),
-        }
+        return {"entry": self.entry_id, "status": self.status,
+                "checks": self.checks, **({"notes": self.notes} if self.notes else {})}
 
 
 def validate_para_kahler(L: LieAlgebra4, omega: Mat4, K: Mat4,
                          domain: ParamDomain = EMPTY_DOMAIN,
                          entry_id: str = "", signature_samples: int = 32,
-                         seed: int = 0) -> VerificationReport:
+                         seed: int = 0) -> EntryReport:
     """Nine-point validation; failures are verdicts, never exceptions."""
-    rep = VerificationReport(entry_id)
+    rep = EntryReport(entry_id)
     rep.add("jacobi", L.is_lie_algebra(domain))
     rep.add("omega_antisymmetric", omega.is_antisymmetric(domain))
     rep.add("omega_closed", ce_d(L, omega).is_zero(domain))

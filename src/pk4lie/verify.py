@@ -1,14 +1,18 @@
 """Verification suites over the catalog, with WARN-aware reporting.
 
-Each suite returns a list of EntryReport records.  A row whose computed
-values disagree with its printed columns FAILs unless the row carries a
-transcription note, in which case it WARNs and both values are reported;
-a WARN still requires the computed values to be internally consistent.
+Each suite returns a list of EntryReport records, and every status comes
+from one rule: PASS when every check passes, WARN when a note explains
+every failed check, FAIL otherwise.  A row whose computed values disagree
+with its printed columns WARNs only if the row carries a transcription
+note, and both values are reported.  Two structural failures of a
+curvature row FAIL even when the row is noted: an identically degenerate
+metric, and a rank that depends on the parameters with no root to split
+at.  In the witness suite each known erratum is a check of its own, and
+its note explains that check alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .catalog import Catalog, CurvatureRowEntry, IsoRowEntry, iso_row_payload
@@ -20,26 +24,15 @@ from .linalg import (
 from .morphisms import LinMap, check_equivalence, check_lie_isomorphism, transport
 from .notation import emit_endo, emit_two_form, parse_endo, parse_two_form
 from .scalars import ParamDomain, Scalar, ScalarError
-from .structures import metric_from, validate_para_kahler
+from .structures import EntryReport, metric_from, validate_para_kahler
 
 NF_OMEGA_TEXT = "e13+e24"
 NF_K_TEXT = "E11+E22-E33-E44"
 
 
-@dataclass
-class EntryReport:
-    entry_id: str
-    status: str  # "PASS" | "WARN" | "FAIL"
-    checks: List[dict] = field(default_factory=list)
-    notes: str = ""
-
-    def add(self, name: str, ok: bool, detail: str = ""):
-        self.checks.append({"name": name, "ok": ok,
-                            **({"detail": detail} if detail else {})})
-
-    def to_dict(self) -> dict:
-        return {"entry": self.entry_id, "status": self.status,
-                "checks": self.checks, **({"notes": self.notes} if self.notes else {})}
+def normal_form() -> Tuple[Mat4, Mat4]:
+    """The phase-space normal form (omega, K) = (e13+e24, diag(1,1,-1,-1))."""
+    return parse_two_form(NF_OMEGA_TEXT), parse_endo(NF_K_TEXT)
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +42,7 @@ class EntryReport:
 def run_symplectic(cat: Catalog, seed: int = 0, trials: int = 32) -> List[EntryReport]:
     out = []
     for key, sym in cat.symplectic.items():
-        rep = EntryReport(key, "PASS")
+        rep = EntryReport(key)
         alg_entry = cat.algebra_entry(sym.alg_ref)
         L = alg_entry.algebra()
         omega = parse_two_form(sym.omega_text())
@@ -59,8 +52,6 @@ def run_symplectic(cat: Catalog, seed: int = 0, trials: int = 32) -> List[EntryR
         rep.add("omega_closed", ce_d(L, omega).is_zero(dom))
         nd = pfaffian_nondegenerate(omega, dom, trials=trials, seed=seed)
         rep.add("omega_nondegenerate", nd.kind == "NonZero", nd.kind)
-        if not all(c["ok"] for c in rep.checks):
-            rep.status = "FAIL"
         out.append(rep)
     return out
 
@@ -70,16 +61,9 @@ def run_symplectic(cat: Catalog, seed: int = 0, trials: int = 32) -> List[EntryR
 
 
 def run_structures(cat: Catalog, seed: int = 0, samples: int = 32) -> List[EntryReport]:
-    out = []
-    for st in cat.structure_list():
-        vrep = validate_para_kahler(st.algebra, st.omega, st.K, st.domain,
-                                    st.entry_id, signature_samples=samples,
-                                    seed=seed)
-        rep = EntryReport(st.entry_id, "PASS" if vrep.valid else "FAIL")
-        for c in vrep.checks:
-            rep.add(c.name, c.passed, c.detail)
-        out.append(rep)
-    return out
+    return [validate_para_kahler(st.algebra, st.omega, st.K, st.domain,
+                                 st.entry_id, signature_samples=samples, seed=seed)
+            for st in cat.structure_list()]
 
 
 # ---------------------------------------------------------------------------
@@ -87,18 +71,17 @@ def run_structures(cat: Catalog, seed: int = 0, samples: int = 32) -> List[Entry
 
 
 def run_phase_rows(cat: Catalog, seed: int = 0, samples: int = 16) -> List[EntryReport]:
-    nf_omega = parse_two_form(NF_OMEGA_TEXT)
-    nf_k = parse_endo(NF_K_TEXT)
+    nf_omega, nf_k = normal_form()
     out = []
     for entry_id, row in cat.phase_rows.items():
-        rep = EntryReport(entry_id, "PASS")
+        rep = EntryReport(entry_id)
         L = row.algebra()
         dom = L.domain
         rep.add("jacobi", L.is_lie_algebra(dom))
-        vrep = validate_para_kahler(L, nf_omega, nf_k, dom, entry_id,
-                                    signature_samples=samples, seed=seed)
-        rep.add("normal_form_structure", vrep.valid,
-                "" if vrep.valid else ",".join(vrep.failing()))
+        failed = validate_para_kahler(L, nf_omega, nf_k, dom, entry_id,
+                                      signature_samples=samples,
+                                      seed=seed).failing()
+        rep.add("normal_form_structure", not failed, ",".join(failed))
         # span(e1,e2) and span(e3,e4) are the K eigenplanes; they must be
         # bracket-closed and omega-Lagrangian.
         plus_closed = all(L.bracket_basis(0, 1)[r].is_zero for r in (2, 3))
@@ -106,8 +89,6 @@ def run_phase_rows(cat: Catalog, seed: int = 0, samples: int = 16) -> List[Entry
         rep.add("eigenplanes_bracket_closed", plus_closed and minus_closed)
         lagr = nf_omega.rows[0][1].is_zero and nf_omega.rows[2][3].is_zero
         rep.add("eigenplanes_lagrangian", lagr)
-        if not all(c["ok"] for c in rep.checks):
-            rep.status = "FAIL"
         out.append(rep)
     return out
 
@@ -125,7 +106,7 @@ def run_iso_rows(cat: Catalog, seed: int = 0, samples: int = 16) -> List[EntryRe
 
 def _verify_iso_row(cat: Catalog, entry_id: str, row: IsoRowEntry,
                     seed: int, samples: int) -> EntryReport:
-    rep = EntryReport(entry_id, "PASS", notes=row.raw.get("notes", ""))
+    rep = EntryReport(entry_id, row_note=row.raw.get("notes", ""))
     source, p, target, dom = iso_row_payload(cat, row)
     m = LinMap(p, target, source, dom)
     inv = m.invertible(seed=seed)
@@ -137,18 +118,14 @@ def _verify_iso_row(cat: Catalog, entry_id: str, row: IsoRowEntry,
         bad = {f"[f{i+1},f{j+1}]": [str(c) for c in v]
                for (i, j), v in res.items() if not vis_zero(v, dom)}
         rep.add("lie_isomorphism", False, f"residuals {bad}")
-    nf_omega = parse_two_form(NF_OMEGA_TEXT)
-    nf_k = parse_endo(NF_K_TEXT)
     try:
-        w, k = transport(m, nf_omega, nf_k)
-        vrep = validate_para_kahler(target, w, k, dom, entry_id,
-                                    signature_samples=samples, seed=seed)
-        rep.add("transported_structure_valid", vrep.valid,
-                "" if vrep.valid else ",".join(vrep.failing()))
+        w, k = transport(m, *normal_form())
+        failed = validate_para_kahler(target, w, k, dom, entry_id,
+                                      signature_samples=samples,
+                                      seed=seed).failing()
+        rep.add("transported_structure_valid", not failed, ",".join(failed))
     except DegenerateError as e:  # already reported by "invertible"
         rep.add("transported_structure_valid", False, repr(e))
-    if not all(c["ok"] for c in rep.checks):
-        rep.status = "WARN" if rep.notes else "FAIL"
     return rep
 
 
@@ -164,20 +141,20 @@ def run_curvature_rows(cat: Catalog, seed: int = 0) -> List[EntryReport]:
 
 
 def _verify_curvature_row(row: CurvatureRowEntry, seed: int = 0) -> EntryReport:
-    rep = EntryReport(row.entry_id, "PASS", notes=row.notes)
+    rep = EntryReport(row.entry_id, row_note=row.notes)
     L, h, dom = row.algebra, row.metric, row.domain
     computed = row.geometry
     try:
         computed.soliton
     except DegenerateError:
-        rep.add("metric_nondegenerate", False, "identically degenerate")
-        rep.status = "FAIL"
+        rep.add("metric_nondegenerate", False, "identically degenerate",
+                structural=True)
         return rep
     except RankAmbiguous as e:
         split = split_at_root(e.poly, dom)
         if split is None:
-            rep.add("classified", False, f"rank ambiguous: {e.poly!r}")
-            rep.status = "FAIL"
+            rep.add("classified", False, f"rank ambiguous: {e.poly!r}",
+                    structural=True)
             return rep
         var, value, dom = split
         computed = classify_row(L, h, dom)
@@ -211,13 +188,35 @@ def _verify_curvature_row(row: CurvatureRowEntry, seed: int = 0) -> EntryReport:
         rep.add("soliton_residual_zero", resid.is_zero(dom))
     if computed.flat and not computed.ricci_flat:
         rep.add("flat_implies_ricci_flat", False)
-    if not all(c["ok"] for c in rep.checks):
-        rep.status = "WARN" if row.notes else "FAIL"
     return rep
 
 
 # ---------------------------------------------------------------------------
 # Suite: worked equivalence witnesses on the algebra with bracket [e1,e2]=e2
+
+
+# Errata of the printed worked example; each note explains one check.
+C2_3_00_OMEGA_ERRATUM = ("printed pullback lists e24 where the computed "
+                         "transport gives e14; the normalizing map below "
+                         "matches the computed form")
+T3_PULLBACK_ERRATUM = ("printed T3 has +1 at (2,2) and (a34*a43-1)/a44 at "
+                       "(3,3); the corrected form (T2's shape) verifies")
+T4_K0_ERRATUM = ("printed K04 = -E11+E22+E33-E44 is not a conjugate of the "
+                 "computed K4: every automorphism fixes the e1 coefficient, "
+                 "so the (1,1) entry stays +1")
+
+
+def _matches_up_to_y_flip(computed: Mat4, printed: Mat4,
+                          dom: ParamDomain) -> Tuple[bool, bool]:
+    """(equal, relabelled): whether computed equals printed, and whether
+    only after y -> -y, a relabelling since the branch parameter y is free."""
+    if computed.equals(printed, dom):
+        return True, False
+    y = Scalar.var("y")
+    if y.params() <= computed.params():
+        if computed.substitute({next(iter(y.params())): -y}).equals(printed, dom):
+            return True, True
+    return False, False
 
 
 def run_equivalence_witnesses(cat: Catalog, seed: int = 0) -> List[EntryReport]:
@@ -227,148 +226,105 @@ def run_equivalence_witnesses(cat: Catalog, seed: int = 0) -> List[EntryReport]:
     reports: List[EntryReport] = []
     rr30 = LieAlgebra4.parse("[e1,e2]=e2", "rr3_0")
     omega0 = parse_two_form("e12+e34")
-    nf_omega = parse_two_form(NF_OMEGA_TEXT)
-    nf_k = parse_endo(NF_K_TEXT)
+    nf = normal_form()
     a21, a33, a34, a43, a44, y = (Scalar.var(n) for n in
                                   ("a21", "a33", "a34", "a43", "a44", "y"))
     one, zero = Scalar.const(1), Scalar.const(0)
     dom = ParamDomain.parse("a44 != 0, a34 != 0")
 
-    # the four sources and printed pullbacks
+    # the four sources, their printed pullbacks and the erratum of omega
     sources = [
-        ("iso_c/C1_6", {}, "e12-e34", "-E11+E22-E33+E44"),
-        ("iso_c/C2_1_0", {}, "-e12+e34", "E11-2*y*E12-E22+E33-E44"),
-        ("iso_c/C2_2_00", {}, "-e12+e34", "E11-E22+E33-E44"),
-        ("iso_c/C2_3_00", {}, "-e12+e24+e34", "E11-E22+E33-E44"),
+        ("iso_c/C1_6", "e12-e34", "-E11+E22-E33+E44", ""),
+        ("iso_c/C2_1_0", "-e12+e34", "E11-2*y*E12-E22+E33-E44", ""),
+        ("iso_c/C2_2_00", "-e12+e34", "E11-E22+E33-E44", ""),
+        ("iso_c/C2_3_00", "-e12+e24+e34", "E11-E22+E33-E44",
+         C2_3_00_OMEGA_ERRATUM),
     ]
     transported: List[Tuple[Mat4, Mat4]] = []
-    for ref, _, w_text, k_text in sources:
-        rep = EntryReport(f"witness/transport/{ref.split('/')[-1]}", "PASS")
-        row = cat.iso_rows[ref]
-        source, p, target, rdom = iso_row_payload(cat, row)
+    for ref, w_text, k_text, w_erratum in sources:
+        rep = EntryReport(f"witness/transport/{ref.split('/')[-1]}")
+        source, p, target, rdom = iso_row_payload(cat, cat.iso_rows[ref])
         m = LinMap(p, target, source, rdom)
         ok, _ = check_lie_isomorphism(m)
         rep.add("lie_isomorphism", ok)
-        w, k = transport(m, nf_omega, nf_k)
-        w_print = parse_two_form(w_text)
-        k_print = parse_endo(k_text)
-        w_ok = w.equals(w_print, rdom)
-        k_ok = k.equals(k_print, rdom)
-        if not k_ok and Scalar.var("y").params() <= k.params():
-            # the branch parameter is free, so y -> -y is a relabelling
-            flipped = k.substitute({next(iter(Scalar.var("y").params())):
-                                    -Scalar.var("y")})
-            if flipped.equals(k_print, rdom):
-                k_ok = True
-                rep.notes = ("printed K corresponds to the branch parameter "
-                             "-y; the free parameter makes both families equal")
+        w, k = transport(m, *nf)
+        w_ok = w.equals(parse_two_form(w_text), rdom)
+        k_ok, relabelled = _matches_up_to_y_flip(k, parse_endo(k_text), rdom)
+        if relabelled:
+            rep.note("printed K corresponds to the branch parameter -y; the "
+                     "free parameter makes both families equal")
         rep.add("omega_matches_printed", w_ok,
-                "" if w_ok else f"computed {emit_two_form(w)}, printed {w_text}")
+                "" if w_ok else f"computed {emit_two_form(w)}, printed {w_text}",
+                note=w_erratum)
         rep.add("K_matches_printed", k_ok,
                 "" if k_ok else f"computed {emit_endo(k)}, printed {k_text}")
-        if ref == "iso_c/C2_3_00" and not w_ok:
-            rep.notes = ("printed pullback lists e24 where the computed "
-                         "transport gives e14; the normalizing map below "
-                         "matches the computed form")
-            rep.status = "WARN"
-        elif not all(c["ok"] for c in rep.checks):
-            rep.status = "FAIL"
         transported.append((w, k))
         reports.append(rep)
 
-    # the normalizing families T1..T4 as printed
+    def family(d22: Scalar, d33: Scalar, c31: Scalar = zero) -> Mat4:
+        """The printed shape of T1..T4 and L1, by the entries that vary."""
+        return mat_from_cols([[one, a21, c31, zero], [zero, d22, zero, zero],
+                              [zero, zero, d33, a43], [zero, zero, a34, a44]])
+
     q_minus = (a34 * a43 - one) / a44
     q_plus = (a34 * a43 + one) / a44
-    t_cols = {
-        "T1": [[one, a21, zero, zero], [zero, one, zero, zero],
-               [zero, zero, q_minus, a43], [zero, zero, a34, a44]],
-        "T2": [[one, a21, zero, zero], [zero, -one, zero, zero],
-               [zero, zero, q_plus, a43], [zero, zero, a34, a44]],
-        "T3": [[one, a21, zero, zero], [zero, one, zero, zero],
-               [zero, zero, q_minus, a43], [zero, zero, a34, a44]],
-        "T4": [[one, a21, -one, zero], [zero, -one, zero, zero],
-               [zero, zero, q_plus, a43], [zero, zero, a34, a44]],
-    }
-    printed_k0 = ["-E11+E22-E33+E44", "E11+2*y*E12-E22+E33-E44",
-                  "E11-E22+E33-E44", "-E11+E22+E33-E44"]
+    t1, t2 = family(one, q_minus), family(-one, q_plus)
+    # the normalizing families as printed (T3 repeats T1's shape; T2's shape
+    # is the corrected one), the printed K0i and the errata of the pullback
+    # and of K0i
+    normalizers = [
+        ("T1", t1, "-E11+E22-E33+E44", "", ""),
+        ("T2", t2, "E11+2*y*E12-E22+E33-E44", "", ""),
+        ("T3", t1, "E11-E22+E33-E44", T3_PULLBACK_ERRATUM, ""),
+        ("T4", family(-one, q_plus, -one), "-E11+E22+E33-E44", "",
+         T4_K0_ERRATUM),
+    ]
     norm_subst = {a21.params().pop(): zero, a34.params().pop(): zero,
                   a43.params().pop(): zero}
-    for i, name in enumerate(("T1", "T2", "T3", "T4")):
-        rep = EntryReport(f"witness/normalize/{name}", "PASS")
-        t = mat_from_cols(t_cols[name])
-        tm = LinMap(t, rr30, rr30, dom)
-        auto_ok, _ = check_lie_isomorphism(tm)
+    for (name, t, k0_text, pull_erratum, k0_erratum), (w_i, k_i) in zip(
+            normalizers, transported):
+        rep = EntryReport(f"witness/normalize/{name}")
+        auto_ok, _ = check_lie_isomorphism(LinMap(t, rr30, rr30, dom))
         rep.add("automorphism", auto_ok)
-        w_i, k_i = transported[i]
         pull = t.transpose() @ w_i @ t
         pull_ok = pull.equals(omega0, dom)
         rep.add("pullback_is_omega0", pull_ok,
-                "" if pull_ok else f"T*omega_i = {emit_two_form(pull)}")
-        if name == "T3" and not pull_ok:
-            # printed T3 repeats T1's shape; the sign of the (2,2) entry
-            # must flip to pull -e12+e34 back to e12+e34
-            rep.notes = ("printed T3 has +1 at (2,2) and (a34*a43-1)/a44 at "
-                         "(3,3); the corrected form (T2's shape) verifies")
-            t_fixed = mat_from_cols([[one, a21, zero, zero],
-                                     [zero, -one, zero, zero],
-                                     [zero, zero, q_plus, a43],
-                                     [zero, zero, a34, a44]])
-            fixed_ok = (t_fixed.transpose() @ w_i @ t_fixed).equals(omega0, dom)
-            rep.add("corrected_pullback_is_omega0", fixed_ok)
-            t = t_fixed
-            rep.status = "WARN" if fixed_ok else "FAIL"
-        elif not all(c["ok"] for c in rep.checks):
-            rep.status = "FAIL"
+                "" if pull_ok else f"T*omega_i = {emit_two_form(pull)}",
+                note=pull_erratum)
+        if not pull_ok and pull_erratum:
+            t = t2
+            rep.add("corrected_pullback_is_omega0",
+                    (t.transpose() @ w_i @ t).equals(omega0, dom))
         # normalized conjugation at a21 = a34 = a43 = 0, a44 symbolic
         t0 = t.substitute(norm_subst)
         k0 = t0.inverse() @ k_i.substitute(norm_subst) @ t0
-        k0_print = parse_endo(printed_k0[i])
-        k0_ok = k0.equals(k0_print, dom)
-        if not k0_ok and Scalar.var("y").params() <= k0.params():
-            flipped = k0.substitute({next(iter(Scalar.var("y").params())):
-                                     -Scalar.var("y")})
-            if flipped.equals(k0_print, dom):
-                k0_ok = True
-                rep.notes = ("matches after the y -> -y relabelling of the "
-                             "free branch parameter")
+        k0_ok, relabelled = _matches_up_to_y_flip(k0, parse_endo(k0_text), dom)
+        if relabelled:
+            rep.note("matches after the y -> -y relabelling of the free "
+                     "branch parameter")
         rep.add("normalized_K_matches_printed", k0_ok,
-                "" if k0_ok else f"computed {emit_endo(k0)}, printed {printed_k0[i]}")
-        if not k0_ok:
-            if name == "T4":
-                if rep.notes:
-                    rep.notes += "; "
-                rep.notes += ("printed K04 = -E11+E22+E33-E44 is not a "
-                              "conjugate of the computed K4: every "
-                              "automorphism fixes the e1 coefficient, so "
-                              "the (1,1) entry stays +1")
-                rep.status = "WARN"
-            else:
-                rep.status = "FAIL"
+                "" if k0_ok else f"computed {emit_endo(k0)}, printed {k0_text}",
+                note=k0_erratum)
         reports.append(rep)
 
     # equivalence witness L (printed): carries (omega0, K04) to (omega0, K01)
-    rep = EntryReport("witness/equivalence/L", "PASS")
+    rep = EntryReport("witness/equivalence/L")
     L_mat = mat_from_cols([[one, zero, zero, zero], [zero, one, zero, zero],
                            [zero, zero, zero, -one], [zero, zero, one, zero]])
-    lm = LinMap(L_mat, rr30, rr30)
-    ok, _ = check_equivalence(lm, (omega0, parse_endo("-E11+E22+E33-E44")),
+    ok, _ = check_equivalence(LinMap(L_mat, rr30, rr30),
+                              (omega0, parse_endo("-E11+E22+E33-E44")),
                               (omega0, parse_endo("-E11+E22-E33+E44")))
     rep.add("L_carries_K04_to_K01", ok)
-    if not ok:
-        rep.status = "FAIL"
     reports.append(rep)
 
     # non-equivalence residuals, exactly as parameter identities
-    rep = EntryReport("witness/nonequivalence/residuals", "PASS")
+    rep = EntryReport("witness/nonequivalence/residuals")
     k01 = parse_endo("-E11+E22-E33+E44")
     k02 = parse_endo("E11+2*y*E12-E22+E33-E44")
-    l1 = mat_from_cols([[one, a21, zero, zero], [zero, one, zero, zero],
-                        [zero, zero, q_plus, a43], [zero, zero, a34, a44]])
     l2 = mat_from_cols([[one, a21, zero, zero], [zero, one, zero, zero],
                         [zero, zero, a33, -one / a34], [zero, zero, a34, zero]])
-    for name, l in (("L1", l1), ("L2", l2)):
-        lm = LinMap(l, rr30, rr30, dom)
-        auto_ok, _ = check_lie_isomorphism(lm)
+    for name, l in (("L1", family(one, q_plus)), ("L2", l2)):
+        auto_ok, _ = check_lie_isomorphism(LinMap(l, rr30, rr30, dom))
         rep.add(f"{name}_automorphism", auto_ok)
         symp = (l.transpose() @ omega0 @ l).equals(omega0, dom)
         rep.add(f"{name}_symplectomorphism", symp)
@@ -379,8 +335,6 @@ def run_equivalence_witnesses(cat: Catalog, seed: int = 0) -> List[EntryReport]:
         else:
             val = diff.rows[0][0]
             rep.add("L2_residual_is_minus_2", val == Scalar.const(-2), str(val))
-    if not all(c["ok"] for c in rep.checks):
-        rep.status = "FAIL"
     reports.append(rep)
     return reports
 

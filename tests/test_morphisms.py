@@ -52,7 +52,7 @@ def test_c17_to_rh3_with_transport_validates():
     assert ok
     w, k = transport(m, NF_OMEGA, NF_K)
     rep = validate_para_kahler(rh3, w, k, entry_id="C1_7 transported")
-    assert rep.valid, rep.failing()
+    assert rep.status == "PASS", rep.failing()
 
 
 def test_c16_transport_golden():

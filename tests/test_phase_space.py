@@ -1,4 +1,3 @@
-import pytest
 
 from pk4lie.liealg import LieAlgebra4
 from pk4lie.notation import parse_endo, parse_two_form
@@ -188,7 +187,7 @@ def test_assembled_algebra_carries_normal_form_structure():
     L = assembled_brackets(pair)
     rep = validate_para_kahler(L, parse_two_form("e13+e24"),
                                parse_endo("E11+E22-E33-E44"))
-    assert rep.valid, rep.failing()
+    assert rep.status == "PASS", rep.failing()
 
 
 def test_specialized_row_is_two_step_solvable():
@@ -211,14 +210,13 @@ def test_lsa_round_trip():
 
 
 def test_build_table_rows_all_validate():
-    from pk4lie.phase_space import RowFailed, build_table_rows
-    rows = build_table_rows()
-    assert len(rows) == 45
-    # fault injection: a corrupted row is named
     from pk4lie.catalog import load_catalog
+    from pk4lie.verify import run_phase_rows
+    # fault injection: a corrupted row is the only one that fails
     cat = load_catalog(check=False)
     bad = cat.phase_rows["phase_b/B2"]
     bad.raw.fields["brackets"] = "[e1,e2]=-e1; [e2,e3]=x*e1-e3-e4; [e1,e3]=e4"
-    with pytest.raises(RowFailed) as exc:
-        build_table_rows(cat)
-    assert "phase_b/B2" in str(exc.value)
+    reports = run_phase_rows(cat, samples=4)
+    assert len(reports) == 45
+    assert [(r.entry_id, r.status) for r in reports
+            if r.status != "PASS"] == [("phase_b/B2", "FAIL")]

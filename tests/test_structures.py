@@ -110,22 +110,22 @@ def test_nabla_K_mismatched_pair_hand_oracle():
 
 def test_validate_classified_structures_d4_half():
     rep = validate_para_kahler(D4HALF, OMEGA, K1, XNZ, "d4_half/K1")
-    assert rep.valid, rep.failing()
+    assert rep.status == "PASS", rep.failing()
     rep2 = validate_para_kahler(D4HALF, OMEGA, K2, ParamDomain.parse(""), "d4_half/K2")
-    assert rep2.valid, rep2.failing()
+    assert rep2.status == "PASS", rep2.failing()
 
 
 def test_validate_normal_form_on_b2_row():
     B2 = LieAlgebra4.parse("[e1,e2]=-e1; [e2,e3]=x*e1-e3-e4; [e2,e4]=-e4")
     rep = validate_para_kahler(B2, parse_two_form("e13+e24"),
                                parse_endo("E11+E22-E33-E44"), entry_id="B2/nf")
-    assert rep.valid, rep.failing()
+    assert rep.status == "PASS", rep.failing()
 
 
 def test_validate_failure_is_verdict_not_error():
     RH3 = LieAlgebra4.parse("[e1,e2]=e3")
     rep = validate_para_kahler(RH3, parse_two_form("e14+e23"), Mat4.identity())
-    assert not rep.valid
+    assert rep.status == "FAIL"
     assert "eigenranks_2_2" in rep.failing()
 
 

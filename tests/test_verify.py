@@ -1,11 +1,17 @@
 """Suite-level regression: statuses of every catalog entry are frozen."""
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
 from pk4lie.catalog import load_catalog
+from pk4lie.notation import parse_sym_form
 from pk4lie.verify import (
-    link_curvature_metrics, run_curvature_rows, run_equivalence_witnesses,
-    run_iso_rows, run_phase_rows, run_scope, run_structures, run_symplectic,
+    _verify_curvature_row, link_curvature_metrics, run_curvature_rows,
+    run_equivalence_witnesses, run_iso_rows, run_phase_rows, run_scope,
+    run_structures, run_symplectic,
 )
 
 CAT = load_catalog()
@@ -88,6 +94,37 @@ def test_witness_suite_statuses_frozen():
     assert not any(r.status == "FAIL" for r in reports)
     warns = {r.entry_id for r in reports if r.status == "WARN"}
     assert warns == WITNESS_WARNS
+
+
+# sha256 of the JSON of every witness report, notes and details included
+WITNESS_REPORT_SHA256 = (
+    "a4feb87e91451d52232e8dbb9ad28cffc6470d45575e9885588832ab11ab4a7e")
+
+
+def test_witness_reports_frozen():
+    reports = json.dumps([r.to_dict() for r in run_equivalence_witnesses(CAT)])
+    assert hashlib.sha256(reports.encode()).hexdigest() == WITNESS_REPORT_SHA256
+
+
+def test_erratum_note_does_not_hide_a_failed_check(monkeypatch):
+    # an erratum explains its own check only: with every Lie isomorphism
+    # check failing, the rows that carry an erratum fail too
+    monkeypatch.setattr("pk4lie.verify.check_lie_isomorphism",
+                        lambda m: (False, {}))
+    statuses = {r.entry_id: r.status for r in run_equivalence_witnesses(CAT)}
+    for rid in WITNESS_WARNS:
+        assert statuses[rid] == "FAIL", rid
+
+
+def test_degenerate_metric_fails_a_noted_curvature_row():
+    row = CAT.curvature_rows["curvature/d4_1/2"]
+    assert row.notes
+    broken = dataclasses.replace(row, metric=parse_sym_form("eps11+eps22"))
+    rep = _verify_curvature_row(broken)
+    assert rep.status == "FAIL"
+    assert [c["name"] for c in rep.checks if not c["ok"]] == [
+        "metric_nondegenerate"]
+    assert rep.notes == row.notes
 
 
 def test_metric_linkage_frozen():
