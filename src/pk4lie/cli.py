@@ -151,9 +151,7 @@ def _resolve_geometry(args, cat: Catalog):
 def _parse_assignments(items, L: LieAlgebra4, h: Mat4, dom: ParamDomain) -> dict:
     """`--set PARAM=RATIONAL` items as a substitution; ParseError on a
     malformed item or on a parameter the algebra, metric and domain lack."""
-    params = h.params() | dom.params()
-    params |= {p for v in L.brackets.values() for c in v for p in c.params()}
-    by_name = {p.name: p for p in params}
+    by_name = {p.name: p for p in h.params() | dom.params() | _alg_params(L)}
     subst = {}
     for item in items:
         name, eq, value = (part.strip() for part in item.partition("="))

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .liealg import LieAlgebra4, NotSymmetric, form_apply
 from .linalg import (
-    Mat4, Vec4, _eliminate, commutator, solve_affine, vbasis,
+    Mat4, Vec4, _eliminate, _pick_pivot, commutator, solve_affine, vbasis,
 )
 from .scalars import EMPTY_DOMAIN, Param, ParamDomain, Scalar, ZERO
 from .structures import Connection4, levi_civita
@@ -52,7 +52,7 @@ def ricci(L: LieAlgebra4, conn: Connection4,
           domain: ParamDomain = EMPTY_DOMAIN) -> Mat4:
     """ric(e_i, e_j) = tr(Z -> R(e_i, Z) e_j); symmetry is asserted."""
     r = curvature(L, conn)
-    ric = Mat4.zeros("bilinear-form")
+    ric = Mat4.zeros()
     for i in range(4):
         for j in range(4):
             s = ZERO
@@ -77,7 +77,7 @@ def scalar_curvature(ric_op: Mat4) -> Scalar:
 
 def lie_derivative_metric(L: LieAlgebra4, h: Mat4, x: Vec4) -> Mat4:
     """(L_X h)(u, v) = -h([X,u], v) - h(u, [X,v]) for left-invariant data."""
-    out = Mat4.zeros("bilinear-form")
+    out = Mat4.zeros()
     bx = [L.bracket(x, vbasis(j)) for j in range(4)]
     for i in range(4):
         for j in range(4):
@@ -162,7 +162,7 @@ def family_dimension(x: List[Scalar], lam: Scalar,
         m = dict(zero_map)
         m[p] = Scalar.const(1)
         cols.append([c.substitute(m) - b for c, b in zip(comps, base)])
-    return _eliminate([list(c) for c in cols], 5, domain)[0]
+    return len(_eliminate(cols, 5, domain, _pick_pivot))
 
 
 def soliton_family_equal(L: LieAlgebra4, h: Mat4, ric_mat: Mat4,

@@ -58,57 +58,49 @@ def vis_zero(a: Vec4, domain: ParamDomain = EMPTY_DOMAIN) -> bool:
 
 
 class Mat4:
-    """4x4 matrix of Scalars with an optional role tag."""
+    """4x4 matrix of Scalars."""
 
-    __slots__ = ("rows", "role")
+    __slots__ = ("rows",)
 
-    def __init__(self, rows: Sequence[Sequence], role: str = "generic"):
+    def __init__(self, rows: Sequence[Sequence]):
         self.rows = [[Scalar.of(v) for v in row] for row in rows]
         if len(self.rows) != 4 or any(len(r) != 4 for r in self.rows):
             raise ScalarError("Mat4 needs 4x4 entries")
-        self.role = role
 
     @staticmethod
-    def zeros(role: str = "generic") -> "Mat4":
-        return Mat4([[ZERO] * 4 for _ in range(4)], role)
+    def zeros() -> "Mat4":
+        return Mat4([[ZERO] * 4 for _ in range(4)])
 
     @staticmethod
     def identity() -> "Mat4":
-        m = Mat4.zeros("endomorphism")
+        m = Mat4.zeros()
         for i in range(4):
             m.rows[i][i] = ONE
-        return m
-
-    @staticmethod
-    def E(i: int, j: int) -> "Mat4":
-        """Elementary endomorphism sending e_j to e_i (0-based)."""
-        m = Mat4.zeros("endomorphism")
-        m.rows[i][j] = ONE
         return m
 
     def __getitem__(self, ij):
         return self.rows[ij[0]][ij[1]]
 
     def copy(self) -> "Mat4":
-        return Mat4([row[:] for row in self.rows], self.role)
+        return Mat4([row[:] for row in self.rows])
 
     def __add__(self, other: "Mat4") -> "Mat4":
         return Mat4([[a + b for a, b in zip(r1, r2)]
-                     for r1, r2 in zip(self.rows, other.rows)], self.role)
+                     for r1, r2 in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "Mat4") -> "Mat4":
         return Mat4([[a - b for a, b in zip(r1, r2)]
-                     for r1, r2 in zip(self.rows, other.rows)], self.role)
+                     for r1, r2 in zip(self.rows, other.rows)])
 
     def __neg__(self) -> "Mat4":
-        return Mat4([[-a for a in r] for r in self.rows], self.role)
+        return Mat4([[-a for a in r] for r in self.rows])
 
     def scale(self, c) -> "Mat4":
         c = Scalar.of(c)
-        return Mat4([[c * a for a in r] for r in self.rows], self.role)
+        return Mat4([[c * a for a in r] for r in self.rows])
 
     def __matmul__(self, other: "Mat4") -> "Mat4":
-        out = Mat4.zeros(self.role)
+        out = Mat4.zeros()
         for i in range(4):
             row = self.rows[i]
             for j in range(4):
@@ -125,7 +117,7 @@ class Mat4:
                     ZERO) for row in self.rows]
 
     def transpose(self) -> "Mat4":
-        return Mat4([[self.rows[j][i] for j in range(4)] for i in range(4)], self.role)
+        return Mat4([[self.rows[j][i] for j in range(4)] for i in range(4)])
 
     def trace(self) -> Scalar:
         return sum((self.rows[i][i] for i in range(4)), ZERO)
@@ -158,7 +150,7 @@ class Mat4:
         d = self.det()
         if d.is_zero:
             raise DegenerateError("matrix determinant is identically zero")
-        out = Mat4.zeros(self.role)
+        out = Mat4.zeros()
         for i in range(4):
             for j in range(4):
                 out.rows[i][j] = self._cofactor(j, i) / d
@@ -181,7 +173,7 @@ class Mat4:
         return (self + self.transpose()).is_zero(domain)
 
     def substitute(self, mapping) -> "Mat4":
-        return Mat4([[v.substitute(mapping) for v in r] for r in self.rows], self.role)
+        return Mat4([[v.substitute(mapping) for v in r] for r in self.rows])
 
     def params(self) -> set:
         out = set()
@@ -198,8 +190,8 @@ class Mat4:
         return f"Mat4[{body}]"
 
 
-def mat_from_cols(cols: Sequence[Vec4], role: str = "generic") -> Mat4:
-    return Mat4([[cols[j][i] for j in range(4)] for i in range(4)], role)
+def mat_from_cols(cols: Sequence[Vec4]) -> Mat4:
+    return Mat4([[cols[j][i] for j in range(4)] for i in range(4)])
 
 
 def commutator(a: Mat4, b: Mat4) -> Mat4:
@@ -246,7 +238,9 @@ class ThreeForm4:
 
 
 def _pick_pivot(rows, row_used, col, domain):
-    """Return row index with a provably nonvanishing entry in `col`."""
+    """Pivot rule on the domain: an unused row whose entry in `col` is
+    provably nonvanishing there; RankAmbiguous when the only candidates
+    might vanish."""
     best = None
     fallback = None
     for i in range(len(rows)):
@@ -276,7 +270,7 @@ def rank_on_domain(m: Mat4, domain: ParamDomain = EMPTY_DOMAIN,
     the branches genuinely disagree."""
     rows = [[v for v in r] for r in m.rows]
     try:
-        return _eliminate(rows, 4, domain)[0]
+        return len(_eliminate(rows, 4, domain, _pick_pivot))
     except RankAmbiguous as e:
         split = split_at_root(e.poly, domain) if _depth < 4 else None
         if split is None:
@@ -333,48 +327,39 @@ def _linear_root(num) -> Optional[tuple]:
     return var, Scalar.const(-(c0 or 0) / c1)
 
 
+def _first_nonzero(rows, row_used, col, domain):
+    """Pivot rule of generic_rank: the first unused row whose entry in `col`
+    is not identically zero on the domain."""
+    return next((i for i in range(len(rows)) if i not in row_used
+                 and not domain.is_zero(rows[i][col])), None)
+
+
 def generic_rank(m: Mat4, domain: ParamDomain = EMPTY_DOMAIN) -> int:
     """Rank at generic parameter values: pivots only need to be nonzero as
     polynomials modulo the domain's radical relations."""
-    rows = [[v for v in r] for r in m.rows]
-    row_used: set = set()
-    rank = 0
-    for col in range(4):
-        piv_row = next((i for i in range(4) if i not in row_used
-                        and not domain.is_zero(rows[i][col])), None)
-        if piv_row is None:
-            continue
-        row_used.add(piv_row)
-        rank += 1
-        piv = rows[piv_row][col]
-        for j in range(4):
-            if j in row_used:
-                continue
-            f = rows[j][col] / piv
-            if not f.is_zero:
-                rows[j] = [a - f * b for a, b in zip(rows[j], rows[piv_row])]
-    return rank
+    return len(_eliminate([list(r) for r in m.rows], 4, domain, _first_nonzero))
 
 
-def _eliminate(rows, ncols, domain):
-    """In-place forward elimination; returns (rank, pivot (row,col) list)."""
+def _eliminate(rows, ncols, domain, pick) -> dict:
+    """In-place Gauss-Jordan elimination of the first `ncols` columns;
+    returns {column: pivot row}.  `pick(rows, row_used, col, domain)` is the
+    pivot-row rule: a row index not in `row_used`, or None to skip `col`."""
     row_used: set = set()
-    pivots = []
+    pivots = {}
     for col in range(ncols):
-        i = _pick_pivot(rows, row_used, col, domain)
+        i = pick(rows, row_used, col, domain)
         if i is None:
             continue
         row_used.add(i)
-        pivots.append((i, col))
+        pivots[col] = i
         piv = rows[i][col]
         for j in range(len(rows)):
-            if j in row_used:
+            if j == i:
                 continue
             f = rows[j][col] / piv
-            if f.is_zero:
-                continue
-            rows[j] = [a - f * b for a, b in zip(rows[j], rows[i])]
-    return len(pivots), pivots
+            if not f.is_zero:
+                rows[j] = [a - f * b for a, b in zip(rows[j], rows[i])]
+    return pivots
 
 
 class AffineSolution:
@@ -407,22 +392,8 @@ def solve_affine(a_rows: List[List[Scalar]], b: List[Scalar],
     m = len(a_rows)
     n = len(a_rows[0]) if m else 0
     aug = [list(row) + [b[i]] for i, row in enumerate(a_rows)]
-    row_used: set = set()
-    pivots = {}
-    for col in range(n):
-        i = _pick_pivot(aug, row_used, col, domain)
-        if i is None:
-            continue
-        row_used.add(i)
-        pivots[col] = i
-        piv = aug[i][col]
-        for j in range(m):
-            if j == i:
-                continue
-            f = aug[j][col] / piv
-            if f.is_zero:
-                continue
-            aug[j] = [x - f * y for x, y in zip(aug[j], aug[i])]
+    pivots = _eliminate(aug, n, domain, _pick_pivot)
+    row_used = set(pivots.values())
     # consistency
     for j in range(m):
         if j in row_used:

@@ -58,9 +58,7 @@ def transport(m: LinMap, omega: Mat4, K: Mat4) -> Tuple[Mat4, Mat4]:
     """
     p = m.matrix
     w = p.transpose() @ omega @ p
-    w.role = "bilinear-form"
     k = p.inverse() @ K @ p
-    k.role = "endomorphism"
     return w, k
 
 

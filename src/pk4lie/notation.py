@@ -10,10 +10,10 @@ variant "a" takes every top sign, variant "b" every bottom sign.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .linalg import Mat4, Vec4, vzero
-from .scalars import ParseError, Scalar, ZERO, ONE, _tokenize, emit_scalar
+from .scalars import ParseError, Scalar, ZERO, ONE, _parse, _scalar_leaf, emit_scalar
 
 SIGN_RE = re.compile(r"\+-|-\+")
 
@@ -32,7 +32,7 @@ def expand_signs(text: str, variant: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Generic linear-combination parser over structured atoms
+# Linear combinations of structured atoms, read by the scalar grammar
 
 _ATOM_RES = {
     "vec": re.compile(r"^e([1-4])$"),
@@ -60,6 +60,10 @@ class _Lin:
     @property
     def is_scalar(self):
         return not self.coeffs
+
+    @property
+    def is_zero(self):
+        return self.is_scalar and self.scalar.is_zero
 
     def __add__(self, other):
         c = dict(self.coeffs)
@@ -90,78 +94,18 @@ class _Lin:
                     self.scalar / other.scalar)
 
 
-class _LinParser:
-    def __init__(self, toks, kinds: Tuple[str, ...]):
-        self.toks = toks
-        self.i = 0
-        self.kinds = kinds
+def _parse_lin(text: str, kind: str) -> _Lin:
+    """Parse `text` as a combination of `kind` atoms, keyed by their 0-based
+    index tuples; any other name is a parameter."""
+    atom_re = _ATOM_RES[kind]
 
-    def peek(self):
-        return self.toks[self.i][0]
+    def leaf(tok: str, val: str) -> _Lin:
+        m = atom_re.match(val)
+        if m is None:
+            return _Lin.of_scalar(_scalar_leaf(tok, val))
+        return _Lin.of_atom(tuple(int(g) - 1 for g in m.groups()))
 
-    def next(self):
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def atom_of(self, name: str):
-        for kind in self.kinds:
-            m = _ATOM_RES[kind].match(name)
-            if m:
-                idx = tuple(int(g) - 1 for g in m.groups())
-                return (kind,) + idx
-        return None
-
-    def expr(self) -> _Lin:
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.next()[0] == "-":
-                sign = -sign
-        out = self.term()
-        if sign < 0:
-            out = -out
-        while self.peek() in ("+", "-"):
-            op = self.next()[0]
-            t = self.term()
-            out = out + t if op == "+" else out - t
-        return out
-
-    def term(self) -> _Lin:
-        out = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.next()[0]
-            f = self.factor()
-            if op == "/" and f.is_scalar and f.scalar.is_zero:
-                raise ParseError("division by zero")
-            out = out * f if op == "*" else out / f
-        return out
-
-    def factor(self) -> _Lin:
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.next()[0] == "-":
-                sign = -sign
-        kind, val = self.next()
-        if kind == "int":
-            out = _Lin.of_scalar(Scalar.const(int(val)))
-        elif kind == "name":
-            atom = self.atom_of(val)
-            out = _Lin.of_atom(atom) if atom else _Lin.of_scalar(Scalar.var(val))
-        elif kind == "(":
-            out = self.expr()
-            if self.next()[0] != ")":
-                raise ParseError("expected )")
-        else:
-            raise ParseError(f"unexpected token {val!r}")
-        return -out if sign < 0 else out
-
-
-def _parse_lin(text: str, kinds: Tuple[str, ...]) -> _Lin:
-    p = _LinParser(_tokenize(text), kinds)
-    out = p.expr()
-    if p.peek() != "end":
-        raise ParseError(f"trailing input in {text!r}")
-    return out
+    return _parse(text, leaf)
 
 
 # ---------------------------------------------------------------------------
@@ -169,43 +113,26 @@ def _parse_lin(text: str, kinds: Tuple[str, ...]) -> _Lin:
 
 
 def parse_vector(text: str) -> Vec4:
-    lin = _parse_lin(text, ("vec",))
+    lin = _parse_lin(text, "vec")
     if not lin.scalar.is_zero:
         raise ParseError(f"vector expression has a scalar part: {text!r}")
     v = vzero()
-    for (_, i), c in lin.coeffs.items():
+    for (i,), c in lin.coeffs.items():
         v[i] = v[i] + c
     return v
 
 
 def emit_vector(v: Vec4) -> str:
-    parts = []
-    for i, c in enumerate(v):
-        if c.is_zero:
-            continue
-        cs = emit_scalar(c)
-        if cs == "1":
-            term = f"e{i+1}"
-        elif cs == "-1":
-            term = f"-e{i+1}"
-        elif ("+" in cs[1:]) or ("-" in cs[1:]) or "/" in cs:
-            term = f"({cs})*e{i+1}"
-        else:
-            term = f"{cs}*e{i+1}"
-        if parts and not term.startswith("-"):
-            parts.append("+" + term)
-        else:
-            parts.append(term)
-    return "".join(parts) if parts else "0"
+    return _emit_terms([(f"e{i+1}", c) for i, c in enumerate(v) if not c.is_zero])
 
 
 def parse_two_form(text: str) -> Mat4:
     """Antisymmetric two-form from wedge atoms e.g. "e14+e23"."""
-    lin = _parse_lin(text, ("wedge",))
+    lin = _parse_lin(text, "wedge")
     if not lin.scalar.is_zero:
         raise ParseError(f"two-form has a scalar part: {text!r}")
-    m = Mat4.zeros("bilinear-form")
-    for (_, i, j), c in lin.coeffs.items():
+    m = Mat4.zeros()
+    for (i, j), c in lin.coeffs.items():
         if i == j:
             raise ParseError(f"e{i+1}{j+1} wedge is zero")
         m.rows[i][j] = m.rows[i][j] + c
@@ -230,11 +157,11 @@ def parse_sym_form(text: str) -> Mat4:
     For i != j the atom eps_ij sets both (i,j) and (j,i) matrix entries to
     its coefficient; eps_ii sets the diagonal entry.
     """
-    lin = _parse_lin(text, ("sym",))
+    lin = _parse_lin(text, "sym")
     if not lin.scalar.is_zero:
         raise ParseError(f"symmetric form has a scalar part: {text!r}")
-    m = Mat4.zeros("bilinear-form")
-    for (_, i, j), c in lin.coeffs.items():
+    m = Mat4.zeros()
+    for (i, j), c in lin.coeffs.items():
         if i == j:
             m.rows[i][i] = m.rows[i][i] + c
         else:
@@ -255,11 +182,11 @@ def emit_sym_form(m: Mat4) -> str:
 
 
 def parse_endo(text: str) -> Mat4:
-    lin = _parse_lin(text, ("endo",))
+    lin = _parse_lin(text, "endo")
     if not lin.scalar.is_zero:
         raise ParseError(f"endomorphism has a scalar part: {text!r}")
-    m = Mat4.zeros("endomorphism")
-    for (_, i, j), c in lin.coeffs.items():
+    m = Mat4.zeros()
+    for (i, j), c in lin.coeffs.items():
         m.rows[i][j] = m.rows[i][j] + c
     return m
 

@@ -698,9 +698,14 @@ def _tokenize(text: str):
 
 
 class _P:
-    def __init__(self, toks):
+    """Recursive descent over `_tokenize` tokens.  `leaf(kind, text)` builds
+    the value of an `int` or `name` token; values combine with + - * / and
+    unary minus, and expose `is_zero` for the division-by-zero check."""
+
+    def __init__(self, toks, leaf):
         self.toks = toks
         self.i = 0
+        self.leaf = leaf
 
     def peek(self):
         return self.toks[self.i][0]
@@ -716,19 +721,26 @@ class _P:
             raise ParseError(f"expected {kind}, got {t[1]!r}")
         return t
 
-    def expr(self) -> Scalar:
-        sign = 1
+    def negates(self) -> bool:
+        """Consume unary signs; True when they amount to a minus."""
+        neg = False
         while self.peek() in ("+", "-"):
             if self.next()[0] == "-":
-                sign = -sign
-        out = self.term() * sign
+                neg = not neg
+        return neg
+
+    def expr(self):
+        neg = self.negates()
+        out = self.term()
+        if neg:
+            out = -out
         while self.peek() in ("+", "-"):
             op = self.next()[0]
             t = self.term()
             out = out + t if op == "+" else out - t
         return out
 
-    def term(self) -> Scalar:
+    def term(self):
         out = self.factor()
         while self.peek() in ("*", "/"):
             op = self.next()[0]
@@ -738,29 +750,34 @@ class _P:
             out = out * f if op == "*" else out / f
         return out
 
-    def factor(self) -> Scalar:
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.next()[0] == "-":
-                sign = -sign
+    def factor(self):
+        neg = self.negates()
         kind, val = self.next()
-        if kind == "int":
-            return Scalar.const(int(val)) * sign
-        if kind == "name":
-            return Scalar.var(val) * sign
-        if kind == "(":
-            inner = self.expr()
+        if kind in ("int", "name"):
+            out = self.leaf(kind, val)
+        elif kind == "(":
+            out = self.expr()
             self.expect(")")
-            return inner * sign
-        raise ParseError(f"unexpected token {val!r}")
+        else:
+            raise ParseError(f"unexpected token {val!r}")
+        return -out if neg else out
 
 
-def parse_scalar(text: str) -> Scalar:
-    p = _P(_tokenize(text))
+def _parse(text: str, leaf):
+    """Parse the whole of `text` with the scalar grammar over `leaf` values."""
+    p = _P(_tokenize(text), leaf)
     out = p.expr()
     if p.peek() != "end":
         raise ParseError(f"trailing input in {text!r}")
     return out
+
+
+def _scalar_leaf(kind: str, text: str) -> Scalar:
+    return Scalar.const(int(text)) if kind == "int" else Scalar.var(text)
+
+
+def parse_scalar(text: str) -> Scalar:
+    return _parse(text, _scalar_leaf)
 
 
 def emit_poly(p: Poly) -> str:
@@ -1036,17 +1053,35 @@ class ParamDomain:
                 asg[s] = (asg[r.w] ** 2 - b) / a
             if not ok:
                 continue
-            try:
-                if all(c.holds(c.poly.eval(asg)) for c in self.constraints):
-                    return asg
-            except MissingParam:
-                # constraint mentions a param not requested: sample it too
-                missing = self.params() - set(asg)
-                for p in missing:
-                    asg[p] = Fraction(rng.randint(-height, height), rng.randint(1, height))
-                if all(c.holds(c.poly.eval(asg)) for c in self.constraints):
-                    return asg
+            if all(c.holds(c.poly.eval(asg)) for c in self.constraints):
+                return asg
         raise DomainUnsatisfiable(f"no sample found after {attempts} attempts")
+
+    def sampled_values(self, params: Iterable[Param], evaluate, trials: int,
+                       seed: int):
+        """Yield up to `trials` pairs (point, evaluate(point)) at seeded
+        random points of the domain, skipping points where a denominator
+        vanishes, within a budget of 20 * trials draws.
+
+        A nonzero polynomial of total degree d vanishes at a uniform point
+        of S^n with probability at most d / |S| (Schwartz, "Fast
+        probabilistic algorithms for verification of polynomial
+        identities", J. ACM 27(4), 1980).  The draws here are rationals of
+        bounded height, not uniform on a fixed S, so a nonzero value is
+        exact while sampled zeros are evidence, not proof.
+        """
+        rng = random.Random(seed)
+        budget = trials * 20
+        done = 0
+        while done < trials and budget > 0:
+            budget -= 1
+            asg = self.sample(rng, params)
+            try:
+                value = evaluate(asg)
+            except DenominatorVanishes:
+                continue
+            done += 1
+            yield asg, value
 
     def __repr__(self):
         return "ParamDomain(" + ", ".join(map(repr, self.constraints)) + ")"
@@ -1098,20 +1133,11 @@ def identity_test(s: Scalar, domain: ParamDomain = EMPTY_DOMAIN,
     num = domain.reduce(s.num)
     if num.is_zero:
         return Verdict("ZeroExact")
-    rng = random.Random(seed)
-    params = s.params() | domain.params()
     done = 0
-    budget = trials * 20
-    while done < trials and budget > 0:
-        budget -= 1
-        asg = domain.sample(rng, params)
-        try:
-            v = s.eval(asg)
-        except DenominatorVanishes:
-            continue
+    for done, (asg, v) in enumerate(domain.sampled_values(s.params(), s.eval,
+                                                          trials, seed), 1):
         if v != 0:
-            return Verdict("NonZero", witness=asg, trials=done + 1)
-        done += 1
+            return Verdict("NonZero", witness=asg, trials=done)
     return Verdict("ZeroSampled", trials=done)
 
 

@@ -10,7 +10,6 @@ the row report that every verify suite returns.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Set
 
@@ -19,9 +18,7 @@ from .liealg import (
     LieAlgebra4, NotSymmetric, ce_d, form_apply, paracomplex_check,
     pfaffian_nondegenerate,
 )
-from .scalars import (
-    DenominatorVanishes, EMPTY_DOMAIN, ParamDomain, Scalar, HALF,
-)
+from .scalars import EMPTY_DOMAIN, ParamDomain, Scalar, HALF
 
 
 def metric_from(omega: Mat4, K: Mat4, domain: ParamDomain = EMPTY_DOMAIN) -> Mat4:
@@ -29,7 +26,6 @@ def metric_from(omega: Mat4, K: Mat4, domain: ParamDomain = EMPTY_DOMAIN) -> Mat
     h = K.transpose() @ omega
     if not h.is_symmetric(domain):
         raise NotSymmetric("omega(K.,.) is not symmetric; K is not omega-skew")
-    h.role = "bilinear-form"
     return h
 
 
@@ -183,20 +179,11 @@ def validate_para_kahler(L: LieAlgebra4, omega: Mat4, K: Mat4,
 
 
 def _signature_neutral(h: Mat4, domain: ParamDomain, samples: int, seed: int):
-    rng = random.Random(seed)
-    params = h.params() | domain.params()
     done = 0
-    budget = samples * 20
-    while done < samples and budget > 0:
-        budget -= 1
-        asg = domain.sample(rng, params)
-        try:
-            m = h.eval(asg)
-        except DenominatorVanishes:
-            continue
+    for done, (asg, m) in enumerate(domain.sampled_values(h.params(), h.eval,
+                                                          samples, seed), 1):
         sig = signature_of(m)
         if sig != (2, 2, 0):
             detail = {p.name: str(v) for p, v in asg.items()}
             return False, f"signature {sig} at {detail}"
-        done += 1
     return done == samples, "" if done == samples else f"only {done} samples"

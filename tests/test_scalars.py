@@ -147,6 +147,57 @@ def test_emission_is_canonical():
     assert emit_scalar(S("1/2") * S("x") - S("x/2")) == "0"
 
 
+factors = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
+nonzero_factors = factors.filter(any)
+
+
+def _expand(affine):
+    """Integer coefficients {(i, j): c} of the product of a*x + b*y + c."""
+    poly = {(0, 0): 1}
+    for a, b, c in affine:
+        out = {}
+        for (i, j), k in poly.items():
+            for (di, dj), f in (((1, 0), a), ((0, 1), b), ((0, 0), c)):
+                out[(i + di, j + dj)] = out.get((i + di, j + dj), 0) + k * f
+        poly = {m: k for m, k in out.items() if k}
+    return poly
+
+
+def _horner(poly):
+    """Horner form in x with Horner-form coefficients in y."""
+    out = ZERO
+    for i in range(max((i for i, _ in poly), default=0), -1, -1):
+        coeff = ZERO
+        for j in range(max((j for ii, j in poly if ii == i), default=0), -1, -1):
+            coeff = coeff * S("y") + poly.get((i, j), 0)
+        out = out * S("x") + coeff
+    return out
+
+
+def _text(poly):
+    return "".join(f"{k:+d}" + "*x" * i + "*y" * j for (i, j), k in poly.items()) or "0"
+
+
+def _product(affine):
+    out = ONE
+    for a, b, c in affine:
+        out = out * (a * S("x") + b * S("y") + c)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(factors, max_size=3), st.lists(nonzero_factors, max_size=2),
+       st.lists(nonzero_factors, max_size=2))
+def test_one_rational_function_three_ways_one_emission(num, den, shared):
+    # (num * shared) / (den * shared): built by Horner, parsed from the
+    # expanded text, and multiplied out factor by factor
+    top, bottom = _expand(num + shared), _expand(den + shared)
+    horner = _horner(top) / _horner(bottom)
+    parsed = parse_scalar(f"({_text(top)})/({_text(bottom)})")
+    product = _product(num + shared) / _product(den + shared)
+    assert emit_scalar(horner) == emit_scalar(parsed) == emit_scalar(product)
+
+
 def test_division_by_zero_scalar_rejected():
     with pytest.raises(ZeroDivisionError):
         S("x") / ZERO
