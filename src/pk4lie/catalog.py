@@ -459,10 +459,10 @@ def _run_load_assertions(cat: Catalog) -> None:
         if row.source_ref not in cat.phase_rows:
             raise BrokenReference(f"{entry_id}: source {row.source_ref!r}")
         cat.algebra_entry(row.target_ref)
-        row.matrix()
+        columns = row.map_columns()
         dom = _row_domain(cat, row)
         params = set()
-        for c in row.map_columns():
+        for c in columns:
             for s in c:
                 params |= s.params()
         _check_satisfiable(entry_id, dom, params | dom.params())

@@ -96,14 +96,20 @@ class _Lin:
 
 def _parse_lin(text: str, kind: str) -> _Lin:
     """Parse `text` as a combination of `kind` atoms, keyed by their 0-based
-    index tuples; any other name is a parameter."""
+    index tuples.  An atom of another kind is a ParseError; any other name
+    is a parameter."""
     atom_re = _ATOM_RES[kind]
+    others = [(k, r) for k, r in _ATOM_RES.items() if k != kind]
 
     def leaf(tok: str, val: str) -> _Lin:
         m = atom_re.match(val)
-        if m is None:
-            return _Lin.of_scalar(_scalar_leaf(tok, val))
-        return _Lin.of_atom(tuple(int(g) - 1 for g in m.groups()))
+        if m is not None:
+            return _Lin.of_atom(tuple(int(g) - 1 for g in m.groups()))
+        for other, other_re in others:
+            if other_re.match(val):
+                raise ParseError(f"{other} atom {val} in a {kind} "
+                                 f"expression: {text!r}")
+        return _Lin.of_scalar(_scalar_leaf(tok, val))
 
     return _parse(text, leaf)
 

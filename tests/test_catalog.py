@@ -129,6 +129,20 @@ def test_unsatisfiable_domain_fails_load(tmp_path):
     assert e.value.check == "domain unsatisfiable"
 
 
+@pytest.mark.parametrize("columns, message", [
+    ("f1=e1; f2=e3; f3=e4", "map must define f1..f4"),
+    ("f1=e1; f2=e3; f3=e4; f3=e2", "duplicate f3"),
+    ("f1=e1; f2=e3; f3=e4; g4=e2", "bad map column"),
+    ("f1=e1; f2=e3; f3=e4; f4=e24", "wedge atom e24"),
+])
+def test_bad_map_fails_load(tmp_path, columns, message):
+    data = _broken_copy(tmp_path, "iso_b.txt",
+                        "map: f1=e1; f2=-(x/2)*e1+e3; f3=e4; f4=e2\n",
+                        f"map: {columns}\n")
+    with pytest.raises(ParseError, match=message):
+        load_catalog(data)
+
+
 def test_broken_reference_fails_load(tmp_path):
     from pk4lie.catalog import BrokenReference
     data = _broken_copy(tmp_path, "iso_b.txt",

@@ -6,6 +6,7 @@ import pytest
 from pk4lie import structures
 from pk4lie.catalog import DATA_DIR, Catalog, load_catalog
 from pk4lie.cli import _curvature_table, main
+from pk4lie.scalars import ParamDomain
 from pk4lie.verify import run_curvature_rows
 
 
@@ -104,6 +105,11 @@ def test_usage_error_exit_code(capsys):
     for dom in ("97*x == 7", "x == 1"):
         assert main(["geometry", "--algebra", "[e1,e2]=x*e3",
                      "--metric", "eps14-eps23", "--domain", dom]) == 2, dom
+    # an atom of another kind is not read as a parameter
+    assert main(["geometry", "--algebra", "[e1,e2]=e12*e3",
+                 "--metric", "eps14-eps23"]) == 2
+    assert main(["geometry", "--algebra", "[e1,e2]=e3",
+                 "--metric", "eps14-eps23+E11*eps11"]) == 2
     capsys.readouterr()
     # malformed --set: a usage error, refused before any substitution
     for item in ("x=1/0", "x=abc", "x", "q=1"):
@@ -130,11 +136,10 @@ def test_geometry_assignment_hitting_a_denominator(capsys, argv):
     assert out.splitlines()[-1] == "error:  assignment makes a denominator vanish"
 
 
-def test_curvature_suite_and_table_build_each_connection_once(monkeypatch):
-    # Count Levi-Civita connections through every binding of the function,
-    # as imported by each pk4lie module.
+def _count_calls(monkeypatch, orig):
+    """Replace every binding of `orig` that a pk4lie module or class holds
+    with a wrapper that records each call; return the list of calls."""
     calls = []
-    orig = structures.levi_civita
 
     def counted(*args, **kwargs):
         calls.append(args)
@@ -145,6 +150,17 @@ def test_curvature_suite_and_table_build_each_connection_once(monkeypatch):
             for key, value in list(vars(mod).items()):
                 if value is orig:
                     monkeypatch.setattr(mod, key, counted)
+                elif isinstance(value, type) and value.__module__ == name:
+                    for attr, member in list(vars(value).items()):
+                        if member is orig:
+                            monkeypatch.setattr(value, attr, counted)
+    return calls
+
+
+def test_curvature_suite_and_table_build_each_connection_once(monkeypatch):
+    # Count Levi-Civita connections through every binding of the function,
+    # as imported by each pk4lie module.
+    calls = _count_calls(monkeypatch, structures.levi_civita)
     cat = load_catalog()
     run_curvature_rows(cat)
     _curvature_table(cat)
@@ -152,6 +168,20 @@ def test_curvature_suite_and_table_build_each_connection_once(monkeypatch):
     # rank splits (curvature/d4_2/7)
     assert len(cat.curvature_list()) == 115
     assert len(calls) == 117
+
+
+def test_no_verdict_of_verify_all_rests_on_sampling(monkeypatch, capsys):
+    # Nothing samples: the report is the same for every seed, and the one
+    # seeded sampling loop is never entered.
+    calls = _count_calls(monkeypatch, ParamDomain.sampled_values)
+    code, out0, _ = run_cli(capsys, "--format", "json", "verify", "all")
+    assert code == 0
+    code, out5, _ = run_cli(capsys, "--seed", "5", "--format", "json",
+                            "verify", "all")
+    assert code == 0
+    assert json.loads(out5)["seed"] == 5
+    assert out5.replace('"seed": 5,', '"seed": 0,', 1) == out0
+    assert calls == []
 
 
 def test_geometry_inline_brackets_failing_jacobi(capsys):

@@ -1,21 +1,26 @@
 """Property suites across the full catalog, seed-pinned.
 
 Levi-Civita axioms and uniqueness, parallelism of omega, anti-isometry of
-the metric under K, flat => Ricci-flat, and the equivalence between
-Nijenhuis vanishing and sampled eigenplane involutivity.
+the metric under K, flat => Ricci-flat, the equivalence between Nijenhuis
+vanishing and sampled eigenplane involutivity, and the Koszul-value test of
+nabla K = 0 against the connection.
 """
 
 import random
 
-from pk4lie.catalog import load_catalog
+from hypothesis import assume, given, settings, strategies as hst
+
+from pk4lie.catalog import _alg_params, load_catalog
 from pk4lie.curvature import classify_row, ricci
 from pk4lie.liealg import (
     LieAlgebra4, eigenplanes_involutive_at, nijenhuis, form_apply,
 )
-from pk4lie.linalg import RankAmbiguous, vbasis, vis_zero
+from pk4lie.linalg import Mat4, RankAmbiguous, vbasis, vis_zero
 from pk4lie.notation import parse_endo
 from pk4lie.scalars import DenominatorVanishes, Scalar
-from pk4lie.structures import Connection4, levi_civita, metric_from
+from pk4lie.structures import (
+    Connection4, K_parallel, levi_civita, metric_from, nabla_K,
+)
 
 CAT = load_catalog()
 STRUCTURES = CAT.structure_list()
@@ -50,6 +55,47 @@ def test_anti_isometry_catalog_wide():
     for st, h in _metrics():
         defect = st.K.transpose() @ h @ st.K + h
         assert defect.is_zero(st.domain), st.entry_id
+
+
+def _nabla_K_zero_oracle(L, h, K, domain):
+    conn = levi_civita(L, h, domain)
+    return all(m.is_zero(domain) for m in nabla_K(L, conn, K))
+
+
+def test_koszul_test_matches_the_connection_catalog_wide():
+    for st, h in _metrics():
+        assert K_parallel(st.algebra, h, st.K, st.domain), st.entry_id
+        assert _nabla_K_zero_oracle(st.algebra, h, st.K, st.domain), st.entry_id
+
+
+def _transported(L, omega, K, p):
+    """(L, omega, K) in the basis of p's columns."""
+    pinv = p.inverse()
+    cols = [[p.rows[r][i] for r in range(4)] for i in range(4)]
+    brackets = {(i, j): pinv.apply(L.bracket(cols[i], cols[j]))
+                for i in range(4) for j in range(i + 1, 4)}
+    return LieAlgebra4(brackets), p.transpose() @ omega @ p, pinv @ K @ p
+
+
+CONSTANT_ALGEBRAS = [st.algebra for st in STRUCTURES
+                     if not _alg_params(st.algebra)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(hst.integers(0, len(STRUCTURES) - 1),
+       hst.one_of(hst.none(), hst.integers(0, len(CONSTANT_ALGEBRAS) - 1)),
+       hst.lists(hst.integers(-2, 2), min_size=16, max_size=16))
+def test_koszul_test_matches_the_connection_after_transport(i, j, entries):
+    # A catalog structure, on its own algebra (nabla K = 0) or on a constant
+    # one of another row (mostly nabla K != 0), in a random basis.
+    st = STRUCTURES[i]
+    p = Mat4([entries[4 * r:4 * r + 4] for r in range(4)])
+    assume(not p.det().is_zero)
+    L = st.algebra if j is None else CONSTANT_ALGEBRAS[j]
+    L, omega, K = _transported(L, st.omega, st.K, p)
+    h = metric_from(omega, K, st.domain)
+    assert (K_parallel(L, h, K, st.domain)
+            == _nabla_K_zero_oracle(L, h, K, st.domain))
 
 
 def test_levi_civita_uniqueness_by_perturbation():
@@ -127,14 +173,6 @@ def test_nijenhuis_cross_check_negative_control():
         if inv is False:
             flags += 1
     assert flags == 16
-
-
-def _alg_params(L):
-    out = set()
-    for v in L.brackets.values():
-        for s in v:
-            out |= s.params()
-    return out
 
 
 def _catalog_matrices():

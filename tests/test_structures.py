@@ -1,11 +1,16 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from pk4lie.liealg import LieAlgebra4, NotSymmetric, form_apply
-from pk4lie.linalg import Mat4, vbasis, vis_zero
+from pk4lie.liealg import (
+    LieAlgebra4, NotSymmetric, form_apply, paracomplex_check,
+    pfaffian_nondegenerate,
+)
+from pk4lie.linalg import Mat4, signature_of, vbasis, vis_zero
 from pk4lie.notation import parse_endo, parse_sym_form, parse_two_form
 from pk4lie.scalars import ParamDomain, Scalar, parse_scalar
 from pk4lie.structures import (
-    levi_civita, metric_from, nabla_K, validate_para_kahler,
+    K_parallel, _signature_neutral, levi_civita, metric_from, nabla_K,
+    neutral_certified, validate_para_kahler,
 )
 
 D4HALF = LieAlgebra4.parse(
@@ -133,3 +138,97 @@ def test_anti_isometry_of_valid_structure():
     # h(Ku, Kv) = -h(u,v) entrywise: K^T H K + H = 0.
     assert (K1.transpose() @ H1 @ K1 + H1).is_zero()
     assert (K2.transpose() @ H2 @ K2 + H2).is_zero()
+
+
+def test_koszul_test_on_the_mismatched_pair():
+    # K2 is not h1-skew, so K_parallel's premise fails here; both it and
+    # the connection report nabla K != 0.
+    conn = levi_civita(D4HALF, H1, XNZ)
+    assert not all(m.is_zero(XNZ) for m in nabla_K(D4HALF, conn, K2))
+    assert not K_parallel(D4HALF, H1, K2, XNZ)
+    assert K_parallel(D4HALF, H1, K1, XNZ)
+
+
+def _certificate(L, omega, K, domain):
+    return neutral_certified(omega.is_antisymmetric(domain),
+                             pfaffian_nondegenerate(omega, domain),
+                             paracomplex_check(L, K, domain))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.fractions(-4, 4, max_denominator=3), min_size=16,
+                max_size=16))
+def test_certificate_accepts_a_transported_lagrangian_pair(entries):
+    # K = P diag(1,1,-1,-1) P^-1 and omega = P^-t (e13+e24) P^-1, with
+    # P = P0 diag(x,1,1,1): span(P e1, P e2) and span(P e3, P e4) are the
+    # eigenspaces, a Lagrangian pair of omega.
+    p0 = Mat4([entries[4 * r:4 * r + 4] for r in range(4)])
+    assume(not p0.det().is_zero)
+    p = p0 @ parse_endo("x*E11+E22+E33+E44")
+    pinv = p.inverse()
+    K = p @ parse_endo("E11+E22-E33-E44") @ pinv
+    omega = pinv.transpose() @ parse_two_form("e13+e24") @ pinv
+    h = metric_from(omega, K, XNZ)
+    assert _certificate(ABELIAN, omega, K, XNZ)
+    assert h.params() == {next(iter(XNZ.params()))}
+    for _, m in XNZ.sampled_values(h.params(), h.eval, 4, seed=0):
+        assert signature_of(m) == (2, 2, 0)
+    assert validate_para_kahler(ABELIAN, omega, K, XNZ).status == "PASS"
+
+
+def test_certificate_refuses_eigenranks_3_1():
+    # h = diag(1+x^2, 1, 1, -1) = omega(K., .) with K = diag(1,1,1,-1):
+    # symmetric, nondegenerate, K*K = Id, but the eigenranks are (3,1).
+    dom = ParamDomain.parse("")
+    K = parse_endo("E11+E22+E33-E44")
+    omega = Mat4([["1+x*x", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                  [0, 0, 0, 1]])
+    h = metric_from(omega, K, dom)
+    pc = paracomplex_check(ABELIAN, K, dom)
+    assert (pc.squares_to_id, pc.eigenrank_plus, pc.eigenrank_minus) == (True, 3, 1)
+    nd = pfaffian_nondegenerate(omega, dom)
+    assert nd.kind == "NonZero" and nd.trials == 0
+    # refused on the eigenranks even if omega were antisymmetric
+    assert not neutral_certified(True, nd, pc)
+    ok, detail = _signature_neutral(h, dom, 8, seed=0)
+    assert not ok and detail.startswith("signature (3, 1, 0) at {'x': ")
+    rep = validate_para_kahler(ABELIAN, omega, K, dom)
+    checks = {c["name"]: c for c in rep.checks}
+    assert checks["signature_neutral"]["detail"] == detail
+    assert checks["nabla_K_zero"] == {"name": "nabla_K_zero", "ok": False,
+                                      "detail": "omega not antisymmetric"}
+
+
+def test_certificate_needs_omega_antisymmetric():
+    # omega = K = diag(1,1,-1,-1): h = identity is symmetric, omega's
+    # determinant is the constant 1, K*K = Id and the eigenranks are (2,2),
+    # yet h is definite.  Only the antisymmetry of omega is missing.
+    K = parse_endo("E11+E22-E33-E44")
+    omega = K.copy()
+    assert metric_from(omega, K) == Mat4.identity()
+    nd = pfaffian_nondegenerate(omega)
+    pc = paracomplex_check(ABELIAN, K)
+    assert neutral_certified(True, nd, pc)
+    assert not neutral_certified(False, nd, pc)
+    rep = validate_para_kahler(ABELIAN, omega, K)
+    checks = {c["name"]: c for c in rep.checks}
+    assert checks["signature_neutral"] == {
+        "name": "signature_neutral", "ok": False,
+        "detail": "signature (4, 0, 0) at {}"}
+    assert checks["nabla_K_zero"]["detail"] == "omega not antisymmetric"
+    assert rep.status == "FAIL"
+
+
+def test_certificate_needs_a_certified_pfaffian():
+    # omega = x*e13 + e24 on no constraint: det omega = x^2 is nonzero only
+    # by sampling, and h is degenerate at x = 0.  The certificate refuses,
+    # and the sampled signature is what the report gives.
+    omega = parse_two_form("x*e13+e24")
+    K = parse_endo("E11+E22-E33-E44")
+    nd = pfaffian_nondegenerate(omega)
+    assert nd.kind == "NonZero" and nd.trials > 0
+    assert not neutral_certified(True, nd, paracomplex_check(ABELIAN, K))
+    h = metric_from(omega, K)
+    assert signature_of(h.eval({next(iter(h.params())): 0})) == (1, 1, 2)
+    rep = validate_para_kahler(ABELIAN, omega, K, signature_samples=8)
+    assert rep.status == "PASS", rep.failing()
