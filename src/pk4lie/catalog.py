@@ -3,11 +3,13 @@ phase-space bracket tables, isomorphism rows and curvature rows.
 
 The data files are line oriented: an entry starts with "[section/id]"
 followed by "key: value" lines.  Entries keep their literal text so the
-CLI can dump them back byte-identically.  Parsed payloads are built fresh
-per entry, which keeps parameters of different entries from interacting:
-algebras and phase rows on every call, structures and curvature rows on
-the first read of their key (then kept), so that answering one entry
-parses one entry.  `load_catalog(check=True)` reads every row to assert it.
+CLI can dump them back byte-identically.  Every section is built lazily:
+a row is parsed by its section's builder on the first read of its key,
+then kept, so that answering one entry parses one entry.  Each row owns
+its payload, which keeps parameters of different entries from
+interacting; a row that names an algebra or a phase row takes that
+row's built brackets.  `load_catalog(check=True)` reads every row to
+assert it.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ DATA_FILES = ("algebras.txt", "symplectic.txt", "structures.txt",
 
 _HEADER_RE = re.compile(r"^\[([A-Za-z0-9_/]+)\]\s*$")
 _RADICAL_RE = re.compile(r"^w\s*\*\s*w\s*=\s*(.+?)\s+solve\s+([A-Za-z_][A-Za-z0-9_]*)$")
+_MAP_COLUMN_RE = re.compile(r"^f([1-4])\s*=\s*(.+)$")
 
 
 @dataclass
@@ -139,35 +142,25 @@ def _parse_domain(entry: RawEntry, key: str = "domain") -> ParamDomain:
 
 @dataclass
 class AlgebraEntry:
+    """An algebra family, or a phase-space bracket family read like one."""
+
     entry_id: str
     raw: RawEntry
-
-    def domain(self) -> ParamDomain:
-        return _parse_domain(self.raw)
-
-    def algebra(self, subst: Optional[Dict[Param, Scalar]] = None) -> LieAlgebra4:
-        domain = self.domain()
-        L = LieAlgebra4.parse(self.raw.get("brackets"), self.entry_id.split("/")[-1],
-                              domain)
-        if subst:
-            L = L.substitute(subst)
-            L.domain = domain.substituted(subst)
-        return L
+    algebra: LieAlgebra4
 
 
 @dataclass
 class SymplecticEntry:
+    """One sign variant of a symplectic row.  `domain` is the algebra's
+    domain tightened by the row's own column, `row_domain`."""
+
     entry_id: str
     raw: RawEntry
-    variant: str = ""  # "", "a" or "b"
-
-    @property
-    def alg_ref(self) -> str:
-        return self.raw.get("alg")
-
-    def omega_text(self) -> str:
-        text = self.raw.get("omega")
-        return expand_signs(text, self.variant) if self.variant else text
+    variant: str  # "", "a" or "b"
+    algebra: LieAlgebra4
+    omega: Mat4
+    domain: ParamDomain
+    row_domain: ParamDomain
 
 
 @dataclass
@@ -184,14 +177,19 @@ class StructureEntry:
     symplectic_ref: str
 
 
-class PhaseRowEntry(AlgebraEntry):
-    """A phase-space bracket family, read like an algebra family."""
-
-
 @dataclass
 class IsoRowEntry:
+    """The map `matrix` carries `target` onto `source`: its columns are the
+    target's basis written in the source row's coordinates.  `source_subst`
+    pins the branch of the source family the row covers, `subst`
+    instantiates the target's parameters."""
+
     entry_id: str
     raw: RawEntry
+    source: LieAlgebra4
+    matrix: Mat4
+    target: LieAlgebra4
+    domain: ParamDomain
 
     @property
     def source_ref(self) -> str:
@@ -200,30 +198,6 @@ class IsoRowEntry:
     @property
     def target_ref(self) -> str:
         return self.raw.get("target")
-
-    def subst(self) -> Dict[Param, Scalar]:
-        return _parse_subst(self.raw.get("subst"))
-
-    def source_subst(self) -> Dict[Param, Scalar]:
-        return _parse_subst(self.raw.get("source_subst"))
-
-    def map_columns(self) -> List:
-        cols: List = [None] * 4
-        for piece in self.raw.get("map").split(";"):
-            piece = piece.strip()
-            m = re.match(r"^f([1-4])\s*=\s*(.+)$", piece)
-            if not m:
-                raise ParseError(f"{self.entry_id}: bad map column {piece!r}")
-            idx = int(m.group(1)) - 1
-            if cols[idx] is not None:
-                raise ParseError(f"{self.entry_id}: duplicate f{idx+1}")
-            cols[idx] = parse_vector(m.group(2))
-        if any(c is None for c in cols):
-            raise ParseError(f"{self.entry_id}: map must define f1..f4")
-        return cols
-
-    def matrix(self) -> Mat4:
-        return mat_from_cols(self.map_columns())
 
 
 @dataclass
@@ -240,7 +214,6 @@ class CurvatureRowEntry:
     expect_ricci_flat: bool
     expect_x: Optional[List[Scalar]]   # None = "no soliton"
     expect_lam: Optional[Scalar]
-    link: str
     notes: str
 
     @cached_property
@@ -282,12 +255,11 @@ class _LazyRows(Mapping):
 class Catalog:
     def __init__(self):
         self.raw_entries: Dict[str, RawEntry] = {}
-        self.algebras: Dict[str, AlgebraEntry] = {}
-        self.symplectic: Mapping[str, SymplecticEntry] = _LazyRows(
-            lambda key, raw, variant, fields: SymplecticEntry(raw.entry_id, raw, variant))
+        self.algebras: Mapping[str, AlgebraEntry] = _LazyRows(_algebra_row)
+        self.symplectic: Mapping[str, SymplecticEntry] = _LazyRows(self._symplectic_row)
         self.structures: Mapping[str, StructureEntry] = _LazyRows(self._structure)
-        self.phase_rows: Dict[str, PhaseRowEntry] = {}
-        self.iso_rows: Dict[str, IsoRowEntry] = {}
+        self.phase_rows: Mapping[str, AlgebraEntry] = _LazyRows(_algebra_row)
+        self.iso_rows: Mapping[str, IsoRowEntry] = _LazyRows(self._iso_row)
         self.curvature_rows: Mapping[str, CurvatureRowEntry] = _LazyRows(
             self._curvature_row)
 
@@ -298,15 +270,10 @@ class Catalog:
         return self.raw_entries[base].raw
 
     # -- resolution helpers -------------------------------------------------
-    def algebra_entry(self, ref: str) -> AlgebraEntry:
+    def _algebra(self, ref: str) -> LieAlgebra4:
         if ref not in self.algebras:
             raise BrokenReference(f"unknown algebra {ref!r}")
-        return self.algebras[ref]
-
-    def _symplectic_raw(self, ref: str) -> RawEntry:
-        if ref not in self.raw_entries or not ref.startswith("symplectic/"):
-            raise BrokenReference(f"unknown symplectic row {ref!r}")
-        return self.raw_entries[ref]
+        return self.algebras[ref].algebra
 
     def structure_list(self) -> List[StructureEntry]:
         return list(self.structures.values())
@@ -315,48 +282,111 @@ class Catalog:
         return list(self.curvature_rows.values())
 
     # -- row builders -------------------------------------------------------
+    # Each row owns its LieAlgebra4, on the row's domain; the brackets come
+    # from the built algebra or phase row it names and are never re-parsed.
+    def _symplectic_row(self, key: str, raw: RawEntry, variant: str,
+                        fields: Dict[str, str]) -> SymplecticEntry:
+        L = self._algebra(raw.get("alg"))
+        row_domain = _domain_of(raw.entry_id, raw.get("domain"))
+        domain = L.domain.merged(row_domain)
+        return SymplecticEntry(key, raw, variant, LieAlgebra4(L.brackets, L.name, domain),
+                               parse_two_form(fields["omega"]), domain, row_domain)
+
+    def _symplectic_variants(self, ref: str) -> List[SymplecticEntry]:
+        """The built sign variants of the symplectic row `ref`."""
+        variants = [self.symplectic[k] for k in (ref, ref + ":a", ref + ":b")
+                    if k in self.symplectic]
+        if not variants:
+            raise BrokenReference(f"unknown symplectic row {ref!r}")
+        return variants
+
     def _structure(self, key: str, raw: RawEntry, variant: str,
                    fields: Dict[str, str]) -> StructureEntry:
-        sym = self._symplectic_raw(raw.get("symplectic"))
+        ref = raw.get("symplectic")
+        sym = self._symplectic_variants(ref)[0]
         subst = _parse_subst(raw.get("subst"))
-        algebra = self.algebra_entry(sym.get("alg")).algebra(subst)
+        algebra = _instance(self._algebra(sym.raw.get("alg")), subst)
         named_alg = raw.get("alg")
         if named_alg:
-            named = self.algebra_entry(named_alg).algebra()
+            named = self._algebra(named_alg)
             if named.serialize() != algebra.serialize():
                 raise LoadAssertionFailed(
                     key, f"substituted algebra differs from {named_alg}")
             algebra = named
-        omega_text = fields.get("omega") or sym.get("omega")
-        if has_sign_tokens(omega_text):
-            raise LoadAssertionFailed(
-                key, "omega needs an explicit variant-free override")
-        omega = parse_two_form(omega_text)
-        sym_domain = _domain_of(sym.entry_id, sym.get("domain"))
+        if sym.variant and not fields.get("omega"):
+            raise LoadAssertionFailed(key, "omega needs an explicit variant-free override")
+        # an override is checked against the symplectic row at load
+        omega = parse_two_form(fields["omega"]) if fields.get("omega") else sym.omega
+        sym_domain = sym.row_domain
         if subst:
-            omega = omega.substitute(subst)
-            sym_domain = sym_domain.substituted(subst)
+            omega, sym_domain = omega.substitute(subst), sym_domain.substituted(subst)
         domain = algebra.domain.merged(sym_domain).merged(
             _domain_of(key, fields.get("domain", "")))
-        algebra.domain = domain
-        return StructureEntry(key, raw, variant, algebra, omega,
-                              parse_endo(fields["K"]), domain, raw.get("symplectic"))
+        return StructureEntry(key, raw, variant,
+                              LieAlgebra4(algebra.brackets, algebra.name, domain),
+                              omega, parse_endo(fields["K"]), domain, ref)
+
+    def _iso_row(self, key: str, raw: RawEntry, variant: str,
+                 fields: Dict[str, str]) -> IsoRowEntry:
+        source_ref = raw.get("source")
+        if source_ref not in self.phase_rows:
+            raise BrokenReference(f"{key}: source {source_ref!r}")
+        target = self._algebra(raw.get("target"))
+        ssub = _parse_subst(raw.get("source_subst"))
+        # branch parameters are shared by the brackets and the map columns
+        matrix = _map_matrix(key, raw.get("map")).substitute(ssub)
+        source = _instance(self.phase_rows[source_ref].algebra, ssub)
+        domain = source.domain.merged(_parse_domain(raw, "condition"))
+        # The target's own family range is superseded by the row's condition
+        # column; substitutions may be rational, so only brackets are mapped.
+        target = target.substitute(_parse_subst(raw.get("subst")))
+        return IsoRowEntry(key, raw, LieAlgebra4(source.brackets, source.name, domain),
+                           matrix, LieAlgebra4(target.brackets, target.name, domain), domain)
 
     def _curvature_row(self, key: str, raw: RawEntry, variant: str,
                        fields: Dict[str, str]) -> CurvatureRowEntry:
         subst = _parse_subst(raw.get("subst"))
-        algebra = self.algebra_entry(raw.get("alg")).algebra(subst)
+        algebra = _instance(self._algebra(raw.get("alg")), subst)
         metric = parse_sym_form(fields["metric"])
         domain = algebra.domain.merged(_domain_of(key, fields.get("domain", "")))
-        algebra.domain = domain
         if fields.get("soliton", "").strip() == "none":
             ex, elam = None, None
         else:
             ex, elam = parse_tuple4(fields["X"]), parse_scalar(fields["lam"])
         return CurvatureRowEntry(
-            key, raw, variant, algebra, metric, domain,
-            fields.get("flat") == "yes", fields.get("ricflat") == "yes",
-            ex, elam, fields.get("link", ""), fields.get("notes", ""))
+            key, raw, variant, LieAlgebra4(algebra.brackets, algebra.name, domain),
+            metric, domain, fields.get("flat") == "yes",
+            fields.get("ricflat") == "yes", ex, elam, fields.get("notes", ""))
+
+
+def _algebra_row(key: str, raw: RawEntry, variant: str,
+                 fields: Dict[str, str]) -> AlgebraEntry:
+    L = LieAlgebra4.parse(raw.get("brackets"), key.split("/")[-1], _parse_domain(raw))
+    return AlgebraEntry(key, raw, L)
+
+
+def _instance(L: LieAlgebra4, subst: Dict[Param, Scalar]) -> LieAlgebra4:
+    """L with `subst` applied to its brackets and its domain."""
+    if not subst:
+        return L
+    return LieAlgebra4(L.substitute(subst).brackets, L.name, L.domain.substituted(subst))
+
+
+def _map_matrix(entry_id: str, text: str) -> Mat4:
+    """The matrix of "f1=...; f2=...; f3=...; f4=..." by its columns."""
+    cols: List = [None] * 4
+    for piece in text.split(";"):
+        piece = piece.strip()
+        m = _MAP_COLUMN_RE.match(piece)
+        if not m:
+            raise ParseError(f"{entry_id}: bad map column {piece!r}")
+        idx = int(m.group(1)) - 1
+        if cols[idx] is not None:
+            raise ParseError(f"{entry_id}: duplicate f{idx+1}")
+        cols[idx] = parse_vector(m.group(2))
+    if any(c is None for c in cols):
+        raise ParseError(f"{entry_id}: map must define f1..f4")
+    return mat_from_cols(cols)
 
 
 def expand_variants(raw: RawEntry, keys: Tuple[str, ...]) -> List[Tuple[str, Dict[str, str]]]:
@@ -396,22 +426,21 @@ def load_catalog(data_dir: Optional[Path] = None, check: bool = True) -> Catalog
                 raise ParseError(f"duplicate entry id {raw.entry_id!r}")
             cat.raw_entries[raw.entry_id] = raw
 
+    # section -> (rows, the fields whose sign tokens expand into variants)
+    sections = {
+        "alg": (cat.algebras, ()),
+        "symplectic": (cat.symplectic, ("omega",)),
+        "structures": (cat.structures, ("omega", "K")),
+        "phase_b": (cat.phase_rows, ()), "phase_c": (cat.phase_rows, ()),
+        "iso_b": (cat.iso_rows, ()), "iso_c": (cat.iso_rows, ()),
+        "curvature": (cat.curvature_rows, ("metric", "X", "lam")),
+    }
     for entry_id, raw in cat.raw_entries.items():
         section = entry_id.split("/")[0]
-        if section == "alg":
-            cat.algebras[entry_id] = AlgebraEntry(entry_id, raw)
-        elif section == "symplectic":
-            cat.symplectic.add(raw, ("omega",))
-        elif section == "structures":
-            cat.structures.add(raw, ("omega", "K"))
-        elif section in ("phase_b", "phase_c"):
-            cat.phase_rows[entry_id] = PhaseRowEntry(entry_id, raw)
-        elif section in ("iso_b", "iso_c"):
-            cat.iso_rows[entry_id] = IsoRowEntry(entry_id, raw)
-        elif section == "curvature":
-            cat.curvature_rows.add(raw, ("metric", "X", "lam"))
-        else:
+        if section not in sections:
             raise ParseError(f"unknown section in id {entry_id!r}")
+        rows, keys = sections[section]
+        rows.add(raw, keys)
 
     if check:
         _run_load_assertions(cat)
@@ -420,61 +449,36 @@ def load_catalog(data_dir: Optional[Path] = None, check: bool = True) -> Catalog
 
 def _run_load_assertions(cat: Catalog) -> None:
     for entry_id, alg in cat.algebras.items():
-        L = alg.algebra()
-        if not L.is_lie_algebra():
-            raise LoadAssertionFailed(entry_id, "Jacobi identity fails")
-        _check_satisfiable(entry_id, L.domain, _alg_params(L))
+        _check_algebra(entry_id, alg.algebra)
     for key, sym in cat.symplectic.items():
-        alg = cat.algebra_entry(sym.alg_ref)
-        omega = parse_two_form(sym.omega_text())
-        if not omega.is_antisymmetric():
+        if not sym.omega.is_antisymmetric():
             raise LoadAssertionFailed(key, "omega not antisymmetric")
+        _check_satisfiable(key, sym.domain, _alg_params(sym.algebra) | sym.omega.params())
     for key, st in cat.structures.items():
         if not st.omega.is_antisymmetric(st.domain):
             raise LoadAssertionFailed(key, "omega not antisymmetric")
-        if not st.algebra.is_lie_algebra(st.domain):
-            raise LoadAssertionFailed(key, "Jacobi identity fails")
-        _check_satisfiable(key, st.domain,
-                           _alg_params(st.algebra) | st.K.params() | st.omega.params())
-        # linkage: the structure's omega must be a variant of its symplectic row
-        sym = cat._symplectic_raw(st.symplectic_ref)
-        subst = _parse_subst(st.raw.get("subst"))
-        variants = []
-        for v in ("", "a", "b"):
-            text = sym.get("omega")
-            if has_sign_tokens(text) != bool(v):
-                continue
-            w = parse_two_form(expand_signs(text, v) if v else text)
-            if subst:
-                w = w.substitute(subst)
-            variants.append(w)
-        if not any(st.omega.equals(w) for w in variants):
-            raise LoadAssertionFailed(key, "omega is not a variant of its symplectic row")
+        _check_algebra(key, st.algebra, st.K.params() | st.omega.params())
+        # linkage: an omega override must be a variant of its symplectic row
+        if st.raw.get("omega"):
+            subst = _parse_subst(st.raw.get("subst"))
+            if not any(st.omega.equals(sym.omega.substitute(subst))
+                       for sym in cat._symplectic_variants(st.symplectic_ref)):
+                raise LoadAssertionFailed(key, "omega is not a variant of its symplectic row")
     for entry_id, row in cat.phase_rows.items():
-        L = row.algebra()
-        if not L.is_lie_algebra():
-            raise LoadAssertionFailed(entry_id, "Jacobi identity fails")
-        _check_satisfiable(entry_id, L.domain, _alg_params(L))
+        _check_algebra(entry_id, row.algebra)
     for entry_id, row in cat.iso_rows.items():
-        if row.source_ref not in cat.phase_rows:
-            raise BrokenReference(f"{entry_id}: source {row.source_ref!r}")
-        cat.algebra_entry(row.target_ref)
-        columns = row.map_columns()
-        dom = _row_domain(cat, row)
-        params = set()
-        for c in columns:
-            for s in c:
-                params |= s.params()
-        _check_satisfiable(entry_id, dom, params | dom.params())
+        _check_satisfiable(entry_id, row.domain, row.matrix.params())
     for key, row in cat.curvature_rows.items():
         if not row.metric.is_symmetric(row.domain):
             raise LoadAssertionFailed(key, "metric not symmetric")
-        if not row.algebra.is_lie_algebra(row.domain):
-            raise LoadAssertionFailed(key, "Jacobi identity fails")
-        _check_satisfiable(key, row.domain,
-                           _alg_params(row.algebra) | row.metric.params())
-        if row.link and row.link.split(":")[0] not in cat.raw_entries:
-            raise BrokenReference(f"{key}: link {row.link!r}")
+        _check_algebra(key, row.algebra, row.metric.params())
+
+
+def _check_algebra(entry_id: str, L: LieAlgebra4, params: set = frozenset()) -> None:
+    """L satisfies Jacobi on its domain, and some point satisfies the domain."""
+    if not L.is_lie_algebra():
+        raise LoadAssertionFailed(entry_id, "Jacobi identity fails")
+    _check_satisfiable(entry_id, L.domain, _alg_params(L) | params)
 
 
 def _alg_params(L: LieAlgebra4) -> set:
@@ -483,39 +487,3 @@ def _alg_params(L: LieAlgebra4) -> set:
         for s in v:
             out |= s.params()
     return out
-
-
-def _row_domain(cat: Catalog, row: IsoRowEntry) -> ParamDomain:
-    source = cat.phase_rows[row.source_ref]
-    ssub = row.source_subst()
-    dom = source.domain()
-    if ssub:
-        dom = dom.substituted(ssub)
-    return dom.merged(_parse_domain(row.raw, "condition"))
-
-
-def iso_row_payload(cat: Catalog, row: IsoRowEntry):
-    """(source algebra, map, instantiated target algebra, domain).
-
-    The map matrix columns are the target's basis written in the source
-    row's coordinates; `source_subst` pins the branch of the source family
-    the row covers, `subst` instantiates the target's parameters.
-    """
-    ssub = row.source_subst()
-    source = cat.phase_rows[row.source_ref].algebra(ssub if ssub else None)
-    target_entry = cat.algebra_entry(row.target_ref)
-    subst = row.subst()
-    # The target's own family range is superseded by the row's condition
-    # column; substitutions may be rational, so only brackets are mapped.
-    target = LieAlgebra4.parse(target_entry.raw.get("brackets"),
-                               row.target_ref.split("/")[-1])
-    if subst:
-        target = target.substitute(subst)
-    matrix = row.matrix()
-    if ssub:
-        # branch parameters are shared by the brackets and the map columns
-        matrix = matrix.substitute(ssub)
-    domain = _row_domain(cat, row)
-    source.domain = domain
-    target.domain = domain
-    return source, matrix, target, domain

@@ -609,7 +609,10 @@ class Scalar:
         return Scalar.const(1) / self
 
     def substitute(self, mapping: Mapping[Param, "Scalar"]) -> "Scalar":
-        """Substitute scalars for parameters (exact)."""
+        """Substitute scalars for parameters (exact); self when the mapping
+        names none of its parameters."""
+        if not any(p in mapping for p in self.params()):
+            return self
         num = _subst_poly(self.num, mapping)
         den = _subst_poly(self.den, mapping)
         return num / den

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .catalog import Catalog, CurvatureRowEntry, IsoRowEntry, iso_row_payload
+from .catalog import Catalog, CurvatureRowEntry
 from .curvature import classify_row, soliton_family_equal, soliton_residual
 from .liealg import LieAlgebra4, ce_d, pfaffian_nondegenerate
 from .linalg import (
@@ -43,10 +43,7 @@ def run_symplectic(cat: Catalog, seed: int = 0, trials: int = 32) -> List[EntryR
     out = []
     for key, sym in cat.symplectic.items():
         rep = EntryReport(key)
-        alg_entry = cat.algebra_entry(sym.alg_ref)
-        L = alg_entry.algebra()
-        omega = parse_two_form(sym.omega_text())
-        dom = L.domain.merged(ParamDomain.parse(sym.raw.get("domain", "")))
+        L, omega, dom = sym.algebra, sym.omega, sym.domain
         rep.add("jacobi", L.is_lie_algebra(dom))
         rep.add("omega_antisymmetric", omega.is_antisymmetric(dom))
         rep.add("omega_closed", ce_d(L, omega).is_zero(dom))
@@ -75,7 +72,7 @@ def run_phase_rows(cat: Catalog, seed: int = 0, samples: int = 16) -> List[Entry
     out = []
     for entry_id, row in cat.phase_rows.items():
         rep = EntryReport(entry_id)
-        L = row.algebra()
+        L = row.algebra
         dom = L.domain
         rep.add("jacobi", L.is_lie_algebra(dom))
         failed = validate_para_kahler(L, nf_omega, nf_k, dom, entry_id,
@@ -100,33 +97,28 @@ def run_phase_rows(cat: Catalog, seed: int = 0, samples: int = 16) -> List[Entry
 def run_iso_rows(cat: Catalog, seed: int = 0, samples: int = 16) -> List[EntryReport]:
     out = []
     for entry_id, row in cat.iso_rows.items():
-        out.append(_verify_iso_row(cat, entry_id, row, seed, samples))
+        rep = EntryReport(entry_id, row_note=row.raw.get("notes", ""))
+        dom = row.domain
+        m = LinMap(row.matrix, row.target, row.source, dom)
+        inv = m.invertible(seed=seed)
+        rep.add("invertible", inv.kind == "NonZero", inv.kind)
+        ok, res = check_lie_isomorphism(m)
+        if ok:
+            rep.add("lie_isomorphism", True)
+        else:
+            bad = {f"[f{i+1},f{j+1}]": [str(c) for c in v]
+                   for (i, j), v in res.items() if not vis_zero(v, dom)}
+            rep.add("lie_isomorphism", False, f"residuals {bad}")
+        try:
+            w, k = transport(m, *normal_form())
+            failed = validate_para_kahler(row.target, w, k, dom, entry_id,
+                                          signature_samples=samples,
+                                          seed=seed).failing()
+            rep.add("transported_structure_valid", not failed, ",".join(failed))
+        except DegenerateError as e:  # already reported by "invertible"
+            rep.add("transported_structure_valid", False, repr(e))
+        out.append(rep)
     return out
-
-
-def _verify_iso_row(cat: Catalog, entry_id: str, row: IsoRowEntry,
-                    seed: int, samples: int) -> EntryReport:
-    rep = EntryReport(entry_id, row_note=row.raw.get("notes", ""))
-    source, p, target, dom = iso_row_payload(cat, row)
-    m = LinMap(p, target, source, dom)
-    inv = m.invertible(seed=seed)
-    rep.add("invertible", inv.kind == "NonZero", inv.kind)
-    ok, res = check_lie_isomorphism(m)
-    if ok:
-        rep.add("lie_isomorphism", True)
-    else:
-        bad = {f"[f{i+1},f{j+1}]": [str(c) for c in v]
-               for (i, j), v in res.items() if not vis_zero(v, dom)}
-        rep.add("lie_isomorphism", False, f"residuals {bad}")
-    try:
-        w, k = transport(m, *normal_form())
-        failed = validate_para_kahler(target, w, k, dom, entry_id,
-                                      signature_samples=samples,
-                                      seed=seed).failing()
-        rep.add("transported_structure_valid", not failed, ",".join(failed))
-    except DegenerateError as e:  # already reported by "invertible"
-        rep.add("transported_structure_valid", False, repr(e))
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +126,7 @@ def _verify_iso_row(cat: Catalog, entry_id: str, row: IsoRowEntry,
 
 
 def run_curvature_rows(cat: Catalog, seed: int = 0) -> List[EntryReport]:
-    out = []
-    for row in cat.curvature_list():
-        out.append(_verify_curvature_row(row, seed))
-    return out
+    return [_verify_curvature_row(row, seed) for row in cat.curvature_list()]
 
 
 def _verify_curvature_row(row: CurvatureRowEntry, seed: int = 0) -> EntryReport:
@@ -243,13 +232,13 @@ def run_equivalence_witnesses(cat: Catalog, seed: int = 0) -> List[EntryReport]:
     transported: List[Tuple[Mat4, Mat4]] = []
     for ref, w_text, k_text, w_erratum in sources:
         rep = EntryReport(f"witness/transport/{ref.split('/')[-1]}")
-        source, p, target, rdom = iso_row_payload(cat, cat.iso_rows[ref])
-        m = LinMap(p, target, source, rdom)
+        row = cat.iso_rows[ref]
+        m = LinMap(row.matrix, row.target, row.source, row.domain)
         ok, _ = check_lie_isomorphism(m)
         rep.add("lie_isomorphism", ok)
         w, k = transport(m, *nf)
-        w_ok = w.equals(parse_two_form(w_text), rdom)
-        k_ok, relabelled = _matches_up_to_y_flip(k, parse_endo(k_text), rdom)
+        w_ok = w.equals(parse_two_form(w_text), row.domain)
+        k_ok, relabelled = _matches_up_to_y_flip(k, parse_endo(k_text), row.domain)
         if relabelled:
             rep.note("printed K corresponds to the branch parameter -y; the "
                      "free parameter makes both families equal")

@@ -129,6 +129,36 @@ def test_unsatisfiable_domain_fails_load(tmp_path):
     assert e.value.check == "domain unsatisfiable"
 
 
+def test_unsatisfiable_symplectic_domain_fails_load_on_its_row(tmp_path):
+    data = _broken_copy(tmp_path, "symplectic.txt",
+                        "omega: e12+mu*e13+e34\ndomain: mu >= 0\n",
+                        "omega: e12+mu*e13+e34\ndomain: mu > 0, mu < 0\n")
+    with pytest.raises(LoadAssertionFailed) as e:
+        load_catalog(data)
+    assert e.value.entry_id == "symplectic/r2r2"
+    assert e.value.check == "domain unsatisfiable"
+
+
+def test_omega_override_must_be_a_variant_of_its_symplectic_row(tmp_path):
+    data = _broken_copy(tmp_path, "structures.txt",
+                        "symplectic: symplectic/r4_0\nomega: e14+e23\n",
+                        "symplectic: symplectic/r4_0\nomega: e14+2*e23\n")
+    with pytest.raises(LoadAssertionFailed) as e:
+        load_catalog(data)
+    assert e.value.entry_id == "structures/r4_0/w1/K:a"
+    assert e.value.check == "omega is not a variant of its symplectic row"
+
+
+def test_a_signed_symplectic_row_needs_an_omega_override(tmp_path):
+    data = _broken_copy(tmp_path, "structures.txt",
+                        "symplectic: symplectic/r4_0\nomega: e14+e23\n",
+                        "symplectic: symplectic/r4_0\n")
+    with pytest.raises(LoadAssertionFailed) as e:
+        load_catalog(data)
+    assert e.value.entry_id == "structures/r4_0/w1/K:a"
+    assert e.value.check == "omega needs an explicit variant-free override"
+
+
 @pytest.mark.parametrize("columns, message", [
     ("f1=e1; f2=e3; f3=e4", "map must define f1..f4"),
     ("f1=e1; f2=e3; f3=e4; f3=e2", "duplicate f3"),
@@ -151,28 +181,43 @@ def test_broken_reference_fails_load(tmp_path):
         load_catalog(data)
 
 
+def _algebra_columns(L):
+    radicals = [(r.w.name, repr(r.radicand), r.solve_for.name)
+                for r in L.domain.radicals]
+    return (L.name, L.serialize(), repr(L.domain), radicals)
+
+
 def _row_columns(cat, key):
-    """A row's payload as text: algebra, form(s), domain, expected columns."""
-    if key in cat.structures:
+    """A row's payload as text: algebra(s), form(s), domain, expected columns."""
+    if key in cat.phase_rows:
+        return _algebra_columns(cat.phase_rows[key].algebra)
+    if key in cat.iso_rows:
+        row = cat.iso_rows[key]
+        return (_algebra_columns(row.source), repr(row.matrix),
+                _algebra_columns(row.target), repr(row.domain))
+    if key in cat.symplectic:
+        row = cat.symplectic[key]
+        forms = (emit_two_form(row.omega), repr(row.row_domain))
+    elif key in cat.structures:
         row = cat.structures[key]
         forms = (emit_two_form(row.omega), emit_endo(row.K), row.symplectic_ref)
     else:
         row = cat.curvature_rows[key]
         forms = (emit_sym_form(row.metric), row.expect_flat, row.expect_ricci_flat,
                  None if row.expect_x is None else [str(v) for v in row.expect_x],
-                 str(row.expect_lam), row.link, row.notes)
-    radicals = [(r.w.name, repr(r.radicand), r.solve_for.name)
-                for r in row.domain.radicals]
-    return (row.variant, row.algebra.serialize(), repr(row.algebra.domain),
-            repr(row.domain), radicals) + forms
+                 str(row.expect_lam), row.notes)
+    return (row.variant, _algebra_columns(row.algebra), repr(row.domain)) + forms
+
+
+SECTIONS = ("symplectic", "structures", "phase_rows", "iso_rows", "curvature_rows")
 
 
 def test_rows_do_not_depend_on_read_order():
     # rows are built on first read: reading them backwards must give the
     # rows that the checked load built in file order
     fresh = load_catalog(check=False)
-    keys = list(CAT.structures) + list(CAT.curvature_rows)
-    assert keys == list(fresh.structures) + list(fresh.curvature_rows)
+    keys = [key for name in SECTIONS for key in getattr(CAT, name)]
+    assert keys == [key for name in SECTIONS for key in getattr(fresh, name)]
     backwards = {key: _row_columns(fresh, key) for key in reversed(keys)}
     assert backwards == {key: _row_columns(CAT, key) for key in keys}
 

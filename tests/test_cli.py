@@ -3,11 +3,11 @@ import sys
 
 import pytest
 
-from pk4lie import structures
+from pk4lie import notation, structures
 from pk4lie.catalog import DATA_DIR, Catalog, load_catalog
 from pk4lie.cli import _curvature_table, main
 from pk4lie.scalars import ParamDomain
-from pk4lie.verify import run_curvature_rows
+from pk4lie.verify import run_curvature_rows, run_scope
 
 
 def run_cli(capsys, *argv):
@@ -168,6 +168,15 @@ def test_curvature_suite_and_table_build_each_connection_once(monkeypatch):
     # rank splits (curvature/d4_2/7)
     assert len(cat.curvature_list()) == 115
     assert len(calls) == 117
+
+
+def test_verify_all_parses_each_bracket_table_once(monkeypatch):
+    calls = _count_calls(monkeypatch, notation.parse_brackets)
+    cat = load_catalog()
+    run_scope(cat, "all")
+    # 19 algebras, 45 phase rows and the witness suite's own algebra; every
+    # other row takes its brackets from the built row it names
+    assert len(calls) == 65
 
 
 def test_no_verdict_of_verify_all_rests_on_sampling(monkeypatch, capsys):

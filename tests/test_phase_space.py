@@ -214,8 +214,9 @@ def test_build_table_rows_all_validate():
     from pk4lie.verify import run_phase_rows
     # fault injection: a corrupted row is the only one that fails
     cat = load_catalog(check=False)
-    bad = cat.phase_rows["phase_b/B2"]
-    bad.raw.fields["brackets"] = "[e1,e2]=-e1; [e2,e3]=x*e1-e3-e4; [e1,e3]=e4"
+    # rows are built on first read, so the edit goes in before it
+    cat.raw_entries["phase_b/B2"].fields["brackets"] = (
+        "[e1,e2]=-e1; [e2,e3]=x*e1-e3-e4; [e1,e3]=e4")
     reports = run_phase_rows(cat, samples=4)
     assert len(reports) == 45
     assert [(r.entry_id, r.status) for r in reports

@@ -11,7 +11,7 @@ from pk4lie.linalg import split_at_root
 from pk4lie.scalars import (
     Constraint, DenominatorVanishes, DomainUnsatisfiable, EMPTY_DOMAIN,
     MissingParam, Param, ParamDomain, ParseError, Poly, Radical, Scalar,
-    ScalarError, ZERO, ONE, _mono_lex_key, emit_scalar, identity_test,
+    ScalarError, ZERO, ONE, _mono_lex_key, _subst_poly, emit_scalar, identity_test,
     nonvanishing, parse_scalar, poly_divexact, poly_gcd,
 )
 import pk4lie
@@ -306,6 +306,10 @@ def test_arithmetic_shortcuts_match_general_path(a, b):
     _same(a * b, Scalar(a.num * b.num, a.den * b.den))
     _same(a + 0, a)
     _same(0 * a, Scalar(Poly(), a.den))
+    # a substitution that names none of a's parameters (a has no z)
+    unrelated = {Param("z"): b}
+    _same(a.substitute(unrelated),
+          _subst_poly(a.num, unrelated) / _subst_poly(a.den, unrelated))
 
 
 # ---------------------------------------------------------------------------
