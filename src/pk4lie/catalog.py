@@ -133,8 +133,9 @@ def _parse_domain(entry: RawEntry, key: str = "domain") -> ParamDomain:
         if not m:
             raise ParseError(f"{entry.entry_id}: bad radical {rad!r}")
         radicand = parse_scalar(m.group(1))
-        if not radicand.den.is_const:
-            raise ParseError(f"{entry.entry_id}: radicand must be polynomial")
+        if radicand.den.terms != {(): 1}:
+            raise ParseError(f"{entry.entry_id}: radicand must be a polynomial "
+                             "with integer coefficients")
         dom = ParamDomain(dom.constraints,
                           [Radical(Param("w"), radicand.num, Param(m.group(2)))])
     return dom

@@ -232,7 +232,7 @@ def _substitute_domain_lenient(dom: ParamDomain, subst) -> ParamDomain:
                       file=sys.stderr)
             continue
         if s.den.is_const:
-            kept.append(Constraint(s.num, c.rel))
+            kept.append(Constraint(s.num, c.rel, s.den.const_value()))
     return ParamDomain(kept, dom.radicals)
 
 

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
 from .linalg import (
-    Mat4, RankAmbiguous, Vec4, _eliminate, _pick_pivot, rank_on_domain, vadd,
-    vbasis, vis_zero, vscale, vsub, vzero,
+    Mat4, RankAmbiguous, Vec4, rank_on_domain, vadd, vbasis, vis_zero, vscale,
+    vsub, vzero,
 )
 from .notation import emit_brackets, parse_brackets
 from .scalars import (
@@ -92,12 +92,6 @@ class LieAlgebra4:
         mapping = {k: Scalar.of(v) for k, v in mapping.items()}
         br = {k: [c.substitute(mapping) for c in v] for k, v in self.brackets.items()}
         return LieAlgebra4(br, self.name, self.domain)
-
-    def derived_rank(self, domain: Optional[ParamDomain] = None) -> int:
-        """Rank of the span of all basis brackets (the derived subalgebra)."""
-        dom = self.domain if domain is None else domain
-        rows = [list(v) for v in self.brackets.values()]
-        return len(_eliminate(rows, 4, dom, _pick_pivot))
 
     def __repr__(self):
         return f"LieAlgebra4({self.name or self.serialize()})"

@@ -314,7 +314,7 @@ def _linear_root(num) -> Optional[tuple]:
     var = params.pop()
     if num.degree_in(var) != 1:
         return None
-    c1 = c0 = None
+    c1, c0 = None, 0
     for mono, c in num.terms.items():
         if mono == ():
             c0 = c
@@ -324,7 +324,7 @@ def _linear_root(num) -> Optional[tuple]:
             return None
     if c1 is None:
         return None
-    return var, Scalar.const(-(c0 or 0) / c1)
+    return var, Scalar.const(Fraction(-c0, c1))
 
 
 def _first_nonzero(rows, row_used, col, domain):

@@ -1,21 +1,24 @@
 """Exact rational-function arithmetic over named parameters.
 
-Every quantity in this package is a Scalar: a reduced fraction of
-multivariate polynomials with rational coefficients in a registry of named
-parameters.  Identities are decided exactly (numerator identically zero);
-random sampling is only used for sign conditions and witness production.
+Every quantity in this package is a Scalar: a reduced fraction num/den of
+polynomials over Z in a registry of named parameters, in one canonical
+form (see Scalar), so a constant is a reduced pair of integers.  Identities
+are decided exactly (numerator identically zero); random sampling is only
+used for sign conditions and witness production.
 
-Canonical forms need polynomial gcds and exact divisions.  Both are native:
-the multivariate gcd recurses on the lowest-index parameter and runs a
-primitive pseudo-remainder sequence over the other parameters, and exact
-division is long division by lex-leading terms.  The package has no runtime
-dependency; the tests use sympy as an independent gcd oracle.
+Canonical forms need polynomial gcds and exact divisions over Z (Geddes,
+Czapor and Labahn, Algorithms for Computer Algebra, 1992, ch. 2).  Both are
+native: the multivariate gcd recurses on the lowest-index parameter and
+runs a primitive pseudo-remainder sequence over the other parameters, and
+exact division is long division by lex-leading terms.  The package has no
+runtime dependency; the tests use sympy as an independent gcd oracle.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 
@@ -80,7 +83,7 @@ for _n in ("alpha", "beta", "delta", "lam", "mu", "w", "x", "y", "z",
 
 
 # ---------------------------------------------------------------------------
-# Sparse multivariate polynomials over Fraction
+# Sparse multivariate polynomials over Z
 #
 # A monomial is a tuple of (param_index, exponent) pairs, sorted by index,
 # exponents > 0.  () is the constant monomial.
@@ -88,7 +91,6 @@ for _n in ("alpha", "beta", "delta", "lam", "mu", "w", "x", "y", "z",
 Mono = tuple
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _mono_mul(a: Mono, b: Mono) -> Mono:
@@ -115,7 +117,8 @@ def _mono_lex_key(m: Mono) -> tuple:
 
 
 class Poly:
-    """Multivariate polynomial, dict of monomial -> nonzero Fraction."""
+    """Multivariate polynomial over Z, dict of monomial -> nonzero int; never
+    mutated.  poly_gcd and poly_divexact also take coefficients in Q."""
 
     __slots__ = ("terms",)
 
@@ -125,13 +128,15 @@ class Poly:
     @staticmethod
     def const(c) -> "Poly":
         c = Fraction(c)
-        return Poly({(): c} if c else {})
+        if c.denominator != 1:
+            raise ScalarError(f"polynomial coefficient {c} is not an integer")
+        return Poly({(): c.numerator} if c else {})
 
     @staticmethod
     def var(p: Union[Param, str]) -> "Poly":
         if isinstance(p, str):
             p = Param(p)
-        return Poly({((p.index, 1),): _ONE})
+        return Poly({((p.index, 1),): 1})
 
     @property
     def is_zero(self) -> bool:
@@ -141,10 +146,10 @@ class Poly:
     def is_const(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and () in self.terms)
 
-    def const_value(self) -> Fraction:
+    def const_value(self) -> int:
         if not self.is_const:
             raise ScalarError("not a constant polynomial")
-        return self.terms.get((), _ZERO)
+        return self.terms.get((), 0)
 
     def params(self) -> set:
         out = set()
@@ -170,7 +175,7 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         t = dict(self.terms)
         for m, c in other.terms.items():
-            s = t.get(m, _ZERO) + c
+            s = t.get(m, 0) + c
             if s:
                 t[m] = s
             else:
@@ -190,21 +195,15 @@ class Poly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mono_mul(m1, m2)
-                s = t.get(m, _ZERO) + c1 * c2
+                s = t.get(m, 0) + c1 * c2
                 if s:
                     t[m] = s
                 else:
                     t.pop(m, None)
         return Poly(t)
 
-    def scale(self, c) -> "Poly":
-        c = Fraction(c)
-        if not c:
-            return Poly()
-        return Poly({m: cc * c for m, cc in self.terms.items()})
-
     def __pow__(self, n: int) -> "Poly":
-        out = Poly.const(1)
+        out = _P_ONE
         for _ in range(n):
             out = out * self
         return out
@@ -221,20 +220,6 @@ class Poly:
             total += v
         return total
 
-    def substitute(self, mapping: Mapping[Param, "Poly"]) -> "Poly":
-        """Substitute polynomials for parameters."""
-        out = Poly()
-        for m, c in self.terms.items():
-            term = Poly.const(c)
-            for i, e in m:
-                p = Param._order[i]
-                rep = mapping.get(p)
-                if rep is None:
-                    rep = Poly.var(p)
-                term = term * rep ** e
-            out = out + term
-        return out
-
     def reduce_square(self, p: Param, replacement: "Poly") -> "Poly":
         """Rewrite p**2 -> replacement until degree in p is at most 1."""
         cur = self
@@ -249,7 +234,7 @@ class Poly:
                         rest = _mono_mul(rest, ((p.index, 1),))
                     extra = extra + Poly({rest: c}) * replacement ** (e // 2)
                 else:
-                    s = t.get(m, _ZERO) + c
+                    s = t.get(m, 0) + c
                     if s:
                         t[m] = s
                     else:
@@ -257,34 +242,28 @@ class Poly:
             cur = Poly(t) + extra
         return cur
 
-    def content_sign(self) -> Fraction:
-        """Positive rational content, signed by the lex-leading coefficient."""
-        if not self.terms:
-            return _ONE
-        nums = [c.numerator for c in self.terms.values()]
-        dens = [c.denominator for c in self.terms.values()]
-        from math import gcd, lcm
-        g = 0
-        for n in nums:
-            g = gcd(g, abs(n))
-        l = 1
-        for d in dens:
-            l = lcm(l, d)
-        content = Fraction(g, l)
-        lead = min(self.terms, key=_mono_lex_key)
-        if self.terms[lead] < 0:
-            content = -content
-        return content
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: _mono_lex_key(kv[0]))
+    def lead_coeff(self) -> int:
+        """The coefficient of the lex-leading monomial; 0 for zero."""
+        return self.terms[min(self.terms, key=_mono_lex_key)] if self.terms else 0
 
     def __repr__(self):
         return f"Poly({emit_poly(self)})"
 
 
-def _poly_is_monomial(p: Poly) -> bool:
-    return len(p.terms) == 1
+_P_ONE = Poly({(): 1})
+
+
+def _divide_content(p: Poly, k: int) -> Poly:
+    """p / k for an integer k that divides every coefficient."""
+    return p if k == 1 else Poly({m: c // k for m, c in p.terms.items()})
+
+
+def _over_z(p: Poly) -> tuple:
+    """(l * p, l) for the least integer l > 0 that clears p's denominators."""
+    if {*map(type, p.terms.values())} <= {int}:
+        return p, 1
+    l = lcm(*(Fraction(c).denominator for c in p.terms.values()))
+    return Poly({m: int(c * l) for m, c in p.terms.items()}), l
 
 
 def _mono_gcd(a: Mono, b: Mono) -> Mono:
@@ -297,6 +276,8 @@ def _mono_gcd(a: Mono, b: Mono) -> Mono:
 
 
 def _mono_div(m: Mono, by: Mono) -> Mono:
+    if not by:
+        return m
     d = dict(m)
     for i, e in by:
         r = d.get(i, 0) - e
@@ -319,20 +300,22 @@ def _monomial_gcd(monos) -> Poly:
         g = m if g is None else _mono_gcd(g, m)
         if not g:
             break
-    return Poly({g: _ONE})
+    return Poly({g: 1})
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Primitive positive gcd over Q[params]."""
+    """Primitive gcd over Z[params] with positive lex-leading coefficient;
+    operands over Q are scaled into Z[params] first."""
+    a, b = _over_z(a)[0], _over_z(b)[0]
     if a.is_zero:
         return _make_primitive(b)
     if b.is_zero:
         return _make_primitive(a)
     if a.is_const or b.is_const:
-        return Poly.const(1)
-    if _poly_is_monomial(a):
+        return _P_ONE
+    if len(a.terms) == 1:
         return _gcd_with_monomial(a, b)
-    if _poly_is_monomial(b):
+    if len(b.terms) == 1:
         return _gcd_with_monomial(b, a)
     va, vb = a.params(), b.params()
     if len(va) == 1 and va == vb:
@@ -341,10 +324,9 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def _make_primitive(p: Poly) -> Poly:
-    if p.is_zero:
-        return p
-    c = p.content_sign()
-    return p.scale(1 / c)
+    """p over its integer content, with a positive lex-leading coefficient."""
+    k = gcd(*p.terms.values())
+    return _divide_content(p, -k if p.lead_coeff() < 0 else k)
 
 
 # poly_gcd's univariate and multivariate branches run the same _gcd; they are
@@ -362,9 +344,9 @@ _from_sympy = _multivariate_gcd
 
 
 def _gcd(a: Poly, b: Poly) -> Poly:
-    """A gcd of a and b over Q[params], up to a rational factor.
+    """A gcd of a and b over Z[params], up to an integer factor.
 
-    Let v be the lowest-index parameter of a and b.  Over Q[other params]
+    Let v be the lowest-index parameter of a and b.  Over Z[other params]
     each operand splits into its content in v (the gcd of its coefficients)
     and a primitive part; the gcd is the gcd of the contents times the
     last nonzero remainder of the primitive pseudo-remainder sequence of
@@ -376,7 +358,7 @@ def _gcd(a: Poly, b: Poly) -> Poly:
     if b.is_zero:
         return a
     if a.is_const or b.is_const:
-        return Poly({(): _ONE})
+        return _P_ONE
     if len(a.terms) == 1 or len(b.terms) == 1:
         return _monomial_gcd((*a.terms, *b.terms))
     v = min(m[0][0] for m in (*a.terms, *b.terms) if m)
@@ -398,8 +380,9 @@ def _gcd(a: Poly, b: Poly) -> Poly:
 
 
 def _primitive(p: Poly, content: Poly, v: int) -> dict:
-    """p / content with coprime integer coefficients, split in v."""
-    return _split(_make_primitive(poly_divexact(p, content)), v)
+    """p / content with coprime integer coefficients, split in v.  The
+    content is made primitive first, so the division stays over Z."""
+    return _split(_make_primitive(poly_divexact(p, _make_primitive(content))), v)
 
 
 def _split(p: Poly, v: int) -> dict:
@@ -454,66 +437,74 @@ def _prem(a: dict, b: dict) -> dict:
 
 
 def poly_divexact(a: Poly, by: Poly) -> Poly:
-    """Exact division; raises if not divisible."""
-    if by.is_const:
-        return a.scale(1 / by.const_value())
-    if _poly_is_monomial(by):
-        (m0, c0), = by.terms.items()
-        return Poly({_mono_div(m, m0): c / c0 for m, c in a.terms.items()})
-    # Long division by lex-leading terms: if by divides a, the leading
-    # monomial of every remainder is a multiple of by's.
-    lead = min(by.terms, key=_mono_lex_key)
-    lc = by.terms[lead]
-    rest = [(m, c) for m, c in by.terms.items() if m != lead]
-    r = dict(a.terms)
-    q = {}
-    while r:
-        m = min(r, key=_mono_lex_key)
-        qm = _mono_div(m, lead)
-        qc = r.pop(m) / lc
-        q[qm] = qc
-        for mb, cb in rest:
-            mm = _mono_mul(qm, mb)
-            s = r.get(mm, _ZERO) - qc * cb
-            if s:
-                r[mm] = s
-            else:
-                r.pop(mm, None)
-    return Poly(q)
+    """Exact division; raises if not divisible.  It divides by the primitive
+    part of `by` over Z, where the quotient has integer coefficients by
+    Gauss's lemma; operands over Q are scaled into Z first and back after."""
+    a, la = _over_z(a)
+    by, lb = _over_z(by)
+    k = gcd(*by.terms.values())
+    by = _divide_content(by, k)
+    if len(by.terms) == 1:
+        (m0, c0), = by.terms.items()     # c0 is 1 or -1
+        q = {_mono_div(m, m0): c * c0 for m, c in a.terms.items()}
+    else:
+        # Long division by lex-leading terms: if by divides a, the leading
+        # monomial of every remainder is a multiple of by's.
+        lead = min(by.terms, key=_mono_lex_key)
+        lc = by.terms[lead]
+        rest = [(m, c) for m, c in by.terms.items() if m != lead]
+        r = dict(a.terms)
+        q = {}
+        while r:
+            m = min(r, key=_mono_lex_key)
+            qm = _mono_div(m, lead)
+            qc, rem = divmod(r.pop(m), lc)
+            if rem:
+                raise ScalarError("not divisible")
+            q[qm] = qc
+            for mb, cb in rest:
+                mm = _mono_mul(qm, mb)
+                s = r.get(mm, 0) - qc * cb
+                if s:
+                    r[mm] = s
+                else:
+                    r.pop(mm, None)
+    if la == lb == k == 1:
+        return Poly(q)
+    f = Fraction(lb, la * k)
+    return Poly({m: c * f for m, c in q.items()})
 
 
 # ---------------------------------------------------------------------------
-# Scalar = reduced fraction of polynomials
+# Scalar = reduced fraction of integer polynomials
 
 
 class Scalar:
-    """Reduced num/den pair; equality is structural on the canonical form.
-
-    Canonical form: gcd(num, den) is a unit, den has integer coefficients
-    with content 1 and positive lex-leading coefficient; constant dens are
-    absorbed into num (den = 1).
-    """
+    """num/den over Z[params]; equality is structural on the canonical form:
+    num and den have no common factor, integer content included, and den's
+    lex-leading coefficient is positive, so a constant den is a positive
+    integer.  x/2 + 1/3 is (3*x+2, 6), printed (3*x+2)/6; zero is (0, 1)."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Optional[Poly] = None, _canonical: bool = False):
         if den is None:
-            den = Poly.const(1)
-        if den.is_zero:
-            raise ZeroDivisionError("scalar with zero denominator")
+            den = _P_ONE
         if not _canonical:
+            if den.is_zero:
+                raise ZeroDivisionError("scalar with zero denominator")
             num, den = _canonicalize(num, den)
         self.num = num
         self.den = den
 
     # -- constructors
     @staticmethod
-    def const(c) -> "Scalar":
-        return Scalar(Poly.const(c))
+    def const(c: Union[int, Fraction]) -> "Scalar":
+        return _const(c.numerator, c.denominator)
 
     @staticmethod
     def var(name: Union[str, Param]) -> "Scalar":
-        return Scalar(Poly.var(name))
+        return Scalar(Poly.var(name), _P_ONE, _canonical=True)
 
     @staticmethod
     def of(v) -> "Scalar":
@@ -528,14 +519,14 @@ class Scalar:
     # -- structure
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return not self.num.terms
 
     @property
     def is_const(self) -> bool:
         return self.num.is_const and self.den.is_const
 
     def const_value(self) -> Fraction:
-        return self.num.const_value() / self.den.const_value()
+        return Fraction(self.num.const_value(), self.den.const_value())
 
     def params(self) -> set:
         return self.num.params() | self.den.params()
@@ -551,16 +542,19 @@ class Scalar:
     # -- arithmetic
     #
     # Scalars are never mutated, so an operation whose result is one of its
-    # canonical operands returns that operand, and one on two constants
-    # (den = 1 in canonical form) builds its canonical result directly.
+    # canonical operands returns that operand, and one on two constants works
+    # on their four integers (_ints) and builds its canonical result directly.
     def __add__(self, other):
-        other = Scalar.of(other)
-        if other.num.is_zero:
+        if type(other) is not Scalar:
+            other = Scalar.of(other)
+        if not other.num.terms:
             return self
-        if self.num.is_zero:
+        if not self.num.terms:
             return other
-        if self.is_const and other.is_const:
-            return Scalar(self.num + other.num, self.den, _canonical=True)
+        a = _ints(self)
+        b = a and _ints(other)
+        if b:
+            return _const(a[0] * b[1] + b[0] * a[1], a[1] * b[1])
         if self.den == other.den:
             return Scalar(self.num + other.num, self.den)
         return Scalar(self.num * other.den + other.num * self.den, self.den * other.den)
@@ -568,13 +562,14 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
-        if self.num.is_zero:
+        if not self.num.terms:
             return self
         return Scalar(-self.num, self.den, _canonical=True)
 
     def __sub__(self, other):
-        other = Scalar.of(other)
-        if other.num.is_zero:
+        if type(other) is not Scalar:
+            other = Scalar.of(other)
+        if not other.num.terms:
             return self
         return self + (-other)
 
@@ -582,11 +577,14 @@ class Scalar:
         return Scalar.of(other) - self
 
     def __mul__(self, other):
-        other = Scalar.of(other)
-        if self.num.is_zero or other.num.is_zero:
+        if type(other) is not Scalar:
+            other = Scalar.of(other)
+        if not self.num.terms or not other.num.terms:
             return ZERO
-        if self.is_const and other.is_const:
-            return Scalar(self.num * other.num, self.den, _canonical=True)
+        a = _ints(self)
+        b = a and _ints(other)
+        if b:
+            return _const(a[0] * b[0], a[1] * b[1])
         return Scalar(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -595,6 +593,10 @@ class Scalar:
         other = Scalar.of(other)
         if other.num.is_zero:
             raise ZeroDivisionError("division by zero scalar")
+        a = _ints(self)
+        b = a and _ints(other)
+        if b:
+            return _const(a[0] * b[1], a[1] * b[0])
         return Scalar(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
@@ -630,19 +632,33 @@ class Scalar:
         return emit_scalar(self)
 
 
+def _ints(s: Scalar) -> Optional[tuple]:
+    """(n, d) when s is the constant n/d, else None; s is nonzero."""
+    n, d = s.num.terms, s.den.terms
+    if len(n) == 1 and len(d) == 1 and () in n and () in d:
+        return n[()], d[()]
+
+
+def _const(n: int, d: int) -> Scalar:
+    """The canonical constant n/d for integers n and d != 0: one gcd."""
+    g = gcd(n, d) if d > 0 else -gcd(n, d)
+    n, d = n // g, d // g
+    return Scalar(Poly({(): n}) if n else Poly(), _P_ONE if d == 1 else Poly({(): d}),
+                  _canonical=True)
+
+
 def _canonicalize(num: Poly, den: Poly):
     if num.is_zero:
-        return Poly(), Poly.const(1)
-    if den.is_const:
-        return num.scale(1 / den.const_value()), Poly.const(1)
-    g = poly_gcd(num, den)
-    if not g.is_const:
-        num = poly_divexact(num, g)
-        den = poly_divexact(den, g)
-        if den.is_const:
-            return num.scale(1 / den.const_value()), Poly.const(1)
-    c = den.content_sign()
-    return num.scale(1 / c), den.scale(1 / c)
+        return Poly(), _P_ONE
+    if not den.is_const:
+        g = poly_gcd(num, den)
+        if not g.is_const:
+            num = poly_divexact(num, g)
+            den = poly_divexact(den, g)
+    k = gcd(*num.terms.values(), *den.terms.values())
+    if den.lead_coeff() < 0:
+        k = -k
+    return _divide_content(num, k), _divide_content(den, k)
 
 
 def _subst_poly(p: Poly, mapping: Mapping[Param, Scalar]) -> Scalar:
@@ -783,18 +799,18 @@ def parse_scalar(text: str) -> Scalar:
     return _parse(text, _scalar_leaf)
 
 
-def emit_poly(p: Poly) -> str:
+def emit_poly(p: Poly, den: int = 1) -> str:
+    """p/den for an integer den > 0, with reduced fractions as coefficients."""
     if p.is_zero:
         return "0"
     parts = []
-    for m, c in p.sorted_terms():
+    for m, c in sorted(p.terms.items(), key=lambda kv: _mono_lex_key(kv[0])):
         factors = []
         for i, e in m:
             factors.extend([Param._order[i].name] * e)
-        mag = abs(c)
+        mag = abs(c) if den == 1 else Fraction(abs(c), den)
         if not factors or mag != 1:
-            cs = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
-            factors.insert(0, cs)
+            factors.insert(0, str(mag))
         term = "*".join(factors)
         if not parts:
             parts.append(term if c > 0 else "-" + term)
@@ -804,14 +820,9 @@ def emit_poly(p: Poly) -> str:
 
 
 def emit_scalar(s: Scalar) -> str:
-    from math import lcm
-    l = 1
-    for c in s.num.terms.values():
-        l = lcm(l, c.denominator)
-    num = s.num.scale(l)
-    den = s.den.scale(l)
+    num, den = s.num, s.den
     ns = emit_poly(num)
-    if den.is_const and den.const_value() == 1:
+    if len(den.terms) == 1 and den.terms.get(()) == 1:
         return ns
     ds = emit_poly(den)
     if len(num.terms) > 1 or "*" in ns:
@@ -829,13 +840,17 @@ _RELS = ("!=", ">=", "<=", ">", "<")
 
 
 class Constraint:
-    __slots__ = ("poly", "rel")
+    """`poly/den rel 0` for poly over Z and an integer den > 0, which only
+    keeps the printed form of a rational constraint such as `lam-1/2 >= 0`."""
 
-    def __init__(self, poly: Poly, rel: str):
+    __slots__ = ("poly", "rel", "den")
+
+    def __init__(self, poly: Poly, rel: str, den: int = 1):
         if rel not in _RELS:
             raise ParseError(f"bad relation {rel!r}")
         self.poly = poly
         self.rel = rel
+        self.den = den
 
     def holds(self, value: Fraction) -> bool:
         if self.rel == "!=":
@@ -849,7 +864,7 @@ class Constraint:
         return value <= 0
 
     def __repr__(self):
-        return f"{emit_poly(self.poly)} {self.rel} 0"
+        return f"{emit_poly(self.poly, self.den)} {self.rel} 0"
 
 
 class Radical:
@@ -898,7 +913,7 @@ class ParamDomain:
                         s = parse_scalar(lhs) - parse_scalar(rhs)
                         if not s.den.is_const:
                             raise ParseError(f"constraint not polynomial: {piece}")
-                        cons.append(Constraint(s.num, rel))
+                        cons.append(Constraint(s.num, rel, s.den.const_value()))
                         break
                 else:
                     raise ParseError(f"no relation in constraint {piece!r}")
@@ -928,7 +943,7 @@ class ParamDomain:
                 continue
             if not s.den.is_const:
                 raise ScalarError("substituted constraint not polynomial")
-            cons.append(Constraint(s.num, c.rel))
+            cons.append(Constraint(s.num, c.rel, s.den.const_value()))
         return ParamDomain(cons)
 
     # -- exact reduction modulo radical relations
@@ -937,11 +952,8 @@ class ParamDomain:
             p = p.reduce_square(r.w, r.radicand)
         return p
 
-    def is_zero_poly(self, p: Poly) -> bool:
-        return self.reduce(p).is_zero
-
     def is_zero(self, s: Scalar) -> bool:
-        return self.is_zero_poly(s.num)
+        return self.reduce(s.num).is_zero
 
     # -- nonvanishing certificates
     def nonvanishing_basis(self) -> list:
@@ -989,10 +1001,10 @@ class ParamDomain:
         if p.degree_in(v) != 1 or len(p.terms) > 2:
             return False
         c1 = p.terms.get(((v.index, 1),))
-        c0 = p.terms.get((), _ZERO)
+        c0 = p.terms.get((), 0)
         if c1 is None:
             return False
-        root = -c0 / c1
+        root = Fraction(-c0, c1)
         for c in self.constraints:
             if c.poly.params() == {v}:
                 try:
@@ -1036,17 +1048,9 @@ class ParamDomain:
             for r in self.radicals:
                 # radicand = A*solve_for + B; solve A*s + B = w**2
                 s = r.solve_for
-                a_poly = Poly()
-                b_poly = Poly()
-                for m, c in r.radicand.terms.items():
-                    e = dict(m).get(s.index, 0)
-                    if e:
-                        a_poly = a_poly + Poly({_mono_div(m, ((s.index, 1),)): c})
-                    else:
-                        b_poly = b_poly + Poly({m: c})
                 try:
-                    a = a_poly.eval(asg)
-                    b = b_poly.eval(asg)
+                    b = r.radicand.eval({**asg, s: 0})
+                    a = r.radicand.eval({**asg, s: 1}) - b
                 except MissingParam:
                     ok = False
                     break

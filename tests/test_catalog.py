@@ -112,6 +112,14 @@ def test_excluded_parameter_value_fails_load(tmp_path):
         load_catalog(data)
 
 
+def test_a_rational_radicand_fails_load(tmp_path):
+    # a Scalar's num is the radicand only when its den is 1
+    data = _broken_copy(tmp_path, "iso_b.txt", "radical: w*w = y*z solve z",
+                        "radical: w*w = y*z/2 solve z")
+    with pytest.raises(ParseError, match="integer coefficients"):
+        load_catalog(data)
+
+
 def test_unsatisfiable_domain_fails_load(tmp_path):
     data = _broken_copy(tmp_path, "phase_b.txt",
                         "domain: x != 0\n\n[phase_b/B1_1_2]",

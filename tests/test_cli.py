@@ -58,6 +58,15 @@ def test_geometry_at_assignment(capsys):
     assert data["soliton"]["free_parameters"] == 1
 
 
+def test_assignment_outside_the_domain_notes_the_rational_constraint(capsys):
+    code, _, err = run_cli(capsys, "geometry", "curvature/d4_lam/3:a",
+                           "--set", "lam=0")
+    assert code == 0
+    assert err.splitlines() == [
+        "note: assignment leaves the stated domain (lam-1/2 >= 0)",
+        "note: assignment leaves the stated domain (lam-1/2 > 0)"]
+
+
 def test_geometry_inline_abelian(capsys):
     code, out, _ = run_cli(capsys, "--format", "json", "geometry",
                            "--algebra", "abelian", "--metric", "eps13+eps24")

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -246,6 +247,16 @@ def test_split_at_root():
     assert split_at_root(S("x*y+1"), EMPTY_DOMAIN) is None
 
 
+@pytest.mark.parametrize("text, root", [("2*x-1", Fraction(1, 2)),
+                                        ("3*x+2", Fraction(-2, 3))])
+def test_split_at_root_is_exact(text, root):
+    var, value, off = split_at_root(S(text), EMPTY_DOMAIN)
+    assert var == X
+    assert type(value.const_value()) is Fraction and value.const_value() == root
+    assert value == Scalar.const(root)
+    assert [repr(c) for c in off.constraints] == [f"{text} != 0"]
+
+
 def test_radical_sampling_and_reduction():
     # w^2 = y*z with w > 0, y != 0: sampler solves z, reducer kills w^2-y*z.
     w, z = Param("w"), Param("z")
@@ -310,6 +321,77 @@ def test_arithmetic_shortcuts_match_general_path(a, b):
     unrelated = {Param("z"): b}
     _same(a.substitute(unrelated),
           _subst_poly(a.num, unrelated) / _subst_poly(a.den, unrelated))
+
+
+# ---------------------------------------------------------------------------
+# the canonical form over Z[params]
+
+
+def _emit_reference(s):
+    """The emitter of rational-coefficient numerators: den made primitive
+    with a positive lex-leading coefficient, num over Q, and both scaled by
+    the lcm of num's coefficient denominators."""
+    lead = min(s.den.terms, key=_mono_lex_key)
+    content = math.gcd(*s.den.terms.values()) * (1 if s.den.terms[lead] > 0 else -1)
+    num = {m: Fraction(c, content) for m, c in s.num.terms.items()}
+    den = {m: Fraction(c, content) for m, c in s.den.terms.items()}
+    l = math.lcm(*(c.denominator for c in num.values()))
+    num = {m: c * l for m, c in num.items()}
+    den = {m: c * l for m, c in den.items()}
+    ns, ds = _emit_terms_reference(num), _emit_terms_reference(den)
+    if den == {(): 1}:
+        return ns
+    if len(num) > 1 or "*" in ns:
+        ns = f"({ns})"
+    if len(den) > 1 or "*" in ds or ds.startswith("-"):
+        ds = f"({ds})"
+    return f"{ns}/{ds}"
+
+
+def _emit_terms_reference(terms):
+    out = ""
+    for m, c in sorted(terms.items(), key=lambda kv: _mono_lex_key(kv[0])):
+        factors = [Param._order[i].name for i, e in m for _ in range(e)]
+        if not factors or abs(c) != 1:
+            factors.insert(0, str(abs(c)))
+        out += ("-" if c < 0 else "+" if out else "") + "*".join(factors)
+    return out or "0"
+
+
+def _assert_canonical(s):
+    num, den = s.num.terms, s.den.terms
+    assert all(type(c) is int for c in (*num.values(), *den.values()))
+    assert math.gcd(*num.values(), *den.values()) == 1
+    assert poly_gcd(s.num, s.den).is_const
+    assert den[min(den, key=_mono_lex_key)] > 0
+    if not num:
+        assert den == {(): 1}
+    assert emit_scalar(s) == _emit_reference(s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(operands(), operands(), st.integers(-2, 3))
+def test_results_are_in_the_integer_canonical_form(a, b, n):
+    results = [a + b, a - b, -a, a * b]
+    try:
+        results.append(a.substitute({X: b}))
+    except ZeroDivisionError:
+        pass     # b is a root of a's denominator
+    if not b.is_zero:
+        results.append(a / b)
+    if n >= 0 or not a.is_zero:
+        results.append(a ** n)
+    for s in results:
+        _assert_canonical(s)
+
+
+def test_poly_coefficients_are_integers():
+    assert Poly.const(Fraction(4, 2)) == Poly.const(2)
+    with pytest.raises(ScalarError):
+        Poly.const(Fraction(1, 2))
+    assert (S("x/2") + S("1/3")).num == S("3*x+2").num
+    assert (S("x/2") + S("1/3")).den == Poly.const(6)
+    assert emit_scalar(S("x/2") + S("1/3")) == "(3*x+2)/6"
 
 
 # ---------------------------------------------------------------------------
