@@ -119,16 +119,14 @@ def _soliton_system(L: LieAlgebra4, h: Mat4):
     return rows, cells
 
 
-def solve_soliton(L: LieAlgebra4, h: Mat4,
-                  domain: ParamDomain = EMPTY_DOMAIN,
-                  ric_mat: Optional[Mat4] = None) -> Optional[SolitonSolutionSet]:
-    """Exact affine solution set, or None when provably inconsistent.
+def solve_soliton(L: LieAlgebra4, h: Mat4, domain: ParamDomain,
+                  ric_mat: Mat4) -> Optional[SolitonSolutionSet]:
+    """Exact affine solution set for the Ricci form ric_mat of h, or None
+    when provably inconsistent.
 
     Raises RankAmbiguous when the system's rank depends on parameters not
     pinned down by the domain.
     """
-    if ric_mat is None:
-        ric_mat = ricci(L, levi_civita(L, h, domain), domain)
     rows, cells = _soliton_system(L, h)
     rhs = [-ric_mat.rows[i][j] for (i, j) in cells]
     sol = solve_affine(rows, rhs, domain)

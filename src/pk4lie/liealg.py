@@ -93,9 +93,6 @@ class LieAlgebra4:
         br = {k: [c.substitute(mapping) for c in v] for k, v in self.brackets.items()}
         return LieAlgebra4(br, self.name, self.domain)
 
-    def __repr__(self):
-        return f"LieAlgebra4({self.name or self.serialize()})"
-
 
 def ce_d(L: LieAlgebra4, omega: Mat4):
     """Chevalley-Eilenberg differential of an antisymmetric two-form.
@@ -144,47 +141,6 @@ class ParacomplexReport:
     def is_paracomplex(self) -> bool:
         return (self.squares_to_id and self.eigenrank_plus == 2
                 and self.eigenrank_minus == 2 and self.nijenhuis_zero)
-
-
-def eigenplanes_involutive_at(L: LieAlgebra4, K: Mat4, assignment) -> Optional[bool]:
-    """At a rational parameter point: are both eigenplanes of K closed
-    under the bracket?  None when K is not a para-complex candidate there
-    (wrong eigenspace dimensions)."""
-    from fractions import Fraction
-    from .linalg import nullspace_fractions, rank_fractions
-    kv = K.eval(assignment)
-    consts = {}
-    for (i, j), v in L.brackets.items():
-        consts[(i, j)] = [c.eval(assignment) for c in v]
-
-    def bracket_num(u, w):
-        out = [Fraction(0)] * 4
-        for i in range(4):
-            for j in range(4):
-                if i == j or not u[i] or not w[j]:
-                    continue
-                if (i, j) in consts:
-                    vec, sgn = consts[(i, j)], 1
-                elif (j, i) in consts:
-                    vec, sgn = consts[(j, i)], -1
-                else:
-                    continue
-                for r in range(4):
-                    out[r] += sgn * u[i] * w[j] * vec[r]
-        return out
-
-    result = True
-    for sign in (1, -1):
-        shifted = [[kv[i][j] - (sign if i == j else 0) for j in range(4)]
-                   for i in range(4)]
-        basis = nullspace_fractions(shifted)
-        if len(basis) != 2:
-            return None
-        u, w = basis
-        b = bracket_num(u, w)
-        if rank_fractions([u, w, b]) > 2:
-            result = False
-    return result
 
 
 def paracomplex_check(L: LieAlgebra4, K: Mat4,

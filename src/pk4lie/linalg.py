@@ -78,12 +78,6 @@ class Mat4:
             m.rows[i][i] = ONE
         return m
 
-    def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
-
-    def copy(self) -> "Mat4":
-        return Mat4([row[:] for row in self.rows])
-
     def __add__(self, other: "Mat4") -> "Mat4":
         return Mat4([[a + b for a, b in zip(r1, r2)]
                      for r1, r2 in zip(self.rows, other.rows)])
@@ -214,23 +208,6 @@ class ThreeForm4:
 
     def is_zero(self, domain: ParamDomain = EMPTY_DOMAIN) -> bool:
         return all(domain.is_zero(v) for v in self.components.values())
-
-    def __add__(self, other):
-        return ThreeForm4({t: self.components[t] + other.components[t]
-                           for t in self.TRIPLES})
-
-    def __sub__(self, other):
-        return ThreeForm4({t: self.components[t] - other.components[t]
-                           for t in self.TRIPLES})
-
-    def scale(self, c):
-        c = Scalar.of(c)
-        return ThreeForm4({t: c * v for t, v in self.components.items()})
-
-    def __repr__(self):
-        parts = [f"e{i+1}{j+1}{k+1}: {emit_scalar(v)}"
-                 for (i, j, k), v in self.components.items() if not v.is_zero]
-        return "ThreeForm4(" + ", ".join(parts or ["0"]) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -417,43 +394,6 @@ def solve_affine(a_rows: List[List[Scalar]], b: List[Scalar],
             vec[col] = -aug[i][fc] / aug[i][col]
         basis.append(vec)
     return AffineSolution(point, basis)
-
-
-def nullspace_fractions(matrix: List[List[Fraction]]) -> List[List[Fraction]]:
-    """Basis of the kernel of a rational matrix (rows x 4 columns)."""
-    m = [[Fraction(v) for v in row] for row in matrix]
-    n = len(m[0]) if m else 0
-    pivots = {}
-    row_used: set = set()
-    for col in range(n):
-        i = next((r for r in range(len(m)) if r not in row_used and m[r][col] != 0),
-                 None)
-        if i is None:
-            continue
-        row_used.add(i)
-        pivots[col] = i
-        piv = m[i][col]
-        for j in range(len(m)):
-            if j == i:
-                continue
-            f = m[j][col] / piv
-            if f:
-                m[j] = [a - f * b for a, b in zip(m[j], m[i])]
-    basis = []
-    for free in range(n):
-        if free in pivots:
-            continue
-        vec = [Fraction(0)] * n
-        vec[free] = Fraction(1)
-        for col, i in pivots.items():
-            vec[col] = -m[i][free] / m[i][col]
-        basis.append(vec)
-    return basis
-
-
-def rank_fractions(matrix: List[List[Fraction]]) -> int:
-    ncols = len(matrix[0]) if matrix else 0
-    return ncols - len(nullspace_fractions(matrix))
 
 
 def signature_of(matrix: List[List[Fraction]]) -> tuple:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .liealg import LieAlgebra4
 from .linalg import Vec4, vzero
@@ -56,32 +56,6 @@ class LSA2:
                 p = self.product_basis(a, b)
                 out = [o + c * pc for o, pc in zip(out, p)]
         return out
-
-    def associator_symmetry_defects(self) -> List[Vec2]:
-        """ass(u,v,w) - ass(v,u,w) on all basis triples with u != v."""
-        def ass(u, v, w):
-            uv = self.product(u, v)
-            vw = self.product(v, w)
-            return [a - b for a, b in zip(self.product(uv, w), self.product(u, vw))]
-
-        e = ([ONE, ZERO], [ZERO, ONE])
-        out = []
-        for w in e:
-            d1 = ass(e[0], e[1], w)
-            d2 = ass(e[1], e[0], w)
-            out.append([a - b for a, b in zip(d1, d2)])
-        return out
-
-    def is_left_symmetric(self, domain: Optional[ParamDomain] = None) -> bool:
-        dom = self.domain if domain is None else domain
-        return all(all(dom.is_zero(c) for c in d)
-                   for d in self.associator_symmetry_defects())
-
-    def commutator_brackets(self) -> Vec2:
-        """[e1, e2] = e1.e2 - e2.e1 (Jacobi is automatic in dimension 2)."""
-        p12 = self.product_basis(0, 1)
-        p21 = self.product_basis(1, 0)
-        return [a - b for a, b in zip(p12, p21)]
 
     @staticmethod
     def parse(text: str, name: str = "", domain: ParamDomain = EMPTY_DOMAIN,

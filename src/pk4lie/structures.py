@@ -11,21 +11,21 @@ Both of the last two checks are exact.  The signature is neutral by the
 isotropic-eigenspace certificate (`neutral_certified`) whenever its
 premises passed, and is sampled only when one of them failed.  nabla K = 0
 is decided on the Koszul values (`K_parallel`), with no connection and no
-inverse of the metric.  `levi_civita` and `nabla_K` build the connection
-itself, for the curvature suite and as the tests' oracle.
+inverse of the metric.  `levi_civita` builds the connection itself, for
+the curvature suite and the `geometry` command.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import List, Set
 
 from .linalg import DegenerateError, Mat4, Vec4, signature_of, vbasis
 from .liealg import (
     LieAlgebra4, NotSymmetric, ParacomplexReport, ce_d, form_apply,
     paracomplex_check, pfaffian_nondegenerate,
 )
-from .scalars import EMPTY_DOMAIN, HALF, ParamDomain, Scalar, Verdict, ZERO
+from .scalars import EMPTY_DOMAIN, HALF, ParamDomain, Verdict, ZERO
 
 
 def metric_from(omega: Mat4, K: Mat4, domain: ParamDomain = EMPTY_DOMAIN) -> Mat4:
@@ -42,35 +42,11 @@ class Connection4:
     def __init__(self, nabla: List[Mat4]):
         self.nabla = nabla
 
-    def of(self, i: int, j: int) -> Vec4:
-        """nabla_{e_i} e_j."""
-        return [self.nabla[i].rows[r][j] for r in range(4)]
-
     def directional(self, u: Vec4) -> Mat4:
         out = Mat4.zeros()
         for i in range(4):
             if not u[i].is_zero:
                 out = out + self.nabla[i].scale(u[i])
-        return out
-
-    def torsion_defect(self, L: LieAlgebra4) -> Dict[tuple, Vec4]:
-        out = {}
-        for i in range(4):
-            for j in range(i + 1, 4):
-                d = [self.of(i, j)[r] - self.of(j, i)[r] - L.bracket_basis(i, j)[r]
-                     for r in range(4)]
-                out[(i, j)] = d
-        return out
-
-    def metric_defect(self, h: Mat4) -> Dict[tuple, Scalar]:
-        """h(nabla_i e_j, e_k) + h(e_j, nabla_i e_k), all (i, j <= k)."""
-        out = {}
-        for i in range(4):
-            for j in range(4):
-                for k in range(j, 4):
-                    val = (form_apply(h, self.of(i, j), vbasis(k))
-                           + form_apply(h, vbasis(j), self.of(i, k)))
-                    out[(i, j, k)] = val
         return out
 
 
@@ -102,11 +78,6 @@ def levi_civita(L: LieAlgebra4, h: Mat4,
             for r in range(4):
                 nabla[i].rows[r][j] = v[r]
     return Connection4(nabla)
-
-
-def nabla_K(L: LieAlgebra4, conn: Connection4, K: Mat4) -> List[Mat4]:
-    """(nabla_{e_i} K) e_j = nabla_{e_i}(K e_j) - K(nabla_{e_i} e_j)."""
-    return [conn.nabla[i] @ K - K @ conn.nabla[i] for i in range(4)]
 
 
 def K_parallel(L: LieAlgebra4, h: Mat4, K: Mat4,

@@ -13,7 +13,7 @@ its note explains that check alone.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from .catalog import Catalog, CurvatureRowEntry
 from .curvature import classify_row, soliton_family_equal, soliton_residual
@@ -24,7 +24,7 @@ from .linalg import (
 from .morphisms import LinMap, check_equivalence, check_lie_isomorphism, transport
 from .notation import emit_endo, emit_two_form, parse_endo, parse_two_form
 from .scalars import ParamDomain, Scalar, ScalarError
-from .structures import EntryReport, metric_from, validate_para_kahler
+from .structures import EntryReport, validate_para_kahler
 
 NF_OMEGA_TEXT = "e13+e24"
 NF_K_TEXT = "E11+E22-E33-E44"
@@ -326,75 +326,6 @@ def run_equivalence_witnesses(cat: Catalog, seed: int = 0) -> List[EntryReport]:
             rep.add("L2_residual_is_minus_2", val == Scalar.const(-2), str(val))
     reports.append(rep)
     return reports
-
-
-# ---------------------------------------------------------------------------
-# Cross-reference: curvature metrics against structure metrics
-
-
-def link_curvature_metrics(cat: Catalog) -> Dict[str, Optional[str]]:
-    """For each curvature row, a structure whose induced metric matches the
-    literal one (up to overall sign and simple parameter renormalizations);
-    None when no listed structure matches."""
-    by_alg: Dict[str, list] = {}
-    for st in cat.structure_list():
-        by_alg.setdefault(st.algebra.name, []).append(st)
-    out: Dict[str, Optional[str]] = {}
-    for row in cat.curvature_list():
-        match = None
-        for st in by_alg.get(row.algebra.name, []):
-            try:
-                hst = metric_from(st.omega, st.K, st.domain)
-            except Exception:
-                continue
-            for cand_id, cand in _metric_candidates(hst):
-                if cand.equals(row.metric):
-                    match = st.entry_id + cand_id
-                    break
-            if match:
-                break
-        out[row.entry_id] = match
-    return out
-
-
-def _metric_candidates(h: Mat4):
-    """The metric with its parameters renormalized in simple ways: sign
-    flips, rescalings, shifts and zero specializations, plus an overall
-    sign.  Used only to document which structure a curvature row's metric
-    comes from."""
-    params = {p.name: p for p in h.params() if p.name in ("x", "y")}
-    x = Scalar.var("x")
-    y = Scalar.var("y")
-    x_subs = [("", None)]
-    if "x" in params:
-        for tag, v in (("-x", -x), ("0", Scalar.const(0)), ("2x", 2 * x),
-                       ("-2x", -2 * x), ("x/2", x / 2), ("x+1", x + 1),
-                       ("x-1", x - 1), ("1", Scalar.const(1)),
-                       ("-1", Scalar.const(-1))):
-            x_subs.append((f"[x->{tag}]", {params["x"]: v}))
-    y_subs = [("", None)]
-    if "y" in params:
-        for tag, v in (("-y", -y), ("0", Scalar.const(0)), ("2y", 2 * y),
-                       ("-2y", -2 * y), ("y/2", y / 2), ("-y/2", -y / 2),
-                       ("x", x), ("-x", -x)):
-            y_subs.append((f"[y->{tag}]", {params["y"]: v}))
-    for xt, xs in x_subs:
-        for yt, ys in y_subs:
-            sub = {**(xs or {}), **(ys or {})}
-            try:
-                cand = h.substitute(sub) if sub else h
-            except ZeroDivisionError:
-                continue
-            yield xt + yt, cand
-            yield xt + yt + "[-]", -cand
-
-
-def unreferenced_phase_rows(cat: Catalog) -> List[str]:
-    """Phase-space rows that no isomorphism row uses as its source; the
-    printed tables reference some family labels they never define and omit
-    others, so the mismatch is reported instead of repaired."""
-    used = {row.source_ref for row in cat.iso_rows.values()}
-    return [rid for rid in cat.phase_rows if rid not in used]
 
 
 # ---------------------------------------------------------------------------

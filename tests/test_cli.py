@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -235,3 +238,16 @@ def test_geometry_and_dump_build_only_the_named_row(monkeypatch, capsys):
     assert main(["dump", "curvature/d4_half/1"]) == 0
     assert built == []
     capsys.readouterr()
+
+
+def test_the_benchmark_tracer_finds_every_name_it_hooks():
+    # perfbench/tracer.py wraps pk4lie functions by name, some of which no
+    # command calls (Scalar.__rsub__, __rtruediv__, identity_test, ...);
+    # renaming or deleting one must fail here, not only in a benchmark run.
+    root = Path(__file__).resolve().parent.parent
+    r = subprocess.run(
+        [sys.executable, "-c",
+         "import pk4lie.cli, tracer; tracer.install(tracer.Tracer())"],
+        cwd=root / "perfbench", env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr

@@ -1,12 +1,12 @@
 from pk4lie.curvature import (
-    classify_row, curvature, family_dimension, lie_derivative_metric,
+    Geometry, classify_row, curvature, family_dimension, lie_derivative_metric,
     ricci, ricci_operator, scalar_curvature, solve_soliton, soliton_family_equal,
     soliton_residual,
 )
 from pk4lie.liealg import LieAlgebra4
 from pk4lie.linalg import Mat4
 from pk4lie.notation import parse_endo, parse_sym_form, parse_two_form, parse_tuple4
-from pk4lie.scalars import ParamDomain, Scalar, parse_scalar
+from pk4lie.scalars import EMPTY_DOMAIN, ParamDomain, Scalar, parse_scalar
 from pk4lie.structures import levi_civita, metric_from
 
 D4HALF = LieAlgebra4.parse(
@@ -89,7 +89,7 @@ def test_lie_derivative_flat_case_x0():
 
 
 def test_soliton_d4_half_generic_x():
-    sol = solve_soliton(D4HALF, H1, XNZ)
+    sol = Geometry(D4HALF, H1, XNZ).soliton
     assert sol is not None
     assert sol.free_count == 0
     assert sol.lam == parse_scalar("3/2*x")
@@ -105,7 +105,7 @@ def test_soliton_d4_half_flat_cases():
         conn = levi_civita(D4HALF, h)
         ric = ricci(D4HALF, conn)
         assert ric.is_zero()
-        sol = solve_soliton(D4HALF, h, ric_mat=ric)
+        sol = solve_soliton(D4HALF, h, EMPTY_DOMAIN, ric)
         assert sol is not None and sol.free_count == 1
         ok, why = soliton_family_equal(
             D4HALF, h, ric, sol,
@@ -115,7 +115,7 @@ def test_soliton_d4_half_flat_cases():
 
 def test_soliton_abelian_fully_free():
     h = parse_sym_form("eps13+eps24")
-    sol = solve_soliton(ABELIAN, h)
+    sol = Geometry(ABELIAN, h).soliton
     assert sol is not None
     assert sol.free_count == 4
     assert sol.lam.is_zero

@@ -1,15 +1,14 @@
-"""Elimination over Scalar against the Fraction oracle (nullspace_fractions,
-rank_fractions), which shares no code with linalg._eliminate."""
+"""Elimination over Scalar against the Fraction oracle (oracles.py's
+nullspace_fractions and rank_fractions), which shares no code with
+linalg._eliminate."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from pk4lie.linalg import (
-    Mat4, generic_rank, nullspace_fractions, rank_fractions, rank_on_domain,
-    solve_affine,
-)
+from pk4lie.linalg import Mat4, generic_rank, rank_on_domain, solve_affine
 from pk4lie.scalars import Scalar
+from oracles import nullspace_fractions, rank_fractions
 
 small = st.fractions(-3, 3, max_denominator=3)
 

@@ -12,14 +12,14 @@ from hypothesis import assume, given, settings, strategies as hst
 
 from pk4lie.catalog import _alg_params, load_catalog
 from pk4lie.curvature import classify_row, ricci
-from pk4lie.liealg import (
-    LieAlgebra4, eigenplanes_involutive_at, nijenhuis, form_apply,
-)
+from pk4lie.liealg import LieAlgebra4, nijenhuis, form_apply
 from pk4lie.linalg import Mat4, RankAmbiguous, vbasis, vis_zero
 from pk4lie.notation import parse_endo
-from pk4lie.scalars import DenominatorVanishes, Scalar
-from pk4lie.structures import (
-    Connection4, K_parallel, levi_civita, metric_from, nabla_K,
+from pk4lie.scalars import Scalar
+from pk4lie.structures import K_parallel, levi_civita, metric_from
+from oracles import (
+    involutive_samples, levi_civita_axioms_hold, nabla_K, omega_parallel,
+    perturbed,
 )
 
 CAT = load_catalog()
@@ -33,22 +33,14 @@ def _metrics():
 
 def test_levi_civita_axioms_hold_catalog_wide():
     for st, h in _metrics():
-        conn = levi_civita(st.algebra, h, st.domain)
-        assert all(vis_zero(v, st.domain)
-                   for v in conn.torsion_defect(st.algebra).values()), st.entry_id
-        assert all(st.domain.is_zero(s)
-                   for s in conn.metric_defect(h).values()), st.entry_id
+        nabla = levi_civita(st.algebra, h, st.domain).nabla
+        assert levi_civita_axioms_hold(st.algebra, h, nabla, st.domain), st.entry_id
 
 
 def test_nabla_omega_parallel_catalog_wide():
     for st, h in _metrics():
-        conn = levi_civita(st.algebra, h, st.domain)
-        for i in range(4):
-            for j in range(4):
-                for k in range(j, 4):
-                    val = (form_apply(st.omega, conn.of(i, j), vbasis(k))
-                           + form_apply(st.omega, vbasis(j), conn.of(i, k)))
-                    assert st.domain.is_zero(val), st.entry_id
+        nabla = levi_civita(st.algebra, h, st.domain).nabla
+        assert omega_parallel(st.omega, nabla, st.domain), st.entry_id
 
 
 def test_anti_isometry_catalog_wide():
@@ -58,8 +50,8 @@ def test_anti_isometry_catalog_wide():
 
 
 def _nabla_K_zero_oracle(L, h, K, domain):
-    conn = levi_civita(L, h, domain)
-    return all(m.is_zero(domain) for m in nabla_K(L, conn, K))
+    nabla = levi_civita(L, h, domain).nabla
+    return all(m.is_zero(domain) for m in nabla_K(nabla, K))
 
 
 def test_koszul_test_matches_the_connection_catalog_wide():
@@ -103,16 +95,10 @@ def test_levi_civita_uniqueness_by_perturbation():
     sample = rng.sample(STRUCTURES, 12)
     for st in sample:
         h = metric_from(st.omega, st.K, st.domain)
-        conn = levi_civita(st.algebra, h, st.domain)
+        nabla = levi_civita(st.algebra, h, st.domain).nabla
         i, r, j = rng.randrange(4), rng.randrange(4), rng.randrange(4)
-        perturbed = [m.copy() for m in conn.nabla]
-        perturbed[i].rows[r][j] = perturbed[i].rows[r][j] + Scalar.const(1)
-        bad = Connection4(perturbed)
-        torsion_ok = all(vis_zero(v, st.domain)
-                         for v in bad.torsion_defect(st.algebra).values())
-        metric_ok = all(st.domain.is_zero(s)
-                        for s in bad.metric_defect(h).values())
-        assert not (torsion_ok and metric_ok), st.entry_id
+        bad = perturbed(nabla, i, r, j)
+        assert not levi_civita_axioms_hold(st.algebra, h, bad, st.domain), st.entry_id
 
 
 def test_flat_implies_ricci_flat_across_rows():
@@ -137,21 +123,10 @@ def test_nijenhuis_matches_sampled_involutivity():
         expected = all(vis_zero(v, st.domain)
                        for v in nijenhuis(st.algebra, st.K).values())
         assert expected, st.entry_id  # catalog structures are integrable
-        params = (st.K.params() | _alg_params(st.algebra) | st.domain.params())
-        checked = 0
-        attempts = 0
-        while checked < 32 and attempts < 320:
-            attempts += 1
-            asg = st.domain.sample(rng, params)
-            try:
-                inv = eigenplanes_involutive_at(st.algebra, st.K, asg)
-            except (ZeroDivisionError, DenominatorVanishes):
-                continue
-            if inv is None:
-                continue
+        samples = involutive_samples(st.algebra, st.K, st.domain, rng, 32, 320)
+        for asg, inv in samples:
             assert inv, (st.entry_id, asg)
-            checked += 1
-        assert checked >= 32, st.entry_id
+        assert len(samples) >= 32, st.entry_id
 
 
 def test_nijenhuis_cross_check_negative_control():
@@ -165,14 +140,8 @@ def test_nijenhuis_cross_check_negative_control():
     K = parse_endo("E11+x*E12-E22+E33-E44")
     n = nijenhuis(L, K)
     assert not all(vis_zero(v, dom) for v in n.values())
-    rng = random.Random(5)
-    flags = 0
-    for _ in range(16):
-        asg = dom.sample(rng, K.params() | _alg_params(L) | dom.params())
-        inv = eigenplanes_involutive_at(L, K, asg)
-        if inv is False:
-            flags += 1
-    assert flags == 16
+    samples = involutive_samples(L, K, dom, random.Random(5), 16, 16)
+    assert [inv for _, inv in samples] == [False] * 16
 
 
 def _catalog_matrices():

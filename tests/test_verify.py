@@ -9,10 +9,10 @@ import pytest
 from pk4lie.catalog import load_catalog
 from pk4lie.notation import parse_sym_form
 from pk4lie.verify import (
-    _verify_curvature_row, link_curvature_metrics, run_curvature_rows,
-    run_equivalence_witnesses, run_iso_rows, run_phase_rows, run_scope,
-    run_structures, run_symplectic,
+    _verify_curvature_row, run_curvature_rows, run_equivalence_witnesses,
+    run_iso_rows, run_phase_rows, run_scope, run_structures, run_symplectic,
 )
+from oracles import link_curvature_metrics, unreferenced_phase_rows
 
 CAT = load_catalog()
 
@@ -147,7 +147,6 @@ def test_reports_deterministic_for_fixed_seed():
 def test_unreferenced_phase_rows_reported():
     # two bracket families never appear as a source in the isomorphism
     # tables; the catalog reports them rather than inventing rows
-    from pk4lie.verify import unreferenced_phase_rows
     assert unreferenced_phase_rows(CAT) == ["phase_b/B1_m1_2",
                                             "phase_b/B3_half_3"]
 
