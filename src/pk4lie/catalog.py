@@ -14,10 +14,8 @@ assert it.
 
 from __future__ import annotations
 
-import random
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -30,8 +28,7 @@ from .notation import (
     parse_tuple4, parse_vector,
 )
 from .scalars import (
-    DomainUnsatisfiable, Param, ParamDomain, ParseError, Radical, Scalar,
-    parse_scalar,
+    Param, ParamDomain, ParseError, Radical, Scalar, parse_scalar,
 )
 
 
@@ -57,11 +54,11 @@ _RADICAL_RE = re.compile(r"^w\s*\*\s*w\s*=\s*(.+?)\s+solve\s+([A-Za-z_][A-Za-z0-
 _MAP_COLUMN_RE = re.compile(r"^f([1-4])\s*=\s*(.+)$")
 
 
-@dataclass
 class RawEntry:
-    entry_id: str
-    fields: Dict[str, str]
-    raw: str
+    __slots__ = ("entry_id", "fields", "raw")
+
+    def __init__(self, entry_id: str, fields: Dict[str, str], raw: str):
+        self.entry_id, self.fields, self.raw = entry_id, fields, raw
 
     def get(self, key: str, default: str = "") -> str:
         return self.fields.get(key, default)
@@ -141,56 +138,57 @@ def _parse_domain(entry: RawEntry, key: str = "domain") -> ParamDomain:
     return dom
 
 
-@dataclass
 class AlgebraEntry:
     """An algebra family, or a phase-space bracket family read like one."""
 
-    entry_id: str
-    raw: RawEntry
-    algebra: LieAlgebra4
+    __slots__ = ("entry_id", "raw", "algebra")
+
+    def __init__(self, entry_id: str, raw: RawEntry, algebra: LieAlgebra4):
+        self.entry_id, self.raw, self.algebra = entry_id, raw, algebra
 
 
-@dataclass
 class SymplecticEntry:
-    """One sign variant of a symplectic row.  `domain` is the algebra's
-    domain tightened by the row's own column, `row_domain`."""
+    """One sign variant ("", "a" or "b") of a symplectic row.  `domain` is
+    the algebra's domain tightened by the row's own column, `row_domain`."""
 
-    entry_id: str
-    raw: RawEntry
-    variant: str  # "", "a" or "b"
-    algebra: LieAlgebra4
-    omega: Mat4
-    domain: ParamDomain
-    row_domain: ParamDomain
+    __slots__ = ("entry_id", "raw", "variant", "algebra", "omega", "domain",
+                 "row_domain")
+
+    def __init__(self, entry_id: str, raw: RawEntry, variant: str,
+                 algebra: LieAlgebra4, omega: Mat4, domain: ParamDomain,
+                 row_domain: ParamDomain):
+        self.entry_id, self.raw, self.variant = entry_id, raw, variant
+        self.algebra, self.omega = algebra, omega
+        self.domain, self.row_domain = domain, row_domain
 
 
-@dataclass
 class StructureEntry:
     """One concrete (algebra, omega, K) with its domain, signs resolved."""
 
-    entry_id: str
-    raw: RawEntry
-    variant: str
-    algebra: LieAlgebra4
-    omega: Mat4
-    K: Mat4
-    domain: ParamDomain
-    symplectic_ref: str
+    __slots__ = ("entry_id", "raw", "variant", "algebra", "omega", "K",
+                 "domain", "symplectic_ref")
+
+    def __init__(self, entry_id: str, raw: RawEntry, variant: str,
+                 algebra: LieAlgebra4, omega: Mat4, K: Mat4,
+                 domain: ParamDomain, symplectic_ref: str):
+        self.entry_id, self.raw, self.variant = entry_id, raw, variant
+        self.algebra, self.omega, self.K = algebra, omega, K
+        self.domain, self.symplectic_ref = domain, symplectic_ref
 
 
-@dataclass
 class IsoRowEntry:
     """The map `matrix` carries `target` onto `source`: its columns are the
     target's basis written in the source row's coordinates.  `source_subst`
     pins the branch of the source family the row covers, `subst`
     instantiates the target's parameters."""
 
-    entry_id: str
-    raw: RawEntry
-    source: LieAlgebra4
-    matrix: Mat4
-    target: LieAlgebra4
-    domain: ParamDomain
+    __slots__ = ("entry_id", "raw", "source", "matrix", "target", "domain")
+
+    def __init__(self, entry_id: str, raw: RawEntry, source: LieAlgebra4,
+                 matrix: Mat4, target: LieAlgebra4, domain: ParamDomain):
+        self.entry_id, self.raw = entry_id, raw
+        self.source, self.matrix, self.target = source, matrix, target
+        self.domain = domain
 
     @property
     def source_ref(self) -> str:
@@ -201,21 +199,20 @@ class IsoRowEntry:
         return self.raw.get("target")
 
 
-@dataclass
 class CurvatureRowEntry:
-    """Concrete curvature row: metric plus the expected verdict columns."""
+    """Concrete curvature row: metric plus the expected verdict columns.
+    No __slots__: `geometry` is cached in the instance's __dict__."""
 
-    entry_id: str
-    raw: RawEntry
-    variant: str
-    algebra: LieAlgebra4
-    metric: Mat4
-    domain: ParamDomain
-    expect_flat: bool
-    expect_ricci_flat: bool
-    expect_x: Optional[List[Scalar]]   # None = "no soliton"
-    expect_lam: Optional[Scalar]
-    notes: str
+    def __init__(self, entry_id: str, raw: RawEntry, variant: str,
+                 algebra: LieAlgebra4, metric: Mat4, domain: ParamDomain,
+                 expect_flat: bool, expect_ricci_flat: bool,
+                 expect_x: Optional[List[Scalar]], expect_lam: Optional[Scalar],
+                 notes: str):
+        self.entry_id, self.raw, self.variant = entry_id, raw, variant
+        self.algebra, self.metric, self.domain = algebra, metric, domain
+        self.expect_flat, self.expect_ricci_flat = expect_flat, expect_ricci_flat
+        self.expect_x = expect_x  # None = "no soliton"
+        self.expect_lam, self.notes = expect_lam, notes
 
     @cached_property
     def geometry(self) -> Geometry:
@@ -409,9 +406,7 @@ def expand_variants(raw: RawEntry, keys: Tuple[str, ...]) -> List[Tuple[str, Dic
 
 
 def _check_satisfiable(entry_id: str, domain: ParamDomain, params) -> None:
-    try:
-        domain.sample(random.Random(0xC0FFEE), params, attempts=4000)
-    except DomainUnsatisfiable:
+    if not domain.satisfiable(params):
         raise LoadAssertionFailed(entry_id, "domain unsatisfiable")
 
 

@@ -2,6 +2,12 @@
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage or parse
 errors.  Output is deterministic for a fixed catalog, seed and trial count.
+
+Every command runs on the scalar, matrix, notation, Lie algebra and
+structure modules imported here.  A subcommand imports the rest of what it
+runs when it starts, so that a cold process compiles and loads only that:
+`dump` and `geometry` load `catalog` and `curvature`, `phase` loads
+`phase_space`, and only `verify` loads `verify` and `morphisms`.
 """
 
 from __future__ import annotations
@@ -10,20 +16,20 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .catalog import Catalog, _alg_params, _check_satisfiable, load_catalog
-from .curvature import Geometry, ricci_operator, scalar_curvature
 from .liealg import LieAlgebra4
 from .linalg import Mat4, RankAmbiguous, DegenerateError
 from .notation import emit_sym_form, parse_sym_form
-from .phase_space import (
-    LSA2, LSAPair, assembled_brackets, is_lie_extendible, lsa_catalog,
-)
 from .scalars import ParamDomain, ParseError, Scalar
 from .structures import metric_from, validate_para_kahler
-from .verify import SCOPES, normal_form, run_scope
+
+if TYPE_CHECKING:
+    from .catalog import Catalog
 
 USAGE_ERROR = 2
+SCOPES = ("symplectic", "structures", "phase", "iso", "curvature",
+          "witnesses", "all")
 
 
 def main(argv=None) -> int:
@@ -79,6 +85,8 @@ def main(argv=None) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .catalog import load_catalog
+    from .verify import run_scope
     cat = load_catalog()
     reports = run_scope(cat, args.scope, seed=args.seed, trials=args.trials)
     failed = sum(r.status == "FAIL" for r in reports)
@@ -130,6 +138,7 @@ def _curvature_table(cat: Catalog) -> str:
 
 
 def _resolve_geometry(args, cat: Catalog):
+    from .catalog import _alg_params, _check_satisfiable
     if args.entry:
         if args.entry in cat.curvature_rows:
             row = cat.curvature_rows[args.entry]
@@ -151,6 +160,7 @@ def _resolve_geometry(args, cat: Catalog):
 def _parse_assignments(items, L: LieAlgebra4, h: Mat4, dom: ParamDomain) -> dict:
     """`--set PARAM=RATIONAL` items as a substitution; ParseError on a
     malformed item or on a parameter the algebra, metric and domain lack."""
+    from .catalog import _alg_params
     by_name = {p.name: p for p in h.params() | dom.params() | _alg_params(L)}
     subst = {}
     for item in items:
@@ -167,6 +177,8 @@ def _parse_assignments(items, L: LieAlgebra4, h: Mat4, dom: ParamDomain) -> dict
 
 
 def cmd_geometry(args) -> int:
+    from .catalog import load_catalog
+    from .curvature import Geometry, ricci_operator, scalar_curvature
     cat = load_catalog(check=False)
     L, h, dom, label = _resolve_geometry(args, cat)
     subst = _parse_assignments(args.set, L, h, dom)
@@ -181,7 +193,8 @@ def cmd_geometry(args) -> int:
         dom = _substitute_domain_lenient(dom, subst)
     out = {"entry": label, "algebra": L.serialize(),
            "metric": emit_sym_form(h)}
-    # catalog rows are Jacobi-checked at load; inline brackets are not
+    # a catalog row's Jacobi identity is asserted by the checked load of
+    # `verify`, not in this process; inline brackets are checked here
     if label == "inline" and not L.is_lie_algebra(dom):
         out["error"] = "brackets fail the Jacobi identity"
         _emit_geometry(args, out)
@@ -272,6 +285,10 @@ def _emit_geometry(args, out: dict) -> None:
 
 
 def cmd_phase(args) -> int:
+    from .phase_space import (
+        LSA2, LSAPair, assembled_brackets, is_lie_extendible, lsa_catalog,
+        normal_form,
+    )
     catalog = lsa_catalog()
     if args.base not in catalog:
         raise KeyError(f"unknown left-symmetric algebra {args.base!r}; "
@@ -319,6 +336,7 @@ def cmd_phase(args) -> int:
 
 
 def cmd_dump(args) -> int:
+    from .catalog import load_catalog
     cat = load_catalog(check=False)
     sys.stdout.write(cat.dump(args.entry))
     return 0

@@ -8,7 +8,6 @@ of  L_X h + ric = lambda h  with X left-invariant and lambda constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
@@ -85,7 +84,6 @@ def lie_derivative_metric(L: LieAlgebra4, h: Mat4, x: Vec4) -> Mat4:
     return out
 
 
-@dataclass
 class SolitonSolutionSet:
     """Affine solutions (X, lambda) of L_X h + ric = lambda h.
 
@@ -93,10 +91,12 @@ class SolitonSolutionSet:
     every specialization satisfies the equation exactly.
     """
 
-    x: List[Scalar]
-    lam: Scalar
-    free_count: int
-    free_params: List[Param]
+    __slots__ = ("x", "lam", "free_count", "free_params")
+
+    def __init__(self, x: List[Scalar], lam: Scalar, free_count: int,
+                 free_params: List[Param]):
+        self.x, self.lam = x, lam
+        self.free_count, self.free_params = free_count, free_params
 
     def type_tag(self, domain: ParamDomain = EMPTY_DOMAIN) -> str:
         """shrinking/steady/expanding when decidable on the whole domain."""

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
 from .linalg import (
@@ -129,13 +128,16 @@ def nijenhuis(L: LieAlgebra4, K: Mat4) -> Dict[tuple, Vec4]:
     return out
 
 
-@dataclass
 class ParacomplexReport:
-    squares_to_id: bool
-    eigenrank_plus: Optional[int]
-    eigenrank_minus: Optional[int]
-    nijenhuis_zero: bool
-    rank_constraint: Optional[str] = None
+    __slots__ = ("squares_to_id", "eigenrank_plus", "eigenrank_minus",
+                 "nijenhuis_zero", "rank_constraint")
+
+    def __init__(self, squares_to_id: bool, eigenrank_plus: Optional[int],
+                 eigenrank_minus: Optional[int], nijenhuis_zero: bool,
+                 rank_constraint: Optional[str] = None):
+        self.squares_to_id = squares_to_id
+        self.eigenrank_plus, self.eigenrank_minus = eigenrank_plus, eigenrank_minus
+        self.nijenhuis_zero, self.rank_constraint = nijenhuis_zero, rank_constraint
 
     @property
     def is_paracomplex(self) -> bool:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from .liealg import LieAlgebra4
@@ -16,14 +15,15 @@ class NotAutomorphism(ScalarError):
     pass
 
 
-@dataclass
 class LinMap:
     """matrix columns are the images of the source basis in target coordinates."""
 
-    matrix: Mat4
-    source: LieAlgebra4
-    target: LieAlgebra4
-    domain: ParamDomain = EMPTY_DOMAIN
+    __slots__ = ("matrix", "source", "target", "domain")
+
+    def __init__(self, matrix: Mat4, source: LieAlgebra4, target: LieAlgebra4,
+                 domain: ParamDomain = EMPTY_DOMAIN):
+        self.matrix, self.source, self.target = matrix, source, target
+        self.domain = domain
 
     def invertible(self, trials: int = 32, seed: int = 0) -> Verdict:
         return nonvanishing(self.matrix.det(), self.domain, trials, seed)

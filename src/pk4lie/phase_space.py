@@ -15,13 +15,14 @@ phase-space rows list.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .liealg import LieAlgebra4
-from .linalg import Vec4, vzero
+from .linalg import Mat4, Vec4, vzero
+from .notation import emit_vector, parse_endo, parse_two_form, parse_vector
 from .scalars import (
     EMPTY_DOMAIN, ParamDomain, ParseError, Poly, Scalar, ZERO, ONE,
+    _make_primitive,
 )
 
 Vec2 = List[Scalar]
@@ -100,7 +101,6 @@ def parse_products(text: str, offset: int = 0) -> Dict[tuple, Vec2]:
 
 
 def _parse_vec2(text: str, offset: int) -> Vec2:
-    from .notation import parse_vector
     v4 = parse_vector(text)
     lo = [v4[i] for i in range(offset, offset + 2)]
     rest = [v4[i] for i in range(4) if not (offset <= i < offset + 2)]
@@ -110,7 +110,6 @@ def _parse_vec2(text: str, offset: int) -> Vec2:
 
 
 def emit_products(products: Dict[tuple, Vec2], offset: int = 0) -> str:
-    from .notation import emit_vector
     parts = []
     for (a, b) in sorted(products):
         vec = products[(a, b)]
@@ -122,11 +121,12 @@ def emit_products(products: Dict[tuple, Vec2], offset: int = 0) -> str:
     return "; ".join(parts) if parts else "trivial"
 
 
-@dataclass
 class LSAPair:
-    on_U: LSA2
-    on_Ustar: LSA2
-    domain: ParamDomain = EMPTY_DOMAIN
+    __slots__ = ("on_U", "on_Ustar", "domain")
+
+    def __init__(self, on_U: LSA2, on_Ustar: LSA2,
+                 domain: ParamDomain = EMPTY_DOMAIN):
+        self.on_U, self.on_Ustar, self.domain = on_U, on_Ustar, domain
 
 
 def phase_product(pair: LSAPair, p: Vec4, q: Vec4) -> Vec4:
@@ -202,15 +202,16 @@ def generic_ustar() -> LSA2:
     }, "generic_ustar")
 
 
-@dataclass
 class ConstraintSystem:
     """Jacobi defect of the assembled bracket as labelled polynomials."""
 
-    equations: List[Tuple[str, Poly]]
+    __slots__ = ("equations",)
+
+    def __init__(self, equations: List[Tuple[str, Poly]]):
+        self.equations = equations
 
     def contains(self, poly: Poly) -> bool:
         """Membership up to a rational unit."""
-        from .scalars import _make_primitive
         target = _make_primitive(poly)
         return any(_make_primitive(p) == target for _, p in self.equations
                    if not p.is_zero)
@@ -279,3 +280,14 @@ def lsa_catalog() -> Dict[str, LSA2]:
     for name, (text, dom) in LSA_CATALOG_TEXT.items():
         out[name] = LSA2.parse(text, name, ParamDomain.parse(dom))
     return out
+
+
+# The normal form that every phase-space pair carries: omega pairs U with
+# U*, and K is +1 on U and -1 on U*.
+NF_OMEGA_TEXT = "e13+e24"
+NF_K_TEXT = "E11+E22-E33-E44"
+
+
+def normal_form() -> Tuple[Mat4, Mat4]:
+    """The phase-space normal form (omega, K) = (e13+e24, diag(1,1,-1,-1))."""
+    return parse_two_form(NF_OMEGA_TEXT), parse_endo(NF_K_TEXT)

@@ -253,6 +253,25 @@ class Poly:
 _P_ONE = Poly({(): 1})
 
 
+def _times_int(p: Poly, k: int) -> Poly:
+    """p * k for an integer k != 0."""
+    return p if k == 1 else Poly({m: c * k for m, c in p.terms.items()})
+
+
+def _int_ratio(a: Poly, b: Poly) -> Optional[tuple]:
+    """Coprime integers (p, q) with q*a = p*b when a and b are nonzero
+    polynomials that differ by a rational factor, else None."""
+    at, bt = a.terms, b.terms
+    if at.keys() != bt.keys():
+        return None
+    m = next(iter(at))
+    g = gcd(at[m], bt[m])
+    p, q = at[m] // g, bt[m] // g
+    if all(c * q == bt[k] * p for k, c in at.items()):
+        return p, q
+    return None
+
+
 def _divide_content(p: Poly, k: int) -> Poly:
     """p / k for an integer k that divides every coefficient."""
     return p if k == 1 else Poly({m: c // k for m, c in p.terms.items()})
@@ -557,6 +576,12 @@ class Scalar:
             return _const(a[0] * b[1] + b[0] * a[1], a[1] * b[1])
         if self.den == other.den:
             return Scalar(self.num + other.num, self.den)
+        pq = _int_ratio(self.den, other.den)
+        if pq:
+            # q*den1 = p*den2: n1/den1 + n2/den2 = (q*n1 + p*n2) / (q*den1)
+            p, q = pq
+            return Scalar(_times_int(self.num, q) + _times_int(other.num, p),
+                          _times_int(self.den, q))
         return Scalar(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -894,6 +919,7 @@ class ParamDomain:
                  radicals: Sequence[Radical] = ()):
         self.constraints = list(constraints)
         self.radicals = list(radicals)
+        self._satisfied = False
 
     @staticmethod
     def parse(text: str) -> "ParamDomain":
@@ -1063,6 +1089,18 @@ class ParamDomain:
             if all(c.holds(c.poly.eval(asg)) for c in self.constraints):
                 return asg
         raise DomainUnsatisfiable(f"no sample found after {attempts} attempts")
+
+    def satisfiable(self, params: Iterable[Param] = ()) -> bool:
+        """Whether a seeded search of 4000 draws finds a point of the domain.
+        A domain is never changed, so a point once found is remembered and
+        the search runs until it first succeeds."""
+        if not self._satisfied:
+            try:
+                self.sample(random.Random(0xC0FFEE), params, attempts=4000)
+            except DomainUnsatisfiable:
+                return False
+            self._satisfied = True
+        return True
 
     def sampled_values(self, params: Iterable[Param], evaluate, trials: int,
                        seed: int):

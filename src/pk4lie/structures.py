@@ -17,7 +17,6 @@ the curvature suite and the `geometry` command.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Set
 
 from .linalg import DegenerateError, Mat4, Vec4, signature_of, vbasis
@@ -137,7 +136,6 @@ def neutral_certified(omega_antisymmetric: bool, nondegenerate: Verdict,
             and pc.eigenrank_plus == 2 and pc.eigenrank_minus == 2)
 
 
-@dataclass
 class EntryReport:
     """One verify row: its named checks, its notes and the status they give.
 
@@ -147,14 +145,14 @@ class EntryReport:
     one; a check's own `note` explains that check alone and joins `notes`
     only when the check fails.
     """
-    entry_id: str
-    row_note: str = ""
-    checks: List[dict] = field(default_factory=list)
-    notes: str = field(init=False)
-    explained: Set[str] = field(default_factory=set, init=False)
 
-    def __post_init__(self):
-        self.notes = self.row_note
+    __slots__ = ("entry_id", "row_note", "checks", "notes", "explained")
+
+    def __init__(self, entry_id: str, row_note: str = ""):
+        self.entry_id, self.row_note = entry_id, row_note
+        self.checks: List[dict] = []
+        self.notes = row_note
+        self.explained: Set[str] = set()
 
     def add(self, name: str, ok: bool, detail: str = "", note: str = "",
             structural: bool = False):

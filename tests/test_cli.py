@@ -251,3 +251,32 @@ def test_the_benchmark_tracer_finds_every_name_it_hooks():
         cwd=root / "perfbench", env=dict(os.environ, PYTHONPATH=str(root / "src")),
         capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
+
+
+# the pk4lie modules every command loads: the cli and what it imports itself
+CORE = {"pk4lie", "pk4lie.cli", "pk4lie.liealg", "pk4lie.linalg",
+        "pk4lie.notation", "pk4lie.scalars", "pk4lie.structures"}
+CATALOG = {"pk4lie.catalog", "pk4lie.curvature"}
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["dump", "curvature/d4_half/1"], CORE | CATALOG),
+    (["geometry", "curvature/d4_half/1"], CORE | CATALOG),
+    (["phase", "b2", "e3.e3=x*e4"], CORE | {"pk4lie.phase_space"}),
+    (["verify", "symplectic"], CORE | CATALOG | {
+        "pk4lie.morphisms", "pk4lie.phase_space", "pk4lie.verify"}),
+], ids=["dump", "geometry", "phase", "verify"])
+def test_each_command_imports_only_what_it_runs(argv, modules):
+    # a cold process: the modules loaded once the command has run
+    code = ("import json, sys\n"
+            "from pk4lie.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "sys.stderr.write(json.dumps(sorted(sys.modules)))\n")
+    root = Path(__file__).resolve().parent.parent
+    r = subprocess.run([sys.executable, "-c", code, *argv],
+                       env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    loaded = set(json.loads(r.stderr))
+    assert {m for m in loaded if m.split(".")[0] == "pk4lie"} == modules
+    assert "dataclasses" not in loaded

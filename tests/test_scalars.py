@@ -84,6 +84,18 @@ def test_domain_unsatisfiable():
     dom = ParamDomain.parse("x > 0, x < 0")
     with pytest.raises(DomainUnsatisfiable):
         identity_test(S("x"), dom, trials=2, seed=1)
+    assert not dom.satisfiable()
+
+
+def test_a_satisfied_domain_is_not_searched_again():
+    dom = ParamDomain.parse("x > 0, x - 1 < 0")
+    assert dom.satisfiable()
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched a domain already satisfied")
+
+    dom.sample = no_search
+    assert dom.satisfiable({Y})
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +158,10 @@ def test_emission_is_canonical():
     assert emit_scalar(S("x/(2*y)")) == "x/(2*y)"
     assert emit_scalar(S("(x*x-1)/(x-1)")) == "x+1"
     assert emit_scalar(S("1/2") * S("x") - S("x/2")) == "0"
+    # sums over denominators equal up to an integer factor
+    assert emit_scalar(S("1/(2*y)") + S("1/(3*y)")) == "5/(6*y)"
+    assert emit_scalar(S("x/(2*y+2)") - S("1/(3*y+3)")) == "(3*x-2)/(6*y+6)"
+    assert emit_scalar(S("x/(4*y)") + S("x/(-6*y)")) == "x/(12*y)"
 
 
 factors = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
@@ -315,6 +331,9 @@ def test_arithmetic_shortcuts_match_general_path(a, b):
     _same(a - b, Scalar(a.num * b.den - b.num * a.den, a.den * b.den))
     _same(-a, Scalar(-a.num, a.den))
     _same(a * b, Scalar(a.num * b.num, a.den * b.den))
+    # a denominator -2 times a's, unless b's numerator shares a factor with it
+    c = Scalar(b.num, a.den * Poly.const(-2))
+    _same(a + c, Scalar(a.num * c.den + c.num * a.den, a.den * c.den))
     _same(a + 0, a)
     _same(0 * a, Scalar(Poly(), a.den))
     # a substitution that names none of a's parameters (a has no z)

@@ -1,13 +1,15 @@
 """Suite-level regression: statuses of every catalog entry are frozen."""
 
-import dataclasses
 import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from pk4lie.catalog import load_catalog
+from pk4lie.catalog import CurvatureRowEntry, StructureEntry, load_catalog
+from pk4lie.liealg import LieAlgebra4
 from pk4lie.notation import parse_sym_form
+from pk4lie.scalars import ParamDomain, parse_scalar
 from pk4lie.verify import (
     _verify_curvature_row, run_curvature_rows, run_equivalence_witnesses,
     run_iso_rows, run_phase_rows, run_scope, run_structures, run_symplectic,
@@ -119,11 +121,44 @@ def test_erratum_note_does_not_hide_a_failed_check(monkeypatch):
 def test_degenerate_metric_fails_a_noted_curvature_row():
     row = CAT.curvature_rows["curvature/d4_1/2"]
     assert row.notes
-    broken = dataclasses.replace(row, metric=parse_sym_form("eps11+eps22"))
+    broken = CurvatureRowEntry(
+        row.entry_id, row.raw, row.variant, row.algebra,
+        parse_sym_form("eps11+eps22"), row.domain, row.expect_flat,
+        row.expect_ricci_flat, row.expect_x, row.expect_lam, row.notes)
     rep = _verify_curvature_row(broken)
     assert rep.status == "FAIL"
     assert [c["name"] for c in rep.checks if not c["ok"]] == [
         "metric_nondegenerate"]
+    assert rep.notes == row.notes
+
+
+def test_an_unsatisfiable_domain_fails_its_row():
+    # The checked load refuses such a row; a row built with one after the
+    # load fails on its own, neither passing vacuously nor raising
+    # DomainUnsatisfiable from a sampled check (omega scaled by y has a
+    # Pfaffian that only sampling can decide).
+    st = CAT.structures["structures/r2r2_mupos/K1"]
+    empty = ParamDomain.parse("mu > 0, mu < 0")
+    algebra = LieAlgebra4(st.algebra.brackets, st.algebra.name, empty)
+    rows = [StructureEntry(st.entry_id, st.raw, st.variant, algebra, omega,
+                           st.K, empty, st.symplectic_ref)
+            for omega in (st.omega, st.omega.scale(parse_scalar("y")))]
+    for rep in run_structures(SimpleNamespace(structure_list=lambda: rows)):
+        assert rep.status == "FAIL"
+        assert rep.checks == [{"name": "domain_satisfiable", "ok": False,
+                               "detail": f"no point of {empty!r} found"}]
+    # a noted curvature row: its note does not explain an empty domain
+    row = CAT.curvature_rows["curvature/d4_1/2"]
+    assert row.notes
+    empty = ParamDomain.parse("x > 0, x < 0")
+    broken = CurvatureRowEntry(
+        row.entry_id, row.raw, row.variant,
+        LieAlgebra4(row.algebra.brackets, row.algebra.name, empty),
+        row.metric, empty, row.expect_flat, row.expect_ricci_flat,
+        row.expect_x, row.expect_lam, row.notes)
+    rep = _verify_curvature_row(broken)
+    assert rep.status == "FAIL"
+    assert rep.failing() == ["domain_satisfiable"]
     assert rep.notes == row.notes
 
 
