@@ -286,14 +286,13 @@ def _emit_geometry(args, out: dict) -> None:
 
 def cmd_phase(args) -> int:
     from .phase_space import (
-        LSA2, LSAPair, assembled_brackets, is_lie_extendible, lsa_catalog,
-        normal_form,
+        LSA2, LSA_CATALOG_TEXT, LSAPair, assembled_brackets, is_lie_extendible,
+        lsa, normal_form,
     )
-    catalog = lsa_catalog()
-    if args.base not in catalog:
+    if args.base not in LSA_CATALOG_TEXT:
         raise KeyError(f"unknown left-symmetric algebra {args.base!r}; "
-                       f"choices: {', '.join(sorted(catalog))}")
-    base = catalog[args.base]
+                       f"choices: {', '.join(sorted(LSA_CATALOG_TEXT))}")
+    base = lsa(args.base)
     dual = LSA2.parse(args.dual or "trivial", "dual", offset=2)
     pair = LSAPair(base, dual, base.domain)
     L = assembled_brackets(pair)

@@ -11,10 +11,8 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
-from .liealg import LieAlgebra4, NotSymmetric, form_apply
-from .linalg import (
-    Mat4, Vec4, _eliminate, _pick_pivot, commutator, solve_affine, vbasis,
-)
+from .liealg import LieAlgebra4, NotSymmetric, lowered_brackets
+from .linalg import Mat4, Vec4, _eliminate, _pick_pivot, solve_affine
 from .scalars import EMPTY_DOMAIN, Param, ParamDomain, Scalar, ZERO
 from .structures import Connection4, levi_civita
 
@@ -40,10 +38,26 @@ class CurvatureTensor:
 
 
 def curvature(L: LieAlgebra4, conn: Connection4) -> CurvatureTensor:
+    """R(e_i,e_j) = sum_m b_m nabla_m - nabla_i nabla_j + nabla_j nabla_i for
+    [e_i,e_j] = sum_m b_m e_m, summed row by row into one matrix per pair
+    over the nonzero brackets and connection entries."""
+    nabla = [m.rows for m in conn.nabla]
     out = {}
     for (i, j) in PAIRS:
-        r = conn.directional(L.bracket_basis(i, j)) - commutator(conn.nabla[i], conn.nabla[j])
-        out[(i, j)] = r
+        ni, nj = nabla[i], nabla[j]
+        bracket = [(b, nabla[m]) for m, b in enumerate(L.brackets.get((i, j), ()))
+                   if not b.is_zero]
+        rows = []
+        for r in range(4):
+            # row r of R is a combination of rows of the nabla matrices
+            terms = [(b, n[r]) for b, n in bracket]
+            terms += [(-a, nj[t]) for t, a in enumerate(ni[r]) if not a.is_zero]
+            terms += [(a, ni[t]) for t, a in enumerate(nj[r]) if not a.is_zero]
+            row = [ZERO] * 4
+            for a, n_row in terms:
+                row = [x + a * y for x, y in zip(row, n_row)]
+            rows.append(row)
+        out[(i, j)] = Mat4._of(rows)
     return CurvatureTensor(out)
 
 
@@ -53,13 +67,8 @@ def ricci(L: LieAlgebra4, conn: Connection4,
     r = curvature(L, conn)
     ric = Mat4.zeros()
     for i in range(4):
-        for j in range(4):
-            s = ZERO
-            for k in range(4):
-                if k == i:
-                    continue
-                s = s + r[(i, k)].rows[k][j]
-            ric.rows[i][j] = s
+        ms = [(k, r[(i, k)].rows) for k in range(4) if k != i]
+        ric.rows[i] = [sum((m[k][j] for k, m in ms), ZERO) for j in range(4)]
     if not ric.is_symmetric(domain):
         raise NotSymmetric("computed Ricci tensor is not symmetric")
     return ric
@@ -75,13 +84,13 @@ def scalar_curvature(ric_op: Mat4) -> Scalar:
 
 
 def lie_derivative_metric(L: LieAlgebra4, h: Mat4, x: Vec4) -> Mat4:
-    """(L_X h)(u, v) = -h([X,u], v) - h(u, [X,v]) for left-invariant data."""
-    out = Mat4.zeros()
-    bx = [L.bracket(x, vbasis(j)) for j in range(4)]
-    for i in range(4):
-        for j in range(4):
-            out.rows[i][j] = -form_apply(h, bx[i], vbasis(j)) - form_apply(h, vbasis(i), bx[j])
-    return out
+    """(L_X h)(u, v) = -h([X,u], v) - h(u, [X,v]) for left-invariant data
+    and a symmetric h: on the basis, -sum_m x_m (c(m,i,j) + c(m,j,i)) with
+    the lowered brackets c(i,j,k) = h([e_i,e_j],e_k)."""
+    c = lowered_brackets(L, h)
+    xs = [(m, v) for m, v in enumerate(x) if not v.is_zero]
+    return Mat4._of([[-sum((v * (c[m][i][j] + c[m][j][i]) for m, v in xs), ZERO)
+                      for j in range(4)] for i in range(4)])
 
 
 class SolitonSolutionSet:
@@ -102,19 +111,21 @@ class SolitonSolutionSet:
         """shrinking/steady/expanding when decidable on the whole domain."""
         if self.lam.is_zero:
             return "steady"
-        if self.lam.is_const:
-            return "shrinking" if self.lam.const_value() > 0 else "expanding"
+        sign = domain.sign(self.lam.num) * domain.sign(self.lam.den)
+        if sign:
+            return "shrinking" if sign > 0 else "expanding"
         return "sign depends on parameters"
 
 
 def _soliton_system(L: LieAlgebra4, h: Mat4):
-    """Rows of the 10-equation linear system in (x1..x4, lambda)."""
-    d = [lie_derivative_metric(L, h, vbasis(i)) for i in range(4)]
+    """Rows of the 10-equation linear system in (x1..x4, lambda): column m
+    is L_{e_m} h, read off one table of lowered brackets."""
+    c = lowered_brackets(L, h)
     rows, cells = [], []
     for i in range(4):
         for j in range(i, 4):
-            rows.append([d[0].rows[i][j], d[1].rows[i][j], d[2].rows[i][j],
-                         d[3].rows[i][j], -h.rows[i][j]])
+            rows.append([-(c[m][i][j] + c[m][j][i]) for m in range(4)]
+                        + [-h.rows[i][j]])
             cells.append((i, j))
     return rows, cells
 

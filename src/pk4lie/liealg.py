@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 from .linalg import (
-    Mat4, RankAmbiguous, Vec4, rank_on_domain, vadd, vbasis, vis_zero, vscale,
-    vsub, vzero,
+    Mat4, RankAmbiguous, Vec4, rank_on_domain, vadd, vbasis, vis_zero, vsub,
+    vzero,
 )
 from .notation import emit_brackets, parse_brackets
 from .scalars import (
@@ -29,6 +29,17 @@ def form_apply(form: Mat4, u: Vec4, v: Vec4) -> Scalar:
                 continue
             out = out + u[i] * form.rows[i][j] * v[j]
     return out
+
+
+def lowered_brackets(L: "LieAlgebra4", h: Mat4) -> List[List[Vec4]]:
+    """c[i][j][k] = h([e_i, e_j], e_k), from the stored brackets only: a row
+    per bracket i < j, its negative at [j][i], and zero rows elsewhere."""
+    c = [[vzero() for _ in range(4)] for _ in range(4)]
+    for (i, j), b in L.brackets.items():
+        row = [sum((x * hm[k] for x, hm in zip(b, h.rows) if not x.is_zero), ZERO)
+               for k in range(4)]
+        c[i][j], c[j][i] = row, [-r for r in row]
+    return c
 
 
 class LieAlgebra4:
@@ -63,14 +74,12 @@ class LieAlgebra4:
         return [-c for c in v] if v else vzero()
 
     def bracket(self, u: Vec4, v: Vec4) -> Vec4:
+        """[u, v] = sum of (u_i v_j - u_j v_i) [e_i, e_j] over stored brackets."""
         out = vzero()
-        for i in range(4):
-            if u[i].is_zero:
-                continue
-            for j in range(4):
-                if v[j].is_zero or i == j:
-                    continue
-                out = vadd(out, vscale(u[i] * v[j], self.bracket_basis(i, j)))
+        for (i, j), b in self.brackets.items():
+            c = u[i] * v[j] - u[j] * v[i]
+            if not c.is_zero:
+                out = [o + c * x for o, x in zip(out, b)]
         return out
 
     def jacobi_defect(self) -> Dict[tuple, Vec4]:

@@ -48,11 +48,6 @@ def vsub(a: Vec4, b: Vec4) -> Vec4:
     return [x - y for x, y in zip(a, b)]
 
 
-def vscale(c, a: Vec4) -> Vec4:
-    c = Scalar.of(c)
-    return [c * x for x in a]
-
-
 def vis_zero(a: Vec4, domain: ParamDomain = EMPTY_DOMAIN) -> bool:
     return all(domain.is_zero(x) for x in a)
 
@@ -68,8 +63,15 @@ class Mat4:
             raise ScalarError("Mat4 needs 4x4 entries")
 
     @staticmethod
+    def _of(rows: List[List[Scalar]]) -> "Mat4":
+        """A Mat4 on rows that are already 4 lists of 4 Scalars: no coercion."""
+        m = object.__new__(Mat4)
+        m.rows = rows
+        return m
+
+    @staticmethod
     def zeros() -> "Mat4":
-        return Mat4([[ZERO] * 4 for _ in range(4)])
+        return Mat4._of([[ZERO] * 4 for _ in range(4)])
 
     @staticmethod
     def identity() -> "Mat4":
@@ -79,19 +81,19 @@ class Mat4:
         return m
 
     def __add__(self, other: "Mat4") -> "Mat4":
-        return Mat4([[a + b for a, b in zip(r1, r2)]
-                     for r1, r2 in zip(self.rows, other.rows)])
+        return Mat4._of([[a + b for a, b in zip(r1, r2)]
+                         for r1, r2 in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "Mat4") -> "Mat4":
-        return Mat4([[a - b for a, b in zip(r1, r2)]
-                     for r1, r2 in zip(self.rows, other.rows)])
+        return Mat4._of([[a - b for a, b in zip(r1, r2)]
+                         for r1, r2 in zip(self.rows, other.rows)])
 
     def __neg__(self) -> "Mat4":
-        return Mat4([[-a for a in r] for r in self.rows])
+        return Mat4._of([[-a for a in r] for r in self.rows])
 
     def scale(self, c) -> "Mat4":
         c = Scalar.of(c)
-        return Mat4([[c * a for a in r] for r in self.rows])
+        return Mat4._of([[c * a for a in r] for r in self.rows])
 
     def __matmul__(self, other: "Mat4") -> "Mat4":
         out = Mat4.zeros()
@@ -111,7 +113,7 @@ class Mat4:
                     ZERO) for row in self.rows]
 
     def transpose(self) -> "Mat4":
-        return Mat4([[self.rows[j][i] for j in range(4)] for i in range(4)])
+        return Mat4._of([[self.rows[j][i] for j in range(4)] for i in range(4)])
 
     def trace(self) -> Scalar:
         return sum((self.rows[i][i] for i in range(4)), ZERO)
@@ -186,10 +188,6 @@ class Mat4:
 
 def mat_from_cols(cols: Sequence[Vec4]) -> Mat4:
     return Mat4([[cols[j][i] for j in range(4)] for i in range(4)])
-
-
-def commutator(a: Mat4, b: Mat4) -> Mat4:
-    return a @ b - b @ a
 
 
 class ThreeForm4:

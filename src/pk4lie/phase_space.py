@@ -275,11 +275,14 @@ LSA_CATALOG_TEXT = {
 }
 
 
+def lsa(name: str) -> LSA2:
+    """The cataloged left-symmetric algebra `name`."""
+    text, dom = LSA_CATALOG_TEXT[name]
+    return LSA2.parse(text, name, ParamDomain.parse(dom))
+
+
 def lsa_catalog() -> Dict[str, LSA2]:
-    out = {}
-    for name, (text, dom) in LSA_CATALOG_TEXT.items():
-        out[name] = LSA2.parse(text, name, ParamDomain.parse(dom))
-    return out
+    return {name: lsa(name) for name in LSA_CATALOG_TEXT}
 
 
 # The normal form that every phase-space pair carries: omega pairs U with

@@ -1017,28 +1017,31 @@ class ParamDomain:
                     break
         return p.is_const
 
-    def _root_excluded(self, p: Poly) -> bool:
+    def _root_excluded(self, p: Poly, half_line: bool = False) -> Optional[Constraint]:
         """Univariate-linear p whose only root violates a univariate
-        constraint on the same parameter."""
+        constraint on the same parameter: the first such constraint, or
+        None.  With `half_line`, only a strict or weak inequality linear in
+        the parameter counts, one that confines it to a half-line."""
         params = p.params()
         if len(params) != 1:
-            return False
+            return None
         v = next(iter(params))
         if p.degree_in(v) != 1 or len(p.terms) > 2:
-            return False
+            return None
         c1 = p.terms.get(((v.index, 1),))
         c0 = p.terms.get((), 0)
         if c1 is None:
-            return False
+            return None
         root = Fraction(-c0, c1)
         for c in self.constraints:
-            if c.poly.params() == {v}:
+            if c.poly.params() == {v} and not (half_line and (
+                    c.rel == "!=" or c.poly.degree_in(v) != 1)):
                 try:
                     if not c.holds(c.poly.eval({v: root})):
-                        return True
+                        return c
                 except MissingParam:
                     continue
-        return False
+        return None
 
     def _definite_sign(self, p: Poly) -> bool:
         """All terms share a sign and have even exponents, and some term is
@@ -1057,6 +1060,23 @@ class ParamDomain:
             if all(i in nonvan_idx for i, _ in mono):
                 witness = True
         return witness
+
+    def sign(self, p: Poly) -> int:
+        """1 or -1 when p has that sign at every point of the domain, else 0:
+        p is a nonzero constant, has a `_definite_sign`, or is c1*v + c0 with
+        its root r outside a half-line q = a1*v + a0 > 0 (>=, <, <=) of the
+        domain, where p = (c1/a1)*(q - q(r)) and q - q(r) has q's sign."""
+        p = self.reduce(p)
+        if p.is_const:
+            return (p.const_value() > 0) - (p.const_value() < 0)
+        if self._definite_sign(p):
+            return 1 if next(iter(p.terms.values())) > 0 else -1
+        c = self._root_excluded(p, half_line=True)
+        if c is None:
+            return 0
+        (v,) = p.params()
+        k = p.terms[((v.index, 1),)] * c.poly.terms[((v.index, 1),)]
+        return (1 if k > 0 else -1) * (1 if c.rel in (">", ">=") else -1)
 
     # -- sampling
     def sample(self, rng: random.Random, params: Iterable[Param],

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from typing import List, Set
 
-from .linalg import DegenerateError, Mat4, Vec4, signature_of, vbasis
+from .linalg import DegenerateError, Mat4, Vec4, mat_from_cols, signature_of
 from .liealg import (
-    LieAlgebra4, NotSymmetric, ParacomplexReport, ce_d, form_apply,
+    LieAlgebra4, NotSymmetric, ParacomplexReport, ce_d, lowered_brackets,
     paracomplex_check, pfaffian_nondegenerate,
 )
 from .scalars import EMPTY_DOMAIN, HALF, ParamDomain, Verdict, ZERO
@@ -41,24 +41,18 @@ class Connection4:
     def __init__(self, nabla: List[Mat4]):
         self.nabla = nabla
 
-    def directional(self, u: Vec4) -> Mat4:
-        out = Mat4.zeros()
-        for i in range(4):
-            if not u[i].is_zero:
-                out = out + self.nabla[i].scale(u[i])
-        return out
-
 
 def koszul_values(L: LieAlgebra4, h: Mat4) -> List[List[Vec4]]:
     """G[i][j][k] = h(nabla_{e_i} e_j, e_k), from Koszul's formula:
 
-        2 h(nabla_u v, w) = h([u,v],w) + h([w,u],v) + h([w,v],u).
+        2 h(nabla_u v, w) = h([u,v],w) + h([w,u],v) + h([w,v],u),
 
-    For a symmetric h, G[i][j][k] = -G[i][k][j] term by term.
+    read off the lowered brackets c(i,j,k) = h([e_i,e_j],e_k):
+    G[i][j][k] = (c(i,j,k) + c(k,i,j) + c(k,j,i)) / 2.  For a symmetric h,
+    G[i][j][k] = -G[i][k][j] term by term.
     """
-    return [[[HALF * (form_apply(h, L.bracket_basis(i, j), vbasis(k))
-                      + form_apply(h, L.bracket_basis(k, i), vbasis(j))
-                      + form_apply(h, L.bracket_basis(k, j), vbasis(i)))
+    c = lowered_brackets(L, h)
+    return [[[HALF * (c[i][j][k] + c[k][i][j] + c[k][j][i])
               for k in range(4)] for j in range(4)] for i in range(4)]
 
 
@@ -70,13 +64,8 @@ def levi_civita(L: LieAlgebra4, h: Mat4,
     if domain.is_zero(det):
         raise DegenerateError("metric is degenerate on the whole domain")
     hinv = h.inverse()
-    nabla = [Mat4.zeros() for _ in range(4)]
-    for i, gi in enumerate(koszul_values(L, h)):
-        for j in range(4):
-            v = hinv.apply(gi[j])
-            for r in range(4):
-                nabla[i].rows[r][j] = v[r]
-    return Connection4(nabla)
+    return Connection4([mat_from_cols([hinv.apply(g) for g in gi])
+                        for gi in koszul_values(L, h)])
 
 
 def K_parallel(L: LieAlgebra4, h: Mat4, K: Mat4,

@@ -4,16 +4,19 @@ No command runs any of this.  Each check recomputes a property from its
 definition: the Levi-Civita axioms and parallel forms on a connection's
 matrices, left-symmetry of a product table, involutive eigenplanes at a
 rational point, and ranks by elimination over plain Fractions, which
-shares no code with `pk4lie.linalg._eliminate`.  A connection is given by
-its list `nabla`: nabla[i] is the matrix of u -> nabla_{e_i} u.
+shares no code with `pk4lie.linalg._eliminate`.  The dense loops over
+every basis pair are the references for the sparse kernels of `liealg`,
+`structures` and `curvature`, and Besse's formula gives the Ricci form from
+the structure constants alone, with no connection.  A connection is given
+by its list `nabla`: nabla[i] is the matrix of u -> nabla_{e_i} u.
 """
 
 from fractions import Fraction
 
 from pk4lie.catalog import _alg_params
 from pk4lie.liealg import form_apply
-from pk4lie.linalg import Mat4, vbasis, vis_zero
-from pk4lie.scalars import DenominatorVanishes, ONE, Scalar, ZERO
+from pk4lie.linalg import Mat4, vadd, vbasis, vis_zero, vzero
+from pk4lie.scalars import DenominatorVanishes, HALF, ONE, Scalar, ZERO
 from pk4lie.structures import metric_from
 
 
@@ -96,7 +99,121 @@ def perturbed(nabla, i, r, j):
 def nabla_K(nabla, K):
     """(nabla_{e_i} K) e_j = nabla_{e_i}(K e_j) - K(nabla_{e_i} e_j), one
     matrix per i."""
-    return [n @ K - K @ n for n in nabla]
+    return [commutator(n, K) for n in nabla]
+
+
+def commutator(a, b):
+    return a @ b - b @ a
+
+
+def directional(nabla, u):
+    """nabla_u = sum_i u_i nabla_{e_i}."""
+    out = Mat4.zeros()
+    for i in range(4):
+        out = out + nabla[i].scale(u[i])
+    return out
+
+
+def dense_curvature(L, nabla):
+    """R(e_i,e_j) = nabla_{[e_i,e_j]} - [nabla_i, nabla_j] for i < j."""
+    return {(i, j): directional(nabla, L.bracket_basis(i, j))
+            - commutator(nabla[i], nabla[j])
+            for i in range(4) for j in range(i + 1, 4)}
+
+
+# ---------------------------------------------------------------------------
+# Dense brackets, Koszul values and Lie derivatives
+
+
+def dense_bracket(L, u, v):
+    """[u, v] = sum of u_i v_j [e_i, e_j] over every pair i != j."""
+    out = vzero()
+    for i in range(4):
+        for j in range(4):
+            if i != j:
+                out = vadd(out, [u[i] * v[j] * c for c in L.bracket_basis(i, j)])
+    return out
+
+
+def dense_koszul_values(L, h):
+    """2 h(nabla_i e_j, e_k) = h([e_i,e_j],e_k) + h([e_k,e_i],e_j)
+    + h([e_k,e_j],e_i), each term a `form_apply`."""
+    return [[[HALF * (form_apply(h, L.bracket_basis(i, j), vbasis(k))
+                      + form_apply(h, L.bracket_basis(k, i), vbasis(j))
+                      + form_apply(h, L.bracket_basis(k, j), vbasis(i)))
+              for k in range(4)] for j in range(4)] for i in range(4)]
+
+
+def dense_lie_derivative_metric(L, h, x):
+    """(L_X h)(e_i, e_j) = -h([X,e_i], e_j) - h(e_i, [X,e_j]) with
+    [X, e_j] = sum_i x_i [e_i, e_j]."""
+    bx = [[sum((x[i] * L.bracket_basis(i, j)[k] for i in range(4)), ZERO)
+           for k in range(4)] for j in range(4)]
+    return Mat4([[-form_apply(h, bx[i], vbasis(j)) - form_apply(h, vbasis(i), bx[j])
+                  for j in range(4)] for i in range(4)])
+
+
+# ---------------------------------------------------------------------------
+# Besse's Ricci formula
+
+
+def inverse_by_elimination(h):
+    """h^-1 by Gauss-Jordan elimination on [h | Id] over Scalar."""
+    a = [list(r) + [ONE if i == j else ZERO for j in range(4)]
+         for i, r in enumerate(h.rows)]
+    for col in range(4):
+        piv = next(r for r in range(col, 4) if not a[r][col].is_zero)
+        a[col], a[piv] = a[piv], a[col]
+        a[col] = [v / a[col][col] for v in a[col]]
+        for r in range(4):
+            if r != col and not a[r][col].is_zero:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+    return [row[4:] for row in a]
+
+
+def besse_ricci(L, h):
+    """ric from the structure constants alone (Besse, Einstein Manifolds,
+    1987, Cor. 7.38), with h^-1 in the fixed basis so that it holds in any
+    signature:
+
+        ric(X,Y) = -1/2 sum h^ij h([X,e_i],[Y,e_j]) - 1/2 B(X,Y)
+                   + 1/4 sum h^ia h^jb h([e_i,e_j],X) h([e_a,e_b],Y)
+                   - 1/2 (h([Z,X],Y) + h([Z,Y],X)),
+
+    with B the Killing form and Z the mean curvature vector,
+    h(Z, .) = tr ad(.).  No connection, no curvature, no `LieAlgebra4`
+    method and no `form_apply`: C[i][j][k] is the e_k component of
+    [e_i, e_j], read from the stored brackets."""
+    n = range(4)
+    C = [[[ZERO] * 4 for _ in n] for _ in n]
+    for (i, j), v in L.brackets.items():
+        C[i][j] = list(v)
+        C[j][i] = [-c for c in v]
+    g = h.rows
+    hinv = inverse_by_elimination(h)
+    # low[i][j][k] = h([e_i,e_j],e_k); up[i][j][k] = sum h^ia h^jb low[a][b][k]
+    low = [[[sum((C[i][j][r] * g[r][k] for r in n), ZERO) for k in n]
+            for j in n] for i in n]
+    up = [[[sum((hinv[i][a] * hinv[j][b] * low[a][b][k] for a in n for b in n), ZERO)
+            for k in n] for j in n] for i in n]
+    killing = [[sum((C[p][l][k] * C[q][k][l] for k in n for l in n), ZERO)
+                for q in n] for p in n]
+    tr_ad = [sum((C[k][l][l] for l in n), ZERO) for k in n]
+    z = [sum((hinv[a][k] * tr_ad[k] for k in n), ZERO) for a in n]
+    z_ad = [[sum((z[i] * C[i][p][k] for i in n), ZERO) for k in n] for p in n]
+    ric = []
+    for p in n:
+        row = []
+        for q in n:
+            # h([e_p,e_i],[e_q,e_j]) = sum_r C[p][i][r] h([e_q,e_j],e_r)
+            t1 = sum((hinv[i][j] * C[p][i][r] * low[q][j][r]
+                      for i in n for j in n for r in n), ZERO)
+            t3 = sum((low[i][j][p] * up[i][j][q] for i in n for j in n), ZERO)
+            t4 = sum((z_ad[p][k] * g[k][q] + z_ad[q][k] * g[k][p] for k in n), ZERO)
+            row.append(-HALF * t1 - HALF * killing[p][q] + t3 / 4 - HALF * t4)
+        ric.append(row)
+    return Mat4(ric)
 
 
 # ---------------------------------------------------------------------------

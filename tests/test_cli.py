@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from pk4lie import notation, structures
+from pk4lie import notation, phase_space, structures
 from pk4lie.catalog import DATA_DIR, Catalog, load_catalog
 from pk4lie.cli import _curvature_table, main
 from pk4lie.scalars import ParamDomain
@@ -92,6 +93,35 @@ def test_phase_command_golden_and_failure(capsys):
     code, out, _ = run_cli(capsys, "phase", "c1", "")
     assert code == 0
     assert "abelian" in out
+
+
+def test_phase_parses_only_the_named_algebra(monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, phase_space.parse_products)
+    code, _, _ = run_cli(capsys, "phase", "b2", "e3.e3=x*e4")
+    assert code == 0
+    assert len(calls) == 2      # the base b2 and the dual
+    code, _, err = run_cli(capsys, "phase", "nope", "")
+    assert code == 2
+    assert err == ("error: \"unknown left-symmetric algebra 'nope'; choices: "
+                   "b1_alpha, b2, b3_alpha, b4, b5_minus, b5_plus, c1, c2, c3, "
+                   "c4, c5_minus, c5_plus\"\n")
+
+
+# sha256 of the whole stdout of `verify all` as JSON at seed 0 and of
+# `verify curvature` as text: every verdict, note, detail and table cell
+VERIFY_REPORT_SHA256 = {
+    ("--format", "json", "verify", "all"):
+        "0f0b658d0348256a3ee60387e2b45656799116c21bf9e6fc3a4094f69a692efa",
+    ("verify", "curvature"):
+        "16dc8e354acd8c32f376b308824ff9e6991f8ce894fa8bf8c2555b02c419e514",
+}
+
+
+@pytest.mark.parametrize("argv", list(VERIFY_REPORT_SHA256))
+def test_verify_reports_frozen(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_REPORT_SHA256[argv]
 
 
 def test_dump_byte_identical(capsys):

@@ -1,12 +1,12 @@
 from pk4lie.curvature import (
-    Geometry, classify_row, curvature, family_dimension, lie_derivative_metric,
-    ricci, ricci_operator, scalar_curvature, solve_soliton, soliton_family_equal,
-    soliton_residual,
+    Geometry, SolitonSolutionSet, classify_row, curvature, family_dimension,
+    lie_derivative_metric, ricci, ricci_operator, scalar_curvature,
+    solve_soliton, soliton_family_equal, soliton_residual,
 )
 from pk4lie.liealg import LieAlgebra4
 from pk4lie.linalg import Mat4
 from pk4lie.notation import parse_endo, parse_sym_form, parse_two_form, parse_tuple4
-from pk4lie.scalars import EMPTY_DOMAIN, ParamDomain, Scalar, parse_scalar
+from pk4lie.scalars import EMPTY_DOMAIN, ZERO, ParamDomain, Scalar, parse_scalar
 from pk4lie.structures import levi_civita, metric_from
 
 D4HALF = LieAlgebra4.parse(
@@ -190,3 +190,25 @@ def test_flat_implies_ricci_flat():
     row = classify_row(rr3m1, h)
     assert row.flat
     assert row.ricci_flat
+
+
+def test_type_tag_decides_the_sign_on_the_domain():
+    x = Scalar.var("x")
+
+    def tag(lam, domain):
+        sol = SolitonSolutionSet([ZERO] * 4, lam, 0, [])
+        return sol.type_tag(ParamDomain.parse(domain))
+
+    assert tag(x, "x > 0") == "shrinking"
+    assert tag(x, "x < 0") == "expanding"
+    assert tag(-2 * x, "x >= 1") == "expanding"
+    assert tag(x / 2 - 1, "x > 3") == "shrinking"
+    assert tag(1 - x, "2*x - 4 >= 0") == "expanding"
+    assert tag(1 / x, "x < 0") == "expanding"
+    assert tag(x * x + 1, "") == "shrinking"      # definite sign
+    assert tag(Scalar.const(-3), "") == "expanding"
+    # the root is excluded but the sign still changes, or is not excluded
+    assert tag(x - 1, "x != 1") == "sign depends on parameters"
+    assert tag(x, "x*x - 1 > 0") == "sign depends on parameters"
+    assert tag(x, "x > -1") == "sign depends on parameters"
+    assert tag(x, "") == "sign depends on parameters"

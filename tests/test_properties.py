@@ -2,8 +2,9 @@
 
 Levi-Civita axioms and uniqueness, parallelism of omega, anti-isometry of
 the metric under K, flat => Ricci-flat, the equivalence between Nijenhuis
-vanishing and sampled eigenplane involutivity, and the Koszul-value test of
-nabla K = 0 against the connection.
+vanishing and sampled eigenplane involutivity, the Koszul-value test of
+nabla K = 0 against the connection, the sparse kernels against their dense
+references, and Besse's Ricci formula against the curvature chain.
 """
 
 import random
@@ -11,15 +12,19 @@ import random
 from hypothesis import assume, given, settings, strategies as hst
 
 from pk4lie.catalog import _alg_params, load_catalog
-from pk4lie.curvature import classify_row, ricci
+from pk4lie.curvature import (
+    _soliton_system, classify_row, curvature, lie_derivative_metric, ricci,
+)
 from pk4lie.liealg import LieAlgebra4, nijenhuis, form_apply
 from pk4lie.linalg import Mat4, RankAmbiguous, vbasis, vis_zero
 from pk4lie.notation import parse_endo
-from pk4lie.scalars import Scalar
-from pk4lie.structures import K_parallel, levi_civita, metric_from
+from pk4lie.phase_space import normal_form
+from pk4lie.scalars import EMPTY_DOMAIN, Scalar
+from pk4lie.structures import K_parallel, koszul_values, levi_civita, metric_from
 from oracles import (
-    involutive_samples, levi_civita_axioms_hold, nabla_K, omega_parallel,
-    perturbed,
+    besse_ricci, dense_bracket, dense_curvature, dense_koszul_values,
+    dense_lie_derivative_metric, involutive_samples, levi_civita_axioms_hold,
+    nabla_K, omega_parallel, perturbed,
 )
 
 CAT = load_catalog()
@@ -167,3 +172,61 @@ def test_zero_skipping_products_match_naive_loops():
                     assert form_apply(m, u, v) == sum(
                         (u[i] * m.rows[i][j] * v[j]
                          for i in range(4) for j in range(4)), Scalar.const(0))
+    # The bracket, Koszul, Lie-derivative and curvature kernels read only
+    # the stored brackets and nonzero entries; the dense loops read all.
+    nf_h = metric_from(*normal_form())
+    for st, h in _metrics():
+        _kernels_match_dense_loops(st.algebra, h, levi_civita(st.algebra, h, st.domain))
+    for row in CAT.phase_rows.values():
+        _kernels_match_dense_loops(row.algebra, nf_h, levi_civita(row.algebra, nf_h))
+    for row in CAT.curvature_list():
+        _kernels_match_dense_loops(row.algebra, row.metric, row.geometry.conn)
+
+
+def _kernels_match_dense_loops(L, h, conn):
+    # the basis vectors and one combination of the rows of h
+    vectors = [vbasis(i) for i in range(4)] + [h.apply(
+        [Scalar.const(k) for k in (1, 2, 3, 5)])]
+    for a, u in enumerate(h.rows):
+        for v in [vbasis(a)] + h.rows[a + 1:]:
+            assert L.bracket(u, v) == dense_bracket(L, u, v)
+    assert koszul_values(L, h) == dense_koszul_values(L, h)
+    lx = [dense_lie_derivative_metric(L, h, x) for x in vectors]
+    assert [lie_derivative_metric(L, h, x) for x in vectors] == lx
+    rows, cells = _soliton_system(L, h)
+    assert [r[:4] for r in rows] == [[lx[m].rows[i][j] for m in range(4)]
+                                     for i, j in cells]
+    assert curvature(L, conn).matrices == dense_curvature(L, conn.nabla)
+
+
+# Metric entries: mostly zero, else an integer or a fraction.  Structure
+# constants may also be polynomials in two parameters.
+RATIONALS = hst.one_of(hst.just(0), hst.just(0), hst.integers(-3, 3),
+                       hst.fractions(-2, 2, max_denominator=4))
+CONSTANTS = hst.one_of(
+    RATIONALS, hst.sampled_from(["x", "-x/2", "1-x", "2*x*y", "y/3+1", "x*x"]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(hst.lists(CONSTANTS, min_size=24, max_size=24),
+       hst.lists(RATIONALS, min_size=10, max_size=10))
+def test_kernels_match_dense_loops_on_drawn_algebras(consts, metric):
+    # Jacobi is not needed: every kernel is a formula in the constants.
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    L = LieAlgebra4({ij: [Scalar.of(c) for c in consts[4 * k:4 * k + 4]]
+                     for k, ij in enumerate(pairs)})
+    upper = iter(metric)
+    h = [[None] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(i, 4):
+            h[i][j] = h[j][i] = next(upper)
+    h = Mat4(h)
+    assume(not h.det().is_zero)
+    _kernels_match_dense_loops(L, h, levi_civita(L, h, EMPTY_DOMAIN))
+
+
+def test_besse_ricci_matches_the_curvature_chain():
+    # Besse's formula reads the structure constants and h^-1 alone: no
+    # connection, no curvature and no shared kernel.
+    for row in CAT.curvature_list():
+        assert besse_ricci(row.algebra, row.metric) == row.geometry.ric, row.entry_id
