@@ -17,6 +17,7 @@ from .scalars import EMPTY_DOMAIN, Param, ParamDomain, Scalar, ZERO
 from .structures import Connection4, levi_civita
 
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+SolitonSystem = Tuple[List[List[Scalar]], List[Tuple[int, int]]]
 
 
 class CurvatureTensor:
@@ -83,16 +84,6 @@ def scalar_curvature(ric_op: Mat4) -> Scalar:
     return ric_op.trace()
 
 
-def lie_derivative_metric(L: LieAlgebra4, h: Mat4, x: Vec4) -> Mat4:
-    """(L_X h)(u, v) = -h([X,u], v) - h(u, [X,v]) for left-invariant data
-    and a symmetric h: on the basis, -sum_m x_m (c(m,i,j) + c(m,j,i)) with
-    the lowered brackets c(i,j,k) = h([e_i,e_j],e_k)."""
-    c = lowered_brackets(L, h)
-    xs = [(m, v) for m, v in enumerate(x) if not v.is_zero]
-    return Mat4._of([[-sum((v * (c[m][i][j] + c[m][j][i]) for m, v in xs), ZERO)
-                      for j in range(4)] for i in range(4)])
-
-
 class SolitonSolutionSet:
     """Affine solutions (X, lambda) of L_X h + ric = lambda h.
 
@@ -117,28 +108,39 @@ class SolitonSolutionSet:
         return "sign depends on parameters"
 
 
-def _soliton_system(L: LieAlgebra4, h: Mat4):
-    """Rows of the 10-equation linear system in (x1..x4, lambda): column m
-    is L_{e_m} h, read off one table of lowered brackets."""
+def soliton_system(L: LieAlgebra4, h: Mat4) -> SolitonSystem:
+    """(rows, cells): the ten equations of L_X h + ric = lambda h in
+    (x1..x4, lambda), one per cell i <= j.  Column m is L_{e_m} h, with
+    (L_X h)(e_i,e_j) = -h([X,e_i],e_j) - h(e_i,[X,e_j]) for left-invariant
+    data and a symmetric h; on the basis, -(c(m,i,j) + c(m,j,i)) for the
+    lowered brackets c(i,j,k) = h([e_i,e_j],e_k).  Column 4 is -h."""
     c = lowered_brackets(L, h)
-    rows, cells = [], []
-    for i in range(4):
-        for j in range(i, 4):
-            rows.append([-(c[m][i][j] + c[m][j][i]) for m in range(4)]
-                        + [-h.rows[i][j]])
-            cells.append((i, j))
+    cells = [(i, j) for i in range(4) for j in range(i, 4)]
+    rows = [[-(c[m][i][j] + c[m][j][i]) for m in range(4)] + [-h.rows[i][j]]
+            for i, j in cells]
     return rows, cells
 
 
-def solve_soliton(L: LieAlgebra4, h: Mat4, domain: ParamDomain,
+def lie_derivative_metric(system: SolitonSystem, x: List[Scalar]) -> Mat4:
+    """L_X h = sum_m x_m L_{e_m} h, summed over the system's columns; a
+    fifth coefficient lam adds lam times column 4, -lam*h."""
+    rows, cells = system
+    terms = [(k, v) for k, v in enumerate(x) if not v.is_zero]
+    out = Mat4.zeros()
+    for (i, j), row in zip(cells, rows):
+        out.rows[i][j] = out.rows[j][i] = sum((v * row[k] for k, v in terms), ZERO)
+    return out
+
+
+def solve_soliton(system: SolitonSystem, domain: ParamDomain,
                   ric_mat: Mat4) -> Optional[SolitonSolutionSet]:
-    """Exact affine solution set for the Ricci form ric_mat of h, or None
-    when provably inconsistent.
+    """Exact affine solution set of the soliton system for the Ricci form
+    ric_mat, or None when provably inconsistent.
 
     Raises RankAmbiguous when the system's rank depends on parameters not
     pinned down by the domain.
     """
-    rows, cells = _soliton_system(L, h)
+    rows, cells = system
     rhs = [-ric_mat.rows[i][j] for (i, j) in cells]
     sol = solve_affine(rows, rhs, domain)
     if sol is None:
@@ -149,9 +151,10 @@ def solve_soliton(L: LieAlgebra4, h: Mat4, domain: ParamDomain,
                               [Param(n) for n in names])
 
 
-def soliton_residual(L: LieAlgebra4, h: Mat4, x: Vec4, lam: Scalar,
+def soliton_residual(system: SolitonSystem, x: Vec4, lam: Scalar,
                      ric_mat: Mat4) -> Mat4:
-    return lie_derivative_metric(L, h, x) + ric_mat - h.scale(lam)
+    """L_X h + ric - lambda h."""
+    return lie_derivative_metric(system, list(x) + [lam]) + ric_mat
 
 
 def family_dimension(x: List[Scalar], lam: Scalar,
@@ -174,7 +177,7 @@ def family_dimension(x: List[Scalar], lam: Scalar,
     return len(_eliminate(cols, 5, domain, _pick_pivot))
 
 
-def soliton_family_equal(L: LieAlgebra4, h: Mat4, ric_mat: Mat4,
+def soliton_family_equal(system: SolitonSystem, ric_mat: Mat4,
                          computed: Optional[SolitonSolutionSet],
                          expected_x: Optional[List[Scalar]],
                          expected_lam: Optional[Scalar],
@@ -190,7 +193,7 @@ def soliton_family_equal(L: LieAlgebra4, h: Mat4, ric_mat: Mat4,
         return False, f"solver found a solution set of dimension {computed.free_count}"
     if computed is None:
         return False, "solver found no solution"
-    if not soliton_residual(L, h, expected_x, expected_lam, ric_mat).is_zero(domain):
+    if not soliton_residual(system, expected_x, expected_lam, ric_mat).is_zero(domain):
         return False, "printed family does not satisfy the soliton equation"
     dim = family_dimension(expected_x, expected_lam, domain)
     if dim != computed.free_count:
@@ -200,8 +203,8 @@ def soliton_family_equal(L: LieAlgebra4, h: Mat4, ric_mat: Mat4,
 
 
 class Geometry:
-    """Connection, curvature, Ricci form and soliton set of the metric h on L
-    over a domain, each computed once, on first use."""
+    """Connection, curvature, Ricci form, soliton system and soliton set of
+    the metric h on L over a domain, each computed once, on first use."""
 
     def __init__(self, L: LieAlgebra4, h: Mat4,
                  domain: ParamDomain = EMPTY_DOMAIN):
@@ -228,8 +231,12 @@ class Geometry:
         return self.ric.is_zero(self.domain)
 
     @cached_property
+    def system(self) -> SolitonSystem:
+        return soliton_system(self.L, self.h)
+
+    @cached_property
     def soliton(self) -> Optional[SolitonSolutionSet]:
-        return solve_soliton(self.L, self.h, self.domain, self.ric)
+        return solve_soliton(self.system, self.domain, self.ric)
 
     @property
     def soliton_type(self) -> str:

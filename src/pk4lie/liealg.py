@@ -5,8 +5,8 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional
 
 from .linalg import (
-    Mat4, RankAmbiguous, Vec4, rank_on_domain, vadd, vbasis, vis_zero, vsub,
-    vzero,
+    Mat4, RankAmbiguous, ThreeForm4, Vec4, rank_on_domain, vadd, vbasis,
+    vis_zero, vsub, vzero,
 )
 from .notation import emit_brackets, parse_brackets
 from .scalars import (
@@ -20,6 +20,8 @@ class NotSymmetric(ScalarError):
 
 
 def form_apply(form: Mat4, u: Vec4, v: Vec4) -> Scalar:
+    """form(u, v).  No kernel here calls it: the dense reference loops of
+    tests/oracles.py do, and perfbench/tracer.py counts its calls."""
     out = ZERO
     for i in range(4):
         if u[i].is_zero:
@@ -32,8 +34,9 @@ def form_apply(form: Mat4, u: Vec4, v: Vec4) -> Scalar:
 
 
 def lowered_brackets(L: "LieAlgebra4", h: Mat4) -> List[List[Vec4]]:
-    """c[i][j][k] = h([e_i, e_j], e_k), from the stored brackets only: a row
-    per bracket i < j, its negative at [j][i], and zero rows elsewhere."""
+    """c[i][j][k] = h([e_i, e_j], e_k) for a bilinear form h, from the stored
+    brackets only: a row per bracket i < j, its negative at [j][i], and zero
+    rows elsewhere."""
     c = [[vzero() for _ in range(4)] for _ in range(4)]
     for (i, j), b in L.brackets.items():
         row = [sum((x * hm[k] for x, hm in zip(b, h.rows) if not x.is_zero), ZERO)
@@ -102,19 +105,13 @@ class LieAlgebra4:
         return LieAlgebra4(br, self.name, self.domain)
 
 
-def ce_d(L: LieAlgebra4, omega: Mat4):
-    """Chevalley-Eilenberg differential of an antisymmetric two-form.
-
-    d(omega)(X,Y,Z) = -omega([X,Y],Z) + omega([X,Z],Y) - omega([Y,Z],X).
-    """
-    from .linalg import ThreeForm4
-    comps = {}
-    for (i, j, k) in ThreeForm4.TRIPLES:
-        val = (-form_apply(omega, L.bracket_basis(i, j), vbasis(k))
-               + form_apply(omega, L.bracket_basis(i, k), vbasis(j))
-               - form_apply(omega, L.bracket_basis(j, k), vbasis(i)))
-        comps[(i, j, k)] = val
-    return ThreeForm4(comps)
+def ce_d(L: LieAlgebra4, omega: Mat4) -> ThreeForm4:
+    """Chevalley-Eilenberg differential of an antisymmetric two-form,
+    d(omega)(X,Y,Z) = -omega([X,Y],Z) + omega([X,Z],Y) - omega([Y,Z],X),
+    read off the lowered brackets c(i,j,k) = omega([e_i,e_j],e_k)."""
+    c = lowered_brackets(L, omega)
+    return ThreeForm4({(i, j, k): -c[i][j][k] + c[i][k][j] - c[j][k][i]
+                       for (i, j, k) in ThreeForm4.TRIPLES})
 
 
 def pfaffian_nondegenerate(omega: Mat4, domain: ParamDomain = EMPTY_DOMAIN,

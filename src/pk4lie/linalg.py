@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .scalars import (
-    EMPTY_DOMAIN, Constraint, Param, ParamDomain, Scalar, ScalarError, ZERO,
+    EMPTY_DOMAIN, Constraint, ParamDomain, Scalar, ScalarError, ZERO,
     ONE, emit_scalar,
 )
 
@@ -226,7 +226,7 @@ def _pick_pivot(rows, row_used, col, domain):
             continue
         if v.is_const:
             return i
-        if domain.known_nonzero(domain.reduce(v.num)):
+        if domain.known_nonzero(v.num):
             if best is None:
                 best = i
         else:
@@ -265,41 +265,19 @@ def rank_on_domain(m: Mat4, domain: ParamDomain = EMPTY_DOMAIN,
 def split_at_root(pivot: Scalar, domain: ParamDomain) -> Optional[tuple]:
     """Case split on a pivot whose vanishing the domain leaves open:
     (param, root, domain with the pivot nonzero) when its reduced numerator
-    has a single linear root (see _linear_root); None otherwise."""
+    is univariate of degree 1, or a single-variable monomial (root 0);
+    None otherwise."""
     num = domain.reduce(pivot.num)
-    root = _linear_root(num)
-    if root is None:
+    lin = num.univariate_linear()
+    if lin is not None:
+        var, c1, c0 = lin
+        root = Fraction(-c0, c1)
+    elif len(num.terms) == 1 and len(next(iter(num.terms))) == 1:
+        var, root = next(iter(num.params())), 0
+    else:
         return None
-    var, value = root
-    return var, value, ParamDomain(domain.constraints + [Constraint(num, "!=")],
-                                   domain.radicals)
-
-
-def _linear_root(num) -> Optional[tuple]:
-    """(param, root) when the polynomial is univariate of degree 1, or a
-    single-variable monomial (root 0); None otherwise."""
-    if len(num.terms) == 1:
-        mono = next(iter(num.terms))
-        if len(mono) == 1:
-            return Param._order[mono[0][0]], Scalar.const(0)
-        return None
-    params = num.params()
-    if len(params) != 1:
-        return None
-    var = params.pop()
-    if num.degree_in(var) != 1:
-        return None
-    c1, c0 = None, 0
-    for mono, c in num.terms.items():
-        if mono == ():
-            c0 = c
-        elif mono == ((var.index, 1),):
-            c1 = c
-        else:
-            return None
-    if c1 is None:
-        return None
-    return var, Scalar.const(Fraction(-c0, c1))
+    return var, Scalar.const(root), ParamDomain(
+        domain.constraints + [Constraint(num, "!=")], domain.radicals)
 
 
 def _first_nonzero(rows, row_used, col, domain):
@@ -377,7 +355,7 @@ def solve_affine(a_rows: List[List[Scalar]], b: List[Scalar],
             rhs = aug[j][n]
             if domain.is_zero(rhs):
                 continue
-            if domain.known_nonzero(domain.reduce(rhs.num)) or rhs.is_const:
+            if domain.known_nonzero(rhs.num) or rhs.is_const:
                 return None
             raise RankAmbiguous(rhs)
     free_cols = [c for c in range(n) if c not in pivots]

@@ -158,6 +158,17 @@ class Poly:
                 out.add(Param._order[i])
         return out
 
+    def univariate_linear(self) -> Optional[tuple]:
+        """(v, c1, c0) when this is c1*v + c0 with c1 != 0 for a single
+        parameter v; None otherwise."""
+        c0 = self.terms.get((), 0)
+        if len(self.terms) != 1 + (c0 != 0):
+            return None
+        mono = next(m for m in self.terms if m)
+        if len(mono) != 1 or mono[0][1] != 1:
+            return None
+        return Param._order[mono[0][0]], self.terms[mono], c0
+
     def degree_in(self, p: Param) -> int:
         d = 0
         for m in self.terms:
@@ -1022,25 +1033,16 @@ class ParamDomain:
         constraint on the same parameter: the first such constraint, or
         None.  With `half_line`, only a strict or weak inequality linear in
         the parameter counts, one that confines it to a half-line."""
-        params = p.params()
-        if len(params) != 1:
+        lin = p.univariate_linear()
+        if lin is None:
             return None
-        v = next(iter(params))
-        if p.degree_in(v) != 1 or len(p.terms) > 2:
-            return None
-        c1 = p.terms.get(((v.index, 1),))
-        c0 = p.terms.get((), 0)
-        if c1 is None:
-            return None
+        v, c1, c0 = lin
         root = Fraction(-c0, c1)
         for c in self.constraints:
             if c.poly.params() == {v} and not (half_line and (
-                    c.rel == "!=" or c.poly.degree_in(v) != 1)):
-                try:
-                    if not c.holds(c.poly.eval({v: root})):
-                        return c
-                except MissingParam:
-                    continue
+                    c.rel == "!=" or c.poly.univariate_linear() is None)):
+                if not c.holds(c.poly.eval({v: root})):
+                    return c
         return None
 
     def _definite_sign(self, p: Poly) -> bool:
@@ -1074,8 +1076,7 @@ class ParamDomain:
         c = self._root_excluded(p, half_line=True)
         if c is None:
             return 0
-        (v,) = p.params()
-        k = p.terms[((v.index, 1),)] * c.poly.terms[((v.index, 1),)]
+        k = p.univariate_linear()[1] * c.poly.univariate_linear()[1]
         return (1 if k > 0 else -1) * (1 if c.rel in (">", ">=") else -1)
 
     # -- sampling
@@ -1213,6 +1214,6 @@ def nonvanishing(s: Scalar, domain: ParamDomain = EMPTY_DOMAIN,
     otherwise the sampled verdict of identity_test."""
     if domain.is_zero(s):
         return Verdict("ZeroExact")
-    if s.is_const or domain.known_nonzero(domain.reduce(s.num)):
+    if s.is_const or domain.known_nonzero(s.num):
         return Verdict("NonZero", witness=None, trials=0)
     return identity_test(s, domain, trials=trials, seed=seed)

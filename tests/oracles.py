@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from pk4lie.catalog import _alg_params
 from pk4lie.liealg import form_apply
-from pk4lie.linalg import Mat4, vadd, vbasis, vis_zero, vzero
+from pk4lie.linalg import Mat4, ThreeForm4, vadd, vbasis, vis_zero, vzero
 from pk4lie.scalars import DenominatorVanishes, HALF, ONE, Scalar, ZERO
 from pk4lie.structures import metric_from
 
@@ -122,7 +122,7 @@ def dense_curvature(L, nabla):
 
 
 # ---------------------------------------------------------------------------
-# Dense brackets, Koszul values and Lie derivatives
+# Dense brackets, Koszul values, Lie derivatives and the differential
 
 
 def dense_bracket(L, u, v):
@@ -151,6 +151,15 @@ def dense_lie_derivative_metric(L, h, x):
            for k in range(4)] for j in range(4)]
     return Mat4([[-form_apply(h, bx[i], vbasis(j)) - form_apply(h, vbasis(i), bx[j])
                   for j in range(4)] for i in range(4)])
+
+
+def dense_ce_d(L, omega):
+    """d(omega)(e_i,e_j,e_k) = -omega([e_i,e_j],e_k) + omega([e_i,e_k],e_j)
+    - omega([e_j,e_k],e_i), each term a `form_apply`."""
+    return ThreeForm4({(i, j, k): -form_apply(omega, L.bracket_basis(i, j), vbasis(k))
+                       + form_apply(omega, L.bracket_basis(i, k), vbasis(j))
+                       - form_apply(omega, L.bracket_basis(j, k), vbasis(i))
+                       for (i, j, k) in ThreeForm4.TRIPLES})
 
 
 # ---------------------------------------------------------------------------

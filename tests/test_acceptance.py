@@ -12,6 +12,7 @@ from pk4lie.catalog import load_catalog
 from pk4lie.curvature import (
     classify_row, curvature, lie_derivative_metric, ricci, ricci_operator,
     scalar_curvature, solve_soliton, soliton_family_equal, soliton_residual,
+    soliton_system,
 )
 from pk4lie.liealg import LieAlgebra4
 from pk4lie.linalg import Mat4, vis_zero
@@ -199,13 +200,13 @@ def test_criterion_6_worked_geometry_golden():
     assert scalar_curvature(ric_op) == parse_scalar("6*x")
 
     X = [Scalar.var(n) for n in ("x1", "x2", "x3", "x4")]
-    lx = lie_derivative_metric(L, h1, X)
+    lx = lie_derivative_metric(soliton_system(L, h1), X)
     assert lx.equals(Mat4([["0", "-x4", "x2*x", "3/2*x2"],
                            ["-x4", "0", "-x1*x", "-1/2*x1"],
                            ["x2*x", "-x1*x", "-2*x4*x", "x*x3-x4"],
                            ["3/2*x2", "-1/2*x1", "x*x3-x4", "2*x3"]]))
 
-    sol = solve_soliton(L, h1, xnz, ric)
+    sol = solve_soliton(soliton_system(L, h1), xnz, ric)
     assert sol.free_count == 0 and sol.lam == parse_scalar("3/2*x")
     assert all(c.is_zero for c in sol.x)
 
@@ -215,7 +216,8 @@ def test_criterion_6_worked_geometry_golden():
     for h in (h1_flat, h2):
         conn_f = levi_civita(L, h)
         assert curvature(L, conn_f).is_zero()
-        lxf = lie_derivative_metric(L, h, X)
+        system = soliton_system(L, h)
+        lxf = lie_derivative_metric(system, X)
         if h is h1_flat:
             assert lxf.equals(Mat4([["0", "-x4", "0", "3/2*x2"],
                                     ["-x4", "0", "0", "-1/2*x1"],
@@ -223,9 +225,9 @@ def test_criterion_6_worked_geometry_golden():
                                     ["3/2*x2", "-1/2*x1", "-x4", "2*x3"]]))
         ric_f = ricci(L, conn_f)
         assert ric_f.is_zero()
-        sol_f = solve_soliton(L, h, EMPTY_DOMAIN, ric_f)
+        sol_f = solve_soliton(system, EMPTY_DOMAIN, ric_f)
         ok, why = soliton_family_equal(
-            L, h, ric_f, sol_f, [Scalar.const(0)] * 3 + [x4], -x4)
+            system, ric_f, sol_f, [Scalar.const(0)] * 3 + [x4], -x4)
         assert ok, why
     report(6, "PASS", "worked-example metrics, connection, curvature, Ricci, "
                       "Lie derivative and solitons match the displays exactly")
@@ -250,8 +252,8 @@ def test_criterion_7_curvature_table():
         if c.soliton is not None:
             conn = levi_civita(row.algebra, row.metric, dom)
             ric = ricci(row.algebra, conn, dom)
-            resid = soliton_residual(row.algebra, row.metric, c.soliton.x,
-                                     c.soliton.lam, ric)
+            resid = soliton_residual(soliton_system(row.algebra, row.metric),
+                                     c.soliton.x, c.soliton.lam, ric)
             assert resid.is_zero(dom), row.entry_id
     assert elapsed < 60.0, f"{elapsed:.2f}s"
     report(7, "PASS with WARN",

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from pk4lie import notation, phase_space, structures
+from pk4lie import liealg, notation, phase_space, structures
 from pk4lie.catalog import DATA_DIR, Catalog, load_catalog
 from pk4lie.cli import _curvature_table, main
 from pk4lie.scalars import ParamDomain
@@ -206,10 +206,21 @@ def test_curvature_suite_and_table_build_each_connection_once(monkeypatch):
     cat = load_catalog()
     run_curvature_rows(cat)
     _curvature_table(cat)
-    # one per row, plus the generic branch and the slice of the one row whose
-    # rank splits (curvature/d4_2/7)
+    # one per row, plus the slice of the one row whose rank splits
+    # (curvature/d4_2/7); its generic branch reuses the row's connection
     assert len(cat.curvature_list()) == 115
-    assert len(calls) == 117
+    assert len(calls) == 116
+
+
+def test_curvature_suite_and_table_lower_the_brackets_twice_per_geometry(monkeypatch):
+    # Each of the 116 geometries lowers the brackets by its metric once for
+    # the connection and once for the soliton system, which the solve, the
+    # residual and the family check all read.
+    calls = _count_calls(monkeypatch, liealg.lowered_brackets)
+    cat = load_catalog()
+    run_curvature_rows(cat)
+    _curvature_table(cat)
+    assert len(calls) <= 2 * 116
 
 
 def test_verify_all_parses_each_bracket_table_once(monkeypatch):

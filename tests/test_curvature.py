@@ -1,7 +1,7 @@
 from pk4lie.curvature import (
     Geometry, SolitonSolutionSet, classify_row, curvature, family_dimension,
     lie_derivative_metric, ricci, ricci_operator, scalar_curvature,
-    solve_soliton, soliton_family_equal, soliton_residual,
+    solve_soliton, soliton_family_equal, soliton_residual, soliton_system,
 )
 from pk4lie.liealg import LieAlgebra4
 from pk4lie.linalg import Mat4
@@ -63,7 +63,7 @@ def test_ricci_abelian_zero():
 
 def test_lie_derivative_golden_general_x():
     X = [Scalar.var(n) for n in ("x1", "x2", "x3", "x4")]
-    lx = lie_derivative_metric(D4HALF, H1, X)
+    lx = lie_derivative_metric(soliton_system(D4HALF, H1), X)
     # as displayed, with the symmetric value -x1*x at both (2,3) and (3,2)
     expected = Mat4([["0", "-x4", "x2*x", "3/2*x2"],
                      ["-x4", "0", "-x1*x", "-1/2*x1"],
@@ -74,13 +74,13 @@ def test_lie_derivative_golden_general_x():
 
 def test_lie_derivative_zero_field():
     Z = [Scalar.const(0)] * 4
-    assert lie_derivative_metric(D4HALF, H1, Z).is_zero()
+    assert lie_derivative_metric(soliton_system(D4HALF, H1), Z).is_zero()
 
 
 def test_lie_derivative_flat_case_x0():
     h = H1.substitute({parse_scalar("x").params().pop(): Scalar.const(0)})
     X = [Scalar.var(n) for n in ("x1", "x2", "x3", "x4")]
-    lx = lie_derivative_metric(D4HALF, h, X)
+    lx = lie_derivative_metric(soliton_system(D4HALF, h), X)
     expected = Mat4([["0", "-x4", "0", "3/2*x2"],
                      ["-x4", "0", "0", "-1/2*x1"],
                      ["0", "0", "0", "-x4"],
@@ -105,10 +105,11 @@ def test_soliton_d4_half_flat_cases():
         conn = levi_civita(D4HALF, h)
         ric = ricci(D4HALF, conn)
         assert ric.is_zero()
-        sol = solve_soliton(D4HALF, h, EMPTY_DOMAIN, ric)
+        system = soliton_system(D4HALF, h)
+        sol = solve_soliton(system, EMPTY_DOMAIN, ric)
         assert sol is not None and sol.free_count == 1
         ok, why = soliton_family_equal(
-            D4HALF, h, ric, sol,
+            system, ric, sol,
             [Scalar.const(0)] * 3 + [x4], -x4)
         assert ok, why
 
@@ -125,8 +126,9 @@ def test_soliton_residual_identity():
     for dom, h in ((XNZ, H1), (ParamDomain.parse(""), H2)):
         conn = levi_civita(D4HALF, h, dom)
         ric = ricci(D4HALF, conn, dom)
-        sol = solve_soliton(D4HALF, h, dom, ric)
-        res = soliton_residual(D4HALF, h, sol.x, sol.lam, ric)
+        system = soliton_system(D4HALF, h)
+        sol = solve_soliton(system, dom, ric)
+        res = soliton_residual(system, sol.x, sol.lam, ric)
         assert res.is_zero(dom)
 
 
@@ -134,7 +136,7 @@ def test_einstein_consistency():
     # X = 0 with lambda != 0 forces Ric = lambda * Id.
     conn = levi_civita(D4HALF, H1, XNZ)
     ric = ricci(D4HALF, conn, XNZ)
-    sol = solve_soliton(D4HALF, H1, XNZ, ric)
+    sol = solve_soliton(soliton_system(D4HALF, H1), XNZ, ric)
     assert all(c.is_zero for c in sol.x) and not sol.lam.is_zero
     ric_op = ricci_operator(H1, ric)
     assert ric_op.equals(Mat4.identity().scale(sol.lam), XNZ)
@@ -148,7 +150,7 @@ def test_classify_rows_against_table():
     assert row.flat and row.ricci_flat
     ric = Mat4.zeros()
     ok, why = soliton_family_equal(
-        rr3m1, h, ric, row.soliton,
+        row.system, ric, row.soliton,
         parse_tuple4("(x1,0,0,x4)"), Scalar.const(0))
     assert ok, why
 
@@ -168,9 +170,7 @@ def test_classify_rows_against_table():
     row = classify_row(r2r2, parse_sym_form("eps12+x*eps22+eps34+y*eps44"), dom)
     assert not row.flat and not row.ricci_flat
     assert row.soliton is None
-    ok, why = soliton_family_equal(r2r2, parse_sym_form("eps12+x*eps22+eps34+y*eps44"),
-                                   ricci(r2r2, levi_civita(r2r2, parse_sym_form("eps12+x*eps22+eps34+y*eps44"), dom), dom),
-                                   row.soliton, None, None, dom)
+    ok, why = soliton_family_equal(row.system, row.ric, row.soliton, None, None, dom)
     assert ok, why
 
 

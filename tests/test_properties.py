@@ -13,16 +13,16 @@ from hypothesis import assume, given, settings, strategies as hst
 
 from pk4lie.catalog import _alg_params, load_catalog
 from pk4lie.curvature import (
-    _soliton_system, classify_row, curvature, lie_derivative_metric, ricci,
+    classify_row, curvature, lie_derivative_metric, ricci, soliton_system,
 )
-from pk4lie.liealg import LieAlgebra4, nijenhuis, form_apply
+from pk4lie.liealg import LieAlgebra4, ce_d, nijenhuis, form_apply
 from pk4lie.linalg import Mat4, RankAmbiguous, vbasis, vis_zero
 from pk4lie.notation import parse_endo
 from pk4lie.phase_space import normal_form
 from pk4lie.scalars import EMPTY_DOMAIN, Scalar
 from pk4lie.structures import K_parallel, koszul_values, levi_civita, metric_from
 from oracles import (
-    besse_ricci, dense_bracket, dense_curvature, dense_koszul_values,
+    besse_ricci, dense_bracket, dense_ce_d, dense_curvature, dense_koszul_values,
     dense_lie_derivative_metric, involutive_samples, levi_civita_axioms_hold,
     nabla_K, omega_parallel, perturbed,
 )
@@ -172,13 +172,19 @@ def test_zero_skipping_products_match_naive_loops():
                     assert form_apply(m, u, v) == sum(
                         (u[i] * m.rows[i][j] * v[j]
                          for i in range(4) for j in range(4)), Scalar.const(0))
-    # The bracket, Koszul, Lie-derivative and curvature kernels read only
-    # the stored brackets and nonzero entries; the dense loops read all.
-    nf_h = metric_from(*normal_form())
+    # The bracket, Koszul, Lie-derivative, curvature and differential
+    # kernels read only the stored brackets and nonzero entries; the dense
+    # loops read all.
+    nf_omega, nf_K = normal_form()
+    nf_h = metric_from(nf_omega, nf_K)
+    for sym in CAT.symplectic.values():
+        _ce_d_matches_dense_loop(sym.algebra, sym.omega)
     for st, h in _metrics():
         _kernels_match_dense_loops(st.algebra, h, levi_civita(st.algebra, h, st.domain))
+        _ce_d_matches_dense_loop(st.algebra, st.omega)
     for row in CAT.phase_rows.values():
         _kernels_match_dense_loops(row.algebra, nf_h, levi_civita(row.algebra, nf_h))
+        _ce_d_matches_dense_loop(row.algebra, nf_omega)
     for row in CAT.curvature_list():
         _kernels_match_dense_loops(row.algebra, row.metric, row.geometry.conn)
 
@@ -191,12 +197,17 @@ def _kernels_match_dense_loops(L, h, conn):
         for v in [vbasis(a)] + h.rows[a + 1:]:
             assert L.bracket(u, v) == dense_bracket(L, u, v)
     assert koszul_values(L, h) == dense_koszul_values(L, h)
+    system = soliton_system(L, h)
     lx = [dense_lie_derivative_metric(L, h, x) for x in vectors]
-    assert [lie_derivative_metric(L, h, x) for x in vectors] == lx
-    rows, cells = _soliton_system(L, h)
+    assert [lie_derivative_metric(system, x) for x in vectors] == lx
+    rows, cells = system
     assert [r[:4] for r in rows] == [[lx[m].rows[i][j] for m in range(4)]
                                      for i, j in cells]
     assert curvature(L, conn).matrices == dense_curvature(L, conn.nabla)
+
+
+def _ce_d_matches_dense_loop(L, omega):
+    assert ce_d(L, omega).components == dense_ce_d(L, omega).components
 
 
 # Metric entries: mostly zero, else an integer or a fraction.  Structure
@@ -220,6 +231,9 @@ def test_kernels_match_dense_loops_on_drawn_algebras(consts, metric):
     for i in range(4):
         for j in range(i, 4):
             h[i][j] = h[j][i] = next(upper)
+    omega = Mat4([[0 if i == j else h[i][j] if i < j else -h[i][j]
+                   for j in range(4)] for i in range(4)])
+    _ce_d_matches_dense_loop(L, omega)
     h = Mat4(h)
     assume(not h.det().is_zero)
     _kernels_match_dense_loops(L, h, levi_civita(L, h, EMPTY_DOMAIN))

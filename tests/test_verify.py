@@ -132,6 +132,21 @@ def test_degenerate_metric_fails_a_noted_curvature_row():
     assert rep.notes == row.notes
 
 
+def test_an_ambiguous_generic_branch_fails_its_row():
+    # The solve first branches on the pivot -y; on y != 0 its consistency
+    # then depends on (-x+y)/y, which has no single root to split at.
+    row = CAT.curvature_rows["curvature/d4_1/2"]
+    broken = CurvatureRowEntry(
+        row.entry_id, row.raw, row.variant,
+        LieAlgebra4.parse("[e1,e2]=e2; [e3,e4]=e4"),
+        parse_sym_form("x*eps11+eps22+y*eps33+eps44"), ParamDomain.parse(""),
+        False, False, None, None, row.notes)
+    rep = _verify_curvature_row(broken)
+    assert rep.status == "FAIL"
+    assert rep.checks == [{"name": "classified", "ok": False,
+                           "detail": "rank ambiguous: Scalar((-x+y)/y)"}]
+
+
 def test_an_unsatisfiable_domain_fails_its_row():
     # The checked load refuses such a row; a row built with one after the
     # load fails on its own, neither passing vacuously nor raising
