@@ -8,8 +8,8 @@ a row is parsed by its section's builder on the first read of its key,
 then kept, so that answering one entry parses one entry.  Each row owns
 its payload, which keeps parameters of different entries from
 interacting; a row that names an algebra or a phase row takes that
-row's built brackets.  `load_catalog(check=True)` reads every row to
-assert it.
+row's built algebra, or its instance under the row's substitution, and
+owns its domain.  `load_catalog(check=True)` reads every row to assert it.
 """
 
 from __future__ import annotations
@@ -139,12 +139,13 @@ def _parse_domain(entry: RawEntry, key: str = "domain") -> ParamDomain:
 
 
 class AlgebraEntry:
-    """An algebra family, or a phase-space bracket family read like one."""
+    """An algebra family, or a phase-space bracket family, on its domain."""
 
-    __slots__ = ("entry_id", "raw", "algebra")
+    __slots__ = ("entry_id", "raw", "algebra", "domain")
 
-    def __init__(self, entry_id: str, raw: RawEntry, algebra: LieAlgebra4):
-        self.entry_id, self.raw, self.algebra = entry_id, raw, algebra
+    def __init__(self, entry_id: str, raw: RawEntry, algebra: LieAlgebra4,
+                 domain: ParamDomain):
+        self.entry_id, self.raw, self.algebra, self.domain = entry_id, raw, algebra, domain
 
 
 class SymplecticEntry:
@@ -268,10 +269,10 @@ class Catalog:
         return self.raw_entries[base].raw
 
     # -- resolution helpers -------------------------------------------------
-    def _algebra(self, ref: str) -> LieAlgebra4:
+    def _algebra(self, ref: str) -> AlgebraEntry:
         if ref not in self.algebras:
             raise BrokenReference(f"unknown algebra {ref!r}")
-        return self.algebras[ref].algebra
+        return self.algebras[ref]
 
     def structure_list(self) -> List[StructureEntry]:
         return list(self.structures.values())
@@ -280,14 +281,12 @@ class Catalog:
         return list(self.curvature_rows.values())
 
     # -- row builders -------------------------------------------------------
-    # Each row owns its LieAlgebra4, on the row's domain; the brackets come
-    # from the built algebra or phase row it names and are never re-parsed.
     def _symplectic_row(self, key: str, raw: RawEntry, variant: str,
                         fields: Dict[str, str]) -> SymplecticEntry:
-        L = self._algebra(raw.get("alg"))
+        alg = self._algebra(raw.get("alg"))
         row_domain = _domain_of(raw.entry_id, raw.get("domain"))
-        domain = L.domain.merged(row_domain)
-        return SymplecticEntry(key, raw, variant, LieAlgebra4(L.brackets, L.name, domain),
+        domain = alg.domain.merged(row_domain)
+        return SymplecticEntry(key, raw, variant, alg.algebra,
                                parse_two_form(fields["omega"]), domain, row_domain)
 
     def _symplectic_variants(self, ref: str) -> List[SymplecticEntry]:
@@ -303,14 +302,14 @@ class Catalog:
         ref = raw.get("symplectic")
         sym = self._symplectic_variants(ref)[0]
         subst = _parse_subst(raw.get("subst"))
-        algebra = _instance(self._algebra(sym.raw.get("alg")), subst)
+        algebra, alg_domain = _instance(self._algebra(sym.raw.get("alg")), subst)
         named_alg = raw.get("alg")
         if named_alg:
             named = self._algebra(named_alg)
-            if named.serialize() != algebra.serialize():
+            if named.algebra.serialize() != algebra.serialize():
                 raise LoadAssertionFailed(
                     key, f"substituted algebra differs from {named_alg}")
-            algebra = named
+            algebra, alg_domain = named.algebra, named.domain
         if sym.variant and not fields.get("omega"):
             raise LoadAssertionFailed(key, "omega needs an explicit variant-free override")
         # an override is checked against the symplectic row at load
@@ -318,56 +317,53 @@ class Catalog:
         sym_domain = sym.row_domain
         if subst:
             omega, sym_domain = omega.substitute(subst), sym_domain.substituted(subst)
-        domain = algebra.domain.merged(sym_domain).merged(
+        domain = alg_domain.merged(sym_domain).merged(
             _domain_of(key, fields.get("domain", "")))
-        return StructureEntry(key, raw, variant,
-                              LieAlgebra4(algebra.brackets, algebra.name, domain),
-                              omega, parse_endo(fields["K"]), domain, ref)
+        return StructureEntry(key, raw, variant, algebra, omega,
+                              parse_endo(fields["K"]), domain, ref)
 
     def _iso_row(self, key: str, raw: RawEntry, variant: str,
                  fields: Dict[str, str]) -> IsoRowEntry:
         source_ref = raw.get("source")
         if source_ref not in self.phase_rows:
             raise BrokenReference(f"{key}: source {source_ref!r}")
-        target = self._algebra(raw.get("target"))
+        target = self._algebra(raw.get("target")).algebra
         ssub = _parse_subst(raw.get("source_subst"))
         # branch parameters are shared by the brackets and the map columns
         matrix = _map_matrix(key, raw.get("map")).substitute(ssub)
-        source = _instance(self.phase_rows[source_ref].algebra, ssub)
-        domain = source.domain.merged(_parse_domain(raw, "condition"))
+        source, source_domain = _instance(self.phase_rows[source_ref], ssub)
+        domain = source_domain.merged(_parse_domain(raw, "condition"))
         # The target's own family range is superseded by the row's condition
         # column; substitutions may be rational, so only brackets are mapped.
         target = target.substitute(_parse_subst(raw.get("subst")))
-        return IsoRowEntry(key, raw, LieAlgebra4(source.brackets, source.name, domain),
-                           matrix, LieAlgebra4(target.brackets, target.name, domain), domain)
+        return IsoRowEntry(key, raw, source, matrix, target, domain)
 
     def _curvature_row(self, key: str, raw: RawEntry, variant: str,
                        fields: Dict[str, str]) -> CurvatureRowEntry:
         subst = _parse_subst(raw.get("subst"))
-        algebra = _instance(self._algebra(raw.get("alg")), subst)
+        algebra, alg_domain = _instance(self._algebra(raw.get("alg")), subst)
         metric = parse_sym_form(fields["metric"])
-        domain = algebra.domain.merged(_domain_of(key, fields.get("domain", "")))
+        domain = alg_domain.merged(_domain_of(key, fields.get("domain", "")))
         if fields.get("soliton", "").strip() == "none":
             ex, elam = None, None
         else:
             ex, elam = parse_tuple4(fields["X"]), parse_scalar(fields["lam"])
         return CurvatureRowEntry(
-            key, raw, variant, LieAlgebra4(algebra.brackets, algebra.name, domain),
-            metric, domain, fields.get("flat") == "yes",
+            key, raw, variant, algebra, metric, domain, fields.get("flat") == "yes",
             fields.get("ricflat") == "yes", ex, elam, fields.get("notes", ""))
 
 
 def _algebra_row(key: str, raw: RawEntry, variant: str,
                  fields: Dict[str, str]) -> AlgebraEntry:
-    L = LieAlgebra4.parse(raw.get("brackets"), key.split("/")[-1], _parse_domain(raw))
-    return AlgebraEntry(key, raw, L)
+    L = LieAlgebra4.parse(raw.get("brackets"), key.split("/")[-1])
+    return AlgebraEntry(key, raw, L, _parse_domain(raw))
 
 
-def _instance(L: LieAlgebra4, subst: Dict[Param, Scalar]) -> LieAlgebra4:
-    """L with `subst` applied to its brackets and its domain."""
+def _instance(row: AlgebraEntry, subst: dict) -> Tuple[LieAlgebra4, ParamDomain]:
+    """The row's algebra and domain under `subst`: the row's own if it is empty."""
     if not subst:
-        return L
-    return LieAlgebra4(L.substitute(subst).brackets, L.name, L.domain.substituted(subst))
+        return row.algebra, row.domain
+    return row.algebra.substitute(subst), row.domain.substituted(subst)
 
 
 def _map_matrix(entry_id: str, text: str) -> Mat4:
@@ -445,7 +441,7 @@ def load_catalog(data_dir: Optional[Path] = None, check: bool = True) -> Catalog
 
 def _run_load_assertions(cat: Catalog) -> None:
     for entry_id, alg in cat.algebras.items():
-        _check_algebra(entry_id, alg.algebra)
+        _check_algebra(entry_id, alg.algebra, alg.domain)
     for key, sym in cat.symplectic.items():
         if not sym.omega.is_antisymmetric():
             raise LoadAssertionFailed(key, "omega not antisymmetric")
@@ -453,7 +449,7 @@ def _run_load_assertions(cat: Catalog) -> None:
     for key, st in cat.structures.items():
         if not st.omega.is_antisymmetric(st.domain):
             raise LoadAssertionFailed(key, "omega not antisymmetric")
-        _check_algebra(key, st.algebra, st.K.params() | st.omega.params())
+        _check_algebra(key, st.algebra, st.domain, st.K.params() | st.omega.params())
         # linkage: an omega override must be a variant of its symplectic row
         if st.raw.get("omega"):
             subst = _parse_subst(st.raw.get("subst"))
@@ -461,20 +457,21 @@ def _run_load_assertions(cat: Catalog) -> None:
                        for sym in cat._symplectic_variants(st.symplectic_ref)):
                 raise LoadAssertionFailed(key, "omega is not a variant of its symplectic row")
     for entry_id, row in cat.phase_rows.items():
-        _check_algebra(entry_id, row.algebra)
+        _check_algebra(entry_id, row.algebra, row.domain)
     for entry_id, row in cat.iso_rows.items():
         _check_satisfiable(entry_id, row.domain, row.matrix.params())
     for key, row in cat.curvature_rows.items():
         if not row.metric.is_symmetric(row.domain):
             raise LoadAssertionFailed(key, "metric not symmetric")
-        _check_algebra(key, row.algebra, row.metric.params())
+        _check_algebra(key, row.algebra, row.domain, row.metric.params())
 
 
-def _check_algebra(entry_id: str, L: LieAlgebra4, params: set = frozenset()) -> None:
-    """L satisfies Jacobi on its domain, and some point satisfies the domain."""
-    if not L.is_lie_algebra():
+def _check_algebra(entry_id: str, L: LieAlgebra4, domain: ParamDomain,
+                  params: set = frozenset()) -> None:
+    """L satisfies Jacobi on the domain, and some point satisfies the domain."""
+    if not L.is_lie_algebra(domain):
         raise LoadAssertionFailed(entry_id, "Jacobi identity fails")
-    _check_satisfiable(entry_id, L.domain, _alg_params(L) | params)
+    _check_satisfiable(entry_id, domain, _alg_params(L) | params)
 
 
 def _alg_params(L: LieAlgebra4) -> set:

@@ -1,7 +1,8 @@
 """Command-line front end: verify suites, per-entry geometry, phase products.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage or parse
-errors.  Output is deterministic for a fixed catalog, seed and trial count.
+errors.  Output is deterministic for a fixed catalog, seed and trial count,
+which every sampled check of `verify` and `phase` reads.
 
 Every command runs on the scalar, matrix, notation, Lie algebra and
 structure modules imported here.  A subcommand imports the rest of what it
@@ -32,13 +33,20 @@ SCOPES = ("symplectic", "structures", "phase", "iso", "curvature",
           "witnesses", "all")
 
 
+def positive_int(text: str) -> int:
+    """The type of --trials: argparse reports a ValueError as a usage error."""
+    if int(text) < 1:
+        raise ValueError(text)
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="pk4lie",
         description="exact verification of para-Kahler structures on "
                     "four-dimensional Lie algebras")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--trials", type=int, default=32)
+    parser.add_argument("--trials", type=positive_int, default=32)
     parser.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -151,7 +159,7 @@ def _resolve_geometry(args, cat: Catalog):
     if not (args.algebra is not None and args.metric):
         raise ParseError("geometry needs an entry id or --algebra/--metric")
     dom = ParamDomain.parse(args.domain)
-    L = LieAlgebra4.parse(args.algebra, "inline", dom)
+    L = LieAlgebra4.parse(args.algebra, "inline")
     h = parse_sym_form(args.metric)
     _check_satisfiable("inline", dom, _alg_params(L) | h.params())
     return L, h, dom, "inline"
@@ -233,20 +241,18 @@ def cmd_geometry(args) -> int:
 
 
 def _substitute_domain_lenient(dom: ParamDomain, subst) -> ParamDomain:
-    """Apply an explicit assignment, dropping (with a warning) constraints
-    it violates: `--set` deliberately explores outside a row's domain."""
-    from .scalars import Constraint, _subst_poly
+    """Apply an explicit assignment, dropping (with a note) constraints it
+    violates: `--set` deliberately explores outside a row's domain."""
+    from .scalars import _subst_poly
     kept = []
     for c in dom.constraints:
         s = _subst_poly(c.poly, subst)
-        if s.is_const:
-            if not c.holds(s.const_value()):
-                print(f"note: assignment leaves the stated domain ({c!r})",
-                      file=sys.stderr)
-            continue
-        if s.den.is_const:
-            kept.append(Constraint(s.num, c.rel, s.den.const_value()))
-    return ParamDomain(kept, dom.radicals)
+        if s.is_const and not c.holds(s.const_value()):
+            print(f"note: assignment leaves the stated domain ({c!r})",
+                  file=sys.stderr)
+        else:
+            kept.append(c)
+    return ParamDomain(kept, dom.radicals).substituted(subst)
 
 
 def _mat(m: Mat4):
@@ -309,8 +315,8 @@ def cmd_phase(args) -> int:
             for (i, j, k), v in defects.items()
             if any(not c.is_zero for c in v)}
     else:
-        failed = validate_para_kahler(L, *normal_form(), pair.domain,
-                                      "phase").failing()
+        failed = validate_para_kahler(L, *normal_form(), pair.domain, "phase",
+                                      args.seed, args.trials).failing()
         out["normal_form_valid"] = not failed
         if failed:
             out["failing_checks"] = failed

@@ -12,8 +12,8 @@ from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .liealg import LieAlgebra4, NotSymmetric, lowered_brackets
-from .linalg import Mat4, Vec4, _eliminate, _pick_pivot, solve_affine
-from .scalars import EMPTY_DOMAIN, Param, ParamDomain, Scalar, ZERO
+from .linalg import Mat4, RankAmbiguous, Vec4, _eliminate, _pick_pivot, solve_affine
+from .scalars import EMPTY_DOMAIN, ParamDomain, Scalar, ZERO
 from .structures import Connection4, levi_civita
 
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -91,12 +91,10 @@ class SolitonSolutionSet:
     every specialization satisfies the equation exactly.
     """
 
-    __slots__ = ("x", "lam", "free_count", "free_params")
+    __slots__ = ("x", "lam", "free_count")
 
-    def __init__(self, x: List[Scalar], lam: Scalar, free_count: int,
-                 free_params: List[Param]):
-        self.x, self.lam = x, lam
-        self.free_count, self.free_params = free_count, free_params
+    def __init__(self, x: List[Scalar], lam: Scalar, free_count: int):
+        self.x, self.lam, self.free_count = x, lam, free_count
 
     def type_tag(self, domain: ParamDomain = EMPTY_DOMAIN) -> str:
         """shrinking/steady/expanding when decidable on the whole domain."""
@@ -145,10 +143,8 @@ def solve_soliton(system: SolitonSystem, domain: ParamDomain,
     sol = solve_affine(rows, rhs, domain)
     if sol is None:
         return None
-    names = [f"t{k+1}" for k in range(sol.free_count)]
-    full = sol.with_params(names)
-    return SolitonSolutionSet(full[:4], full[4], sol.free_count,
-                              [Param(n) for n in names])
+    full = sol.with_params([f"t{k+1}" for k in range(sol.free_count)])
+    return SolitonSolutionSet(full[:4], full[4], sol.free_count)
 
 
 def soliton_residual(system: SolitonSystem, x: Vec4, lam: Scalar,
@@ -204,7 +200,8 @@ def soliton_family_equal(system: SolitonSystem, ric_mat: Mat4,
 
 class Geometry:
     """Connection, curvature, Ricci form, soliton system and soliton set of
-    the metric h on L over a domain, each computed once, on first use."""
+    the metric h on L over a domain, each computed once, on first use; a
+    solve that raised RankAmbiguous raises it again without solving."""
 
     def __init__(self, L: LieAlgebra4, h: Mat4,
                  domain: ParamDomain = EMPTY_DOMAIN):
@@ -235,8 +232,17 @@ class Geometry:
         return soliton_system(self.L, self.h)
 
     @cached_property
+    def _solved(self):
+        try:
+            return solve_soliton(self.system, self.domain, self.ric)
+        except RankAmbiguous as e:
+            return e.with_traceback(None)  # the verdict, not the solve's frames
+
+    @property
     def soliton(self) -> Optional[SolitonSolutionSet]:
-        return solve_soliton(self.system, self.domain, self.ric)
+        if isinstance(self._solved, RankAmbiguous):
+            raise self._solved
+        return self._solved
 
     @property
     def soliton_type(self) -> str:

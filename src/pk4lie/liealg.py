@@ -50,19 +50,17 @@ class LieAlgebra4:
 
     Only the nonzero brackets [e_i, e_j] with i < j are stored; antisymmetry
     is structural.  The Jacobi identity is a checked property, not an
-    assumption.
+    assumption.  A family's parameter range is its catalog row's domain.
     """
 
-    def __init__(self, brackets: Dict[tuple, Vec4], name: str = "",
-                 domain: ParamDomain = EMPTY_DOMAIN):
+    def __init__(self, brackets: Dict[tuple, Vec4], name: str = ""):
         self.brackets = {k: list(v) for k, v in brackets.items()
                          if not all(c.is_zero for c in v)}
         self.name = name
-        self.domain = domain
 
     @staticmethod
-    def parse(text: str, name: str = "", domain: ParamDomain = EMPTY_DOMAIN):
-        return LieAlgebra4(parse_brackets(text), name, domain)
+    def parse(text: str, name: str = ""):
+        return LieAlgebra4(parse_brackets(text), name)
 
     def serialize(self) -> str:
         return emit_brackets(self.brackets)
@@ -95,14 +93,15 @@ class LieAlgebra4:
             out[(i, j, k)] = s
         return out
 
-    def is_lie_algebra(self, domain: Optional[ParamDomain] = None) -> bool:
-        dom = self.domain if domain is None else domain
-        return all(vis_zero(v, dom) for v in self.jacobi_defect().values())
+    def is_lie_algebra(self, domain: ParamDomain = EMPTY_DOMAIN) -> bool:
+        return all(vis_zero(v, domain) for v in self.jacobi_defect().values())
 
     def substitute(self, mapping: Mapping) -> "LieAlgebra4":
+        if not mapping:
+            return self
         mapping = {k: Scalar.of(v) for k, v in mapping.items()}
         br = {k: [c.substitute(mapping) for c in v] for k, v in self.brackets.items()}
-        return LieAlgebra4(br, self.name, self.domain)
+        return LieAlgebra4(br, self.name)
 
 
 def ce_d(L: LieAlgebra4, omega: Mat4) -> ThreeForm4:
@@ -152,24 +151,22 @@ class ParacomplexReport:
 
 
 def paracomplex_check(L: LieAlgebra4, K: Mat4,
-                      domain: Optional[ParamDomain] = None) -> ParacomplexReport:
+                      domain: ParamDomain = EMPTY_DOMAIN) -> ParacomplexReport:
     from .linalg import generic_rank
-    dom = L.domain if domain is None else domain
     ident = Mat4.identity()
-    squares = (K @ K - ident).is_zero(dom)
-    rp = rm = None
-    constraint = None
+    squares = (K @ K - ident).is_zero(domain)
+    rp = rm = constraint = None
     if squares:
         # With K*K = Id the two eigenspaces span pointwise, so the ranks of
         # K -+ Id cannot drop below their generic values anywhere: the
         # generic rank is the rank on the whole domain.
-        rp = 4 - generic_rank(K - ident, dom)
-        rm = 4 - generic_rank(K + ident, dom)
+        rp = 4 - generic_rank(K - ident, domain)
+        rm = 4 - generic_rank(K + ident, domain)
     else:
         try:
-            rp = 4 - rank_on_domain(K - ident, dom)
-            rm = 4 - rank_on_domain(K + ident, dom)
+            rp = 4 - rank_on_domain(K - ident, domain)
+            rm = 4 - rank_on_domain(K + ident, domain)
         except RankAmbiguous as e:
             constraint = repr(e.poly)
-    nz = all(vis_zero(v, dom) for v in nijenhuis(L, K).values())
+    nz = all(vis_zero(v, domain) for v in nijenhuis(L, K).values())
     return ParacomplexReport(squares, rp, rm, nz, constraint)

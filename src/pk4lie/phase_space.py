@@ -177,7 +177,7 @@ def assembled_brackets(pair: LSAPair) -> LieAlgebra4:
             pq = phase_product(pair, basis[i], basis[j])
             qp = phase_product(pair, basis[j], basis[i])
             br[(i, j)] = [a - b for a, b in zip(pq, qp)]
-    return LieAlgebra4(br, domain=pair.domain)
+    return LieAlgebra4(br)
 
 
 def is_lie_extendible(pair: LSAPair) -> Tuple[bool, Dict[tuple, Vec4]]:

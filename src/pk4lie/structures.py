@@ -172,15 +172,16 @@ class EntryReport:
 
 def validate_para_kahler(L: LieAlgebra4, omega: Mat4, K: Mat4,
                          domain: ParamDomain = EMPTY_DOMAIN,
-                         entry_id: str = "", signature_samples: int = 32,
-                         seed: int = 0) -> EntryReport:
-    """Nine-point validation; failures are verdicts, never exceptions."""
+                         entry_id: str = "", seed: int = 0,
+                         trials: int = 32) -> EntryReport:
+    """Nine-point validation; failures are verdicts, never exceptions.  The
+    Pfaffian check and the signature's fallback sample `trials` seeded points."""
     rep = EntryReport(entry_id)
     rep.add("jacobi", L.is_lie_algebra(domain))
     antisymmetric = omega.is_antisymmetric(domain)
     rep.add("omega_antisymmetric", antisymmetric)
     rep.add("omega_closed", ce_d(L, omega).is_zero(domain))
-    nd = pfaffian_nondegenerate(omega, domain)
+    nd = pfaffian_nondegenerate(omega, domain, trials, seed)
     rep.add("omega_nondegenerate", nd.kind == "NonZero",
             "" if nd.kind == "NonZero" else nd.kind)
     pc = paracomplex_check(L, K, domain)
@@ -198,8 +199,7 @@ def validate_para_kahler(L: LieAlgebra4, omega: Mat4, K: Mat4,
     if neutral_certified(antisymmetric, nd, pc):
         rep.add("signature_neutral", True)
     else:
-        rep.add("signature_neutral", *_signature_neutral(h, domain,
-                                                         signature_samples, seed))
+        rep.add("signature_neutral", *_signature_neutral(h, domain, trials, seed))
     if domain.is_zero(h.det()):
         rep.add("nabla_K_zero", False, "metric degenerate")
     elif not antisymmetric:
@@ -209,14 +209,14 @@ def validate_para_kahler(L: LieAlgebra4, omega: Mat4, K: Mat4,
     return rep
 
 
-def _signature_neutral(h: Mat4, domain: ParamDomain, samples: int, seed: int):
-    """The signature of h at `samples` seeded points of the domain: the
+def _signature_neutral(h: Mat4, domain: ParamDomain, trials: int, seed: int):
+    """The signature of h at `trials` seeded points of the domain: the
     fallback when `neutral_certified` refuses."""
     done = 0
     for done, (asg, m) in enumerate(domain.sampled_values(h.params(), h.eval,
-                                                          samples, seed), 1):
+                                                          trials, seed), 1):
         sig = signature_of(m)
         if sig != (2, 2, 0):
             detail = {p.name: str(v) for p, v in asg.items()}
             return False, f"signature {sig} at {detail}"
-    return done == samples, "" if done == samples else f"only {done} samples"
+    return done == trials, "" if done == trials else f"only {done} samples"

@@ -53,14 +53,13 @@ def run_symplectic(cat: Catalog, seed: int = 0, trials: int = 32) -> List[EntryR
 # Suite: para-Kahler structures (nine-point validation per entry)
 
 
-def run_structures(cat: Catalog, seed: int = 0, samples: int = 32) -> List[EntryReport]:
+def run_structures(cat: Catalog, seed: int = 0, trials: int = 32) -> List[EntryReport]:
     out = []
     for st in cat.structure_list():
         rep = EntryReport(st.entry_id)
         if not _domain_fails(rep, st.domain):
             rep = validate_para_kahler(st.algebra, st.omega, st.K, st.domain,
-                                       st.entry_id, signature_samples=samples,
-                                       seed=seed)
+                                       st.entry_id, seed, trials)
         out.append(rep)
     return out
 
@@ -80,17 +79,15 @@ def _domain_fails(rep: EntryReport, dom: ParamDomain) -> bool:
 # Suite: phase-space rows (Jacobi + normal form + Lagrangian eigenplanes)
 
 
-def run_phase_rows(cat: Catalog, seed: int = 0, samples: int = 16) -> List[EntryReport]:
+def run_phase_rows(cat: Catalog, seed: int = 0, trials: int = 32) -> List[EntryReport]:
     nf_omega, nf_k = normal_form()
     out = []
     for entry_id, row in cat.phase_rows.items():
         rep = EntryReport(entry_id)
-        L = row.algebra
-        dom = L.domain
+        L, dom = row.algebra, row.domain
         rep.add("jacobi", L.is_lie_algebra(dom))
         failed = validate_para_kahler(L, nf_omega, nf_k, dom, entry_id,
-                                      signature_samples=samples,
-                                      seed=seed).failing()
+                                      seed, trials).failing()
         rep.add("normal_form_structure", not failed, ",".join(failed))
         # span(e1,e2) and span(e3,e4) are the K eigenplanes; they must be
         # bracket-closed and omega-Lagrangian.
@@ -107,13 +104,13 @@ def run_phase_rows(cat: Catalog, seed: int = 0, samples: int = 16) -> List[Entry
 # Suite: isomorphism rows
 
 
-def run_iso_rows(cat: Catalog, seed: int = 0, samples: int = 16) -> List[EntryReport]:
+def run_iso_rows(cat: Catalog, seed: int = 0, trials: int = 32) -> List[EntryReport]:
     out = []
     for entry_id, row in cat.iso_rows.items():
         rep = EntryReport(entry_id, row_note=row.raw.get("notes", ""))
         dom = row.domain
         m = LinMap(row.matrix, row.target, row.source, dom)
-        inv = m.invertible(seed=seed)
+        inv = m.invertible(trials, seed)
         rep.add("invertible", inv.kind == "NonZero", inv.kind)
         ok, res = check_lie_isomorphism(m)
         if ok:
@@ -125,8 +122,7 @@ def run_iso_rows(cat: Catalog, seed: int = 0, samples: int = 16) -> List[EntryRe
         try:
             w, k = transport(m, *normal_form())
             failed = validate_para_kahler(row.target, w, k, dom, entry_id,
-                                          signature_samples=samples,
-                                          seed=seed).failing()
+                                          seed, trials).failing()
             rep.add("transported_structure_valid", not failed, ",".join(failed))
         except DegenerateError as e:  # already reported by "invertible"
             rep.add("transported_structure_valid", False, repr(e))
@@ -138,11 +134,11 @@ def run_iso_rows(cat: Catalog, seed: int = 0, samples: int = 16) -> List[EntryRe
 # Suite: curvature rows
 
 
-def run_curvature_rows(cat: Catalog, seed: int = 0) -> List[EntryReport]:
-    return [_verify_curvature_row(row, seed) for row in cat.curvature_list()]
+def run_curvature_rows(cat: Catalog) -> List[EntryReport]:
+    return [_verify_curvature_row(row) for row in cat.curvature_list()]
 
 
-def _verify_curvature_row(row: CurvatureRowEntry, seed: int = 0) -> EntryReport:
+def _verify_curvature_row(row: CurvatureRowEntry) -> EntryReport:
     rep = EntryReport(row.entry_id, row_note=row.notes)
     L, h, dom = row.algebra, row.metric, row.domain
     if _domain_fails(rep, dom):
@@ -227,7 +223,7 @@ def _matches_up_to_y_flip(computed: Mat4, printed: Mat4,
     return False, False
 
 
-def run_equivalence_witnesses(cat: Catalog, seed: int = 0) -> List[EntryReport]:
+def run_equivalence_witnesses(cat: Catalog) -> List[EntryReport]:
     """Replays the four-fold pullback to (omega0, K0i), the normalizing
     automorphism families, the equivalence witness and the two
     non-equivalence residuals, exactly as parameter identities."""
@@ -351,24 +347,21 @@ def run_equivalence_witnesses(cat: Catalog, seed: int = 0) -> List[EntryReport]:
 # Scope runner
 
 
+# (cat, seed, trials) -> reports, in `verify all` order; cli.SCOPES copies the keys.
+SUITES = {
+    "symplectic": run_symplectic,
+    "structures": run_structures,
+    "phase": run_phase_rows,
+    "iso": run_iso_rows,
+    "curvature": lambda cat, seed, trials: run_curvature_rows(cat),
+    "witnesses": lambda cat, seed, trials: run_equivalence_witnesses(cat),
+}
+
+
 def run_scope(cat: Catalog, scope: str, seed: int = 0,
               trials: int = 32) -> List[EntryReport]:
-    if scope == "symplectic":
-        return run_symplectic(cat, seed, trials)
-    if scope == "structures":
-        return run_structures(cat, seed, trials)
-    if scope == "phase":
-        return run_phase_rows(cat, seed)
-    if scope == "iso":
-        return run_iso_rows(cat, seed)
-    if scope == "curvature":
-        return run_curvature_rows(cat, seed)
-    if scope == "witnesses":
-        return run_equivalence_witnesses(cat, seed)
-    if scope == "all":
-        out = []
-        for s in ("symplectic", "structures", "phase", "iso", "curvature",
-                  "witnesses"):
-            out.extend(run_scope(cat, s, seed, trials))
-        return out
-    raise ValueError(f"unknown scope {scope!r}")
+    if scope == "all":  # through run_scope, so that a wrapper sees each suite
+        return [r for s in SUITES for r in run_scope(cat, s, seed, trials)]
+    if scope not in SUITES:
+        raise ValueError(f"unknown scope {scope!r}")
+    return SUITES[scope](cat, seed, trials)

@@ -56,7 +56,7 @@ def test_criterion_1_symplectic_suite():
 
 def test_criterion_2_structure_suite():
     t0 = time.monotonic()
-    reports = run_structures(CAT, seed=0, samples=32)
+    reports = run_structures(CAT, seed=0, trials=32)
     elapsed = time.monotonic() - t0
     assert len(reports) == 98  # all sign variants expanded
     assert all(r.status == "PASS" for r in reports), [
@@ -66,7 +66,7 @@ def test_criterion_2_structure_suite():
             "signature_neutral", "nabla_K_zero"}
     for r in reports:
         assert nine <= {c["name"] for c in r.checks}
-    again = run_structures(CAT, seed=0, samples=32)
+    again = run_structures(CAT, seed=0, trials=32)
     assert [r.to_dict() for r in again] == [r.to_dict() for r in reports]
     assert elapsed < 30.0, f"{elapsed:.2f}s"
     report(2, "PASS", f"98 structures, nine-point validation, 32-sample "
@@ -235,7 +235,7 @@ def test_criterion_6_worked_geometry_golden():
 
 def test_criterion_7_curvature_table():
     t0 = time.monotonic()
-    reports = run_curvature_rows(CAT, seed=0)
+    reports = run_curvature_rows(CAT)
     elapsed = time.monotonic() - t0
     assert len(reports) == 115
     assert not any(r.status == "FAIL" for r in reports), [
@@ -262,7 +262,7 @@ def test_criterion_7_curvature_table():
 
 
 def test_criterion_8_equivalence_witness_replay():
-    reports = run_equivalence_witnesses(CAT, seed=0)
+    reports = run_equivalence_witnesses(CAT)
     assert not any(r.status == "FAIL" for r in reports)
     by_id = {r.entry_id: r for r in reports}
 

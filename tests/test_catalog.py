@@ -6,6 +6,7 @@ from pk4lie.catalog import (
     DATA_DIR, LoadAssertionFailed, expand_variants, load_catalog,
     parse_entries,
 )
+from pk4lie.liealg import LieAlgebra4
 from pk4lie.notation import (
     emit_endo, emit_sym_form, emit_two_form, parse_endo, parse_two_form,
 )
@@ -31,6 +32,52 @@ def test_load_counts_are_regression_constants():
 def test_load_runs_all_assertions():
     # Jacobi, antisymmetry, satisfiability, cross-references
     load_catalog(check=True)
+
+
+def test_a_checked_load_builds_one_algebra_per_parse_or_substitution(monkeypatch):
+    # Rows own their domains, so a row takes the algebra it names as it is:
+    # only a parse or a substitution makes a LieAlgebra4.
+    built = []
+
+    def counted(self, *args, _orig=LieAlgebra4.__init__):
+        built.append(self)
+        _orig(self, *args)
+    monkeypatch.setattr(LieAlgebra4, "__init__", counted)
+    cat = load_catalog()
+    substitutions = sum(bool(row.raw.get(key)) for rows, keys in (
+        (cat.structures, ("subst",)), (cat.curvature_rows, ("subst",)),
+        (cat.iso_rows, ("source_subst", "subst"))) for row in rows.values()
+        for key in keys)
+    assert substitutions == 79
+    assert len(built) == len(cat.algebras) + len(cat.phase_rows) + substitutions
+
+
+def test_a_row_without_subst_shares_the_algebra_it_names():
+    def named(ref):
+        return CAT.algebras[ref].algebra
+
+    for sym in CAT.symplectic.values():
+        assert sym.algebra is named(sym.raw.get("alg")), sym.entry_id
+    shared = 0
+    for st in CAT.structures.values():
+        # a structure's `alg` names the algebra its substitution gives
+        if st.raw.get("alg") or not st.raw.get("subst"):
+            ref = st.raw.get("alg") or CAT.raw_entries[st.symplectic_ref].get("alg")
+            assert st.algebra is named(ref), st.entry_id
+            shared += 1
+    for row in CAT.curvature_rows.values():
+        if not row.raw.get("subst"):
+            assert row.algebra is named(row.raw.get("alg")), row.entry_id
+            shared += 1
+    for row in CAT.iso_rows.values():
+        if not row.raw.get("source_subst"):
+            assert row.source is CAT.phase_rows[row.source_ref].algebra, row.entry_id
+            shared += 1
+        if not row.raw.get("subst"):
+            assert row.target is named(row.target_ref), row.entry_id
+            shared += 1
+    # of the 389 algebras of structure, curvature and iso rows
+    assert shared == 322
 
 
 def test_dump_is_byte_identical():
@@ -189,20 +236,21 @@ def test_broken_reference_fails_load(tmp_path):
         load_catalog(data)
 
 
-def _algebra_columns(L):
+def _algebra_columns(L, domain):
     radicals = [(r.w.name, repr(r.radicand), r.solve_for.name)
-                for r in L.domain.radicals]
-    return (L.name, L.serialize(), repr(L.domain), radicals)
+                for r in domain.radicals]
+    return (L.name, L.serialize(), repr(domain), radicals)
 
 
 def _row_columns(cat, key):
     """A row's payload as text: algebra(s), form(s), domain, expected columns."""
     if key in cat.phase_rows:
-        return _algebra_columns(cat.phase_rows[key].algebra)
+        row = cat.phase_rows[key]
+        return _algebra_columns(row.algebra, row.domain)
     if key in cat.iso_rows:
         row = cat.iso_rows[key]
-        return (_algebra_columns(row.source), repr(row.matrix),
-                _algebra_columns(row.target), repr(row.domain))
+        return (_algebra_columns(row.source, row.domain), repr(row.matrix),
+                _algebra_columns(row.target, row.domain), repr(row.domain))
     if key in cat.symplectic:
         row = cat.symplectic[key]
         forms = (emit_two_form(row.omega), repr(row.row_domain))
@@ -214,7 +262,8 @@ def _row_columns(cat, key):
         forms = (emit_sym_form(row.metric), row.expect_flat, row.expect_ricci_flat,
                  None if row.expect_x is None else [str(v) for v in row.expect_x],
                  str(row.expect_lam), row.notes)
-    return (row.variant, _algebra_columns(row.algebra), repr(row.domain)) + forms
+    return (row.variant, _algebra_columns(row.algebra, row.domain),
+            repr(row.domain)) + forms
 
 
 SECTIONS = ("symplectic", "structures", "phase_rows", "iso_rows", "curvature_rows")

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from pk4lie import liealg, notation, phase_space, structures
+from pk4lie import cli, curvature, liealg, notation, phase_space, structures, verify
 from pk4lie.catalog import DATA_DIR, Catalog, load_catalog
 from pk4lie.cli import _curvature_table, main
 from pk4lie.scalars import ParamDomain
@@ -132,6 +132,8 @@ def test_dump_byte_identical(capsys):
 
 def test_usage_error_exit_code(capsys):
     assert main(["verify", "not-a-scope"]) == 2
+    for trials in ("0", "-1", "abc"):
+        assert main(["--trials", trials, "verify", "symplectic"]) == 2, trials
     assert main(["geometry"]) == 2
     assert main(["phase", "nope", ""]) == 2
     # a literal division by zero is a parse error
@@ -221,6 +223,21 @@ def test_curvature_suite_and_table_lower_the_brackets_twice_per_geometry(monkeyp
     run_curvature_rows(cat)
     _curvature_table(cat)
     assert len(calls) <= 2 * 116
+
+
+def test_curvature_suite_and_table_solve_each_soliton_system_once(monkeypatch):
+    # One solve per geometry, plus the generic branch of curvature/d4_2/7,
+    # whose row keeps the RankAmbiguous of its own solve for the table.
+    calls = _count_calls(monkeypatch, curvature.solve_soliton)
+    cat = load_catalog()
+    run_curvature_rows(cat)
+    _curvature_table(cat)
+    assert len(calls) == 116 + 1
+
+
+def test_scopes_are_the_verify_suites():
+    # a literal in cli, so that parsing the arguments imports no suite
+    assert cli.SCOPES == (*verify.SUITES, "all")
 
 
 def test_verify_all_parses_each_bracket_table_once(monkeypatch):

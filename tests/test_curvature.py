@@ -196,7 +196,7 @@ def test_type_tag_decides_the_sign_on_the_domain():
     x = Scalar.var("x")
 
     def tag(lam, domain):
-        sol = SolitonSolutionSet([ZERO] * 4, lam, 0, [])
+        sol = SolitonSolutionSet([ZERO] * 4, lam, 0)
         return sol.type_tag(ParamDomain.parse(domain))
 
     assert tag(x, "x > 0") == "shrinking"

@@ -7,7 +7,7 @@ from pk4lie.phase_space import (
     is_lie_extendible, lsa_catalog, phase_product, ustar_coeffs_from_products,
     parse_products,
 )
-from pk4lie.scalars import Scalar, ZERO, ONE, parse_scalar
+from pk4lie.scalars import EMPTY_DOMAIN, Scalar, ZERO, ONE, parse_scalar
 from pk4lie.structures import validate_para_kahler
 from oracles import commutator_brackets, is_left_symmetric
 
@@ -23,8 +23,8 @@ def U_STAR(text):
 
 def derived_rank(L: LieAlgebra4) -> int:
     """Rank of the span of all basis brackets (the derived subalgebra)."""
-    return len(_eliminate([list(v) for v in L.brackets.values()], 4, L.domain,
-                          _pick_pivot))
+    return len(_eliminate([list(v) for v in L.brackets.values()], 4,
+                          EMPTY_DOMAIN, _pick_pivot))
 
 
 def test_all_ten_families_left_symmetric():
@@ -225,7 +225,7 @@ def test_build_table_rows_all_validate():
     # rows are built on first read, so the edit goes in before it
     cat.raw_entries["phase_b/B2"].fields["brackets"] = (
         "[e1,e2]=-e1; [e2,e3]=x*e1-e3-e4; [e1,e3]=e4")
-    reports = run_phase_rows(cat, samples=4)
+    reports = run_phase_rows(cat, trials=4)
     assert len(reports) == 45
     assert [(r.entry_id, r.status) for r in reports
             if r.status != "PASS"] == [("phase_b/B2", "FAIL")]

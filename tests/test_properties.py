@@ -140,8 +140,7 @@ def test_nijenhuis_cross_check_negative_control():
     from pk4lie.scalars import ParamDomain
     dom = ParamDomain.parse("lam > 1/2, x != 0")
     L = LieAlgebra4.parse(
-        "[e1,e2]=e3; [e4,e3]=e3; [e4,e1]=lam*e1; [e4,e2]=(1-lam)*e2",
-        domain=dom)
+        "[e1,e2]=e3; [e4,e3]=e3; [e4,e1]=lam*e1; [e4,e2]=(1-lam)*e2")
     K = parse_endo("E11+x*E12-E22+E33-E44")
     n = nijenhuis(L, K)
     assert not all(vis_zero(v, dom) for v in n.values())

@@ -217,5 +217,5 @@ def test_certificate_needs_a_certified_pfaffian():
     assert not neutral_certified(True, nd, paracomplex_check(ABELIAN, K))
     h = metric_from(omega, K)
     assert signature_of(h.eval({next(iter(h.params())): 0})) == (1, 1, 2)
-    rep = validate_para_kahler(ABELIAN, omega, K, signature_samples=8)
+    rep = validate_para_kahler(ABELIAN, omega, K, trials=8)
     assert rep.status == "PASS", rep.failing()

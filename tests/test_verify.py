@@ -59,21 +59,21 @@ def test_symplectic_suite_all_pass():
 
 
 def test_structures_suite_all_pass():
-    reports = run_structures(CAT, samples=8)
+    reports = run_structures(CAT, trials=8)
     assert len(reports) == 98
     assert all(r.status == "PASS" for r in reports), [
         r.entry_id for r in reports if r.status != "PASS"]
 
 
 def test_phase_suite_all_pass():
-    reports = run_phase_rows(CAT, samples=4)
+    reports = run_phase_rows(CAT, trials=4)
     assert len(reports) == 45
     assert all(r.status == "PASS" for r in reports), [
         r.entry_id for r in reports if r.status != "PASS"]
 
 
 def test_iso_suite_all_pass():
-    reports = run_iso_rows(CAT, samples=4)
+    reports = run_iso_rows(CAT, trials=4)
     assert len(reports) == 88
     assert all(r.status == "PASS" for r in reports), [
         (r.entry_id, r.status) for r in reports if r.status != "PASS"]
@@ -154,8 +154,7 @@ def test_an_unsatisfiable_domain_fails_its_row():
     # Pfaffian that only sampling can decide).
     st = CAT.structures["structures/r2r2_mupos/K1"]
     empty = ParamDomain.parse("mu > 0, mu < 0")
-    algebra = LieAlgebra4(st.algebra.brackets, st.algebra.name, empty)
-    rows = [StructureEntry(st.entry_id, st.raw, st.variant, algebra, omega,
+    rows = [StructureEntry(st.entry_id, st.raw, st.variant, st.algebra, omega,
                            st.K, empty, st.symplectic_ref)
             for omega in (st.omega, st.omega.scale(parse_scalar("y")))]
     for rep in run_structures(SimpleNamespace(structure_list=lambda: rows)):
@@ -167,14 +166,30 @@ def test_an_unsatisfiable_domain_fails_its_row():
     assert row.notes
     empty = ParamDomain.parse("x > 0, x < 0")
     broken = CurvatureRowEntry(
-        row.entry_id, row.raw, row.variant,
-        LieAlgebra4(row.algebra.brackets, row.algebra.name, empty),
-        row.metric, empty, row.expect_flat, row.expect_ricci_flat,
+        row.entry_id, row.raw, row.variant, row.algebra, row.metric, empty, row.expect_flat, row.expect_ricci_flat,
         row.expect_x, row.expect_lam, row.notes)
     rep = _verify_curvature_row(broken)
     assert rep.status == "FAIL"
     assert rep.failing() == ["domain_satisfiable"]
     assert rep.notes == row.notes
+
+
+def test_seed_and_trials_reach_every_sampled_check(monkeypatch):
+    # omega scaled by y has a Pfaffian that only sampling decides, so both
+    # the Pfaffian check and the signature fallback sample.
+    st = CAT.structures["structures/r2r2_mupos/K1"]
+    row = StructureEntry(st.entry_id, st.raw, st.variant, st.algebra,
+                         st.omega.scale(parse_scalar("y")), st.K, st.domain,
+                         st.symplectic_ref)
+    calls = []
+
+    def recorded(self, params, evaluate, trials, seed, _orig=ParamDomain.sampled_values):
+        calls.append((trials, seed))
+        return _orig(self, params, evaluate, trials, seed)
+    monkeypatch.setattr(ParamDomain, "sampled_values", recorded)
+    [rep] = run_structures(SimpleNamespace(structure_list=lambda: [row]), 7, 3)
+    assert rep.status == "PASS", rep.failing()
+    assert len(calls) == 2 and set(calls) == {(3, 7)}
 
 
 def test_metric_linkage_frozen():
@@ -189,8 +204,8 @@ def test_reports_deterministic_for_fixed_seed():
     a = [r.to_dict() for r in run_symplectic(CAT, seed=7)]
     b = [r.to_dict() for r in run_symplectic(CAT, seed=7)]
     assert a == b
-    c = [r.to_dict() for r in run_curvature_rows(CAT, seed=3)]
-    d = [r.to_dict() for r in run_curvature_rows(CAT, seed=3)]
+    c = [r.to_dict() for r in run_scope(CAT, "curvature", seed=3)]
+    d = [r.to_dict() for r in run_scope(CAT, "curvature", seed=3)]
     assert c == d
 
 
