@@ -292,20 +292,14 @@ def _emit_geometry(args, out: dict) -> None:
 
 def cmd_phase(args) -> int:
     from .phase_space import (
-        LSA2, LSA_CATALOG_TEXT, LSAPair, assembled_brackets, is_lie_extendible,
-        lsa, normal_form,
+        assembled_brackets, is_lie_extendible, lsa_pair, normal_form,
     )
-    if args.base not in LSA_CATALOG_TEXT:
-        raise KeyError(f"unknown left-symmetric algebra {args.base!r}; "
-                       f"choices: {', '.join(sorted(LSA_CATALOG_TEXT))}")
-    base = lsa(args.base)
-    dual = LSA2.parse(args.dual or "trivial", "dual", offset=2)
-    pair = LSAPair(base, dual, base.domain)
+    pair = lsa_pair(args.base, args.dual)
     L = assembled_brackets(pair)
     ok, defects = is_lie_extendible(pair)
     out = {
-        "base": base.serialize(),
-        "dual": dual.serialize(offset=2),
+        "base": pair.on_U.serialize(),
+        "dual": pair.on_Ustar.serialize(offset=2),
         "brackets": L.serialize(),
         "lie_extendible": ok,
     }

@@ -144,11 +144,6 @@ class ParacomplexReport:
         self.eigenrank_plus, self.eigenrank_minus = eigenrank_plus, eigenrank_minus
         self.nijenhuis_zero, self.rank_constraint = nijenhuis_zero, rank_constraint
 
-    @property
-    def is_paracomplex(self) -> bool:
-        return (self.squares_to_id and self.eigenrank_plus == 2
-                and self.eigenrank_minus == 2 and self.nijenhuis_zero)
-
 
 def paracomplex_check(L: LieAlgebra4, K: Mat4,
                       domain: ParamDomain = EMPTY_DOMAIN) -> ParacomplexReport:

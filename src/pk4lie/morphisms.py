@@ -28,9 +28,6 @@ class LinMap:
     def invertible(self, trials: int = 32, seed: int = 0) -> Verdict:
         return nonvanishing(self.matrix.det(), self.domain, trials, seed)
 
-    def inverse(self) -> "LinMap":
-        return LinMap(self.matrix.inverse(), self.target, self.source, self.domain)
-
 
 def iso_residuals(m: LinMap) -> Dict[tuple, Vec4]:
     """P[e_i,e_j]_source - [P e_i, P e_j]_target for all basis pairs."""
@@ -64,9 +61,10 @@ def transport(m: LinMap, omega: Mat4, K: Mat4) -> Tuple[Mat4, Mat4]:
 
 def check_equivalence(T: LinMap, s1: Tuple[Mat4, Mat4],
                       s2: Tuple[Mat4, Mat4]) -> Tuple[bool, Dict[str, Mat4]]:
-    """Equivalence of structures through an automorphism T:
+    """Equivalence of structures through an automorphism T: T pulls s2 back
+    to s1, transport(T, *s2) = s1, that is
 
-        T^t omega2 T = omega1   and   T^{-1} K1 T = K2.
+        T^t omega2 T = omega1   and   T^{-1} K2 T = K1.
 
     Raises NotAutomorphism unless T is a Lie isomorphism of its (single)
     algebra.
@@ -76,10 +74,7 @@ def check_equivalence(T: LinMap, s1: Tuple[Mat4, Mat4],
     ok, _ = check_lie_isomorphism(T)
     if not ok:
         raise NotAutomorphism("map is not a Lie algebra automorphism")
-    omega1, k1 = s1
-    omega2, k2 = s2
-    t = T.matrix
-    d_omega = t.transpose() @ omega2 @ t - omega1
-    d_k = t.inverse() @ k1 @ t - k2
+    omega, k = transport(T, *s2)
+    d_omega, d_k = omega - s1[0], k - s1[1]
     good = d_omega.is_zero(T.domain) and d_k.is_zero(T.domain)
     return good, {"omega": d_omega, "K": d_k}

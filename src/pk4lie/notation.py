@@ -9,6 +9,7 @@ variant "a" takes every top sign, variant "b" every bottom sign.
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Dict, List, Optional
 
@@ -118,12 +119,39 @@ def _parse_lin(text: str, kind: str) -> _Lin:
 # Concrete object parsers
 
 
-def parse_vector(text: str) -> Vec4:
-    lin = _parse_lin(text, "vec")
+def _parse_terms(text: str, kind: str, what: str) -> dict:
+    """The atom coefficients of `text`; a ParseError if it has a scalar part."""
+    lin = _parse_lin(text, kind)
     if not lin.scalar.is_zero:
-        raise ParseError(f"vector expression has a scalar part: {text!r}")
+        raise ParseError(f"{what} has a scalar part: {text!r}")
+    return lin.coeffs
+
+
+def _parse_matrix(text: str, kind: str, what: str, mirror=None) -> Mat4:
+    """Coefficient c of atom (i, j) at entry (i, j) and, for i != j,
+    mirror(entry (j, i), c) at (j, i): operator.sub for a two-form (where
+    a diagonal atom is zero), operator.add for a symmetric form, None for
+    an endomorphism."""
+    m = Mat4.zeros()
+    for (i, j), c in _parse_terms(text, kind, what).items():
+        if i == j and mirror is operator.sub:
+            raise ParseError(f"e{i+1}{j+1} wedge is zero")
+        m.rows[i][j] = m.rows[i][j] + c
+        if i != j and mirror is not None:
+            m.rows[j][i] = mirror(m.rows[j][i], c)
+    return m
+
+
+def _emit_matrix(m: Mat4, prefix: str, keep) -> str:
+    """The entries (i, j) with keep(i, j), as prefix-ij atoms."""
+    return _emit_terms([(f"{prefix}{i+1}{j+1}", m.rows[i][j])
+                        for i in range(4) for j in range(4)
+                        if keep(i, j) and not m.rows[i][j].is_zero])
+
+
+def parse_vector(text: str) -> Vec4:
     v = vzero()
-    for (i,), c in lin.coeffs.items():
+    for (i,), c in _parse_terms(text, "vec", "vector expression").items():
         v[i] = v[i] + c
     return v
 
@@ -134,27 +162,11 @@ def emit_vector(v: Vec4) -> str:
 
 def parse_two_form(text: str) -> Mat4:
     """Antisymmetric two-form from wedge atoms e.g. "e14+e23"."""
-    lin = _parse_lin(text, "wedge")
-    if not lin.scalar.is_zero:
-        raise ParseError(f"two-form has a scalar part: {text!r}")
-    m = Mat4.zeros()
-    for (i, j), c in lin.coeffs.items():
-        if i == j:
-            raise ParseError(f"e{i+1}{j+1} wedge is zero")
-        m.rows[i][j] = m.rows[i][j] + c
-        m.rows[j][i] = m.rows[j][i] - c
-    return m
+    return _parse_matrix(text, "wedge", "two-form", operator.sub)
 
 
 def emit_two_form(m: Mat4) -> str:
-    parts = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            c = m.rows[i][j]
-            if c.is_zero:
-                continue
-            parts.append((f"e{i+1}{j+1}", c))
-    return _emit_terms(parts)
+    return _emit_matrix(m, "e", operator.lt)
 
 
 def parse_sym_form(text: str) -> Mat4:
@@ -163,49 +175,19 @@ def parse_sym_form(text: str) -> Mat4:
     For i != j the atom eps_ij sets both (i,j) and (j,i) matrix entries to
     its coefficient; eps_ii sets the diagonal entry.
     """
-    lin = _parse_lin(text, "sym")
-    if not lin.scalar.is_zero:
-        raise ParseError(f"symmetric form has a scalar part: {text!r}")
-    m = Mat4.zeros()
-    for (i, j), c in lin.coeffs.items():
-        if i == j:
-            m.rows[i][i] = m.rows[i][i] + c
-        else:
-            m.rows[i][j] = m.rows[i][j] + c
-            m.rows[j][i] = m.rows[j][i] + c
-    return m
+    return _parse_matrix(text, "sym", "symmetric form", operator.add)
 
 
 def emit_sym_form(m: Mat4) -> str:
-    parts = []
-    for i in range(4):
-        for j in range(i, 4):
-            c = m.rows[i][j]
-            if c.is_zero:
-                continue
-            parts.append((f"eps{i+1}{j+1}", c))
-    return _emit_terms(parts)
+    return _emit_matrix(m, "eps", operator.le)
 
 
 def parse_endo(text: str) -> Mat4:
-    lin = _parse_lin(text, "endo")
-    if not lin.scalar.is_zero:
-        raise ParseError(f"endomorphism has a scalar part: {text!r}")
-    m = Mat4.zeros()
-    for (i, j), c in lin.coeffs.items():
-        m.rows[i][j] = m.rows[i][j] + c
-    return m
+    return _parse_matrix(text, "endo", "endomorphism")
 
 
 def emit_endo(m: Mat4) -> str:
-    parts = []
-    for i in range(4):
-        for j in range(4):
-            c = m.rows[i][j]
-            if c.is_zero:
-                continue
-            parts.append((f"E{i+1}{j+1}", c))
-    return _emit_terms(parts)
+    return _emit_matrix(m, "E", lambda i, j: True)
 
 
 def _emit_terms(parts: List[tuple]) -> str:

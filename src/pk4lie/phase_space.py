@@ -20,10 +20,7 @@ from typing import Dict, List, Tuple
 from .liealg import LieAlgebra4
 from .linalg import Mat4, Vec4, vzero
 from .notation import emit_vector, parse_endo, parse_two_form, parse_vector
-from .scalars import (
-    EMPTY_DOMAIN, ParamDomain, ParseError, Poly, Scalar, ZERO, ONE,
-    _make_primitive,
-)
+from .scalars import EMPTY_DOMAIN, ParamDomain, ParseError, Scalar, ZERO, ONE
 
 Vec2 = List[Scalar]
 
@@ -36,12 +33,9 @@ class LSA2:
     a checked property.
     """
 
-    def __init__(self, products: Dict[tuple, Vec2], name: str = "",
-                 domain: ParamDomain = EMPTY_DOMAIN):
+    def __init__(self, products: Dict[tuple, Vec2]):
         self.products = {k: list(v) for k, v in products.items()
                          if not all(c.is_zero for c in v)}
-        self.name = name
-        self.domain = domain
 
     def product_basis(self, a: int, b: int) -> Vec2:
         v = self.products.get((a, b))
@@ -59,15 +53,11 @@ class LSA2:
         return out
 
     @staticmethod
-    def parse(text: str, name: str = "", domain: ParamDomain = EMPTY_DOMAIN,
-              offset: int = 0) -> "LSA2":
-        return LSA2(parse_products(text, offset), name, domain)
+    def parse(text: str, offset: int = 0) -> "LSA2":
+        return LSA2(parse_products(text, offset))
 
     def serialize(self, offset: int = 0) -> str:
         return emit_products(self.products, offset)
-
-    def __repr__(self):
-        return f"LSA2({self.name or self.serialize()})"
 
 
 _PROD_RE = re.compile(r"^e([1-4])\s*\.\s*e([1-4])\s*=\s*(.+)$")
@@ -122,6 +112,9 @@ def emit_products(products: Dict[tuple, Vec2], offset: int = 0) -> str:
 
 
 class LSAPair:
+    """A product on U and one on U*, over the family's domain: the only
+    domain of a phase-space pair."""
+
     __slots__ = ("on_U", "on_Ustar", "domain")
 
     def __init__(self, on_U: LSA2, on_Ustar: LSA2,
@@ -188,69 +181,6 @@ def is_lie_extendible(pair: LSAPair) -> Tuple[bool, Dict[tuple, Vec4]]:
     return ok, defects
 
 
-USTAR_COEFFS = ("a33", "b33", "a34", "b34", "a43", "b43", "a44", "b44")
-
-
-def generic_ustar() -> LSA2:
-    """Arbitrary product on U*: e3.e3 = a33 e3 + b33 e4, etc."""
-    s = {n: Scalar.var(n) for n in USTAR_COEFFS}
-    return LSA2({
-        (0, 0): [s["a33"], s["b33"]],
-        (0, 1): [s["a34"], s["b34"]],
-        (1, 0): [s["a43"], s["b43"]],
-        (1, 1): [s["a44"], s["b44"]],
-    }, "generic_ustar")
-
-
-class ConstraintSystem:
-    """Jacobi defect of the assembled bracket as labelled polynomials."""
-
-    __slots__ = ("equations",)
-
-    def __init__(self, equations: List[Tuple[str, Poly]]):
-        self.equations = equations
-
-    def contains(self, poly: Poly) -> bool:
-        """Membership up to a rational unit."""
-        target = _make_primitive(poly)
-        return any(_make_primitive(p) == target for _, p in self.equations
-                   if not p.is_zero)
-
-    def residuals_at(self, coeffs: Dict[str, Scalar]) -> List[Scalar]:
-        mapping = {Scalar.var(n).params().pop(): Scalar.of(v)
-                   for n, v in coeffs.items()}
-        return [Scalar(p).substitute(mapping) for _, p in self.equations]
-
-    def is_solution(self, coeffs: Dict[str, Scalar],
-                    domain: ParamDomain = EMPTY_DOMAIN) -> bool:
-        return all(domain.is_zero(r) for r in self.residuals_at(coeffs))
-
-
-def extendibility_constraints(on_U: LSA2) -> ConstraintSystem:
-    """Polynomial system on the free U* coefficients equivalent to Jacobi."""
-    pair = LSAPair(on_U, generic_ustar(), on_U.domain)
-    defects = assembled_brackets(pair).jacobi_defect()
-    eqs = []
-    for (i, j, k), vec in sorted(defects.items()):
-        for comp in range(4):
-            s = vec[comp]
-            if s.is_zero:
-                continue
-            if not s.den.is_const:
-                raise ParseError("constraint system is not polynomial")
-            eqs.append((f"jacobi(e{i+1},e{j+1},e{k+1}).e{comp+1}", s.num))
-    return ConstraintSystem(eqs)
-
-
-def ustar_coeffs_from_products(products: Dict[tuple, Vec2]) -> Dict[str, Scalar]:
-    """Coefficient assignment {a33: ..., b33: ...} from a product table."""
-    out = {n: ZERO for n in USTAR_COEFFS}
-    for (a, b), vec in products.items():
-        out[f"a{a+3}{b+3}"] = vec[0]
-        out[f"b{a+3}{b+3}"] = vec[1]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The ten cataloged families of 2-dimensional left-symmetric algebras.
 #
@@ -275,14 +205,15 @@ LSA_CATALOG_TEXT = {
 }
 
 
-def lsa(name: str) -> LSA2:
-    """The cataloged left-symmetric algebra `name`."""
-    text, dom = LSA_CATALOG_TEXT[name]
-    return LSA2.parse(text, name, ParamDomain.parse(dom))
-
-
-def lsa_catalog() -> Dict[str, LSA2]:
-    return {name: lsa(name) for name in LSA_CATALOG_TEXT}
+def lsa_pair(name: str, dual: str) -> LSAPair:
+    """The cataloged algebra `name` on U with the product table `dual` on U*
+    (empty for the trivial one), over the family's domain."""
+    if name not in LSA_CATALOG_TEXT:
+        raise KeyError(f"unknown left-symmetric algebra {name!r}; "
+                       f"choices: {', '.join(sorted(LSA_CATALOG_TEXT))}")
+    text, domain = LSA_CATALOG_TEXT[name]
+    return LSAPair(LSA2.parse(text), LSA2.parse(dual or "trivial", offset=2),
+                   ParamDomain.parse(domain))
 
 
 # The normal form that every phase-space pair carries: omega pairs U with

@@ -643,9 +643,6 @@ class Scalar:
             return Scalar.const(1) / self ** (-n)
         return Scalar(self.num ** n, self.den ** n)
 
-    def inv(self) -> "Scalar":
-        return Scalar.const(1) / self
-
     def substitute(self, mapping: Mapping[Param, "Scalar"]) -> "Scalar":
         """Substitute scalars for parameters (exact); self when the mapping
         names none of its parameters."""
@@ -1169,21 +1166,6 @@ class Verdict:
         self.kind = kind
         self.witness = witness
         self.trials = trials
-
-    @property
-    def is_zero(self) -> bool:
-        return self.kind in ("ZeroExact", "ZeroSampled")
-
-    def __repr__(self):
-        if self.kind == "NonZero":
-            w = {p.name: str(v) for p, v in (self.witness or {}).items()}
-            return f"NonZero({w})"
-        if self.kind == "ZeroSampled":
-            return f"ZeroSampled({self.trials})"
-        return self.kind
-
-    def __eq__(self, other):
-        return isinstance(other, Verdict) and self.kind == other.kind
 
 
 def identity_test(s: Scalar, domain: ParamDomain = EMPTY_DOMAIN,

@@ -7,7 +7,9 @@ rational point, and ranks by elimination over plain Fractions, which
 shares no code with `pk4lie.linalg._eliminate`.  The dense loops over
 every basis pair are the references for the sparse kernels of `liealg`,
 `structures` and `curvature`, and Besse's formula gives the Ricci form from
-the structure constants alone, with no connection.  A connection is given
+the structure constants alone, with no connection.  The extendibility
+system is the Jacobi identity of a phase-space pair with a generic product
+on U*, the polynomial equations the paper displays.  A connection is given
 by its list `nabla`: nabla[i] is the matrix of u -> nabla_{e_i} u.
 """
 
@@ -16,7 +18,13 @@ from fractions import Fraction
 from pk4lie.catalog import _alg_params
 from pk4lie.liealg import form_apply
 from pk4lie.linalg import Mat4, ThreeForm4, vadd, vbasis, vis_zero, vzero
-from pk4lie.scalars import DenominatorVanishes, HALF, ONE, Scalar, ZERO
+from pk4lie.phase_space import (
+    LSA2, LSA_CATALOG_TEXT, LSAPair, assembled_brackets, lsa_pair,
+)
+from pk4lie.scalars import (
+    EMPTY_DOMAIN, DenominatorVanishes, HALF, ONE, ParseError, Scalar, ZERO,
+    _make_primitive,
+)
 from pk4lie.structures import metric_from
 
 
@@ -291,19 +299,89 @@ def involutive_samples(L, K, domain, rng, wanted, attempts=None):
 
 def is_left_symmetric(lsa):
     """ass(u,v,w) = ass(v,u,w) with ass(u,v,w) = (uv)w - u(vw), on the
-    basis triples with u != v, over the algebra's domain."""
+    basis triples with u != v, as rational functions."""
     def ass(u, v, w):
         return [a - b for a, b in zip(lsa.product(lsa.product(u, v), w),
                                       lsa.product(u, lsa.product(v, w)))]
 
     e = ([ONE, ZERO], [ZERO, ONE])
-    return all(lsa.domain.is_zero(a - b) for w in e
+    return all((a - b).is_zero for w in e
                for a, b in zip(ass(e[0], e[1], w), ass(e[1], e[0], w)))
 
 
 def commutator_brackets(lsa):
     """[e1, e2] = e1.e2 - e2.e1 (Jacobi is automatic in dimension 2)."""
     return [a - b for a, b in zip(lsa.product_basis(0, 1), lsa.product_basis(1, 0))]
+
+
+def lsa_catalog():
+    """The twelve cataloged left-symmetric algebras on U, by name."""
+    return {name: lsa_pair(name, "").on_U for name in LSA_CATALOG_TEXT}
+
+
+# ---------------------------------------------------------------------------
+# The extendibility system: the Jacobi identity of the phase-space bracket
+# as polynomial equations in the coefficients of a generic product on U*,
+# which the paper displays for b2
+
+
+USTAR_COEFFS = ("a33", "b33", "a34", "b34", "a43", "b43", "a44", "b44")
+
+
+def generic_ustar():
+    """Arbitrary product on U*: e3.e3 = a33 e3 + b33 e4, etc."""
+    s = {n: Scalar.var(n) for n in USTAR_COEFFS}
+    return LSA2({
+        (0, 0): [s["a33"], s["b33"]],
+        (0, 1): [s["a34"], s["b34"]],
+        (1, 0): [s["a43"], s["b43"]],
+        (1, 1): [s["a44"], s["b44"]],
+    })
+
+
+class ConstraintSystem:
+    """Jacobi defect of the assembled bracket as labelled polynomials."""
+
+    def __init__(self, equations):
+        self.equations = equations
+
+    def contains(self, poly):
+        """Membership up to a rational unit."""
+        target = _make_primitive(poly)
+        return any(_make_primitive(p) == target for _, p in self.equations
+                   if not p.is_zero)
+
+    def residuals_at(self, coeffs):
+        mapping = {Scalar.var(n).params().pop(): Scalar.of(v)
+                   for n, v in coeffs.items()}
+        return [Scalar(p).substitute(mapping) for _, p in self.equations]
+
+    def is_solution(self, coeffs, domain=EMPTY_DOMAIN):
+        return all(domain.is_zero(r) for r in self.residuals_at(coeffs))
+
+
+def extendibility_constraints(on_U):
+    """Polynomial system on the free U* coefficients equivalent to Jacobi."""
+    defects = assembled_brackets(LSAPair(on_U, generic_ustar())).jacobi_defect()
+    eqs = []
+    for (i, j, k), vec in sorted(defects.items()):
+        for comp in range(4):
+            s = vec[comp]
+            if s.is_zero:
+                continue
+            if not s.den.is_const:
+                raise ParseError("constraint system is not polynomial")
+            eqs.append((f"jacobi(e{i+1},e{j+1},e{k+1}).e{comp+1}", s.num))
+    return ConstraintSystem(eqs)
+
+
+def ustar_coeffs_from_products(products):
+    """Coefficient assignment {a33: ..., b33: ...} from a product table."""
+    out = {n: ZERO for n in USTAR_COEFFS}
+    for (a, b), vec in products.items():
+        out[f"a{a+3}{b+3}"] = vec[0]
+        out[f"b{a+3}{b+3}"] = vec[1]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,7 @@ from pk4lie.liealg import LieAlgebra4
 from pk4lie.linalg import Mat4, vis_zero
 from pk4lie.notation import parse_endo, parse_sym_form, parse_two_form
 from pk4lie.phase_space import (
-    LSAPair, assembled_brackets, extendibility_constraints, is_lie_extendible,
-    lsa_catalog, parse_products, ustar_coeffs_from_products, LSA2,
+    LSAPair, assembled_brackets, is_lie_extendible, parse_products, LSA2,
 )
 from pk4lie.scalars import EMPTY_DOMAIN, ParamDomain, Scalar, parse_scalar
 from pk4lie.structures import levi_civita, metric_from
@@ -28,7 +27,8 @@ from pk4lie.verify import (
     run_phase_rows, run_structures, run_symplectic,
 )
 from oracles import (
-    involutive_samples, levi_civita_axioms_hold, omega_parallel, perturbed,
+    extendibility_constraints, involutive_samples, levi_civita_axioms_hold,
+    lsa_catalog, omega_parallel, perturbed, ustar_coeffs_from_products,
 )
 from test_verify import CURVATURE_WARNS, WITNESS_WARNS
 

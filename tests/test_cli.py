@@ -124,6 +124,26 @@ def test_verify_reports_frozen(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_REPORT_SHA256[argv]
 
 
+# sha256 over the exit code and stdout of `phase` for every base/dual pair
+# of the benchmark's explore space, in text and JSON at seed 0
+PHASE_REPORTS_SHA256 = \
+    "7348fb2e3aa2e500dec96b97e2a9318740c9e400144030cfd90b6a709db7fad9"
+
+
+def test_phase_reports_frozen(capsys):
+    root = Path(__file__).resolve().parent.parent
+    space = json.loads((root / "perfbench" / "explore_space.json").read_text())
+    digest, codes = hashlib.sha256(), []
+    for base in space["phase_bases"]:
+        for dual in space["phase_duals"]:
+            for fmt in ("text", "json"):
+                code, out, _ = run_cli(capsys, "--format", fmt, "phase", base, dual)
+                codes.append(code)
+                digest.update(f"{code}\n{out}".encode())
+    assert (len(codes), codes.count(0), codes.count(1)) == (312, 68, 244)
+    assert digest.hexdigest() == PHASE_REPORTS_SHA256
+
+
 def test_dump_byte_identical(capsys):
     code, out, _ = run_cli(capsys, "dump", "structures/d4_half/K1")
     assert code == 0

@@ -99,17 +99,19 @@ def test_paracomplex_identity_is_not_paracomplex():
     rep = paracomplex_check(RH3, Mat4.identity())
     assert rep.squares_to_id
     assert (rep.eigenrank_plus, rep.eigenrank_minus) == (4, 0)
-    assert not rep.is_paracomplex
+    assert rep.nijenhuis_zero
 
 
 def test_paracomplex_normal_form_on_b2():
     rep = paracomplex_check(B2, parse_endo("E11+E22-E33-E44"))
-    assert rep.is_paracomplex
+    assert rep.squares_to_id and rep.nijenhuis_zero
+    assert (rep.eigenrank_plus, rep.eigenrank_minus) == (2, 2)
 
 
 def test_paracomplex_rr30_K2_all_x():
     rep = paracomplex_check(RR30, parse_endo("E11+x*E12-E22+E33-E44"))
-    assert rep.is_paracomplex
+    assert rep.squares_to_id and rep.nijenhuis_zero
+    assert (rep.eigenrank_plus, rep.eigenrank_minus) == (2, 2)
 
 
 def test_algebra_serialization_round_trip():

@@ -19,6 +19,11 @@ def linmap(source, target, cols, domain=""):
     return LinMap(p, source, target, ParamDomain.parse(domain))
 
 
+def inverse(m):
+    """The inverse map, from m's target back to its source."""
+    return LinMap(m.matrix.inverse(), m.target, m.source, m.domain)
+
+
 def test_identity_map_is_isomorphism():
     rh3 = LieAlgebra4.parse("[e1,e2]=e3")
     m = LinMap(Mat4.identity(), rh3, rh3)
@@ -81,10 +86,10 @@ def test_transport_round_trip_through_inverse():
     r4m1 = LieAlgebra4.parse("[e4,e1]=e1; [e4,e2]=-e2; [e4,e3]=e2-e3")
     m = linmap(r4m1, b2, ["e1", "-e4", "-(x/2)*e1+e3", "e2"])
     w1, k1 = transport(m, NF_OMEGA, NF_K)
-    w2, k2 = transport(m.inverse(), w1, k1)
+    w2, k2 = transport(inverse(m), w1, k1)
     assert w2.equals(NF_OMEGA)
     assert k2.equals(NF_K)
-    ok, _ = check_lie_isomorphism(m.inverse())
+    ok, _ = check_lie_isomorphism(inverse(m))
     assert ok
 
 
@@ -101,8 +106,24 @@ def test_equivalence_worked_instance():
     ident = LinMap(Mat4.identity(), rr30, rr30)
     ok, _ = check_equivalence(ident, (omega0, k04), (omega0, k04))
     assert ok
-    ok, _ = check_equivalence(L.inverse(), (omega0, k01), (omega0, k04))
+    ok, _ = check_equivalence(inverse(L), (omega0, k01), (omega0, k04))
     assert ok
+
+
+def test_equivalence_pulls_the_second_structure_back_to_the_first():
+    # T moves both omega and K; s1 is s2 pulled back along T
+    rr30 = LieAlgebra4.parse("[e1,e2]=e2")
+    T = linmap(rr30, rr30, ["e1+e2", "2*e2", "e3", "e4"])
+    assert check_lie_isomorphism(T)[0]
+    s2 = (parse_two_form("-e12+e34"), parse_endo("E11-E22+E33-E44"))
+    s1 = transport(T, *s2)
+    assert s1[0] == parse_two_form("-2*e12+e34")
+    assert s1[1] == parse_endo("E11-E21-E22+E33-E44")
+    assert validate_para_kahler(rr30, *s1).status == "PASS"
+    ok, diff = check_equivalence(T, s1, s2)
+    assert ok, diff
+    assert check_equivalence(inverse(T), s2, s1)[0]
+    assert not check_equivalence(T, s2, s1)[0]
 
 
 def test_equivalence_requires_automorphism():

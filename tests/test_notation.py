@@ -2,6 +2,8 @@
 tables parse back to the same objects, and malformed input of every atom
 kind is a ParseError."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -61,22 +63,32 @@ def test_emitted_objects_parse_back(v, omega, h, K, brackets):
     assert parse_brackets(emit_brackets(brackets)) == brackets
 
 
-@pytest.mark.parametrize("parse, a, b", [
-    (parse_vector, "e1", "e2"),
-    (parse_two_form, "e12", "e34"),
-    (parse_sym_form, "eps11", "eps23"),
-    (parse_endo, "E12", "E21"),
+KINDS = [
+    (parse_vector, "e1", "e2", "vector expression"),
+    (parse_two_form, "e12", "e34", "two-form"),
+    (parse_sym_form, "eps11", "eps23", "symmetric form"),
+    (parse_endo, "E12", "E21", "endomorphism"),
+]
+SHAPES = [                    # and a message the error must contain
+    ("{a}*{b}", ""),          # an atom times an atom
+    ("x*{a}/{b}", ""),        # division by an atom
+    ("{a}+1", "{what} has a scalar part: "),
+    ("(x*{a}+{b}", ""),       # an unbalanced parenthesis
+    ("{a}/(x-x)", ""),        # division by zero
+]
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    pytest.param(parse, shape.format(a=a, b=b), message.format(what=what),
+                 id=f"{shape}-{parse.__name__}-{a}-{b}")
+    for shape, message in SHAPES for parse, a, b, what in KINDS
+] + [
+    pytest.param(parse_two_form, "e11", "e11 wedge is zero",
+                 id="e11-parse_two_form"),
 ])
-@pytest.mark.parametrize("shape", [
-    "{a}*{b}",        # an atom times an atom
-    "x*{a}/{b}",      # division by an atom
-    "{a}+1",          # a scalar part
-    "(x*{a}+{b}",     # an unbalanced parenthesis
-    "{a}/(x-x)",      # division by zero
-])
-def test_malformed_expressions_are_parse_errors(parse, a, b, shape):
-    with pytest.raises(ParseError):
-        parse(shape.format(a=a, b=b))
+def test_malformed_expressions_are_parse_errors(parse, text, message):
+    with pytest.raises(ParseError, match=re.escape(message) or None):
+        parse(text)
 
 
 @pytest.mark.parametrize("parse, a", [

@@ -3,13 +3,15 @@ from pk4lie.liealg import LieAlgebra4
 from pk4lie.linalg import _eliminate, _pick_pivot
 from pk4lie.notation import parse_endo, parse_two_form
 from pk4lie.phase_space import (
-    LSA2, LSAPair, assembled_brackets, extendibility_constraints,
-    is_lie_extendible, lsa_catalog, phase_product, ustar_coeffs_from_products,
-    parse_products,
+    LSA2, LSAPair, assembled_brackets, is_lie_extendible, lsa_pair,
+    phase_product, parse_products,
 )
 from pk4lie.scalars import EMPTY_DOMAIN, Scalar, ZERO, ONE, parse_scalar
 from pk4lie.structures import validate_para_kahler
-from oracles import commutator_brackets, is_left_symmetric
+from oracles import (
+    commutator_brackets, extendibility_constraints, is_left_symmetric,
+    lsa_catalog, ustar_coeffs_from_products,
+)
 
 CATALOG = lsa_catalog()
 B2 = CATALOG["b2"]
@@ -215,6 +217,15 @@ def test_lsa_round_trip():
         text = lsa.serialize()
         again = LSA2.parse(text)
         assert again.serialize() == text
+
+
+def test_the_pair_owns_the_family_domain():
+    pair = lsa_pair("b3_alpha", "")
+    assert repr(pair.domain) == "ParamDomain(alpha != 0)"
+    assert pair.on_Ustar.serialize(offset=2) == "trivial"
+    assert not hasattr(pair.on_U, "domain")
+    assert not hasattr(pair.on_Ustar, "domain")
+    assert repr(lsa_pair("b2", "e3.e3=x*e4").domain) == "ParamDomain()"
 
 
 def test_build_table_rows_all_validate():
