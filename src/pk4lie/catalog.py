@@ -9,7 +9,7 @@ then kept, so that answering one entry parses one entry.  Each row owns
 its payload, which keeps parameters of different entries from
 interacting; a row that names an algebra or a phase row takes that
 row's built algebra, or its instance under the row's substitution, and
-owns its domain.  `load_catalog(check=True)` reads every row to assert it.
+owns its domain.  A checked load reads every row of the sections it asserts.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import re
 from collections.abc import Mapping
 from functools import cached_property
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .curvature import Geometry
 from .liealg import LieAlgebra4
@@ -48,6 +48,11 @@ DATA_DIR = Path(__file__).parent / "data"
 DATA_FILES = ("algebras.txt", "symplectic.txt", "structures.txt",
               "phase_b.txt", "phase_c.txt", "iso_b.txt", "iso_c.txt",
               "curvature.txt")
+
+# each row section, in assertion order, with the sections its rows are built from
+SECTIONS = {"algebras": (), "symplectic": ("algebras",),
+            "structures": ("symplectic", "algebras"), "phase_rows": (),
+            "iso_rows": ("phase_rows", "algebras"), "curvature_rows": ("algebras",)}
 
 _HEADER_RE = re.compile(r"^\[([A-Za-z0-9_/]+)\]\s*$")
 _RADICAL_RE = re.compile(r"^w\s*\*\s*w\s*=\s*(.+?)\s+solve\s+([A-Za-z_][A-Za-z0-9_]*)$")
@@ -406,7 +411,10 @@ def _check_satisfiable(entry_id: str, domain: ParamDomain, params) -> None:
         raise LoadAssertionFailed(entry_id, "domain unsatisfiable")
 
 
-def load_catalog(data_dir: Optional[Path] = None, check: bool = True) -> Catalog:
+def load_catalog(data_dir: Optional[Path] = None,
+                 check: Union[bool, Iterable[str]] = True) -> Catalog:
+    """The catalog; `check` asserts every section, none, or the named ones
+    and the sections their rows are built from."""
     data_dir = Path(data_dir) if data_dir else DATA_DIR
     cat = Catalog()
     for fname in DATA_FILES:
@@ -435,18 +443,22 @@ def load_catalog(data_dir: Optional[Path] = None, check: bool = True) -> Catalog
         rows.add(raw, keys)
 
     if check:
-        _run_load_assertions(cat)
+        names = set(SECTIONS if check is True else check)
+        _run_load_assertions(cat, names.union(*(SECTIONS[n] for n in names)))
     return cat
 
 
-def _run_load_assertions(cat: Catalog) -> None:
-    for entry_id, alg in cat.algebras.items():
+def _run_load_assertions(cat: Catalog, sections: set) -> None:
+    def rows(section: str):
+        return getattr(cat, section).items() if section in sections else ()
+
+    for entry_id, alg in rows("algebras"):
         _check_algebra(entry_id, alg.algebra, alg.domain)
-    for key, sym in cat.symplectic.items():
+    for key, sym in rows("symplectic"):
         if not sym.omega.is_antisymmetric():
             raise LoadAssertionFailed(key, "omega not antisymmetric")
         _check_satisfiable(key, sym.domain, _alg_params(sym.algebra) | sym.omega.params())
-    for key, st in cat.structures.items():
+    for key, st in rows("structures"):
         if not st.omega.is_antisymmetric(st.domain):
             raise LoadAssertionFailed(key, "omega not antisymmetric")
         _check_algebra(key, st.algebra, st.domain, st.K.params() | st.omega.params())
@@ -456,11 +468,11 @@ def _run_load_assertions(cat: Catalog) -> None:
             if not any(st.omega.equals(sym.omega.substitute(subst))
                        for sym in cat._symplectic_variants(st.symplectic_ref)):
                 raise LoadAssertionFailed(key, "omega is not a variant of its symplectic row")
-    for entry_id, row in cat.phase_rows.items():
+    for entry_id, row in rows("phase_rows"):
         _check_algebra(entry_id, row.algebra, row.domain)
-    for entry_id, row in cat.iso_rows.items():
+    for entry_id, row in rows("iso_rows"):
         _check_satisfiable(entry_id, row.domain, row.matrix.params())
-    for key, row in cat.curvature_rows.items():
+    for key, row in rows("curvature_rows"):
         if not row.metric.is_symmetric(row.domain):
             raise LoadAssertionFailed(key, "metric not symmetric")
         _check_algebra(key, row.algebra, row.domain, row.metric.params())

@@ -94,8 +94,8 @@ def main(argv=None) -> int:
 
 def cmd_verify(args) -> int:
     from .catalog import load_catalog
-    from .verify import run_scope
-    cat = load_catalog()
+    from .verify import run_scope, sections_read
+    cat = load_catalog(check=sections_read(args.scope))
     reports = run_scope(cat, args.scope, seed=args.seed, trials=args.trials)
     failed = sum(r.status == "FAIL" for r in reports)
     warned = sum(r.status == "WARN" for r in reports)
@@ -296,7 +296,7 @@ def cmd_phase(args) -> int:
     )
     pair = lsa_pair(args.base, args.dual)
     L = assembled_brackets(pair)
-    ok, defects = is_lie_extendible(pair)
+    ok, defects = is_lie_extendible(pair, L)
     out = {
         "base": pair.on_U.serialize(),
         "dual": pair.on_Ustar.serialize(offset=2),

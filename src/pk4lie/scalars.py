@@ -1172,9 +1172,10 @@ def identity_test(s: Scalar, domain: ParamDomain = EMPTY_DOMAIN,
                   trials: int = 32, seed: int = 0) -> Verdict:
     """Decide whether s vanishes identically on the domain.
 
-    Exact arithmetic makes the polynomial case decidable without sampling;
-    ZeroSampled is only reachable through the radical-relation escape hatch
-    and is flagged for review rather than trusted.
+    ZeroExact and NonZero are exact.  ZeroSampled, flagged for review rather
+    than trusted, needs every sample on a zero set of s that the reduction
+    misses: weak inequalities that pin a parameter to a root of s (s = x on
+    x >= 0, x <= 0), or a radicand holding another radical's w.
     """
     if trials < 1:
         raise ScalarError("trials must be >= 1")

@@ -2,10 +2,12 @@ import shutil
 
 import pytest
 
+from pk4lie import catalog
 from pk4lie.catalog import (
     DATA_DIR, LoadAssertionFailed, expand_variants, load_catalog,
     parse_entries,
 )
+from pk4lie.cli import main
 from pk4lie.liealg import LieAlgebra4
 from pk4lie.notation import (
     emit_endo, emit_sym_form, emit_two_form, parse_endo, parse_two_form,
@@ -140,6 +142,27 @@ def _broken_copy(tmp_path, fname, old, new):
     assert old in text
     path.write_text(text.replace(old, new, 1))
     return data
+
+
+D4_HALF_1 = ("[curvature/d4_half/1]\nalg: alg/d4_half\ndomain: x != 0\n"
+             "metric: eps12+x*eps33-eps34\n")
+
+
+@pytest.mark.parametrize("new, error", [
+    (D4_HALF_1.replace("-eps34", "-eps35"), ParseError),
+    (D4_HALF_1.replace("x != 0", "x > 0, x < 0"), LoadAssertionFailed),
+], ids=["metric", "domain"])
+def test_a_broken_row_fails_only_the_scopes_that_read_it(tmp_path, monkeypatch,
+                                                         capsys, new, error):
+    # curvature/d4_half/1 is read by the curvature suite alone
+    monkeypatch.setattr(catalog, "DATA_DIR",
+                        _broken_copy(tmp_path, "curvature.txt", D4_HALF_1, new))
+    assert main(["verify", "symplectic"]) == 0
+    assert main(["verify", "curvature"]) == 2
+    assert main(["verify", "all"]) == 2
+    capsys.readouterr()
+    with pytest.raises(error):
+        load_catalog()
 
 
 def test_corrupted_bracket_fails_load(tmp_path):

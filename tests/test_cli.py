@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from pk4lie import cli, curvature, liealg, notation, phase_space, structures, verify
+from pk4lie import (
+    catalog, cli, curvature, liealg, notation, phase_space, structures, verify,
+)
 from pk4lie.catalog import DATA_DIR, Catalog, load_catalog
 from pk4lie.cli import _curvature_table, main
 from pk4lie.scalars import ParamDomain
@@ -105,6 +107,14 @@ def test_phase_parses_only_the_named_algebra(monkeypatch, capsys):
     assert err == ("error: \"unknown left-symmetric algebra 'nope'; choices: "
                    "b1_alpha, b2, b3_alpha, b4, b5_minus, b5_plus, c1, c2, c3, "
                    "c4, c5_minus, c5_plus\"\n")
+
+
+def test_phase_assembles_the_bracket_once(monkeypatch, capsys):
+    # the printed table and the Jacobi verdict read one assembly
+    calls = _count_calls(monkeypatch, phase_space.assembled_brackets)
+    assert run_cli(capsys, "phase", "b2", "e3.e3=x*e4")[0] == 0
+    assert run_cli(capsys, "phase", "b2", "e3.e4=e4")[0] == 1
+    assert len(calls) == 2
 
 
 # sha256 of the whole stdout of `verify all` as JSON at seed 0 and of
@@ -258,6 +268,29 @@ def test_curvature_suite_and_table_solve_each_soliton_system_once(monkeypatch):
 def test_scopes_are_the_verify_suites():
     # a literal in cli, so that parsing the arguments imports no suite
     assert cli.SCOPES == (*verify.SUITES, "all")
+
+
+@pytest.mark.parametrize("scope", cli.SCOPES)
+def test_a_scope_asserts_each_section_it_builds_rows_of(monkeypatch, capsys, scope):
+    # A scope's checked load asserts the sections its suites read and those
+    # their rows are built from: every section with a built row, no other.
+    seen = {}
+
+    def load(*args, _orig=catalog.load_catalog, **kwargs):
+        seen["cat"] = _orig(*args, **kwargs)
+        return seen["cat"]
+
+    def run_assertions(cat, sections, _orig=catalog._run_load_assertions):
+        seen["asserted"] = set(sections)
+        _orig(cat, sections)
+
+    monkeypatch.setattr(catalog, "load_catalog", load)
+    monkeypatch.setattr(catalog, "_run_load_assertions", run_assertions)
+    assert main(["verify", scope]) == 0
+    capsys.readouterr()
+    built = {name for name in catalog.SECTIONS if getattr(seen["cat"], name)._rows}
+    assert seen["asserted"] == built
+    assert (built == set(catalog.SECTIONS)) == (scope == "all")
 
 
 def test_verify_all_parses_each_bracket_table_once(monkeypatch):

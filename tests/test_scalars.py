@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pk4lie.linalg import split_at_root
 from pk4lie.scalars import (
@@ -139,6 +139,37 @@ def test_eval_is_ring_homomorphism(a, b, seed):
         assert (a * b).eval(asg) == va * vb
     except DenominatorVanishes:
         pass
+
+
+# Linear constraints with an interior that a sample reaches in a few draws.
+strict_constraints = st.tuples(
+    st.sampled_from([-2, -1, 1, 2]), st.sampled_from(["x", "y", "mu"]),
+    st.integers(-1, 1), st.sampled_from(["!=", ">", "<"]),
+).map(lambda t: f"{t[0]}*{t[1]} + {t[2]} {t[3]} 0")
+
+
+@settings(max_examples=60, deadline=None)
+@given(scalars(), st.lists(strict_constraints, max_size=2), st.integers(0, 10 ** 6))
+def test_a_nonzero_scalar_on_a_domain_without_radicals_is_nonzero(s, cons, seed):
+    # strict constraints leave an open set, on which a nonzero polynomial
+    # does not vanish identically
+    dom = ParamDomain.parse(", ".join(cons))
+    assume(not s.is_zero and dom.satisfiable(s.params()))
+    assert identity_test(s, dom, seed=seed).kind == "NonZero"
+
+
+def test_zero_sampled_needs_points_on_a_zero_set_the_reduction_misses():
+    # no radical: weak inequalities pin x to 0, the root of s
+    pinned = ParamDomain.parse("x >= 0, x <= 0")
+    assert identity_test(S("x"), pinned, trials=1, seed=0).kind == "ZeroSampled"
+    # the sampler makes v*v = w*w + x hold, but the reduction rewrites v*v
+    # after w*w, so the w*w it brings back stays
+    w, v, z = Param("w"), Param("v"), Param("z")
+    dom = ParamDomain([], [Radical(w, S("y*z").num, z),
+                           Radical(v, S("w*w + x").num, X)])
+    s = S("v*v - w*w - x")
+    assert dom.reduce(s.num) == S("w*w - y*z").num
+    assert identity_test(s, dom, seed=3).kind == "ZeroSampled"
 
 
 # ---------------------------------------------------------------------------
