@@ -15,7 +15,7 @@ phase-space rows list.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .liealg import LieAlgebra4
 from .linalg import Mat4, Vec4, vzero
@@ -173,9 +173,9 @@ def assembled_brackets(pair: LSAPair) -> LieAlgebra4:
     return LieAlgebra4(br)
 
 
-def is_lie_extendible(pair: LSAPair, L: Optional[LieAlgebra4] = None) -> Tuple[bool, Dict]:
-    """Jacobi verdict for the assembled bracket L (None: assemble it), with residuals."""
-    defects = (assembled_brackets(pair) if L is None else L).jacobi_defect()
+def is_lie_extendible(pair: LSAPair, L: LieAlgebra4) -> Tuple[bool, Dict[tuple, Vec4]]:
+    """Jacobi verdict for L = assembled_brackets(pair), with residuals."""
+    defects = L.jacobi_defect()
     ok = all(all(pair.domain.is_zero(c) for c in v) for v in defects.values())
     return ok, defects
 

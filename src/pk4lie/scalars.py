@@ -927,7 +927,7 @@ class ParamDomain:
                  radicals: Sequence[Radical] = ()):
         self.constraints = list(constraints)
         self.radicals = list(radicals)
-        self._satisfied = False
+        self._point = None
 
     @staticmethod
     def parse(text: str) -> "ParamDomain":
@@ -1106,18 +1106,20 @@ class ParamDomain:
                 continue
             if all(c.holds(c.poly.eval(asg)) for c in self.constraints):
                 return asg
+        if attempts < 4000 and self.satisfiable(params):
+            # a thin domain: satisfiable()'s point, this draw for other params
+            return {**asg, **self._point}
         raise DomainUnsatisfiable(f"no sample found after {attempts} attempts")
 
     def satisfiable(self, params: Iterable[Param] = ()) -> bool:
         """Whether a seeded search of 4000 draws finds a point of the domain.
-        A domain is never changed, so a point once found is remembered and
-        the search runs until it first succeeds."""
-        if not self._satisfied:
+        The point once found is remembered, for `sample` to fall back on, and
+        the search runs until it first succeeds (a domain is never changed)."""
+        if self._point is None:
             try:
-                self.sample(random.Random(0xC0FFEE), params, attempts=4000)
+                self._point = self.sample(random.Random(0xC0FFEE), params, attempts=4000)
             except DomainUnsatisfiable:
                 return False
-            self._satisfied = True
         return True
 
     def sampled_values(self, params: Iterable[Param], evaluate, trials: int,
@@ -1172,10 +1174,10 @@ def identity_test(s: Scalar, domain: ParamDomain = EMPTY_DOMAIN,
                   trials: int = 32, seed: int = 0) -> Verdict:
     """Decide whether s vanishes identically on the domain.
 
-    ZeroExact and NonZero are exact.  ZeroSampled, flagged for review rather
-    than trusted, needs every sample on a zero set of s that the reduction
-    misses: weak inequalities that pin a parameter to a root of s (s = x on
-    x >= 0, x <= 0), or a radicand holding another radical's w.
+    ZeroExact and NonZero are exact.  ZeroSampled (flagged for review) needs
+    every sample on a zero set of s the reduction misses: a parameter pinned
+    to a root by weak inequalities (x >= 0, x <= 0), a radicand with another
+    radical's w, or a root at the point that `sample` falls back on.
     """
     if trials < 1:
         raise ScalarError("trials must be >= 1")

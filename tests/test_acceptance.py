@@ -101,7 +101,7 @@ def test_criterion_3_base_plane_golden_derivation():
     sol = ustar_coeffs_from_products(parse_products("e3.e3=x*e4", offset=2))
     assert system.is_solution(sol)
     pair = LSAPair(b2, LSA2.parse("e3.e3=x*e4", offset=2))
-    ok, _ = is_lie_extendible(pair)
+    ok, _ = is_lie_extendible(pair, assembled_brackets(pair))
     assert ok
     assert assembled_brackets(pair).serialize() == \
         "[e1,e2]=-e1; [e2,e3]=x*e1-e3-e4; [e2,e4]=-e4"

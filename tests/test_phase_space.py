@@ -50,7 +50,7 @@ def test_trivial_pair_product_vanishes():
     p = [parse_scalar(t) for t in ("1", "x", "2", "y")]
     q = [parse_scalar(t) for t in ("3", "0", "1", "1")]
     assert all(c.is_zero for c in phase_product(pair, p, q))
-    ok, _ = is_lie_extendible(pair)
+    ok, _ = is_lie_extendible(pair, assembled_brackets(pair))
     assert ok
 
 
@@ -60,7 +60,7 @@ def test_b2_with_solution_product_gives_printed_brackets():
     L = assembled_brackets(pair)
     expected = LieAlgebra4.parse("[e1,e2]=-e1; [e2,e3]=x*e1-e3-e4; [e2,e4]=-e4")
     assert L.serialize() == expected.serialize()
-    ok, _ = is_lie_extendible(pair)
+    ok, _ = is_lie_extendible(pair, L)
     assert ok
 
 
@@ -148,7 +148,7 @@ def test_b2_solution_and_nonsolution_membership():
 
 def test_b2_claimed_product_fails_jacobi_directly():
     pair = LSAPair(B2, U_STAR("e3.e4=e4"))
-    ok, defects = is_lie_extendible(pair)
+    ok, defects = is_lie_extendible(pair, assembled_brackets(pair))
     assert not ok
     # the violated identity is the cyclic sum on (e1,e2,e3), e1 component
     assert defects[(0, 1, 2)][0] == Scalar.const(1)
@@ -183,7 +183,7 @@ def test_c2_rows_reproduce_table_brackets():
     }
     for ustar, brackets in cases.items():
         pair = LSAPair(C2, U_STAR(ustar))
-        ok, _ = is_lie_extendible(pair)
+        ok, _ = is_lie_extendible(pair, assembled_brackets(pair))
         assert ok
         assert assembled_brackets(pair).serialize() == \
             LieAlgebra4.parse(brackets).serialize()

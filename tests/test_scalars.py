@@ -141,27 +141,40 @@ def test_eval_is_ring_homomorphism(a, b, seed):
         pass
 
 
-# Linear constraints with an interior that a sample reaches in a few draws.
+# Strict linear constraints, some with an interior that few draws reach.
 strict_constraints = st.tuples(
-    st.sampled_from([-2, -1, 1, 2]), st.sampled_from(["x", "y", "mu"]),
-    st.integers(-1, 1), st.sampled_from(["!=", ">", "<"]),
+    st.sampled_from([-3, -2, -1, 1, 2, 3]), st.sampled_from(["x", "y", "mu"]),
+    st.integers(-6, 6), st.sampled_from(["!=", ">", "<"]),
 ).map(lambda t: f"{t[0]}*{t[1]} + {t[2]} {t[3]} 0")
 
 
 @settings(max_examples=60, deadline=None)
-@given(scalars(), st.lists(strict_constraints, max_size=2), st.integers(0, 10 ** 6))
+@given(scalars(), st.lists(strict_constraints, max_size=3), st.integers(0, 10 ** 6))
 def test_a_nonzero_scalar_on_a_domain_without_radicals_is_nonzero(s, cons, seed):
     # strict constraints leave an open set, on which a nonzero polynomial
-    # does not vanish identically
+    # does not vanish identically; where the draws miss a thin set, `sample`
+    # falls back on satisfiable()'s point, and only a root of s there that
+    # no later draw avoids could give ZeroSampled
     dom = ParamDomain.parse(", ".join(cons))
     assume(not s.is_zero and dom.satisfiable(s.params()))
     assert identity_test(s, dom, seed=seed).kind == "NonZero"
 
 
+def test_sample_falls_back_on_the_point_satisfiable_found():
+    import random
+    # 400 draws at seed 5 miss this domain; the 4000 of satisfiable() do not
+    thin = ParamDomain.parse("x - 2 > 0, mu - 3 > 0, -y > 0")
+    assert identity_test(ONE, thin, seed=5).kind == "NonZero"
+    z = Param("z")
+    asg = thin.sample(random.Random(5), {z}, attempts=1)
+    assert {p: asg[p] for p in (X, Y, MU)} == thin._point and z in asg
+
+
 def test_zero_sampled_needs_points_on_a_zero_set_the_reduction_misses():
     # no radical: weak inequalities pin x to 0, the root of s
     pinned = ParamDomain.parse("x >= 0, x <= 0")
-    assert identity_test(S("x"), pinned, trials=1, seed=0).kind == "ZeroSampled"
+    for seed in range(6):
+        assert identity_test(S("x"), pinned, seed=seed).kind == "ZeroSampled"
     # the sampler makes v*v = w*w + x hold, but the reduction rewrites v*v
     # after w*w, so the w*w it brings back stays
     w, v, z = Param("w"), Param("v"), Param("z")
