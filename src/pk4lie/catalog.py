@@ -9,7 +9,8 @@ then kept, so that answering one entry parses one entry.  Each row owns
 its payload, which keeps parameters of different entries from
 interacting; a row that names an algebra or a phase row takes that
 row's built algebra, or its instance under the row's substitution, and
-owns its domain.  A checked load reads every row of the sections it asserts.
+owns its domain.  A checked catalog asserts a section on the first read
+of one of its rows, so a command asserts exactly the sections it reads.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import re
 from collections.abc import Mapping
 from functools import cached_property
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .curvature import Geometry
 from .liealg import LieAlgebra4
@@ -28,19 +29,21 @@ from .notation import (
     parse_tuple4, parse_vector,
 )
 from .scalars import (
-    Param, ParamDomain, ParseError, Radical, Scalar, parse_scalar,
+    Param, ParamDomain, ParseError, Radical, Scalar, ScalarError, parse_scalar,
 )
 
 
-class BrokenReference(ParseError):
-    pass
-
-
 class LoadAssertionFailed(ParseError):
+    """A catalog row that fails to build or fails its section's check."""
+
     def __init__(self, entry_id: str, check: str):
         self.entry_id = entry_id
         self.check = check
         super().__init__(f"{entry_id}: {check}")
+
+
+class BrokenReference(LoadAssertionFailed):
+    """A catalog row that names an entry the catalog lacks."""
 
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -48,11 +51,6 @@ DATA_DIR = Path(__file__).parent / "data"
 DATA_FILES = ("algebras.txt", "symplectic.txt", "structures.txt",
               "phase_b.txt", "phase_c.txt", "iso_b.txt", "iso_c.txt",
               "curvature.txt")
-
-# each row section, in assertion order, with the sections its rows are built from
-SECTIONS = {"algebras": (), "symplectic": ("algebras",),
-            "structures": ("symplectic", "algebras"), "phase_rows": (),
-            "iso_rows": ("phase_rows", "algebras"), "curvature_rows": ("algebras",)}
 
 _HEADER_RE = re.compile(r"^\[([A-Za-z0-9_/]+)\]\s*$")
 _RADICAL_RE = re.compile(r"^w\s*\*\s*w\s*=\s*(.+?)\s+solve\s+([A-Za-z_][A-Za-z0-9_]*)$")
@@ -114,30 +112,23 @@ def _parse_subst(text: str) -> Dict[Param, Scalar]:
     if not text.strip():
         return out
     for piece in text.split(","):
-        lhs, rhs = piece.split("=", 1)
+        lhs, eq, rhs = piece.partition("=")
+        if not eq:
+            raise ParseError(f"bad substitution {piece.strip()!r}")
         out[Param(lhs.strip())] = parse_scalar(rhs)
     return out
 
 
-def _domain_of(entry_id: str, text: str) -> ParamDomain:
-    """ParamDomain.parse; a constraint it refuses fails the row's load."""
-    try:
-        return ParamDomain.parse(text)
-    except ParseError as e:
-        raise LoadAssertionFailed(entry_id, f"domain {e}") from None
-
-
 def _parse_domain(entry: RawEntry, key: str = "domain") -> ParamDomain:
-    dom = _domain_of(entry.entry_id, entry.get(key))
+    dom = ParamDomain.parse(entry.get(key))
     rad = entry.get("radical")
     if rad:
         m = _RADICAL_RE.match(rad)
         if not m:
-            raise ParseError(f"{entry.entry_id}: bad radical {rad!r}")
+            raise ParseError(f"bad radical {rad!r}")
         radicand = parse_scalar(m.group(1))
         if radicand.den.terms != {(): 1}:
-            raise ParseError(f"{entry.entry_id}: radicand must be a polynomial "
-                             "with integer coefficients")
+            raise ParseError("radicand must be a polynomial with integer coefficients")
         dom = ParamDomain(dom.constraints,
                           [Radical(Param("w"), radicand.num, Param(m.group(2)))])
     return dom
@@ -229,10 +220,14 @@ class CurvatureRowEntry:
 class _LazyRows(Mapping):
     """Rows keyed by id, with ":a"/":b" for sign variants.  A row is built
     by `build(key, raw, variant, fields)` the first time it is read, then
-    kept; the keys, their order and membership need no build."""
+    kept; the keys, their order and membership need no build.  With a
+    `check(key, row)`, the first read builds and checks every row in file
+    order, and each later read repeats a failed check.  A build or check
+    error that names no row is raised as the row's LoadAssertionFailed."""
 
-    def __init__(self, build):
+    def __init__(self, build, check=None):
         self._build = build
+        self._check = check  # None once every row has passed it
         self._specs: Dict[str, Tuple[RawEntry, str, Dict[str, str]]] = {}
         self._rows: Dict[str, object] = {}
 
@@ -242,8 +237,22 @@ class _LazyRows(Mapping):
             self._specs[key] = (raw, variant, fields)
 
     def __getitem__(self, key: str):
-        if key not in self._rows:
-            self._rows[key] = self._build(key, *self._specs[key])
+        if self._check is not None:
+            for k in self._specs:
+                self._row(k, self._check)
+            self._check = None
+        return self._row(key)
+
+    def _row(self, key: str, check=None):
+        try:
+            if key not in self._rows:
+                self._rows[key] = self._build(key, *self._specs[key])
+            if check is not None:
+                check(key, self._rows[key])
+        except LoadAssertionFailed:
+            raise  # it names its row: this one, or one that this one reads
+        except ScalarError as e:
+            raise LoadAssertionFailed(key, str(e)) from e
         return self._rows[key]
 
     def __contains__(self, key) -> bool:
@@ -257,26 +266,30 @@ class _LazyRows(Mapping):
 
 
 class Catalog:
-    def __init__(self):
+    def __init__(self, check: bool):
+        def rows(build, assert_row):  # a section, which asserts its rows if `check`
+            return _LazyRows(build, assert_row if check else None)
         self.raw_entries: Dict[str, RawEntry] = {}
-        self.algebras: Mapping[str, AlgebraEntry] = _LazyRows(_algebra_row)
-        self.symplectic: Mapping[str, SymplecticEntry] = _LazyRows(self._symplectic_row)
-        self.structures: Mapping[str, StructureEntry] = _LazyRows(self._structure)
-        self.phase_rows: Mapping[str, AlgebraEntry] = _LazyRows(_algebra_row)
-        self.iso_rows: Mapping[str, IsoRowEntry] = _LazyRows(self._iso_row)
-        self.curvature_rows: Mapping[str, CurvatureRowEntry] = _LazyRows(
-            self._curvature_row)
+        self.algebras: Mapping[str, AlgebraEntry] = rows(_algebra_row, _check_algebra)
+        self.symplectic: Mapping[str, SymplecticEntry] = rows(
+            self._symplectic_row, _assert_symplectic_row)
+        self.structures: Mapping[str, StructureEntry] = rows(
+            self._structure, self._assert_structure)
+        self.phase_rows: Mapping[str, AlgebraEntry] = rows(_algebra_row, _check_algebra)
+        self.iso_rows: Mapping[str, IsoRowEntry] = rows(self._iso_row, _assert_iso_row)
+        self.curvature_rows: Mapping[str, CurvatureRowEntry] = rows(
+            self._curvature_row, _assert_curvature_row)
 
     def dump(self, entry_id: str) -> str:
         base = entry_id.split(":")[0]
         if base not in self.raw_entries:
-            raise BrokenReference(f"unknown entry {entry_id!r}")
+            raise ParseError(f"unknown entry {entry_id!r}")
         return self.raw_entries[base].raw
 
     # -- resolution helpers -------------------------------------------------
-    def _algebra(self, ref: str) -> AlgebraEntry:
+    def _algebra(self, key: str, ref: str) -> AlgebraEntry:
         if ref not in self.algebras:
-            raise BrokenReference(f"unknown algebra {ref!r}")
+            raise BrokenReference(key, f"unknown algebra {ref!r}")
         return self.algebras[ref]
 
     def structure_list(self) -> List[StructureEntry]:
@@ -288,29 +301,29 @@ class Catalog:
     # -- row builders -------------------------------------------------------
     def _symplectic_row(self, key: str, raw: RawEntry, variant: str,
                         fields: Dict[str, str]) -> SymplecticEntry:
-        alg = self._algebra(raw.get("alg"))
-        row_domain = _domain_of(raw.entry_id, raw.get("domain"))
+        alg = self._algebra(key, raw.get("alg"))
+        row_domain = ParamDomain.parse(raw.get("domain"))
         domain = alg.domain.merged(row_domain)
         return SymplecticEntry(key, raw, variant, alg.algebra,
                                parse_two_form(fields["omega"]), domain, row_domain)
 
-    def _symplectic_variants(self, ref: str) -> List[SymplecticEntry]:
-        """The built sign variants of the symplectic row `ref`."""
+    def _symplectic_variants(self, key: str, ref: str) -> List[SymplecticEntry]:
+        """The built sign variants of the symplectic row `ref`, which `key` names."""
         variants = [self.symplectic[k] for k in (ref, ref + ":a", ref + ":b")
                     if k in self.symplectic]
         if not variants:
-            raise BrokenReference(f"unknown symplectic row {ref!r}")
+            raise BrokenReference(key, f"unknown symplectic row {ref!r}")
         return variants
 
     def _structure(self, key: str, raw: RawEntry, variant: str,
                    fields: Dict[str, str]) -> StructureEntry:
         ref = raw.get("symplectic")
-        sym = self._symplectic_variants(ref)[0]
+        sym = self._symplectic_variants(key, ref)[0]
         subst = _parse_subst(raw.get("subst"))
-        algebra, alg_domain = _instance(self._algebra(sym.raw.get("alg")), subst)
+        algebra, alg_domain = _instance(self._algebra(key, sym.raw.get("alg")), subst)
         named_alg = raw.get("alg")
         if named_alg:
-            named = self._algebra(named_alg)
+            named = self._algebra(key, named_alg)
             if named.algebra.serialize() != algebra.serialize():
                 raise LoadAssertionFailed(
                     key, f"substituted algebra differs from {named_alg}")
@@ -323,19 +336,30 @@ class Catalog:
         if subst:
             omega, sym_domain = omega.substitute(subst), sym_domain.substituted(subst)
         domain = alg_domain.merged(sym_domain).merged(
-            _domain_of(key, fields.get("domain", "")))
+            ParamDomain.parse(fields.get("domain", "")))
         return StructureEntry(key, raw, variant, algebra, omega,
                               parse_endo(fields["K"]), domain, ref)
+
+    def _assert_structure(self, key: str, st: StructureEntry) -> None:
+        if not st.omega.is_antisymmetric(st.domain):
+            raise LoadAssertionFailed(key, "omega not antisymmetric")
+        _check_algebra(key, st, st.K.params() | st.omega.params())
+        # linkage: an omega override must be a variant of its symplectic row
+        if st.raw.get("omega"):
+            subst = _parse_subst(st.raw.get("subst"))
+            if not any(st.omega.equals(sym.omega.substitute(subst))
+                       for sym in self._symplectic_variants(key, st.symplectic_ref)):
+                raise LoadAssertionFailed(key, "omega is not a variant of its symplectic row")
 
     def _iso_row(self, key: str, raw: RawEntry, variant: str,
                  fields: Dict[str, str]) -> IsoRowEntry:
         source_ref = raw.get("source")
         if source_ref not in self.phase_rows:
-            raise BrokenReference(f"{key}: source {source_ref!r}")
-        target = self._algebra(raw.get("target")).algebra
+            raise BrokenReference(key, f"source {source_ref!r}")
+        target = self._algebra(key, raw.get("target")).algebra
         ssub = _parse_subst(raw.get("source_subst"))
         # branch parameters are shared by the brackets and the map columns
-        matrix = _map_matrix(key, raw.get("map")).substitute(ssub)
+        matrix = _map_matrix(raw.get("map")).substitute(ssub)
         source, source_domain = _instance(self.phase_rows[source_ref], ssub)
         domain = source_domain.merged(_parse_domain(raw, "condition"))
         # The target's own family range is superseded by the row's condition
@@ -346,9 +370,9 @@ class Catalog:
     def _curvature_row(self, key: str, raw: RawEntry, variant: str,
                        fields: Dict[str, str]) -> CurvatureRowEntry:
         subst = _parse_subst(raw.get("subst"))
-        algebra, alg_domain = _instance(self._algebra(raw.get("alg")), subst)
+        algebra, alg_domain = _instance(self._algebra(key, raw.get("alg")), subst)
         metric = parse_sym_form(fields["metric"])
-        domain = alg_domain.merged(_domain_of(key, fields.get("domain", "")))
+        domain = alg_domain.merged(ParamDomain.parse(fields.get("domain", "")))
         if fields.get("soliton", "").strip() == "none":
             ex, elam = None, None
         else:
@@ -371,20 +395,20 @@ def _instance(row: AlgebraEntry, subst: dict) -> Tuple[LieAlgebra4, ParamDomain]
     return row.algebra.substitute(subst), row.domain.substituted(subst)
 
 
-def _map_matrix(entry_id: str, text: str) -> Mat4:
+def _map_matrix(text: str) -> Mat4:
     """The matrix of "f1=...; f2=...; f3=...; f4=..." by its columns."""
     cols: List = [None] * 4
     for piece in text.split(";"):
         piece = piece.strip()
         m = _MAP_COLUMN_RE.match(piece)
         if not m:
-            raise ParseError(f"{entry_id}: bad map column {piece!r}")
+            raise ParseError(f"bad map column {piece!r}")
         idx = int(m.group(1)) - 1
         if cols[idx] is not None:
-            raise ParseError(f"{entry_id}: duplicate f{idx+1}")
+            raise ParseError(f"duplicate f{idx+1}")
         cols[idx] = parse_vector(m.group(2))
     if any(c is None for c in cols):
-        raise ParseError(f"{entry_id}: map must define f1..f4")
+        raise ParseError("map must define f1..f4")
     return mat_from_cols(cols)
 
 
@@ -411,12 +435,12 @@ def _check_satisfiable(entry_id: str, domain: ParamDomain, params) -> None:
         raise LoadAssertionFailed(entry_id, "domain unsatisfiable")
 
 
-def load_catalog(data_dir: Optional[Path] = None,
-                 check: Union[bool, Iterable[str]] = True) -> Catalog:
-    """The catalog; `check` asserts every section, none, or the named ones
-    and the sections their rows are built from."""
+def load_catalog(data_dir: Optional[Path] = None, check: bool = True) -> Catalog:
+    """The catalog with every data file parsed and no row built.  A checked
+    catalog asserts each section on the first read of one of its rows:
+    Jacobi, antisymmetry, domain satisfiability and cross-references."""
     data_dir = Path(data_dir) if data_dir else DATA_DIR
-    cat = Catalog()
+    cat = Catalog(check)
     for fname in DATA_FILES:
         path = data_dir / fname
         if not path.exists():
@@ -441,49 +465,30 @@ def load_catalog(data_dir: Optional[Path] = None,
             raise ParseError(f"unknown section in id {entry_id!r}")
         rows, keys = sections[section]
         rows.add(raw, keys)
-
-    if check:
-        names = set(SECTIONS if check is True else check)
-        _run_load_assertions(cat, names.union(*(SECTIONS[n] for n in names)))
     return cat
 
 
-def _run_load_assertions(cat: Catalog, sections: set) -> None:
-    def rows(section: str):
-        return getattr(cat, section).items() if section in sections else ()
-
-    for entry_id, alg in rows("algebras"):
-        _check_algebra(entry_id, alg.algebra, alg.domain)
-    for key, sym in rows("symplectic"):
-        if not sym.omega.is_antisymmetric():
-            raise LoadAssertionFailed(key, "omega not antisymmetric")
-        _check_satisfiable(key, sym.domain, _alg_params(sym.algebra) | sym.omega.params())
-    for key, st in rows("structures"):
-        if not st.omega.is_antisymmetric(st.domain):
-            raise LoadAssertionFailed(key, "omega not antisymmetric")
-        _check_algebra(key, st.algebra, st.domain, st.K.params() | st.omega.params())
-        # linkage: an omega override must be a variant of its symplectic row
-        if st.raw.get("omega"):
-            subst = _parse_subst(st.raw.get("subst"))
-            if not any(st.omega.equals(sym.omega.substitute(subst))
-                       for sym in cat._symplectic_variants(st.symplectic_ref)):
-                raise LoadAssertionFailed(key, "omega is not a variant of its symplectic row")
-    for entry_id, row in rows("phase_rows"):
-        _check_algebra(entry_id, row.algebra, row.domain)
-    for entry_id, row in rows("iso_rows"):
-        _check_satisfiable(entry_id, row.domain, row.matrix.params())
-    for key, row in rows("curvature_rows"):
-        if not row.metric.is_symmetric(row.domain):
-            raise LoadAssertionFailed(key, "metric not symmetric")
-        _check_algebra(key, row.algebra, row.domain, row.metric.params())
+def _assert_symplectic_row(key: str, sym: SymplecticEntry) -> None:
+    if not sym.omega.is_antisymmetric():
+        raise LoadAssertionFailed(key, "omega not antisymmetric")
+    _check_satisfiable(key, sym.domain, _alg_params(sym.algebra) | sym.omega.params())
 
 
-def _check_algebra(entry_id: str, L: LieAlgebra4, domain: ParamDomain,
-                  params: set = frozenset()) -> None:
-    """L satisfies Jacobi on the domain, and some point satisfies the domain."""
-    if not L.is_lie_algebra(domain):
+def _assert_iso_row(entry_id: str, row: IsoRowEntry) -> None:
+    _check_satisfiable(entry_id, row.domain, row.matrix.params())
+
+
+def _assert_curvature_row(key: str, row: CurvatureRowEntry) -> None:
+    if not row.metric.is_symmetric(row.domain):
+        raise LoadAssertionFailed(key, "metric not symmetric")
+    _check_algebra(key, row, row.metric.params())
+
+
+def _check_algebra(entry_id: str, row, params: set = frozenset()) -> None:
+    """The row's algebra satisfies Jacobi on its domain, which has a point."""
+    if not row.algebra.is_lie_algebra(row.domain):
         raise LoadAssertionFailed(entry_id, "Jacobi identity fails")
-    _check_satisfiable(entry_id, domain, _alg_params(L) | params)
+    _check_satisfiable(entry_id, row.domain, _alg_params(row.algebra) | params)
 
 
 def _alg_params(L: LieAlgebra4) -> set:

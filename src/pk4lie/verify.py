@@ -66,8 +66,8 @@ def run_structures(cat: Catalog, seed: int = 0, trials: int = 32) -> List[EntryR
 
 def _domain_fails(rep: EntryReport, dom: ParamDomain) -> bool:
     """Fail the row when no point satisfies its domain, where every exact
-    check would hold vacuously.  A scope's checked load has found a point of
-    each domain in the sections it reads, so this searches only a later one."""
+    check would hold vacuously.  A checked catalog finds a point of each
+    domain of a section before it returns a row, so this searches a later one."""
     if dom.satisfiable():
         return False
     rep.add("domain_satisfiable", False, f"no point of {dom!r} found",
@@ -347,21 +347,16 @@ def run_equivalence_witnesses(cat: Catalog) -> List[EntryReport]:
 # Scope runner
 
 
-# scope -> ((cat, seed, trials) -> reports, the catalog sections it iterates),
-# in `verify all` order; cli.SCOPES copies the keys.
+# scope -> (cat, seed, trials) -> reports, in `verify all` order;
+# cli.SCOPES copies the keys.
 SUITES = {
-    "symplectic": (run_symplectic, ("symplectic",)),
-    "structures": (run_structures, ("structures",)),
-    "phase": (run_phase_rows, ("phase_rows",)),
-    "iso": (run_iso_rows, ("iso_rows",)),
-    "curvature": (lambda cat, seed, trials: run_curvature_rows(cat), ("curvature_rows",)),
-    "witnesses": (lambda cat, seed, trials: run_equivalence_witnesses(cat), ("iso_rows",)),
+    "symplectic": run_symplectic,
+    "structures": run_structures,
+    "phase": run_phase_rows,
+    "iso": run_iso_rows,
+    "curvature": lambda cat, seed, trials: run_curvature_rows(cat),
+    "witnesses": lambda cat, seed, trials: run_equivalence_witnesses(cat),
 }
-
-
-def sections_read(scope: str) -> set:
-    """The catalog sections that the scope's suites iterate, which its load asserts."""
-    return {s for name in (SUITES if scope == "all" else (scope,)) for s in SUITES[name][1]}
 
 
 def run_scope(cat: Catalog, scope: str, seed: int = 0,
@@ -370,4 +365,4 @@ def run_scope(cat: Catalog, scope: str, seed: int = 0,
         return [r for s in SUITES for r in run_scope(cat, s, seed, trials)]
     if scope not in SUITES:
         raise ValueError(f"unknown scope {scope!r}")
-    return SUITES[scope][0](cat, seed, trials)
+    return SUITES[scope](cat, seed, trials)

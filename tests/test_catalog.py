@@ -33,7 +33,7 @@ def test_load_counts_are_regression_constants():
 
 def test_load_runs_all_assertions():
     # Jacobi, antisymmetry, satisfiability, cross-references
-    load_catalog(check=True)
+    read_every_section(load_catalog(check=True))
 
 
 def test_a_checked_load_builds_one_algebra_per_parse_or_substitution(monkeypatch):
@@ -134,6 +134,18 @@ def test_parse_errors():
         parse_entries("[x/y]\nbrackets\n", "noval")
 
 
+ROW_SECTIONS = ("algebras", "symplectic", "structures", "phase_rows", "iso_rows",
+                "curvature_rows")
+
+
+def read_every_section(cat):
+    """Read a row of each section: a checked catalog asserts a section on
+    the first read of one of its rows."""
+    for name in ROW_SECTIONS:
+        rows = getattr(cat, name)
+        rows[next(iter(rows))]
+
+
 def _broken_copy(tmp_path, fname, old, new):
     data = tmp_path / "data"
     shutil.copytree(DATA_DIR, data)
@@ -161,8 +173,55 @@ def test_a_broken_row_fails_only_the_scopes_that_read_it(tmp_path, monkeypatch,
     assert main(["verify", "curvature"]) == 2
     assert main(["verify", "all"]) == 2
     capsys.readouterr()
+    cat = load_catalog()
+    assert len(list(cat.symplectic.values())) == 24
     with pytest.raises(error):
-        load_catalog()
+        cat.curvature_rows[next(iter(cat.curvature_rows))]
+
+
+def test_the_witness_suite_reads_algebras_through_the_iso_targets(tmp_path, monkeypatch,
+                                                                   capsys):
+    monkeypatch.setattr(catalog, "DATA_DIR", _broken_copy(
+        tmp_path, "algebras.txt", "domain: beta >= -1, beta < 1\n",
+        "domain: beta > 1, beta < -1\n"))
+    assert main(["verify", "phase"]) == 0
+    assert main(["verify", "witnesses"]) == 2
+    assert capsys.readouterr().err == "error: alg/r4_m1_beta: domain unsatisfiable\n"
+
+
+def test_a_failed_section_check_fails_every_later_read(tmp_path):
+    data = _broken_copy(tmp_path, "curvature.txt", D4_HALF_1,
+                        D4_HALF_1.replace("x != 0", "x > 0, x < 0"))
+    cat = load_catalog(data)
+    # membership, len and the keys build and check nothing
+    assert "curvature/d4_half/1" in cat.curvature_rows
+    assert len(cat.curvature_rows) == len(list(cat.curvature_rows)) == 115
+    for _ in range(2):
+        with pytest.raises(LoadAssertionFailed) as e:
+            cat.curvature_rows["curvature/rh3/1"]
+        assert e.value.entry_id == "curvature/d4_half/1"
+        assert e.value.check == "domain unsatisfiable"
+
+
+@pytest.mark.parametrize("fname, old, new, scope, row", [
+    ("structures.txt", "subst: lam=1/2", "subst: lam=1", "structures",
+     "structures/d4_half/K1"),
+    ("structures.txt", "subst: lam=1/2", "subst: lam", "structures",
+     "structures/d4_half/K1"),
+    ("curvature.txt", D4_HALF_1, D4_HALF_1.replace("-eps34", "-eps35"), "curvature",
+     "curvature/d4_half/1"),
+    ("curvature.txt", D4_HALF_1, D4_HALF_1.replace("alg/d4_half", "alg/nope"),
+     "curvature", "curvature/d4_half/1"),
+    ("iso_b.txt", "map: f1=e1; f2=-(x/2)*e1+e3; f3=e4; f4=e2\n",
+     "map: f1=e1; f2=e3; f3=e4; f4=e24\n", "iso", "iso_b/B1_alpha_1_in"),
+], ids=["excluded-value", "subst-without-value", "metric", "algebra", "map-column"])
+def test_a_broken_row_is_a_usage_error_that_names_the_row(tmp_path, monkeypatch, capsys,
+                                                          fname, old, new, scope, row):
+    monkeypatch.setattr(catalog, "DATA_DIR", _broken_copy(tmp_path, fname, old, new))
+    assert main(["verify", scope]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {row}: ")
+    assert err.count(row) == 1
 
 
 def test_corrupted_bracket_fails_load(tmp_path):
@@ -171,7 +230,7 @@ def test_corrupted_bracket_fails_load(tmp_path):
                         "brackets: [e1,e2]=e3\n",
                         "brackets: [e1,e2]=e3; [e1,e3]=e1\n")
     with pytest.raises(LoadAssertionFailed):
-        load_catalog(data)
+        read_every_section(load_catalog(data))
 
 
 def test_excluded_parameter_value_fails_load(tmp_path):
@@ -179,7 +238,7 @@ def test_excluded_parameter_value_fails_load(tmp_path):
     data = _broken_copy(tmp_path, "structures.txt",
                         "subst: lam=1/2", "subst: lam=1")
     with pytest.raises(ScalarError):
-        load_catalog(data)
+        read_every_section(load_catalog(data))
 
 
 def test_a_rational_radicand_fails_load(tmp_path):
@@ -187,7 +246,7 @@ def test_a_rational_radicand_fails_load(tmp_path):
     data = _broken_copy(tmp_path, "iso_b.txt", "radical: w*w = y*z solve z",
                         "radical: w*w = y*z/2 solve z")
     with pytest.raises(ParseError, match="integer coefficients"):
-        load_catalog(data)
+        read_every_section(load_catalog(data))
 
 
 def test_unsatisfiable_domain_fails_load(tmp_path):
@@ -195,7 +254,7 @@ def test_unsatisfiable_domain_fails_load(tmp_path):
                         "domain: x != 0\n\n[phase_b/B1_1_2]",
                         "domain: x != 0, x == 0\n\n[phase_b/B1_1_2]")
     with pytest.raises(LoadAssertionFailed) as e:
-        load_catalog(data)
+        read_every_section(load_catalog(data))
     assert "equality constraint 'x == 0'" in e.value.check
     # an equation is refused when the row's domain is parsed; sign
     # constraints that no point satisfies fail the sampled check
@@ -203,7 +262,7 @@ def test_unsatisfiable_domain_fails_load(tmp_path):
                         "domain: x != 0\n\n[phase_b/B1_1_2]",
                         "domain: x > 0, x < 0\n\n[phase_b/B1_1_2]")
     with pytest.raises(LoadAssertionFailed) as e:
-        load_catalog(data)
+        read_every_section(load_catalog(data))
     assert e.value.check == "domain unsatisfiable"
 
 
@@ -212,7 +271,7 @@ def test_unsatisfiable_symplectic_domain_fails_load_on_its_row(tmp_path):
                         "omega: e12+mu*e13+e34\ndomain: mu >= 0\n",
                         "omega: e12+mu*e13+e34\ndomain: mu > 0, mu < 0\n")
     with pytest.raises(LoadAssertionFailed) as e:
-        load_catalog(data)
+        read_every_section(load_catalog(data))
     assert e.value.entry_id == "symplectic/r2r2"
     assert e.value.check == "domain unsatisfiable"
 
@@ -222,7 +281,7 @@ def test_omega_override_must_be_a_variant_of_its_symplectic_row(tmp_path):
                         "symplectic: symplectic/r4_0\nomega: e14+e23\n",
                         "symplectic: symplectic/r4_0\nomega: e14+2*e23\n")
     with pytest.raises(LoadAssertionFailed) as e:
-        load_catalog(data)
+        read_every_section(load_catalog(data))
     assert e.value.entry_id == "structures/r4_0/w1/K:a"
     assert e.value.check == "omega is not a variant of its symplectic row"
 
@@ -232,7 +291,7 @@ def test_a_signed_symplectic_row_needs_an_omega_override(tmp_path):
                         "symplectic: symplectic/r4_0\nomega: e14+e23\n",
                         "symplectic: symplectic/r4_0\n")
     with pytest.raises(LoadAssertionFailed) as e:
-        load_catalog(data)
+        read_every_section(load_catalog(data))
     assert e.value.entry_id == "structures/r4_0/w1/K:a"
     assert e.value.check == "omega needs an explicit variant-free override"
 
@@ -248,7 +307,7 @@ def test_bad_map_fails_load(tmp_path, columns, message):
                         "map: f1=e1; f2=-(x/2)*e1+e3; f3=e4; f4=e2\n",
                         f"map: {columns}\n")
     with pytest.raises(ParseError, match=message):
-        load_catalog(data)
+        read_every_section(load_catalog(data))
 
 
 def test_broken_reference_fails_load(tmp_path):
@@ -256,7 +315,7 @@ def test_broken_reference_fails_load(tmp_path):
     data = _broken_copy(tmp_path, "iso_b.txt",
                         "source: phase_b/B2", "source: phase_b/NoSuchRow")
     with pytest.raises(BrokenReference):
-        load_catalog(data)
+        read_every_section(load_catalog(data))
 
 
 def _algebra_columns(L, domain):
@@ -307,7 +366,7 @@ def test_a_broken_structure_fails_load_and_its_own_read(tmp_path):
                         "subst: beta=-1\nalg: alg/r4_m1_m1\n",
                         "subst: beta=-1\nalg: alg/d4_half\n")
     with pytest.raises(LoadAssertionFailed):
-        load_catalog(data)
+        read_every_section(load_catalog(data))
     cat = load_catalog(data, check=False)
     assert cat.curvature_rows["curvature/d4_half/1"].metric is not None
     assert "structures/r4_m1_m1/K1" in cat.structures
