@@ -26,7 +26,7 @@ from .liealg import LieAlgebra4
 from .linalg import Mat4, mat_from_cols
 from .notation import (
     expand_signs, has_sign_tokens, parse_endo, parse_sym_form, parse_two_form,
-    parse_tuple4, parse_vector,
+    parse_tuple4, parse_vector, read_table,
 )
 from .scalars import (
     Param, ParamDomain, ParseError, Radical, Scalar, ScalarError, parse_scalar,
@@ -54,7 +54,6 @@ DATA_FILES = ("algebras.txt", "symplectic.txt", "structures.txt",
 
 _HEADER_RE = re.compile(r"^\[([A-Za-z0-9_/]+)\]\s*$")
 _RADICAL_RE = re.compile(r"^w\s*\*\s*w\s*=\s*(.+?)\s+solve\s+([A-Za-z_][A-Za-z0-9_]*)$")
-_MAP_COLUMN_RE = re.compile(r"^f([1-4])\s*=\s*(.+)$")
 
 
 class RawEntry:
@@ -108,14 +107,13 @@ def parse_entries(text: str, source: str = "") -> List[RawEntry]:
 
 
 def _parse_subst(text: str) -> Dict[Param, Scalar]:
+    """The substitution "x=1/2, lam=mu" as {Param: Scalar}."""
     out: Dict[Param, Scalar] = {}
-    if not text.strip():
-        return out
-    for piece in text.split(","):
-        lhs, eq, rhs = piece.partition("=")
-        if not eq:
-            raise ParseError(f"bad substitution {piece.strip()!r}")
-        out[Param(lhs.strip())] = parse_scalar(rhs)
+    for (name,), rhs in read_table(text, r"([^=]*?)", "substitution", sep=","):
+        p = Param(name)
+        if p in out:
+            raise ParseError(f"duplicate substitution for {name}")
+        out[p] = parse_scalar(rhs)
     return out
 
 
@@ -305,7 +303,7 @@ class Catalog:
         row_domain = ParamDomain.parse(raw.get("domain"))
         domain = alg.domain.merged(row_domain)
         return SymplecticEntry(key, raw, variant, alg.algebra,
-                               parse_two_form(fields["omega"]), domain, row_domain)
+                               parse_two_form(_column(fields, "omega")), domain, row_domain)
 
     def _symplectic_variants(self, key: str, ref: str) -> List[SymplecticEntry]:
         """The built sign variants of the symplectic row `ref`, which `key` names."""
@@ -338,7 +336,7 @@ class Catalog:
         domain = alg_domain.merged(sym_domain).merged(
             ParamDomain.parse(fields.get("domain", "")))
         return StructureEntry(key, raw, variant, algebra, omega,
-                              parse_endo(fields["K"]), domain, ref)
+                              parse_endo(_column(fields, "K")), domain, ref)
 
     def _assert_structure(self, key: str, st: StructureEntry) -> None:
         if not st.omega.is_antisymmetric(st.domain):
@@ -371,15 +369,23 @@ class Catalog:
                        fields: Dict[str, str]) -> CurvatureRowEntry:
         subst = _parse_subst(raw.get("subst"))
         algebra, alg_domain = _instance(self._algebra(key, raw.get("alg")), subst)
-        metric = parse_sym_form(fields["metric"])
+        metric = parse_sym_form(_column(fields, "metric"))
         domain = alg_domain.merged(ParamDomain.parse(fields.get("domain", "")))
         if fields.get("soliton", "").strip() == "none":
             ex, elam = None, None
         else:
-            ex, elam = parse_tuple4(fields["X"]), parse_scalar(fields["lam"])
+            ex = parse_tuple4(_column(fields, "X"))
+            elam = parse_scalar(_column(fields, "lam"))
         return CurvatureRowEntry(
             key, raw, variant, algebra, metric, domain, fields.get("flat") == "yes",
             fields.get("ricflat") == "yes", ex, elam, fields.get("notes", ""))
+
+
+def _column(fields: Dict[str, str], key: str) -> str:
+    """A column that the row's section requires."""
+    if key not in fields:
+        raise ParseError(f"missing column {key!r}")
+    return fields[key]
 
 
 def _algebra_row(key: str, raw: RawEntry, variant: str,
@@ -398,15 +404,11 @@ def _instance(row: AlgebraEntry, subst: dict) -> Tuple[LieAlgebra4, ParamDomain]
 def _map_matrix(text: str) -> Mat4:
     """The matrix of "f1=...; f2=...; f3=...; f4=..." by its columns."""
     cols: List = [None] * 4
-    for piece in text.split(";"):
-        piece = piece.strip()
-        m = _MAP_COLUMN_RE.match(piece)
-        if not m:
-            raise ParseError(f"bad map column {piece!r}")
-        idx = int(m.group(1)) - 1
+    for (k,), rhs in read_table(text, r"f([1-4])", "map column"):
+        idx = int(k) - 1
         if cols[idx] is not None:
             raise ParseError(f"duplicate f{idx+1}")
-        cols[idx] = parse_vector(m.group(2))
+        cols[idx] = parse_vector(rhs)
     if any(c is None for c in cols):
         raise ParseError("map must define f1..f4")
     return mat_from_cols(cols)

@@ -86,7 +86,7 @@ def main(argv=None) -> int:
             return cmd_phase(args)
         if args.command == "dump":
             return cmd_dump(args)
-    except (ParseError, KeyError) as e:
+    except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
     return USAGE_ERROR
@@ -155,7 +155,7 @@ def _resolve_geometry(args, cat: Catalog):
             st = cat.structures[args.entry]
             return (st.algebra, metric_from(st.omega, st.K, st.domain),
                     st.domain, args.entry)
-        raise KeyError(f"no curvature row or structure named {args.entry!r}")
+        raise ParseError(f"no curvature row or structure named {args.entry!r}")
     if not (args.algebra is not None and args.metric):
         raise ParseError("geometry needs an entry id or --algebra/--metric")
     dom = ParamDomain.parse(args.domain)

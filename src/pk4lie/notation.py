@@ -211,24 +211,42 @@ def _emit_terms(parts: List[tuple]) -> str:
     return "".join(out)
 
 
-_BRACKET_RE = re.compile(r"\[\s*e([1-4])\s*,\s*e([1-4])\s*\]\s*=\s*(.+)$")
+def read_table(text: str, lhs: str, what: str, empty: str = "",
+               sep: str = ";") -> List[tuple]:
+    """The `sep`-separated pieces "lhs = rhs" of a table, as (the groups of
+    the `lhs` pattern, the rhs text); none for a blank text or `empty`.
+    Blank pieces are skipped; any other piece must match."""
+    text = text.strip()
+    if text == empty:
+        return []
+    piece_re = re.compile(rf"{lhs}\s*=\s*(.+)")
+    out = []
+    for piece in text.split(sep):
+        piece = piece.strip()
+        if not piece:
+            continue
+        m = piece_re.fullmatch(piece)
+        if m is None:
+            raise ParseError(f"bad {what} {piece!r}")
+        *groups, rhs = m.groups()
+        out.append((groups, rhs))
+    return out
+
+
+def write_table(items, empty: str) -> str:
+    """The pieces "lhs=vector" of the (lhs, Vec4) items whose vector is
+    nonzero, joined by "; "; `empty` when there are none."""
+    return "; ".join(f"{lhs}={emit_vector(v)}" for lhs, v in items
+                     if not all(c.is_zero for c in v)) or empty
 
 
 def parse_brackets(text: str) -> Dict[tuple, Vec4]:
     """Bracket table "[e1,e2]=e3; [e4,e3]=e3" -> {(i,j): vector}, i<j."""
     out: Dict[tuple, Vec4] = {}
-    text = text.strip()
-    if not text or text == "abelian":
-        return out
-    for piece in text.split(";"):
-        piece = piece.strip()
-        if not piece:
-            continue
-        m = _BRACKET_RE.match(piece)
-        if not m:
-            raise ParseError(f"bad bracket equation {piece!r}")
-        i, j = int(m.group(1)) - 1, int(m.group(2)) - 1
-        v = parse_vector(m.group(3))
+    for (i, j), rhs in read_table(text, r"\[\s*e([1-4])\s*,\s*e([1-4])\s*\]",
+                                  "bracket equation", "abelian"):
+        i, j = int(i) - 1, int(j) - 1
+        v = parse_vector(rhs)
         if i == j:
             raise ParseError(f"bracket [e{i+1},e{i+1}] must vanish")
         if i > j:
@@ -241,13 +259,8 @@ def parse_brackets(text: str) -> Dict[tuple, Vec4]:
 
 
 def emit_brackets(brackets: Dict[tuple, Vec4]) -> str:
-    parts = []
-    for (i, j) in sorted(brackets):
-        v = brackets[(i, j)]
-        if all(c.is_zero for c in v):
-            continue
-        parts.append(f"[e{i+1},e{j+1}]={emit_vector(v)}")
-    return "; ".join(parts) if parts else "abelian"
+    return write_table(((f"[e{i+1},e{j+1}]", brackets[(i, j)])
+                        for (i, j) in sorted(brackets)), "abelian")
 
 
 def parse_tuple4(text: str) -> List[Scalar]:

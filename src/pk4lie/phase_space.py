@@ -14,12 +14,11 @@ phase-space rows list.
 
 from __future__ import annotations
 
-import re
 from typing import Dict, List, Tuple
 
 from .liealg import LieAlgebra4
-from .linalg import Mat4, Vec4, vzero
-from .notation import emit_vector, parse_endo, parse_two_form, parse_vector
+from .linalg import Mat4, Vec4
+from .notation import parse_endo, parse_two_form, parse_vector, read_table, write_table
 from .scalars import EMPTY_DOMAIN, ParamDomain, ParseError, Scalar, ZERO, ONE
 
 Vec2 = List[Scalar]
@@ -60,55 +59,31 @@ class LSA2:
         return emit_products(self.products, offset)
 
 
-_PROD_RE = re.compile(r"^e([1-4])\s*\.\s*e([1-4])\s*=\s*(.+)$")
-
-
 def parse_products(text: str, offset: int = 0) -> Dict[tuple, Vec2]:
     """Product table "e2.e1=e1; e2.e2=alpha*e2" over a 2D basis.
 
     `offset` 0 reads the e1,e2 basis; 2 reads the dual basis e3,e4.
     """
     out: Dict[tuple, Vec2] = {}
-    text = text.strip()
-    if not text or text == "trivial":
-        return out
     names = (f"e{offset+1}", f"e{offset+2}")
-    for piece in text.split(";"):
-        piece = piece.strip()
-        if not piece:
-            continue
-        m = _PROD_RE.match(piece)
-        if not m:
-            raise ParseError(f"bad product equation {piece!r}")
-        a, b = int(m.group(1)) - 1 - offset, int(m.group(2)) - 1 - offset
+    for (i, j), rhs in read_table(text, r"e([1-4])\s*\.\s*e([1-4])",
+                                  "product equation", "trivial"):
+        a, b = int(i) - 1 - offset, int(j) - 1 - offset
         if not (0 <= a < 2 and 0 <= b < 2):
-            raise ParseError(f"product {piece!r} outside basis {names}")
-        vec = _parse_vec2(m.group(3), offset)
+            raise ParseError(f"product {f'e{i}.e{j}={rhs}'!r} outside basis {names}")
+        v4 = parse_vector(rhs)
+        if any(not c.is_zero for c in v4[:offset] + v4[offset + 2:]):
+            raise ParseError(f"vector {rhs!r} leaves the 2D basis")
         if (a, b) in out:
-            raise ParseError(f"duplicate product in {text!r}")
-        out[(a, b)] = vec
+            raise ParseError(f"duplicate product in {text.strip()!r}")
+        out[(a, b)] = v4[offset:offset + 2]
     return out
 
 
-def _parse_vec2(text: str, offset: int) -> Vec2:
-    v4 = parse_vector(text)
-    lo = [v4[i] for i in range(offset, offset + 2)]
-    rest = [v4[i] for i in range(4) if not (offset <= i < offset + 2)]
-    if any(not c.is_zero for c in rest):
-        raise ParseError(f"vector {text!r} leaves the 2D basis")
-    return lo
-
-
 def emit_products(products: Dict[tuple, Vec2], offset: int = 0) -> str:
-    parts = []
-    for (a, b) in sorted(products):
-        vec = products[(a, b)]
-        if all(c.is_zero for c in vec):
-            continue
-        v4 = vzero()
-        v4[offset], v4[offset + 1] = vec[0], vec[1]
-        parts.append(f"e{offset+a+1}.e{offset+b+1}={emit_vector(v4)}")
-    return "; ".join(parts) if parts else "trivial"
+    return write_table(((f"e{offset+a+1}.e{offset+b+1}",
+                         [ZERO] * offset + products[(a, b)] + [ZERO] * (2 - offset))
+                        for (a, b) in sorted(products)), "trivial")
 
 
 class LSAPair:
@@ -208,8 +183,8 @@ def lsa_pair(name: str, dual: str) -> LSAPair:
     """The cataloged algebra `name` on U with the product table `dual` on U*
     (empty for the trivial one), over the family's domain."""
     if name not in LSA_CATALOG_TEXT:
-        raise KeyError(f"unknown left-symmetric algebra {name!r}; "
-                       f"choices: {', '.join(sorted(LSA_CATALOG_TEXT))}")
+        raise ParseError(f"unknown left-symmetric algebra {name!r}; "
+                         f"choices: {', '.join(sorted(LSA_CATALOG_TEXT))}")
     text, domain = LSA_CATALOG_TEXT[name]
     return LSAPair(LSA2.parse(text), LSA2.parse(dual or "trivial", offset=2),
                    ParamDomain.parse(domain))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 
@@ -118,7 +118,7 @@ def _mono_lex_key(m: Mono) -> tuple:
 
 class Poly:
     """Multivariate polynomial over Z, dict of monomial -> nonzero int; never
-    mutated.  poly_gcd and poly_divexact also take coefficients in Q."""
+    mutated."""
 
     __slots__ = ("terms",)
 
@@ -126,11 +126,8 @@ class Poly:
         self.terms = terms or {}
 
     @staticmethod
-    def const(c) -> "Poly":
-        c = Fraction(c)
-        if c.denominator != 1:
-            raise ScalarError(f"polynomial coefficient {c} is not an integer")
-        return Poly({(): c.numerator} if c else {})
+    def const(c: int) -> "Poly":
+        return Poly({(): c} if c else {})
 
     @staticmethod
     def var(p: Union[Param, str]) -> "Poly":
@@ -288,14 +285,6 @@ def _divide_content(p: Poly, k: int) -> Poly:
     return p if k == 1 else Poly({m: c // k for m, c in p.terms.items()})
 
 
-def _over_z(p: Poly) -> tuple:
-    """(l * p, l) for the least integer l > 0 that clears p's denominators."""
-    if {*map(type, p.terms.values())} <= {int}:
-        return p, 1
-    l = lcm(*(Fraction(c).denominator for c in p.terms.values()))
-    return Poly({m: int(c * l) for m, c in p.terms.items()}), l
-
-
 def _mono_gcd(a: Mono, b: Mono) -> Mono:
     da, db = dict(a), dict(b)
     out = []
@@ -334,9 +323,7 @@ def _monomial_gcd(monos) -> Poly:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Primitive gcd over Z[params] with positive lex-leading coefficient;
-    operands over Q are scaled into Z[params] first."""
-    a, b = _over_z(a)[0], _over_z(b)[0]
+    """Primitive gcd over Z[params] with positive lex-leading coefficient."""
     if a.is_zero:
         return _make_primitive(b)
     if b.is_zero:
@@ -467,13 +454,8 @@ def _prem(a: dict, b: dict) -> dict:
 
 
 def poly_divexact(a: Poly, by: Poly) -> Poly:
-    """Exact division; raises if not divisible.  It divides by the primitive
-    part of `by` over Z, where the quotient has integer coefficients by
-    Gauss's lemma; operands over Q are scaled into Z first and back after."""
-    a, la = _over_z(a)
-    by, lb = _over_z(by)
-    k = gcd(*by.terms.values())
-    by = _divide_content(by, k)
+    """Exact division over Z[params] by a primitive `by`; raises if not
+    divisible.  The quotient has integer coefficients by Gauss's lemma."""
     if len(by.terms) == 1:
         (m0, c0), = by.terms.items()     # c0 is 1 or -1
         q = {_mono_div(m, m0): c * c0 for m, c in a.terms.items()}
@@ -499,10 +481,7 @@ def poly_divexact(a: Poly, by: Poly) -> Poly:
                     r[mm] = s
                 else:
                     r.pop(mm, None)
-    if la == lb == k == 1:
-        return Poly(q)
-    f = Fraction(lb, la * k)
-    return Poly({m: c * f for m, c in q.items()})
+    return Poly(q)
 
 
 # ---------------------------------------------------------------------------
@@ -728,9 +707,9 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append(("int", text[i:j]))
             i = j
@@ -818,7 +797,10 @@ class _P:
 def _parse(text: str, leaf):
     """Parse the whole of `text` with the scalar grammar over `leaf` values."""
     p = _P(_tokenize(text), leaf)
-    out = p.expr()
+    try:
+        out = p.expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
     if p.peek() != "end":
         raise ParseError(f"trailing input in {text!r}")
     return out

@@ -224,6 +224,16 @@ def test_a_broken_row_is_a_usage_error_that_names_the_row(tmp_path, monkeypatch,
     assert err.count(row) == 1
 
 
+def test_a_row_without_a_required_column_names_the_row_and_column(tmp_path, monkeypatch,
+                                                                 capsys):
+    monkeypatch.setattr(catalog, "DATA_DIR", _broken_copy(
+        tmp_path, "curvature.txt", D4_HALF_1,
+        D4_HALF_1.replace("metric: eps12+x*eps33-eps34\n", "")))
+    assert main(["verify", "curvature"]) == 2
+    assert capsys.readouterr().err == (
+        "error: curvature/d4_half/1: missing column 'metric'\n")
+
+
 def test_corrupted_bracket_fails_load(tmp_path):
     # break Jacobi in one algebra
     data = _broken_copy(tmp_path, "algebras.txt",

@@ -104,9 +104,9 @@ def test_phase_parses_only_the_named_algebra(monkeypatch, capsys):
     assert len(calls) == 2      # the base b2 and the dual
     code, _, err = run_cli(capsys, "phase", "nope", "")
     assert code == 2
-    assert err == ("error: \"unknown left-symmetric algebra 'nope'; choices: "
+    assert err == ("error: unknown left-symmetric algebra 'nope'; choices: "
                    "b1_alpha, b2, b3_alpha, b4, b5_minus, b5_plus, c1, c2, c3, "
-                   "c4, c5_minus, c5_plus\"\n")
+                   "c4, c5_minus, c5_plus\n")
 
 
 def test_phase_assembles_the_bracket_once(monkeypatch, capsys):
@@ -191,6 +191,29 @@ def test_usage_error_exit_code(capsys):
                                  "--set", item)
         assert code == 2, item
         assert out == "" and err.startswith("error: --set"), item
+
+
+@pytest.mark.parametrize("argv", [
+    ["geometry", "--algebra", "[e1,e2]=\u00b2*e2", "--metric", "eps11+eps22+eps33+eps44"],
+    ["phase", "b2", "e3.e3=\u00b9*e4"],
+])
+def test_a_superscript_digit_is_a_usage_error(capsys, argv):
+    # str.isdigit() holds for superscripts, which int() refuses
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: unexpected character")
+
+
+def test_a_decimal_digit_of_another_script_is_an_integer(capsys):
+    code, out, _ = run_cli(capsys, "geometry", "--algebra", "[e1,e2]=\u0663*e2",
+                           "--metric", "eps11+eps22+eps33+eps44")
+    assert code == 0
+    assert "algebra: [e1,e2]=3*e2\n" in out
+
+
+def test_an_unknown_geometry_entry_is_named_without_quotes(capsys):
+    assert run_cli(capsys, "geometry", "nope") == (
+        2, "", "error: no curvature row or structure named 'nope'\n")
 
 
 @pytest.mark.parametrize("argv", [
