@@ -29,7 +29,7 @@ from .notation import (
     parse_tuple4, parse_vector, read_table,
 )
 from .scalars import (
-    Param, ParamDomain, ParseError, Radical, Scalar, ScalarError, parse_scalar,
+    Param, ParamDomain, ParseError, Scalar, ScalarError, parse_scalar,
 )
 
 
@@ -117,19 +117,22 @@ def _parse_subst(text: str) -> Dict[Param, Scalar]:
     return out
 
 
-def _parse_domain(entry: RawEntry, key: str = "domain") -> ParamDomain:
-    dom = ParamDomain.parse(entry.get(key))
-    rad = entry.get("radical")
-    if rad:
-        m = _RADICAL_RE.match(rad)
-        if not m:
-            raise ParseError(f"bad radical {rad!r}")
-        radicand = parse_scalar(m.group(1))
-        if radicand.den.terms != {(): 1}:
-            raise ParseError("radicand must be a polynomial with integer coefficients")
-        dom = ParamDomain(dom.constraints,
-                          [Radical(Param("w"), radicand.num, Param(m.group(2)))])
-    return dom
+def _radical_subst(text: str) -> Tuple[Param, Scalar]:
+    """The column "w*w = p solve z", with p = a*z + b, as the substitution
+    z := (w*w - b)/a, a rational parametrization of the relation w*w = p."""
+    m = _RADICAL_RE.match(text)
+    if not m:
+        raise ParseError(f"bad radical {text!r}")
+    radicand, z = parse_scalar(m.group(1)), Param(m.group(2))
+    if radicand.den.terms != {(): 1}:
+        raise ParseError("radicand must be a polynomial with integer coefficients")
+    if radicand.num.degree_in(z) != 1:
+        raise ParseError("radicand must be linear in the solved parameter")
+    if radicand.num.degree_in(Param("w")) != 0:
+        raise ParseError("radicand must not involve the radical parameter")
+    b = radicand.substitute({z: Scalar.const(0)})
+    a = radicand.substitute({z: Scalar.const(1)}) - b
+    return z, (Scalar.var("w") ** 2 - b) / a
 
 
 class AlgebraEntry:
@@ -174,8 +177,9 @@ class StructureEntry:
 class IsoRowEntry:
     """The map `matrix` carries `target` onto `source`: its columns are the
     target's basis written in the source row's coordinates.  `source_subst`
-    pins the branch of the source family the row covers, `subst`
-    instantiates the target's parameters."""
+    pins the branch of the source family the row covers, together with a
+    `radical` column's solved parameter; `subst` instantiates the target's
+    parameters."""
 
     __slots__ = ("entry_id", "raw", "source", "matrix", "target", "domain")
 
@@ -356,10 +360,15 @@ class Catalog:
             raise BrokenReference(key, f"source {source_ref!r}")
         target = self._algebra(key, raw.get("target")).algebra
         ssub = _parse_subst(raw.get("source_subst"))
+        if raw.get("radical"):
+            z, value = _radical_subst(raw.get("radical"))
+            if z in ssub:
+                raise ParseError(f"duplicate substitution for {z.name}")
+            ssub[z] = value
         # branch parameters are shared by the brackets and the map columns
         matrix = _map_matrix(raw.get("map")).substitute(ssub)
         source, source_domain = _instance(self.phase_rows[source_ref], ssub)
-        domain = source_domain.merged(_parse_domain(raw, "condition"))
+        domain = source_domain.merged(ParamDomain.parse(raw.get("condition")))
         # The target's own family range is superseded by the row's condition
         # column; substitutions may be rational, so only brackets are mapped.
         target = target.substitute(_parse_subst(raw.get("subst")))
@@ -391,7 +400,7 @@ def _column(fields: Dict[str, str], key: str) -> str:
 def _algebra_row(key: str, raw: RawEntry, variant: str,
                  fields: Dict[str, str]) -> AlgebraEntry:
     L = LieAlgebra4.parse(raw.get("brackets"), key.split("/")[-1])
-    return AlgebraEntry(key, raw, L, _parse_domain(raw))
+    return AlgebraEntry(key, raw, L, ParamDomain.parse(raw.get("domain")))
 
 
 def _instance(row: AlgebraEntry, subst: dict) -> Tuple[LieAlgebra4, ParamDomain]:

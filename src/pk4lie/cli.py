@@ -167,7 +167,8 @@ def _resolve_geometry(args, cat: Catalog):
 
 def _parse_assignments(items, L: LieAlgebra4, h: Mat4, dom: ParamDomain) -> dict:
     """`--set PARAM=RATIONAL` items as a substitution; ParseError on a
-    malformed item or on a parameter the algebra, metric and domain lack."""
+    malformed item, on a parameter the algebra, metric and domain lack, or
+    on a parameter assigned twice."""
     from .catalog import _alg_params
     by_name = {p.name: p for p in h.params() | dom.params() | _alg_params(L)}
     subst = {}
@@ -177,6 +178,8 @@ def _parse_assignments(items, L: LieAlgebra4, h: Mat4, dom: ParamDomain) -> dict
             raise ParseError(f"--set {item!r}: expected PARAM=RATIONAL")
         if name not in by_name:
             raise ParseError(f"--set {item!r}: the entry has no parameter {name!r}")
+        if by_name[name] in subst:
+            raise ParseError(f"--set {item!r}: duplicate assignment for {name}")
         try:
             subst[by_name[name]] = Scalar.const(Fraction(value))
         except (ValueError, ZeroDivisionError):
@@ -252,7 +255,7 @@ def _substitute_domain_lenient(dom: ParamDomain, subst) -> ParamDomain:
                   file=sys.stderr)
         else:
             kept.append(c)
-    return ParamDomain(kept, dom.radicals).substituted(subst)
+    return ParamDomain(kept).substituted(subst)
 
 
 def _mat(m: Mat4):

@@ -264,10 +264,10 @@ def rank_on_domain(m: Mat4, domain: ParamDomain = EMPTY_DOMAIN,
 
 def split_at_root(pivot: Scalar, domain: ParamDomain) -> Optional[tuple]:
     """Case split on a pivot whose vanishing the domain leaves open:
-    (param, root, domain with the pivot nonzero) when its reduced numerator
-    is univariate of degree 1, or a single-variable monomial (root 0);
+    (param, root, domain with the pivot nonzero) when its numerator is
+    univariate of degree 1, or a single-variable monomial (root 0);
     None otherwise."""
-    num = domain.reduce(pivot.num)
+    num = pivot.num
     lin = num.univariate_linear()
     if lin is not None:
         var, c1, c0 = lin
@@ -277,7 +277,7 @@ def split_at_root(pivot: Scalar, domain: ParamDomain) -> Optional[tuple]:
     else:
         return None
     return var, Scalar.const(root), ParamDomain(
-        domain.constraints + [Constraint(num, "!=")], domain.radicals)
+        domain.constraints + [Constraint(num, "!=")])
 
 
 def _first_nonzero(rows, row_used, col, domain):
@@ -289,7 +289,7 @@ def _first_nonzero(rows, row_used, col, domain):
 
 def generic_rank(m: Mat4, domain: ParamDomain = EMPTY_DOMAIN) -> int:
     """Rank at generic parameter values: pivots only need to be nonzero as
-    polynomials modulo the domain's radical relations."""
+    rational functions."""
     return len(_eliminate([list(r) for r in m.rows], 4, domain, _first_nonzero))
 
 

@@ -228,28 +228,6 @@ class Poly:
             total += v
         return total
 
-    def reduce_square(self, p: Param, replacement: "Poly") -> "Poly":
-        """Rewrite p**2 -> replacement until degree in p is at most 1."""
-        cur = self
-        while cur.degree_in(p) >= 2:
-            t: dict = {}
-            extra = Poly()
-            for m, c in cur.terms.items():
-                e = dict(m).get(p.index, 0)
-                if e >= 2:
-                    rest = tuple((i, ee) for i, ee in m if i != p.index)
-                    if e % 2:
-                        rest = _mono_mul(rest, ((p.index, 1),))
-                    extra = extra + Poly({rest: c}) * replacement ** (e // 2)
-                else:
-                    s = t.get(m, 0) + c
-                    if s:
-                        t[m] = s
-                    else:
-                        t.pop(m, None)
-            cur = Poly(t) + extra
-        return cur
-
     def lead_coeff(self) -> int:
         """The coefficient of the lex-leading monomial; 0 for zero."""
         return self.terms[min(self.terms, key=_mono_lex_key)] if self.terms else 0
@@ -882,33 +860,11 @@ class Constraint:
         return f"{emit_poly(self.poly, self.den)} {self.rel} 0"
 
 
-class Radical:
-    """Relation w**2 = radicand, with one parameter solved during sampling.
-
-    The radicand must be linear in `solve_for`; sampling picks the free
-    parameters plus w, then solves for `solve_for` so the relation holds
-    exactly over the rationals.
-    """
-
-    __slots__ = ("w", "radicand", "solve_for")
-
-    def __init__(self, w: Param, radicand: Poly, solve_for: Param):
-        if radicand.degree_in(solve_for) != 1:
-            raise ScalarError("radicand must be linear in the solved parameter")
-        if radicand.degree_in(w) != 0:
-            raise ScalarError("radicand must not involve the radical parameter")
-        self.w = w
-        self.radicand = radicand
-        self.solve_for = solve_for
-
-
 class ParamDomain:
-    """Conjunction of polynomial sign constraints plus radical relations."""
+    """Conjunction of polynomial sign constraints."""
 
-    def __init__(self, constraints: Sequence[Constraint] = (),
-                 radicals: Sequence[Radical] = ()):
+    def __init__(self, constraints: Sequence[Constraint] = ()):
         self.constraints = list(constraints)
-        self.radicals = list(radicals)
         self._point = None
 
     @staticmethod
@@ -939,17 +895,12 @@ class ParamDomain:
         out = set()
         for c in self.constraints:
             out |= c.poly.params()
-        for r in self.radicals:
-            out |= r.radicand.params() | {r.w, r.solve_for}
         return out
 
     def merged(self, other: "ParamDomain") -> "ParamDomain":
-        return ParamDomain(self.constraints + other.constraints,
-                           self.radicals + other.radicals)
+        return ParamDomain(self.constraints + other.constraints)
 
     def substituted(self, mapping) -> "ParamDomain":
-        if self.radicals:
-            raise ScalarError("cannot substitute into a domain with radicals")
         cons = []
         for c in self.constraints:
             s = _subst_poly(c.poly, mapping)
@@ -962,14 +913,9 @@ class ParamDomain:
             cons.append(Constraint(s.num, c.rel, s.den.const_value()))
         return ParamDomain(cons)
 
-    # -- exact reduction modulo radical relations
-    def reduce(self, p: Poly) -> Poly:
-        for r in self.radicals:
-            p = p.reduce_square(r.w, r.radicand)
-        return p
-
     def is_zero(self, s: Scalar) -> bool:
-        return self.reduce(s.num).is_zero
+        """The exact zero test: s's numerator is the zero polynomial."""
+        return s.num.is_zero
 
     # -- nonvanishing certificates
     def nonvanishing_basis(self) -> list:
@@ -977,13 +923,10 @@ class ParamDomain:
         for c in self.constraints:
             if c.rel in ("!=", ">", "<"):
                 out.append(_make_primitive(c.poly))
-        for r in self.radicals:
-            out.append(_make_primitive(Poly.var(r.w)))
         return out
 
     def known_nonzero(self, p: Poly) -> bool:
         """True if p provably has no zero on the domain (sufficient test)."""
-        p = self.reduce(p)
         if p.is_zero:
             return False
         if self._root_excluded(p) or self._definite_sign(p):
@@ -1047,7 +990,6 @@ class ParamDomain:
         p is a nonzero constant, has a `_definite_sign`, or is c1*v + c0 with
         its root r outside a half-line q = a1*v + a0 > 0 (>=, <, <=) of the
         domain, where p = (c1/a1)*(q - q(r)) and q - q(r) has q's sign."""
-        p = self.reduce(p)
         if p.is_const:
             return (p.const_value() > 0) - (p.const_value() < 0)
         if self._definite_sign(p):
@@ -1061,31 +1003,13 @@ class ParamDomain:
     # -- sampling
     def sample(self, rng: random.Random, params: Iterable[Param],
                height: int = 100, attempts: int = 400) -> dict:
-        params = set(params) | self.params()
-        solved = {r.solve_for for r in self.radicals}
-        free = sorted(params - solved, key=lambda p: p.index)
+        params = sorted(set(params) | self.params(), key=lambda p: p.index)
         for _ in range(attempts):
             asg = {}
-            for p in free:
+            for p in params:
                 num = rng.randint(-height, height)
                 den = rng.randint(1, height)
                 asg[p] = Fraction(num, den)
-            ok = True
-            for r in self.radicals:
-                # radicand = A*solve_for + B; solve A*s + B = w**2
-                s = r.solve_for
-                try:
-                    b = r.radicand.eval({**asg, s: 0})
-                    a = r.radicand.eval({**asg, s: 1}) - b
-                except MissingParam:
-                    ok = False
-                    break
-                if a == 0:
-                    ok = False
-                    break
-                asg[s] = (asg[r.w] ** 2 - b) / a
-            if not ok:
-                continue
             if all(c.holds(c.poly.eval(asg)) for c in self.constraints):
                 return asg
         if attempts < 4000 and self.satisfiable(params):
@@ -1157,14 +1081,13 @@ def identity_test(s: Scalar, domain: ParamDomain = EMPTY_DOMAIN,
     """Decide whether s vanishes identically on the domain.
 
     ZeroExact and NonZero are exact.  ZeroSampled (flagged for review) needs
-    every sample on a zero set of s the reduction misses: a parameter pinned
-    to a root by weak inequalities (x >= 0, x <= 0), a radicand with another
-    radical's w, or a root at the point that `sample` falls back on.
+    every sample on a zero set of the nonzero numerator: a parameter pinned
+    to a root by weak inequalities (x >= 0, x <= 0), or a root at the point
+    that `sample` falls back on.
     """
     if trials < 1:
         raise ScalarError("trials must be >= 1")
-    num = domain.reduce(s.num)
-    if num.is_zero:
+    if domain.is_zero(s):
         return Verdict("ZeroExact")
     done = 0
     for done, (asg, v) in enumerate(domain.sampled_values(s.params(), s.eval,

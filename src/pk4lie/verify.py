@@ -156,8 +156,8 @@ def _verify_curvature_row(row: CurvatureRowEntry) -> EntryReport:
             if split is None:
                 raise e
             var, value, dom = split
-            # The connection, R and ric reduce only modulo the radicals,
-            # which the branch shares: only the soliton solve changes.
+            # The connection, R and ric do not depend on the domain, so the
+            # branch reuses them: only the soliton solve changes.
             sol = solve_soliton(computed.system, dom, computed.ric)
         except RankAmbiguous as ambiguous:
             rep.add("classified", False, f"rank ambiguous: {ambiguous.poly!r}",

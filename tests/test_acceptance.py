@@ -139,14 +139,15 @@ def test_criterion_5_iso_suite():
     assert len(reports) == 88
     assert all(r.status == "PASS" for r in reports), [
         (r.entry_id, r.status) for r in reports if r.status != "PASS"]
-    # the radical rows are verified exactly through the w**2 relation
+    # the radical rows are verified exactly, their solved parameter z
+    # substituted by the rational parametrization of w**2 = radicand
     for rid in ("iso_b/B3_1_0yz", "iso_b/B3_1_discpos", "iso_b/B3_1_discneg"):
         row = CAT.iso_rows[rid]
         assert row.raw.get("radical")
         rep = next(r for r in reports if r.entry_id == rid)
         assert all(c["ok"] for c in rep.checks), rid
     assert elapsed < 10.0, f"{elapsed:.2f}s"
-    report(5, "PASS", f"88 isomorphism rows exact (3 via radical relations) "
+    report(5, "PASS", f"88 isomorphism rows exact (3 via radical substitutions) "
                       f"in {elapsed:.1f}s")
 
 

@@ -12,7 +12,7 @@ from pk4lie.liealg import LieAlgebra4
 from pk4lie.notation import (
     emit_endo, emit_sym_form, emit_two_form, parse_endo, parse_two_form,
 )
-from pk4lie.scalars import ParseError, ScalarError
+from pk4lie.scalars import Param, ParseError, Scalar, ScalarError, parse_scalar
 
 CAT = load_catalog()
 
@@ -38,7 +38,8 @@ def test_load_runs_all_assertions():
 
 def test_a_checked_load_builds_one_algebra_per_parse_or_substitution(monkeypatch):
     # Rows own their domains, so a row takes the algebra it names as it is:
-    # only a parse or a substitution makes a LieAlgebra4.
+    # only a parse or a substitution makes a LieAlgebra4.  An iso row's
+    # `radical` column substitutes into its source like `source_subst`.
     built = []
 
     def counted(self, *args, _orig=LieAlgebra4.__init__):
@@ -46,11 +47,11 @@ def test_a_checked_load_builds_one_algebra_per_parse_or_substitution(monkeypatch
         _orig(self, *args)
     monkeypatch.setattr(LieAlgebra4, "__init__", counted)
     cat = load_catalog()
-    substitutions = sum(bool(row.raw.get(key)) for rows, keys in (
-        (cat.structures, ("subst",)), (cat.curvature_rows, ("subst",)),
-        (cat.iso_rows, ("source_subst", "subst"))) for row in rows.values()
-        for key in keys)
-    assert substitutions == 79
+    substitutions = sum(bool(row.raw.get("subst")) for rows in (
+        cat.structures, cat.curvature_rows, cat.iso_rows) for row in rows.values())
+    substitutions += sum(bool(row.raw.get("source_subst") or row.raw.get("radical"))
+                         for row in cat.iso_rows.values())
+    assert substitutions == 81
     assert len(built) == len(cat.algebras) + len(cat.phase_rows) + substitutions
 
 
@@ -72,14 +73,14 @@ def test_a_row_without_subst_shares_the_algebra_it_names():
             assert row.algebra is named(row.raw.get("alg")), row.entry_id
             shared += 1
     for row in CAT.iso_rows.values():
-        if not row.raw.get("source_subst"):
+        if not (row.raw.get("source_subst") or row.raw.get("radical")):
             assert row.source is CAT.phase_rows[row.source_ref].algebra, row.entry_id
             shared += 1
         if not row.raw.get("subst"):
             assert row.target is named(row.target_ref), row.entry_id
             shared += 1
     # of the 389 algebras of structure, curvature and iso rows
-    assert shared == 322
+    assert shared == 320
 
 
 def test_dump_is_byte_identical():
@@ -251,12 +252,38 @@ def test_excluded_parameter_value_fails_load(tmp_path):
         read_every_section(load_catalog(data))
 
 
-def test_a_rational_radicand_fails_load(tmp_path):
-    # a Scalar's num is the radicand only when its den is 1
+@pytest.mark.parametrize("column, message", [
+    ("w*w = y*z/2 solve z", "integer coefficients"),
+    ("w*w = y*z*z solve z", "linear in the solved parameter"),
+    ("w*w = w*z solve z", "must not involve the radical parameter"),
+    ("w*w = y*z solve q", "linear in the solved parameter"),
+    ("w*w = y*z", "bad radical"),
+    ("w*w = x*y solve x", "duplicate substitution for x"),  # source_subst: x=0
+], ids=["rational", "quadratic", "involves-w", "unsolved-parameter", "malformed",
+        "substituted-parameter"])
+def test_a_rational_radicand_fails_load(tmp_path, column, message):
+    # the radical is a substitution z := (w*w - b)/a only for a radicand
+    # a*z + b over Z that does not involve w
     data = _broken_copy(tmp_path, "iso_b.txt", "radical: w*w = y*z solve z",
-                        "radical: w*w = y*z/2 solve z")
-    with pytest.raises(ParseError, match="integer coefficients"):
+                        f"radical: {column}")
+    with pytest.raises(LoadAssertionFailed, match=message) as e:
         read_every_section(load_catalog(data))
+    assert e.value.entry_id == "iso_b/B3_1_0yz"
+
+
+@pytest.mark.parametrize("key, radicand, z", [
+    ("iso_b/B3_1_0yz", "y*z", "(w*w)/y"),
+    ("iso_b/B3_1_discpos", "x*x+4*y*z", "(w*w-x*x)/(4*y)"),
+    ("iso_b/B3_1_discneg", "-x*x-4*y*z", "(-w*w-x*x)/(4*y)"),
+])
+def test_a_radical_row_substitutes_its_solved_parameter(key, radicand, z):
+    # w*w = radicand is solved exactly for z, and z leaves the row
+    row, Z, value = CAT.iso_rows[key], Param("z"), parse_scalar(z)
+    assert row.raw.get("radical") == f"w*w = {radicand} solve z"
+    assert parse_scalar(radicand).substitute({Z: value}) == Scalar.var("w") ** 2
+    assert catalog._radical_subst(row.raw.get("radical")) == (Z, value)
+    assert Z not in (row.matrix.params() | row.domain.params()
+                     | catalog._alg_params(row.source))
 
 
 def test_unsatisfiable_domain_fails_load(tmp_path):
@@ -329,9 +356,7 @@ def test_broken_reference_fails_load(tmp_path):
 
 
 def _algebra_columns(L, domain):
-    radicals = [(r.w.name, repr(r.radicand), r.solve_for.name)
-                for r in domain.radicals]
-    return (L.name, L.serialize(), repr(domain), radicals)
+    return (L.name, L.serialize(), repr(domain))
 
 
 def _row_columns(cat, key):

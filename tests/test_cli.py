@@ -191,6 +191,11 @@ def test_usage_error_exit_code(capsys):
                                  "--set", item)
         assert code == 2, item
         assert out == "" and err.startswith("error: --set"), item
+    # a repeated parameter is refused, not silently set to its last value
+    code, out, err = run_cli(capsys, "geometry", "curvature/d4_half/1",
+                             "--set", "x=1", "--set", "x=2")
+    assert (code, out) == (2, "")
+    assert err == "error: --set 'x=2': duplicate assignment for x\n"
 
 
 @pytest.mark.parametrize("argv", [

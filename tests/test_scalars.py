@@ -10,8 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from pk4lie.linalg import split_at_root
 from pk4lie.scalars import (
-    Constraint, DenominatorVanishes, DomainUnsatisfiable, EMPTY_DOMAIN,
-    MissingParam, Param, ParamDomain, ParseError, Poly, Radical, Scalar,
+    DenominatorVanishes, DomainUnsatisfiable, EMPTY_DOMAIN,
+    MissingParam, Param, ParamDomain, ParseError, Poly, Scalar,
     ScalarError, ZERO, ONE, _mono_lex_key, _subst_poly, emit_scalar, identity_test,
     nonvanishing, parse_scalar, poly_divexact, poly_gcd,
 )
@@ -171,18 +171,10 @@ def test_sample_falls_back_on_the_point_satisfiable_found():
 
 
 def test_zero_sampled_needs_points_on_a_zero_set_the_reduction_misses():
-    # no radical: weak inequalities pin x to 0, the root of s
+    # weak inequalities pin x to 0, the root of s
     pinned = ParamDomain.parse("x >= 0, x <= 0")
     for seed in range(6):
         assert identity_test(S("x"), pinned, seed=seed).kind == "ZeroSampled"
-    # the sampler makes v*v = w*w + x hold, but the reduction rewrites v*v
-    # after w*w, so the w*w it brings back stays
-    w, v, z = Param("w"), Param("v"), Param("z")
-    dom = ParamDomain([], [Radical(w, S("y*z").num, z),
-                           Radical(v, S("w*w + x").num, X)])
-    s = S("v*v - w*w - x")
-    assert dom.reduce(s.num) == S("w*w - y*z").num
-    assert identity_test(s, dom, seed=3).kind == "ZeroSampled"
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +263,7 @@ def test_division_by_zero_in_text_is_a_parse_error():
 
 
 # ---------------------------------------------------------------------------
-# domains: nonvanishing certificates, radicals, substitution
+# domains: nonvanishing certificates, substitution
 
 
 def test_known_nonzero():
@@ -315,25 +307,6 @@ def test_split_at_root_is_exact(text, root):
     assert type(value.const_value()) is Fraction and value.const_value() == root
     assert value == Scalar.const(root)
     assert [repr(c) for c in off.constraints] == [f"{text} != 0"]
-
-
-def test_radical_sampling_and_reduction():
-    # w^2 = y*z with w > 0, y != 0: sampler solves z, reducer kills w^2-y*z.
-    w, z = Param("w"), Param("z")
-    dom = ParamDomain(
-        [Constraint(Poly.var(w), ">"), Constraint(Poly.var(Y), "!=")],
-        [Radical(w, (Scalar.var("y") * Scalar.var("z")).num, z)],
-    )
-    import random
-    rng = random.Random(7)
-    for _ in range(5):
-        asg = dom.sample(rng, {w, Y, z})
-        assert asg[w] ** 2 == asg[Y] * asg[z]
-        assert asg[w] > 0
-    residual = S("w*w - y*z")
-    assert identity_test(residual, dom, trials=4, seed=3).kind == "ZeroExact"
-    assert identity_test(S("w*w*w - y*z*w"), dom, trials=4, seed=3).kind == "ZeroExact"
-    assert identity_test(S("w - y*z"), dom, trials=4, seed=3).kind == "NonZero"
 
 
 def test_domain_substitution():
