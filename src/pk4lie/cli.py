@@ -146,22 +146,21 @@ def _curvature_table(cat: Catalog) -> str:
 
 
 def _resolve_geometry(args, cat: Catalog):
-    from .catalog import _alg_params, _check_satisfiable
+    from .catalog import _check_satisfiable
     if args.entry:
         if args.entry in cat.curvature_rows:
             row = cat.curvature_rows[args.entry]
             return row.algebra, row.metric, row.domain, args.entry
         if args.entry in cat.structures:
             st = cat.structures[args.entry]
-            return (st.algebra, metric_from(st.omega, st.K, st.domain),
-                    st.domain, args.entry)
+            return st.algebra, metric_from(st.omega, st.K), st.domain, args.entry
         raise ParseError(f"no curvature row or structure named {args.entry!r}")
     if not (args.algebra is not None and args.metric):
         raise ParseError("geometry needs an entry id or --algebra/--metric")
     dom = ParamDomain.parse(args.domain)
     L = LieAlgebra4.parse(args.algebra, "inline")
     h = parse_sym_form(args.metric)
-    _check_satisfiable("inline", dom, _alg_params(L) | h.params())
+    _check_satisfiable("inline", dom, L.params() | h.params())
     return L, h, dom, "inline"
 
 
@@ -169,8 +168,7 @@ def _parse_assignments(items, L: LieAlgebra4, h: Mat4, dom: ParamDomain) -> dict
     """`--set PARAM=RATIONAL` items as a substitution; ParseError on a
     malformed item, on a parameter the algebra, metric and domain lack, or
     on a parameter assigned twice."""
-    from .catalog import _alg_params
-    by_name = {p.name: p for p in h.params() | dom.params() | _alg_params(L)}
+    by_name = {p.name: p for p in h.params() | dom.params() | L.params()}
     subst = {}
     for item in items:
         name, eq, value = (part.strip() for part in item.partition("="))
@@ -206,7 +204,7 @@ def cmd_geometry(args) -> int:
            "metric": emit_sym_form(h)}
     # only `verify` reads a checked catalog, which asserts Jacobi on the first
     # read of a section; here inline brackets alone are checked
-    if label == "inline" and not L.is_lie_algebra(dom):
+    if label == "inline" and not L.is_lie_algebra():
         out["error"] = "brackets fail the Jacobi identity"
         _emit_geometry(args, out)
         return 1
@@ -299,7 +297,7 @@ def cmd_phase(args) -> int:
     )
     pair = lsa_pair(args.base, args.dual)
     L = assembled_brackets(pair)
-    ok, defects = is_lie_extendible(pair, L)
+    ok, defects = is_lie_extendible(L)
     out = {
         "base": pair.on_U.serialize(),
         "dual": pair.on_Ustar.serialize(offset=2),

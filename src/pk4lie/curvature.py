@@ -34,8 +34,8 @@ class CurvatureTensor:
             return self.matrices[(i, j)]
         return -self.matrices[(j, i)]
 
-    def is_zero(self, domain: ParamDomain = EMPTY_DOMAIN) -> bool:
-        return all(m.is_zero(domain) for m in self.matrices.values())
+    def is_zero(self) -> bool:
+        return all(m.is_zero() for m in self.matrices.values())
 
 
 def curvature(L: LieAlgebra4, conn: Connection4) -> CurvatureTensor:
@@ -62,15 +62,14 @@ def curvature(L: LieAlgebra4, conn: Connection4) -> CurvatureTensor:
     return CurvatureTensor(out)
 
 
-def ricci(L: LieAlgebra4, conn: Connection4,
-          domain: ParamDomain = EMPTY_DOMAIN) -> Mat4:
+def ricci(L: LieAlgebra4, conn: Connection4) -> Mat4:
     """ric(e_i, e_j) = tr(Z -> R(e_i, Z) e_j); symmetry is asserted."""
     r = curvature(L, conn)
     ric = Mat4.zeros()
     for i in range(4):
         ms = [(k, r[(i, k)].rows) for k in range(4) if k != i]
         ric.rows[i] = [sum((m[k][j] for k, m in ms), ZERO) for j in range(4)]
-    if not ric.is_symmetric(domain):
+    if not ric.is_symmetric():
         raise NotSymmetric("computed Ricci tensor is not symmetric")
     return ric
 
@@ -189,7 +188,7 @@ def soliton_family_equal(system: SolitonSystem, ric_mat: Mat4,
         return False, f"solver found a solution set of dimension {computed.free_count}"
     if computed is None:
         return False, "solver found no solution"
-    if not soliton_residual(system, expected_x, expected_lam, ric_mat).is_zero(domain):
+    if not soliton_residual(system, expected_x, expected_lam, ric_mat).is_zero():
         return False, "printed family does not satisfy the soliton equation"
     dim = family_dimension(expected_x, expected_lam, domain)
     if dim != computed.free_count:
@@ -209,7 +208,7 @@ class Geometry:
 
     @cached_property
     def conn(self) -> Connection4:
-        return levi_civita(self.L, self.h, self.domain)
+        return levi_civita(self.L, self.h)
 
     @cached_property
     def R(self) -> CurvatureTensor:
@@ -217,15 +216,15 @@ class Geometry:
 
     @cached_property
     def ric(self) -> Mat4:
-        return ricci(self.L, self.conn, self.domain)
+        return ricci(self.L, self.conn)
 
     @cached_property
     def flat(self) -> bool:
-        return self.R.is_zero(self.domain)
+        return self.R.is_zero()
 
     @cached_property
     def ricci_flat(self) -> bool:
-        return self.ric.is_zero(self.domain)
+        return self.ric.is_zero()
 
     @cached_property
     def system(self) -> SolitonSystem:

@@ -93,8 +93,15 @@ class LieAlgebra4:
             out[(i, j, k)] = s
         return out
 
-    def is_lie_algebra(self, domain: ParamDomain = EMPTY_DOMAIN) -> bool:
-        return all(vis_zero(v, domain) for v in self.jacobi_defect().values())
+    def is_lie_algebra(self) -> bool:
+        return all(vis_zero(v) for v in self.jacobi_defect().values())
+
+    def params(self) -> set:
+        out = set()
+        for v in self.brackets.values():
+            for s in v:
+                out |= s.params()
+        return out
 
     def substitute(self, mapping: Mapping) -> "LieAlgebra4":
         if not mapping:
@@ -149,19 +156,19 @@ def paracomplex_check(L: LieAlgebra4, K: Mat4,
                       domain: ParamDomain = EMPTY_DOMAIN) -> ParacomplexReport:
     from .linalg import generic_rank
     ident = Mat4.identity()
-    squares = (K @ K - ident).is_zero(domain)
+    squares = K @ K == ident
     rp = rm = constraint = None
     if squares:
         # With K*K = Id the two eigenspaces span pointwise, so the ranks of
         # K -+ Id cannot drop below their generic values anywhere: the
         # generic rank is the rank on the whole domain.
-        rp = 4 - generic_rank(K - ident, domain)
-        rm = 4 - generic_rank(K + ident, domain)
+        rp = 4 - generic_rank(K - ident)
+        rm = 4 - generic_rank(K + ident)
     else:
         try:
             rp = 4 - rank_on_domain(K - ident, domain)
             rm = 4 - rank_on_domain(K + ident, domain)
         except RankAmbiguous as e:
             constraint = repr(e.poly)
-    nz = all(vis_zero(v, domain) for v in nijenhuis(L, K).values())
+    nz = all(vis_zero(v) for v in nijenhuis(L, K).values())
     return ParacomplexReport(squares, rp, rm, nz, constraint)

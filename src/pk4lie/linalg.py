@@ -48,8 +48,8 @@ def vsub(a: Vec4, b: Vec4) -> Vec4:
     return [x - y for x, y in zip(a, b)]
 
 
-def vis_zero(a: Vec4, domain: ParamDomain = EMPTY_DOMAIN) -> bool:
-    return all(domain.is_zero(x) for x in a)
+def vis_zero(a: Vec4) -> bool:
+    return all(x.is_zero for x in a)
 
 
 class Mat4:
@@ -152,21 +152,19 @@ class Mat4:
                 out.rows[i][j] = self._cofactor(j, i) / d
         return out
 
-    def is_zero(self, domain: ParamDomain = EMPTY_DOMAIN) -> bool:
-        return all(domain.is_zero(v) for r in self.rows for v in r)
+    def is_zero(self) -> bool:
+        return all(v.is_zero for r in self.rows for v in r)
 
     def __eq__(self, other):
-        return isinstance(other, Mat4) and all(
-            self.rows[i][j] == other.rows[i][j] for i in range(4) for j in range(4))
+        """Exact equality: entries are in canonical form, so equal rational
+        functions are equal structurally."""
+        return isinstance(other, Mat4) and self.rows == other.rows
 
-    def equals(self, other: "Mat4", domain: ParamDomain = EMPTY_DOMAIN) -> bool:
-        return (self - other).is_zero(domain)
+    def is_symmetric(self) -> bool:
+        return self == self.transpose()
 
-    def is_symmetric(self, domain: ParamDomain = EMPTY_DOMAIN) -> bool:
-        return (self - self.transpose()).is_zero(domain)
-
-    def is_antisymmetric(self, domain: ParamDomain = EMPTY_DOMAIN) -> bool:
-        return (self + self.transpose()).is_zero(domain)
+    def is_antisymmetric(self) -> bool:
+        return (self + self.transpose()).is_zero()
 
     def substitute(self, mapping) -> "Mat4":
         return Mat4([[v.substitute(mapping) for v in r] for r in self.rows])
@@ -204,8 +202,8 @@ class ThreeForm4:
     def __getitem__(self, triple):
         return self.components[triple]
 
-    def is_zero(self, domain: ParamDomain = EMPTY_DOMAIN) -> bool:
-        return all(domain.is_zero(v) for v in self.components.values())
+    def is_zero(self) -> bool:
+        return all(v.is_zero for v in self.components.values())
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +220,7 @@ def _pick_pivot(rows, row_used, col, domain):
         if i in row_used:
             continue
         v = rows[i][col]
-        if domain.is_zero(v):
+        if v.is_zero:
             continue
         if v.is_const:
             return i
@@ -282,15 +280,15 @@ def split_at_root(pivot: Scalar, domain: ParamDomain) -> Optional[tuple]:
 
 def _first_nonzero(rows, row_used, col, domain):
     """Pivot rule of generic_rank: the first unused row whose entry in `col`
-    is not identically zero on the domain."""
+    is not identically zero.  `domain` is the pick rule's slot, unread."""
     return next((i for i in range(len(rows)) if i not in row_used
-                 and not domain.is_zero(rows[i][col])), None)
+                 and not rows[i][col].is_zero), None)
 
 
-def generic_rank(m: Mat4, domain: ParamDomain = EMPTY_DOMAIN) -> int:
+def generic_rank(m: Mat4) -> int:
     """Rank at generic parameter values: pivots only need to be nonzero as
     rational functions."""
-    return len(_eliminate([list(r) for r in m.rows], 4, domain, _first_nonzero))
+    return len(_eliminate([list(r) for r in m.rows], 4, EMPTY_DOMAIN, _first_nonzero))
 
 
 def _eliminate(rows, ncols, domain, pick) -> dict:
@@ -351,9 +349,9 @@ def solve_affine(a_rows: List[List[Scalar]], b: List[Scalar],
     for j in range(m):
         if j in row_used:
             continue
-        if all(domain.is_zero(aug[j][c]) for c in range(n)):
+        if all(aug[j][c].is_zero for c in range(n)):
             rhs = aug[j][n]
-            if domain.is_zero(rhs):
+            if rhs.is_zero:
                 continue
             if domain.known_nonzero(rhs.num) or rhs.is_const:
                 return None

@@ -6,9 +6,7 @@ from typing import Dict, Tuple
 
 from .liealg import LieAlgebra4
 from .linalg import Mat4, Vec4, vbasis, vis_zero, vsub
-from .scalars import (
-    EMPTY_DOMAIN, ParamDomain, ScalarError, Verdict, nonvanishing,
-)
+from .scalars import ParamDomain, ScalarError, Verdict, nonvanishing
 
 
 class NotAutomorphism(ScalarError):
@@ -18,15 +16,15 @@ class NotAutomorphism(ScalarError):
 class LinMap:
     """matrix columns are the images of the source basis in target coordinates."""
 
-    __slots__ = ("matrix", "source", "target", "domain")
+    __slots__ = ("matrix", "source", "target")
 
-    def __init__(self, matrix: Mat4, source: LieAlgebra4, target: LieAlgebra4,
-                 domain: ParamDomain = EMPTY_DOMAIN):
+    def __init__(self, matrix: Mat4, source: LieAlgebra4, target: LieAlgebra4):
         self.matrix, self.source, self.target = matrix, source, target
-        self.domain = domain
 
-    def invertible(self, trials: int = 32, seed: int = 0) -> Verdict:
-        return nonvanishing(self.matrix.det(), self.domain, trials, seed)
+    def invertible(self, domain: ParamDomain, trials: int = 32,
+                   seed: int = 0) -> Verdict:
+        """Whether det P is nonzero on the domain (see `nonvanishing`)."""
+        return nonvanishing(self.matrix.det(), domain, trials, seed)
 
 
 def iso_residuals(m: LinMap) -> Dict[tuple, Vec4]:
@@ -44,7 +42,7 @@ def iso_residuals(m: LinMap) -> Dict[tuple, Vec4]:
 
 def check_lie_isomorphism(m: LinMap) -> Tuple[bool, Dict[tuple, Vec4]]:
     res = iso_residuals(m)
-    ok = all(vis_zero(v, m.domain) for v in res.values())
+    ok = all(vis_zero(v) for v in res.values())
     return ok, res
 
 
@@ -76,5 +74,5 @@ def check_equivalence(T: LinMap, s1: Tuple[Mat4, Mat4],
         raise NotAutomorphism("map is not a Lie algebra automorphism")
     omega, k = transport(T, *s2)
     d_omega, d_k = omega - s1[0], k - s1[1]
-    good = d_omega.is_zero(T.domain) and d_k.is_zero(T.domain)
+    good = d_omega.is_zero() and d_k.is_zero()
     return good, {"omega": d_omega, "K": d_k}

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from .liealg import LieAlgebra4
-from .linalg import Mat4, Vec4
+from .linalg import Mat4, Vec4, vis_zero
 from .notation import parse_endo, parse_two_form, parse_vector, read_table, write_table
 from .scalars import EMPTY_DOMAIN, ParamDomain, ParseError, Scalar, ZERO, ONE
 
@@ -148,10 +148,10 @@ def assembled_brackets(pair: LSAPair) -> LieAlgebra4:
     return LieAlgebra4(br)
 
 
-def is_lie_extendible(pair: LSAPair, L: LieAlgebra4) -> Tuple[bool, Dict[tuple, Vec4]]:
+def is_lie_extendible(L: LieAlgebra4) -> Tuple[bool, Dict[tuple, Vec4]]:
     """Jacobi verdict for L = assembled_brackets(pair), with residuals."""
     defects = L.jacobi_defect()
-    ok = all(all(pair.domain.is_zero(c) for c in v) for v in defects.values())
+    ok = all(vis_zero(v) for v in defects.values())
     return ok, defects
 
 

@@ -830,6 +830,9 @@ def emit_scalar(s: Scalar) -> str:
 
 
 _RELS = ("!=", ">=", "<=", ">", "<")
+# `ParamDomain.sample` draws each parameter as n/d, |n| <= SAMPLE_HEIGHT and
+# 1 <= d <= SAMPLE_HEIGHT.
+SAMPLE_HEIGHT = 100
 
 
 class Constraint:
@@ -912,10 +915,6 @@ class ParamDomain:
                 raise ScalarError("substituted constraint not polynomial")
             cons.append(Constraint(s.num, c.rel, s.den.const_value()))
         return ParamDomain(cons)
-
-    def is_zero(self, s: Scalar) -> bool:
-        """The exact zero test: s's numerator is the zero polynomial."""
-        return s.num.is_zero
 
     # -- nonvanishing certificates
     def nonvanishing_basis(self) -> list:
@@ -1002,13 +1001,13 @@ class ParamDomain:
 
     # -- sampling
     def sample(self, rng: random.Random, params: Iterable[Param],
-               height: int = 100, attempts: int = 400) -> dict:
+               attempts: int = 400) -> dict:
         params = sorted(set(params) | self.params(), key=lambda p: p.index)
         for _ in range(attempts):
             asg = {}
             for p in params:
-                num = rng.randint(-height, height)
-                den = rng.randint(1, height)
+                num = rng.randint(-SAMPLE_HEIGHT, SAMPLE_HEIGHT)
+                den = rng.randint(1, SAMPLE_HEIGHT)
                 asg[p] = Fraction(num, den)
             if all(c.holds(c.poly.eval(asg)) for c in self.constraints):
                 return asg
@@ -1087,7 +1086,7 @@ def identity_test(s: Scalar, domain: ParamDomain = EMPTY_DOMAIN,
     """
     if trials < 1:
         raise ScalarError("trials must be >= 1")
-    if domain.is_zero(s):
+    if s.is_zero:
         return Verdict("ZeroExact")
     done = 0
     for done, (asg, v) in enumerate(domain.sampled_values(s.params(), s.eval,
@@ -1102,7 +1101,7 @@ def nonvanishing(s: Scalar, domain: ParamDomain = EMPTY_DOMAIN,
     """Whether s is nonzero on the domain: ZeroExact when it vanishes there,
     NonZero for a constant or a certified numerator (known_nonzero), and
     otherwise the sampled verdict of identity_test."""
-    if domain.is_zero(s):
+    if s.is_zero:
         return Verdict("ZeroExact")
     if s.is_const or domain.known_nonzero(s.num):
         return Verdict("NonZero", witness=None, trials=0)

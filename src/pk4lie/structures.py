@@ -28,9 +28,11 @@ from .scalars import EMPTY_DOMAIN, HALF, ParamDomain, Verdict, ZERO
 
 
 def metric_from(omega: Mat4, K: Mat4, domain: ParamDomain = EMPTY_DOMAIN) -> Mat4:
-    """Metric h(u, v) = omega(K u, v); raises unless the result is symmetric."""
+    """Metric h(u, v) = omega(K u, v); raises unless the result is symmetric.
+    `domain` is unread: symmetry is exact, and the benchmark's
+    `explore._write_space` still passes one."""
     h = K.transpose() @ omega
-    if not h.is_symmetric(domain):
+    if not h.is_symmetric():
         raise NotSymmetric("omega(K.,.) is not symmetric; K is not omega-skew")
     return h
 
@@ -56,20 +58,17 @@ def koszul_values(L: LieAlgebra4, h: Mat4) -> List[List[Vec4]]:
               for k in range(4)] for j in range(4)] for i in range(4)]
 
 
-def levi_civita(L: LieAlgebra4, h: Mat4,
-                domain: ParamDomain = EMPTY_DOMAIN) -> Connection4:
+def levi_civita(L: LieAlgebra4, h: Mat4) -> Connection4:
     """Unique torsion-free metric connection: h^-1 applied to the Koszul
     values."""
-    det = h.det()
-    if domain.is_zero(det):
+    if h.det().is_zero:
         raise DegenerateError("metric is degenerate on the whole domain")
     hinv = h.inverse()
     return Connection4([mat_from_cols([hinv.apply(g) for g in gi])
                         for gi in koszul_values(L, h)])
 
 
-def K_parallel(L: LieAlgebra4, h: Mat4, K: Mat4,
-               domain: ParamDomain = EMPTY_DOMAIN) -> bool:
+def K_parallel(L: LieAlgebra4, h: Mat4, K: Mat4) -> bool:
     """nabla K = 0 for the Levi-Civita connection of h, decided on the
     Koszul values G = koszul_values(L, h), with no connection and no
     inverse of h.
@@ -93,7 +92,7 @@ def K_parallel(L: LieAlgebra4, h: Mat4, K: Mat4,
                     val = val + c * gi[m][k]
                 for m, c in k_cols[k]:
                     val = val + c * gi[j][m]
-                if not domain.is_zero(val):
+                if not val.is_zero:
                     return False
     return True
 
@@ -177,10 +176,10 @@ def validate_para_kahler(L: LieAlgebra4, omega: Mat4, K: Mat4,
     """Nine-point validation; failures are verdicts, never exceptions.  The
     Pfaffian check and the signature's fallback sample `trials` seeded points."""
     rep = EntryReport(entry_id)
-    rep.add("jacobi", L.is_lie_algebra(domain))
-    antisymmetric = omega.is_antisymmetric(domain)
+    rep.add("jacobi", L.is_lie_algebra())
+    antisymmetric = omega.is_antisymmetric()
     rep.add("omega_antisymmetric", antisymmetric)
-    rep.add("omega_closed", ce_d(L, omega).is_zero(domain))
+    rep.add("omega_closed", ce_d(L, omega).is_zero())
     nd = pfaffian_nondegenerate(omega, domain, trials, seed)
     rep.add("omega_nondegenerate", nd.kind == "NonZero",
             "" if nd.kind == "NonZero" else nd.kind)
@@ -191,7 +190,7 @@ def validate_para_kahler(L: LieAlgebra4, omega: Mat4, K: Mat4,
             if not (pc.eigenrank_plus == 2 and pc.eigenrank_minus == 2) else "")
     rep.add("nijenhuis_zero", pc.nijenhuis_zero)
     try:
-        h = metric_from(omega, K, domain)
+        h = metric_from(omega, K)
     except NotSymmetric:
         rep.add("metric_symmetric", False, "omega(K.,.) not symmetric")
         return rep
@@ -200,12 +199,12 @@ def validate_para_kahler(L: LieAlgebra4, omega: Mat4, K: Mat4,
         rep.add("signature_neutral", True)
     else:
         rep.add("signature_neutral", *_signature_neutral(h, domain, trials, seed))
-    if domain.is_zero(h.det()):
+    if h.det().is_zero:
         rep.add("nabla_K_zero", False, "metric degenerate")
     elif not antisymmetric:
         rep.add("nabla_K_zero", False, "omega not antisymmetric")
     else:
-        rep.add("nabla_K_zero", K_parallel(L, h, K, domain))
+        rep.add("nabla_K_zero", K_parallel(L, h, K))
     return rep
 
 

@@ -15,15 +15,13 @@ by its list `nabla`: nabla[i] is the matrix of u -> nabla_{e_i} u.
 
 from fractions import Fraction
 
-from pk4lie.catalog import _alg_params
 from pk4lie.liealg import form_apply
 from pk4lie.linalg import Mat4, ThreeForm4, vadd, vbasis, vis_zero, vzero
 from pk4lie.phase_space import (
     LSA2, LSA_CATALOG_TEXT, LSAPair, assembled_brackets, lsa_pair,
 )
 from pk4lie.scalars import (
-    EMPTY_DOMAIN, DenominatorVanishes, HALF, ONE, ParseError, Scalar, ZERO,
-    _make_primitive,
+    DenominatorVanishes, HALF, ONE, ParseError, Scalar, ZERO, _make_primitive,
 )
 from pk4lie.structures import metric_from
 
@@ -78,23 +76,23 @@ def _column(nabla, i, j):
     return [nabla[i].rows[r][j] for r in range(4)]
 
 
-def omega_parallel(omega, nabla, domain):
+def omega_parallel(omega, nabla):
     """nabla omega = 0 for a bilinear form omega:
     omega(nabla_i e_j, e_k) + omega(e_j, nabla_i e_k) = 0 for all i, j, k."""
-    return all(domain.is_zero(form_apply(omega, _column(nabla, i, j), vbasis(k))
-                              + form_apply(omega, vbasis(j), _column(nabla, i, k)))
+    return all((form_apply(omega, _column(nabla, i, j), vbasis(k))
+                + form_apply(omega, vbasis(j), _column(nabla, i, k))).is_zero
                for i in range(4) for j in range(4) for k in range(4))
 
 
-def levi_civita_axioms_hold(L, h, nabla, domain):
+def levi_civita_axioms_hold(L, h, nabla):
     """Torsion-free, nabla_i e_j - nabla_j e_i = [e_i, e_j], and metric,
     nabla h = 0: the two axioms that make nabla the Levi-Civita connection
     of h."""
     torsion_free = all(
         vis_zero([a - b - c for a, b, c in zip(_column(nabla, i, j), _column(nabla, j, i),
-                                               L.bracket_basis(i, j))], domain)
+                                               L.bracket_basis(i, j))])
         for i in range(4) for j in range(i + 1, 4))
-    return torsion_free and omega_parallel(h, nabla, domain)
+    return torsion_free and omega_parallel(h, nabla)
 
 
 def perturbed(nabla, i, r, j):
@@ -278,7 +276,7 @@ def involutive_samples(L, K, domain, rng, wanted, attempts=None):
     domain, drawn with `rng`, where K is a para-complex candidate; at most
     `attempts` draws (no bound when None).  A point where a denominator
     vanishes is skipped."""
-    params = K.params() | _alg_params(L) | domain.params()
+    params = K.params() | L.params() | domain.params()
     out = []
     drawn = 0
     while len(out) < wanted and (attempts is None or drawn < attempts):
@@ -356,8 +354,8 @@ class ConstraintSystem:
                    for n, v in coeffs.items()}
         return [Scalar(p).substitute(mapping) for _, p in self.equations]
 
-    def is_solution(self, coeffs, domain=EMPTY_DOMAIN):
-        return all(domain.is_zero(r) for r in self.residuals_at(coeffs))
+    def is_solution(self, coeffs):
+        return all(r.is_zero for r in self.residuals_at(coeffs))
 
 
 def extendibility_constraints(on_U):
@@ -399,9 +397,9 @@ def link_curvature_metrics(cat):
     for row in cat.curvature_list():
         match = None
         for st in by_alg.get(row.algebra.name, []):
-            hst = metric_from(st.omega, st.K, st.domain)
+            hst = metric_from(st.omega, st.K)
             for cand_id, cand in _metric_candidates(hst):
-                if cand.equals(row.metric):
+                if cand == row.metric:
                     match = st.entry_id + cand_id
                     break
             if match:

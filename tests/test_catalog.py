@@ -283,7 +283,7 @@ def test_a_radical_row_substitutes_its_solved_parameter(key, radicand, z):
     assert parse_scalar(radicand).substitute({Z: value}) == Scalar.var("w") ** 2
     assert catalog._radical_subst(row.raw.get("radical")) == (Z, value)
     assert Z not in (row.matrix.params() | row.domain.params()
-                     | catalog._alg_params(row.source))
+                     | row.source.params())
 
 
 def test_unsatisfiable_domain_fails_load(tmp_path):

@@ -11,7 +11,7 @@ import random
 
 from hypothesis import assume, given, settings, strategies as hst
 
-from pk4lie.catalog import _alg_params, load_catalog
+from pk4lie.catalog import load_catalog
 from pk4lie.curvature import (
     classify_row, curvature, lie_derivative_metric, ricci, soliton_system,
 )
@@ -19,7 +19,7 @@ from pk4lie.liealg import LieAlgebra4, ce_d, nijenhuis, form_apply
 from pk4lie.linalg import Mat4, RankAmbiguous, vbasis, vis_zero
 from pk4lie.notation import parse_endo
 from pk4lie.phase_space import normal_form
-from pk4lie.scalars import EMPTY_DOMAIN, Scalar
+from pk4lie.scalars import Scalar
 from pk4lie.structures import K_parallel, koszul_values, levi_civita, metric_from
 from oracles import (
     besse_ricci, dense_bracket, dense_ce_d, dense_curvature, dense_koszul_values,
@@ -33,36 +33,36 @@ STRUCTURES = CAT.structure_list()
 
 def _metrics():
     for st in STRUCTURES:
-        yield st, metric_from(st.omega, st.K, st.domain)
+        yield st, metric_from(st.omega, st.K)
 
 
 def test_levi_civita_axioms_hold_catalog_wide():
     for st, h in _metrics():
-        nabla = levi_civita(st.algebra, h, st.domain).nabla
-        assert levi_civita_axioms_hold(st.algebra, h, nabla, st.domain), st.entry_id
+        nabla = levi_civita(st.algebra, h).nabla
+        assert levi_civita_axioms_hold(st.algebra, h, nabla), st.entry_id
 
 
 def test_nabla_omega_parallel_catalog_wide():
     for st, h in _metrics():
-        nabla = levi_civita(st.algebra, h, st.domain).nabla
-        assert omega_parallel(st.omega, nabla, st.domain), st.entry_id
+        nabla = levi_civita(st.algebra, h).nabla
+        assert omega_parallel(st.omega, nabla), st.entry_id
 
 
 def test_anti_isometry_catalog_wide():
     for st, h in _metrics():
         defect = st.K.transpose() @ h @ st.K + h
-        assert defect.is_zero(st.domain), st.entry_id
+        assert defect.is_zero(), st.entry_id
 
 
-def _nabla_K_zero_oracle(L, h, K, domain):
-    nabla = levi_civita(L, h, domain).nabla
-    return all(m.is_zero(domain) for m in nabla_K(nabla, K))
+def _nabla_K_zero_oracle(L, h, K):
+    nabla = levi_civita(L, h).nabla
+    return all(m.is_zero() for m in nabla_K(nabla, K))
 
 
 def test_koszul_test_matches_the_connection_catalog_wide():
     for st, h in _metrics():
-        assert K_parallel(st.algebra, h, st.K, st.domain), st.entry_id
-        assert _nabla_K_zero_oracle(st.algebra, h, st.K, st.domain), st.entry_id
+        assert K_parallel(st.algebra, h, st.K), st.entry_id
+        assert _nabla_K_zero_oracle(st.algebra, h, st.K), st.entry_id
 
 
 def _transported(L, omega, K, p):
@@ -75,7 +75,7 @@ def _transported(L, omega, K, p):
 
 
 CONSTANT_ALGEBRAS = [st.algebra for st in STRUCTURES
-                     if not _alg_params(st.algebra)]
+                     if not st.algebra.params()]
 
 
 @settings(max_examples=40, deadline=None)
@@ -90,20 +90,20 @@ def test_koszul_test_matches_the_connection_after_transport(i, j, entries):
     assume(not p.det().is_zero)
     L = st.algebra if j is None else CONSTANT_ALGEBRAS[j]
     L, omega, K = _transported(L, st.omega, st.K, p)
-    h = metric_from(omega, K, st.domain)
-    assert (K_parallel(L, h, K, st.domain)
-            == _nabla_K_zero_oracle(L, h, K, st.domain))
+    h = metric_from(omega, K)
+    assert (K_parallel(L, h, K)
+            == _nabla_K_zero_oracle(L, h, K))
 
 
 def test_levi_civita_uniqueness_by_perturbation():
     rng = random.Random(20260809)
     sample = rng.sample(STRUCTURES, 12)
     for st in sample:
-        h = metric_from(st.omega, st.K, st.domain)
-        nabla = levi_civita(st.algebra, h, st.domain).nabla
+        h = metric_from(st.omega, st.K)
+        nabla = levi_civita(st.algebra, h).nabla
         i, r, j = rng.randrange(4), rng.randrange(4), rng.randrange(4)
         bad = perturbed(nabla, i, r, j)
-        assert not levi_civita_axioms_hold(st.algebra, h, bad, st.domain), st.entry_id
+        assert not levi_civita_axioms_hold(st.algebra, h, bad), st.entry_id
 
 
 def test_flat_implies_ricci_flat_across_rows():
@@ -118,14 +118,14 @@ def test_flat_implies_ricci_flat_across_rows():
 
 def test_ricci_symmetry_catalog_wide():
     for row in CAT.curvature_list():
-        conn = levi_civita(row.algebra, row.metric, row.domain)
-        ricci(row.algebra, conn, row.domain)  # raises NotSymmetric on failure
+        conn = levi_civita(row.algebra, row.metric)
+        ricci(row.algebra, conn)  # raises NotSymmetric on failure
 
 
 def test_nijenhuis_matches_sampled_involutivity():
     rng = random.Random(0xFEED)
     for st in STRUCTURES:
-        expected = all(vis_zero(v, st.domain)
+        expected = all(vis_zero(v)
                        for v in nijenhuis(st.algebra, st.K).values())
         assert expected, st.entry_id  # catalog structures are integrable
         samples = involutive_samples(st.algebra, st.K, st.domain, rng, 32, 320)
@@ -143,7 +143,7 @@ def test_nijenhuis_cross_check_negative_control():
         "[e1,e2]=e3; [e4,e3]=e3; [e4,e1]=lam*e1; [e4,e2]=(1-lam)*e2")
     K = parse_endo("E11+x*E12-E22+E33-E44")
     n = nijenhuis(L, K)
-    assert not all(vis_zero(v, dom) for v in n.values())
+    assert not all(vis_zero(v) for v in n.values())
     samples = involutive_samples(L, K, dom, random.Random(5), 16, 16)
     assert [inv for _, inv in samples] == [False] * 16
 
@@ -179,7 +179,7 @@ def test_zero_skipping_products_match_naive_loops():
     for sym in CAT.symplectic.values():
         _ce_d_matches_dense_loop(sym.algebra, sym.omega)
     for st, h in _metrics():
-        _kernels_match_dense_loops(st.algebra, h, levi_civita(st.algebra, h, st.domain))
+        _kernels_match_dense_loops(st.algebra, h, levi_civita(st.algebra, h))
         _ce_d_matches_dense_loop(st.algebra, st.omega)
     for row in CAT.phase_rows.values():
         _kernels_match_dense_loops(row.algebra, nf_h, levi_civita(row.algebra, nf_h))
@@ -235,7 +235,7 @@ def test_kernels_match_dense_loops_on_drawn_algebras(consts, metric):
     _ce_d_matches_dense_loop(L, omega)
     h = Mat4(h)
     assume(not h.det().is_zero)
-    _kernels_match_dense_loops(L, h, levi_civita(L, h, EMPTY_DOMAIN))
+    _kernels_match_dense_loops(L, h, levi_civita(L, h))
 
 
 def test_besse_ricci_matches_the_curvature_chain():

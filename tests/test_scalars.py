@@ -249,6 +249,9 @@ def test_one_rational_function_three_ways_one_emission(num, den, shared):
     parsed = parse_scalar(f"({_text(top)})/({_text(bottom)})")
     product = _product(num + shared) / _product(den + shared)
     assert emit_scalar(horner) == emit_scalar(parsed) == emit_scalar(product)
+    # one canonical form, so equal functions are equal structurally: the
+    # premise of Mat4's exact ==
+    assert horner == parsed == product
 
 
 def test_division_by_zero_scalar_rejected():
