@@ -8,7 +8,9 @@ Every command runs on the scalar, matrix, notation, Lie algebra and
 structure modules imported here.  A subcommand imports the rest of what it
 runs when it starts, so that a cold process compiles and loads only that:
 `dump` and `geometry` load `catalog` and `curvature`, `phase` loads
-`phase_space`, and only `verify` loads `verify` and `morphisms`.
+`phase_space`, and only `verify` loads `verify`.  Of the verify suites,
+phase, iso and witnesses load `phase_space`, and iso and witnesses
+`morphisms`.
 """
 
 from __future__ import annotations

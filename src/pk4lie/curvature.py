@@ -12,19 +12,32 @@ from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .liealg import LieAlgebra4, NotSymmetric, lowered_brackets
-from .linalg import Mat4, RankAmbiguous, Vec4, _eliminate, _pick_pivot, solve_affine
-from .scalars import EMPTY_DOMAIN, ParamDomain, Scalar, ZERO
+from .linalg import (
+    PAIRS, DegenerateError, Mat4, RankAmbiguous, Vec4, _eliminate, _pick_pivot,
+    adjugate_det, solve_affine,
+)
+from .scalars import (
+    EMPTY_DOMAIN, ParamDomain, Poly, Scalar, ZERO, _P_ZERO, numerator_over,
+    poly_combination, ratio,
+)
 from .structures import Connection4, levi_civita
 
-PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 SolitonSystem = Tuple[List[List[Scalar]], List[Tuple[int, int]]]
 
 
 class CurvatureTensor:
-    """One matrix per basis pair i<j; R(e_j,e_i) = -R(e_i,e_j) structurally."""
+    """R(e_i,e_j) = numerators[(i, j)] / den for each basis pair i < j, with
+    polynomial numerator matrices over one common denominator;
+    R(e_j,e_i) = -R(e_i,e_j) structurally.  The Scalar matrices are built on
+    first read, one division per entry; flatness reads the numerators."""
 
-    def __init__(self, matrices: Dict[tuple, Mat4]):
-        self.matrices = matrices
+    def __init__(self, numerators: Dict[tuple, List[List[Poly]]], den: Poly):
+        self.numerators, self.den = numerators, den
+
+    @cached_property
+    def matrices(self) -> Dict[tuple, Mat4]:
+        return {pair: Mat4._of([[ratio(n, self.den) for n in row] for row in rows])
+                for pair, rows in self.numerators.items()}
 
     def __getitem__(self, pair) -> Mat4:
         i, j = pair
@@ -35,48 +48,70 @@ class CurvatureTensor:
         return -self.matrices[(j, i)]
 
     def is_zero(self) -> bool:
-        return all(m.is_zero() for m in self.matrices.values())
+        return all(n.is_zero for rows in self.numerators.values()
+                   for row in rows for n in row)
 
 
 def curvature(L: LieAlgebra4, conn: Connection4) -> CurvatureTensor:
     """R(e_i,e_j) = sum_m b_m nabla_m - nabla_i nabla_j + nabla_j nabla_i for
-    [e_i,e_j] = sum_m b_m e_m, summed row by row into one matrix per pair
-    over the nonzero brackets and connection entries."""
-    nabla = [m.rows for m in conn.nabla]
+    [e_i,e_j] = sum_m b_m e_m, fraction-free.  With nabla_m = gamma_m / D,
+    R(e_i,e_j) = N_ij / D^2 for the polynomial
+
+        N_ij = sum_m b'_m gamma_m - gamma_i gamma_j + gamma_j gamma_i,
+
+    b'_m = D b_m, a polynomial because D is a multiple of every bracket
+    denominator (see `levi_civita`).  Each row of N_ij is a combination of
+    rows of the gamma matrices, summed over the nonzero brackets and
+    entries into one term dict per entry."""
+    gamma, den = conn.gamma, conn.den
+    # the nonzero rows of each gamma matrix, by index: no term of N reads
+    # a zero row
+    live = [[row if any(p.terms for p in row) else None for row in g] for g in gamma]
     out = {}
     for (i, j) in PAIRS:
-        ni, nj = nabla[i], nabla[j]
-        bracket = [(b, nabla[m]) for m, b in enumerate(L.brackets.get((i, j), ()))
-                   if not b.is_zero]
+        gi, gj, li, lj = gamma[i], gamma[j], live[i], live[j]
+        bracket = [(numerator_over(b, den), live[m])
+                   for m, b in enumerate(L.brackets.get((i, j), ())) if not b.is_zero]
         rows = []
         for r in range(4):
-            # row r of R is a combination of rows of the nabla matrices
-            terms = [(b, n[r]) for b, n in bracket]
-            terms += [(-a, nj[t]) for t, a in enumerate(ni[r]) if not a.is_zero]
-            terms += [(a, ni[t]) for t, a in enumerate(nj[r]) if not a.is_zero]
-            row = [ZERO] * 4
-            for a, n_row in terms:
-                row = [x + a * y for x, y in zip(row, n_row)]
-            rows.append(row)
-        out[(i, j)] = Mat4._of(rows)
-    return CurvatureTensor(out)
+            # row r of N is a combination of rows of the gamma matrices
+            terms = [(b, g[r]) for b, g in bracket if g[r]]
+            terms += [(-a, lj[t]) for t, a in enumerate(gi[r]) if a.terms and lj[t]]
+            terms += [(a, li[t]) for t, a in enumerate(gj[r]) if a.terms and li[t]]
+            rows.append(poly_combination(terms) if terms else [_P_ZERO] * 4)
+        out[(i, j)] = rows
+    return CurvatureTensor(out, den * den)
 
 
 def ricci(L: LieAlgebra4, conn: Connection4) -> Mat4:
-    """ric(e_i, e_j) = tr(Z -> R(e_i, Z) e_j); symmetry is asserted."""
+    """ric(e_i, e_j) = tr(Z -> R(e_i, Z) e_j), summed on the numerators of R
+    and divided once per entry; symmetry is asserted."""
     r = curvature(L, conn)
-    ric = Mat4.zeros()
-    for i in range(4):
-        ms = [(k, r[(i, k)].rows) for k in range(4) if k != i]
-        ric.rows[i] = [sum((m[k][j] for k, m in ms), ZERO) for j in range(4)]
+    n = r.numerators
+    # row i of the numerator of ric is the sum over k != i of row k of the
+    # numerator of R(e_i, e_k), which is -N_ki for k < i
+    one, minus_one = Poly.const(1), Poly.const(-1)
+    ric = Mat4._of([[ratio(s, r.den) for s in poly_combination(
+        (one, n[(i, k)][k]) if i < k else (minus_one, n[(k, i)][k])
+        for k in range(4) if k != i)] for i in range(4)])
     if not ric.is_symmetric():
         raise NotSymmetric("computed Ricci tensor is not symmetric")
     return ric
 
 
 def ricci_operator(h: Mat4, ric: Mat4) -> Mat4:
-    """Ric with h(Ric(X), Y) = ric(X, Y), i.e. Ric = h^{-1} ric."""
-    return h.inverse() @ ric
+    """Ric with h(Ric(X), Y) = ric(X, Y), i.e. Ric = h^{-1} ric, fraction-free:
+    with f and delta the lcms of the denominators of h and of ric,
+    Ric = f adj(f h) (delta ric) / (delta det(f h)), a polynomial matrix
+    product and one division per entry."""
+    f, hp = h.cleared()
+    adj, det = adjugate_det(hp, Poly())
+    if det.is_zero:
+        raise DegenerateError("matrix determinant is identically zero")
+    delta, rp = ric.cleared()
+    den = delta * det
+    return Mat4._of([[ratio(n * f, den) for n in poly_combination(zip(adj_row, rp))]
+                     for adj_row in adj])
 
 
 def scalar_curvature(ric_op: Mat4) -> Scalar:

@@ -51,12 +51,16 @@ class LieAlgebra4:
     Only the nonzero brackets [e_i, e_j] with i < j are stored; antisymmetry
     is structural.  The Jacobi identity is a checked property, not an
     assumption.  A family's parameter range is its catalog row's domain.
+    An algebra is never mutated after construction (`substitute` builds a
+    new one), so its Jacobi verdict is computed once, on the first
+    `is_lie_algebra` call, and kept.
     """
 
     def __init__(self, brackets: Dict[tuple, Vec4], name: str = ""):
         self.brackets = {k: list(v) for k, v in brackets.items()
                          if not all(c.is_zero for c in v)}
         self.name = name
+        self._jacobi: Optional[bool] = None
 
     @staticmethod
     def parse(text: str, name: str = ""):
@@ -94,7 +98,9 @@ class LieAlgebra4:
         return out
 
     def is_lie_algebra(self) -> bool:
-        return all(vis_zero(v) for v in self.jacobi_defect().values())
+        if self._jacobi is None:
+            self._jacobi = all(vis_zero(v) for v in self.jacobi_defect().values())
+        return self._jacobi
 
     def params(self) -> set:
         out = set()

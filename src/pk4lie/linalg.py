@@ -11,7 +11,7 @@ from typing import List, Optional, Sequence
 
 from .scalars import (
     EMPTY_DOMAIN, Constraint, ParamDomain, Scalar, ScalarError, ZERO,
-    ONE, emit_scalar,
+    ONE, common_denominator, emit_scalar, numerator_over,
 )
 
 
@@ -120,37 +120,20 @@ class Mat4:
 
     def det(self) -> Scalar:
         r = self.rows
+        return _laplace(_minors(r[0], r[1], ZERO), _minors(r[2], r[3], ZERO), ZERO)
 
-        def m2(i, j, k, l):
-            return r[i][k] * r[j][l] - r[i][l] * r[j][k]
-
-        # Laplace expansion along the first two rows.
-        return (m2(0, 1, 0, 1) * m2(2, 3, 2, 3)
-                - m2(0, 1, 0, 2) * m2(2, 3, 1, 3)
-                + m2(0, 1, 0, 3) * m2(2, 3, 1, 2)
-                + m2(0, 1, 1, 2) * m2(2, 3, 0, 3)
-                - m2(0, 1, 1, 3) * m2(2, 3, 0, 2)
-                + m2(0, 1, 2, 3) * m2(2, 3, 0, 1))
-
-    def _cofactor(self, i: int, j: int) -> Scalar:
-        idx = [k for k in range(4) if k != i]
-        jdx = [k for k in range(4) if k != j]
-        r = self.rows
-        a, b, c = ([r[p][q] for q in jdx] for p in idx)
-        det3 = (a[0] * (b[1] * c[2] - b[2] * c[1])
-                - a[1] * (b[0] * c[2] - b[2] * c[0])
-                + a[2] * (b[0] * c[1] - b[1] * c[0]))
-        return det3 if (i + j) % 2 == 0 else -det3
+    def cleared(self) -> tuple:
+        """(f, rows of f m) for the lcm f of the denominators of m: the rows
+        are polynomials (Polys)."""
+        f = common_denominator(v for row in self.rows for v in row)
+        return f, [[numerator_over(v, f) for v in row] for row in self.rows]
 
     def inverse(self) -> "Mat4":
-        d = self.det()
+        """adj / det, one division per entry."""
+        adj, d = adjugate_det(self.rows, ZERO)
         if d.is_zero:
             raise DegenerateError("matrix determinant is identically zero")
-        out = Mat4.zeros()
-        for i in range(4):
-            for j in range(4):
-                out.rows[i][j] = self._cofactor(j, i) / d
-        return out
+        return Mat4._of([[a / d for a in row] for row in adj])
 
     def is_zero(self) -> bool:
         return all(v.is_zero for r in self.rows for v in r)
@@ -182,6 +165,61 @@ class Mat4:
     def __repr__(self):
         body = "; ".join(",".join(emit_scalar(v) for v in r) for r in self.rows)
         return f"Mat4[{body}]"
+
+
+# The column pairs k < l of a 2x2 minor, and the complement of each.
+PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_COMPLEMENT = {p: tuple(q for q in range(4) if q not in p) for p in PAIRS}
+# For each column j, the terms (t, k, pair) of a cofactor's expansion: k is
+# the t-th column other than j, and pair the two columns other than j and k.
+_EXPANSION = [[(t, k, tuple(q for q in range(4) if q not in (j, k)))
+               for t, k in enumerate(q for q in range(4) if q != j)] for j in range(4)]
+
+
+def _minors(top, bottom, zero) -> dict:
+    """{(k, l): the 2x2 minor of rows (top, bottom) in columns k < l}, with
+    no product of a zero entry.  The entries are Scalars or Polys, any ring
+    whose elements have `is_zero`, `+`, `-` and `*`; `zero` is its zero."""
+    out = {}
+    for k, l in PAIRS:
+        m = zero
+        if not (top[k].is_zero or bottom[l].is_zero):
+            m = top[k] * bottom[l]
+        if not (top[l].is_zero or bottom[k].is_zero):
+            m = m - top[l] * bottom[k]
+        out[(k, l)] = m
+    return out
+
+
+def _laplace(top: dict, bottom: dict, zero):
+    """det by the Laplace expansion along rows 0 and 1: the sum over column
+    pairs of (-1)^(k+l+1) * top[(k, l)] * bottom[complementary pair]."""
+    d = zero
+    for (k, l), m in top.items():
+        c = bottom[_COMPLEMENT[(k, l)]]
+        if not (m.is_zero or c.is_zero):
+            d = d + m * c if (k + l) % 2 else d - m * c
+    return d
+
+
+def adjugate_det(rows, zero) -> tuple:
+    """(adj, det) of a 4x4 matrix over a ring (see `_minors`), both from the
+    twelve 2x2 minors of rows (0, 1) and (2, 3).  The cofactor C_ij expands
+    the 3x3 minor along the row that shares a pair with i, against the
+    minors of the other pair: C_ij = (-1)^(i+j) sum_t (-1)^t a_ok * minor,
+    k the t-th column other than j (`_EXPANSION`), and adj[j][i] = C_ij."""
+    top, bottom = _minors(rows[0], rows[1], zero), _minors(rows[2], rows[3], zero)
+    adj = [[zero] * 4 for _ in range(4)]
+    for i, other, minors in ((0, rows[1], bottom), (1, rows[0], bottom),
+                             (2, rows[3], top), (3, rows[2], top)):
+        for j, expansion in enumerate(_EXPANSION):
+            c = zero
+            for t, k, pair in expansion:
+                a, m = other[k], minors[pair]
+                if not (a.is_zero or m.is_zero):
+                    c = c + a * m if (i + j + t) % 2 == 0 else c - a * m
+            adj[j][i] = c
+    return adj, _laplace(top, bottom, zero)
 
 
 def mat_from_cols(cols: Sequence[Vec4]) -> Mat4:

@@ -10,8 +10,11 @@ Canonical forms need polynomial gcds and exact divisions over Z (Geddes,
 Czapor and Labahn, Algorithms for Computer Algebra, 1992, ch. 2).  Both are
 native: the multivariate gcd recurses on the lowest-index parameter and
 runs a primitive pseudo-remainder sequence over the other parameters, and
-exact division is long division by lex-leading terms.  The package has no
-runtime dependency; the tests use sympy as an independent gcd oracle.
+exact division is long division by lex-leading terms.  A sum or product of
+two fractions takes its gcds with the factors that can cancel (Henrici's
+algorithms), and a sum or product of two polynomials takes none.  The
+package has no runtime dependency; the tests use sympy as an independent
+gcd oracle.
 """
 
 from __future__ import annotations
@@ -98,6 +101,11 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
         return b
     if not b:
         return a
+    if len(a) == 1 and len(b) == 1:     # the common case: one parameter each
+        (i, e), (j, f) = a[0], b[0]
+        if i == j:
+            return ((i, e + f),)
+        return (a[0], b[0]) if i < j else (b[0], a[0])
     d = dict(a)
     for i, e in b:
         d[i] = d.get(i, 0) + e
@@ -237,6 +245,31 @@ class Poly:
 
 
 _P_ONE = Poly({(): 1})
+_P_ZERO = Poly()
+_ONE_TERMS = _P_ONE.terms
+
+
+def poly_combination(terms) -> list:
+    """The sum of a * row over the pairs (a, row) of a polynomial and a row
+    of four polynomials, accumulated entrywise in one term dict per entry:
+    no intermediate product or partial sum is built, and no product with a
+    zero entry is formed.  A zero entry is one shared zero polynomial."""
+    acc = [{}, {}, {}, {}]
+    for a, row in terms:
+        at = a.terms.items()
+        for t, y in zip(acc, row):
+            if y.terms:
+                yt = y.terms.items()
+                for m1, c1 in at:
+                    if m1:
+                        for m2, c2 in yt:
+                            m = _mono_mul(m1, m2) if m2 else m1
+                            t[m] = t.get(m, 0) + c1 * c2
+                    else:
+                        for m2, c2 in yt:
+                            t[m2] = t.get(m2, 0) + c1 * c2
+    out = [{m: c for m, c in t.items() if c} for t in acc]
+    return [Poly(t) if t else _P_ZERO for t in out]
 
 
 def _times_int(p: Poly, k: int) -> Poly:
@@ -356,7 +389,16 @@ def _gcd(a: Poly, b: Poly) -> Poly:
         return _P_ONE
     if len(a.terms) == 1 or len(b.terms) == 1:
         return _monomial_gcd((*a.terms, *b.terms))
-    v = min(m[0][0] for m in (*a.terms, *b.terms) if m)
+    ia = {i for m in a.terms for i, _ in m}
+    ib = {i for m in b.terms for i, _ in m}
+    if ia != ib:
+        # A parameter of one operand only: every common divisor is free of
+        # it, so it divides each coefficient of that operand in it.
+        v = min(ia ^ ib)
+        if v in ia:
+            return _gcd(_content(_split(a, v)), b)
+        return _gcd(a, _content(_split(b, v)))
+    v = min(ia)
     sa, sb = _split(a, v), _split(b, v)
     ca, cb = _content(sa), _content(sb)
     c = _gcd(ca, cb)
@@ -381,18 +423,21 @@ def _primitive(p: Poly, content: Poly, v: int) -> dict:
 
 
 def _split(p: Poly, v: int) -> dict:
-    """{e: coefficient of v**e}, for v the lowest parameter index of p."""
+    """{e: coefficient of v**e}, for the parameter index v."""
     out: dict = {}
     for m, c in p.terms.items():
-        if m and m[0][0] == v:
-            out.setdefault(m[0][1], {})[m[1:]] = c
+        for k, (i, e) in enumerate(m):
+            if i == v:
+                out.setdefault(e, {})[m[:k] + m[k + 1:]] = c
+                break
         else:
             out.setdefault(0, {})[m] = c
     return {e: Poly(t) for e, t in out.items()}
 
 
 def _join(coeffs: dict, v: int) -> Poly:
-    """Inverse of _split."""
+    """Inverse of _split, for v below every parameter index of the
+    coefficients."""
     t = {}
     for e, q in coeffs.items():
         for m, c in q.terms.items():
@@ -531,6 +576,8 @@ class Scalar:
     # Scalars are never mutated, so an operation whose result is one of its
     # canonical operands returns that operand, and one on two constants works
     # on their four integers (_ints) and builds its canonical result directly.
+    # A sum or product of two polynomials (both denominators the constant 1)
+    # is a polynomial, already canonical: no gcd and no content scan.
     def __add__(self, other):
         if type(other) is not Scalar:
             other = Scalar.of(other)
@@ -538,6 +585,8 @@ class Scalar:
             return self
         if not self.num.terms:
             return other
+        if self.den.terms == _ONE_TERMS and other.den.terms == _ONE_TERMS:
+            return Scalar(self.num + other.num, _P_ONE, _canonical=True)
         a = _ints(self)
         b = a and _ints(other)
         if b:
@@ -550,7 +599,15 @@ class Scalar:
             p, q = pq
             return Scalar(_times_int(self.num, q) + _times_int(other.num, p),
                           _times_int(self.den, q))
-        return Scalar(self.num * other.den + other.num * self.den, self.den * other.den)
+        # Henrici's sum (Knuth, TAOCP vol. 2, 4.5.1): with g = gcd(den1, den2)
+        # and den_k = g e_k, every common factor of positive degree of
+        # t = n1 e2 + n2 e1 and e1 den2 divides g, so the gcd is taken with g.
+        d1, d2 = self.den, other.den
+        g = _P_ONE if d1.is_const or d2.is_const else poly_gcd(d1, d2)
+        if not g.is_const:
+            d1, d2 = poly_divexact(d1, g), poly_divexact(d2, g)
+        return Scalar(*_canonicalize(self.num * d2 + other.num * d1, d1 * other.den, g),
+                      _canonical=True)
 
     __radd__ = __add__
 
@@ -574,11 +631,25 @@ class Scalar:
             other = Scalar.of(other)
         if not self.num.terms or not other.num.terms:
             return ZERO
+        if self.den.terms == _ONE_TERMS and other.den.terms == _ONE_TERMS:
+            return Scalar(self.num * other.num, _P_ONE, _canonical=True)
         a = _ints(self)
         b = a and _ints(other)
         if b:
             return _const(a[0] * b[0], a[1] * b[1])
-        return Scalar(self.num * other.num, self.den * other.den)
+        # Henrici's product: each numerator shares factors only with the
+        # other's denominator, so two gcds of the factors replace one of the
+        # products, and the result needs only its integer content removed.
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if not d2.is_const:
+            g = poly_gcd(n1, d2)
+            if not g.is_const:
+                n1, d2 = poly_divexact(n1, g), poly_divexact(d2, g)
+        if not d1.is_const:
+            g = poly_gcd(n2, d1)
+            if not g.is_const:
+                n2, d1 = poly_divexact(n2, g), poly_divexact(d1, g)
+        return Scalar(*_canonicalize(n1 * n2, d1 * d2, _P_ONE), _canonical=True)
 
     __rmul__ = __mul__
 
@@ -586,6 +657,8 @@ class Scalar:
         other = Scalar.of(other)
         if other.num.is_zero:
             raise ZeroDivisionError("division by zero scalar")
+        if not self.num.terms:
+            return self
         a = _ints(self)
         b = a and _ints(other)
         if b:
@@ -637,11 +710,16 @@ def _const(n: int, d: int) -> Scalar:
                   _canonical=True)
 
 
-def _canonicalize(num: Poly, den: Poly):
+def _canonicalize(num: Poly, den: Poly, within: Optional[Poly] = None):
+    """The canonical pair for num/den: the gcd of num and `within` (den when
+    None) divided out, then the integer content of both, with a positive
+    lex-leading coefficient in den.  A caller passes `within` when every
+    common factor of num and den of positive degree divides it."""
     if num.is_zero:
         return Poly(), _P_ONE
-    if not den.is_const:
-        g = poly_gcd(num, den)
+    within = den if within is None else within
+    if not within.is_const:
+        g = poly_gcd(num, within)
         if not g.is_const:
             num = poly_divexact(num, g)
             den = poly_divexact(den, g)
@@ -649,6 +727,35 @@ def _canonicalize(num: Poly, den: Poly):
     if den.lead_coeff() < 0:
         k = -k
     return _divide_content(num, k), _divide_content(den, k)
+
+
+def ratio(num: Poly, den: Poly) -> Scalar:
+    """num/den in canonical form, and the shared ZERO when num is zero."""
+    return Scalar(num, den) if num.terms else ZERO
+
+
+def common_denominator(values: Iterable[Scalar]) -> Poly:
+    """The lcm over Z[params] of the denominators of `values`, with a
+    positive lex-leading coefficient.  lcm(a, b) = a * (b / gcd(a, b)), and
+    b / gcd(a, b), integer content included, is the denominator of the
+    reduced a/b."""
+    out = _P_ONE
+    for v in values:
+        d = v.den
+        if d.terms != _ONE_TERMS and d != out:
+            out = out * Scalar(out, d).den
+    return out
+
+
+def numerator_over(v: Scalar, d: Poly) -> Poly:
+    """v * d as a polynomial, for a multiple d of v's denominator: v's
+    numerator times the exact quotient d / den, with no gcd.  The divisor
+    is made primitive first, so the division stays over Z."""
+    den = v.den
+    if den.terms == _ONE_TERMS:
+        return v.num if d.terms == _ONE_TERMS else v.num * d
+    k = gcd(*den.terms.values())
+    return v.num * _divide_content(poly_divexact(d, _divide_content(den, k)), k)
 
 
 def _subst_poly(p: Poly, mapping: Mapping[Param, Scalar]) -> Scalar:

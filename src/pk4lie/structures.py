@@ -12,19 +12,26 @@ isotropic-eigenspace certificate (`neutral_certified`) whenever its
 premises passed, and is sampled only when one of them failed.  nabla K = 0
 is decided on the Koszul values (`K_parallel`), with no connection and no
 inverse of the metric.  `levi_civita` builds the connection itself, for
-the curvature suite and the `geometry` command.
+the curvature suite and the `geometry` command, fraction-free: polynomial
+numerators adj(h) (2 G) over one common denominator 2 det h, after h and
+the brackets are cleared of their denominators (the connection does not
+change when h is scaled by a nonzero function of the parameters).
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import List, Set
 
-from .linalg import DegenerateError, Mat4, Vec4, mat_from_cols, signature_of
+from .linalg import DegenerateError, Mat4, Vec4, adjugate_det, signature_of
 from .liealg import (
     LieAlgebra4, NotSymmetric, ParacomplexReport, ce_d, lowered_brackets,
     paracomplex_check, pfaffian_nondegenerate,
 )
-from .scalars import EMPTY_DOMAIN, HALF, ParamDomain, Verdict, ZERO
+from .scalars import (
+    EMPTY_DOMAIN, HALF, ParamDomain, Poly, Scalar, Verdict, ZERO,
+    common_denominator, numerator_over, poly_combination, ratio,
+)
 
 
 def metric_from(omega: Mat4, K: Mat4, domain: ParamDomain = EMPTY_DOMAIN) -> Mat4:
@@ -38,10 +45,26 @@ def metric_from(omega: Mat4, K: Mat4, domain: ParamDomain = EMPTY_DOMAIN) -> Mat
 
 
 class Connection4:
-    """Left-invariant connection: nabla[i] is the matrix of u -> nabla_{e_i} u."""
+    """Left-invariant connection with polynomial numerators over one common
+    denominator: the matrix of u -> nabla_{e_i} u is gamma[i] / den, gamma[i]
+    a 4x4 list of Polys and den a nonzero Poly.  `nabla`, the list of those
+    matrices over Scalar, is built on first read, one division per entry."""
 
-    def __init__(self, nabla: List[Mat4]):
-        self.nabla = nabla
+    def __init__(self, gamma: List[List[List[Poly]]], den: Poly):
+        self.gamma, self.den = gamma, den
+
+    @cached_property
+    def nabla(self) -> List[Mat4]:
+        return [Mat4._of([[ratio(n, self.den) for n in row] for row in g])
+                for g in self.gamma]
+
+
+def _koszul_sums(L: LieAlgebra4, h: Mat4) -> List[List[Vec4]]:
+    """2 G[i][j][k] = c(i,j,k) + c(k,i,j) + c(k,j,i) for the lowered brackets
+    c(i,j,k) = h([e_i,e_j],e_k): the Koszul values of `koszul_values`, doubled."""
+    c = lowered_brackets(L, h)
+    return [[[c[i][j][k] + c[k][i][j] + c[k][j][i] for k in range(4)]
+             for j in range(4)] for i in range(4)]
 
 
 def koszul_values(L: LieAlgebra4, h: Mat4) -> List[List[Vec4]]:
@@ -53,19 +76,34 @@ def koszul_values(L: LieAlgebra4, h: Mat4) -> List[List[Vec4]]:
     G[i][j][k] = (c(i,j,k) + c(k,i,j) + c(k,j,i)) / 2.  For a symmetric h,
     G[i][j][k] = -G[i][k][j] term by term.
     """
-    c = lowered_brackets(L, h)
-    return [[[HALF * (c[i][j][k] + c[k][i][j] + c[k][j][i])
-              for k in range(4)] for j in range(4)] for i in range(4)]
+    return [[[HALF * v for v in g] for g in gi] for gi in _koszul_sums(L, h)]
 
 
 def levi_civita(L: LieAlgebra4, h: Mat4) -> Connection4:
-    """Unique torsion-free metric connection: h^-1 applied to the Koszul
-    values."""
-    if h.det().is_zero:
+    """Unique torsion-free metric connection, fraction-free: nabla_{e_i} e_j =
+    h^-1 G[i][j] = adj(h) (2 G[i][j]) / (2 det h), for the Koszul values G.
+
+    The connection does not change under h -> f h for any nonzero f in the
+    parameters, which are constants on the group (G scales by f and h^-1 by
+    1/f).  So h is first scaled by the lcm f of its denominators, and the
+    adjugate and determinant of the polynomial f h are polynomials.  The
+    doubled Koszul values of f h are rational only through the brackets, so
+    they are scaled by the lcm beta of the bracket denominators.  Then
+    gamma[i] has column j equal to adj(f h) (2 beta G[i][j]), and the common
+    denominator is D = 2 beta det(f h).
+    """
+    _, hp = h.cleared()
+    adj, det = adjugate_det(hp, Poly())
+    if det.is_zero:
         raise DegenerateError("metric is degenerate on the whole domain")
-    hinv = h.inverse()
-    return Connection4([mat_from_cols([hinv.apply(g) for g in gi])
-                        for gi in koszul_values(L, h)])
+    beta = common_denominator(b for v in L.brackets.values() for b in v)
+    hf = Mat4._of([[Scalar(p, _canonical=True) for p in row] for row in hp])
+    gamma = []
+    for gi in _koszul_sums(L, hf):
+        # w[k][j] = 2 beta G[i][j][k]; row r of gamma[i] is sum_k adj[r][k] w[k]
+        w = list(zip(*[[numerator_over(v, beta) for v in g] for g in gi]))
+        gamma.append([poly_combination(zip(adj_row, w)) for adj_row in adj])
+    return Connection4(gamma, Poly.const(2) * beta * det)
 
 
 def K_parallel(L: LieAlgebra4, h: Mat4, K: Mat4) -> bool:

@@ -12,6 +12,10 @@ at, or on the generic branch of that split.
 
 In the witness suite each known erratum is a check of its own, and its
 note explains that check alone.
+
+The phase, iso and witness suites import `phase_space`, and the iso and
+witness suites `morphisms`, when they run, so `verify curvature` and
+`verify symplectic` load neither.
 """
 
 from __future__ import annotations
@@ -26,9 +30,7 @@ from .liealg import LieAlgebra4, ce_d, pfaffian_nondegenerate
 from .linalg import (
     DegenerateError, Mat4, RankAmbiguous, mat_from_cols, split_at_root, vis_zero,
 )
-from .morphisms import LinMap, check_equivalence, check_lie_isomorphism, transport
 from .notation import emit_endo, emit_two_form, parse_endo, parse_two_form
-from .phase_space import normal_form
 from .scalars import ParamDomain, Scalar, ScalarError
 from .structures import EntryReport, validate_para_kahler
 
@@ -83,6 +85,7 @@ def _domain_fails(rep: EntryReport, dom: ParamDomain) -> bool:
 
 
 def run_phase_rows(cat: Catalog, seed: int = 0, trials: int = 32) -> List[EntryReport]:
+    from .phase_space import normal_form
     nf_omega, nf_k = normal_form()
     out = []
     for entry_id, row in cat.phase_rows.items():
@@ -108,6 +111,8 @@ def run_phase_rows(cat: Catalog, seed: int = 0, trials: int = 32) -> List[EntryR
 
 
 def run_iso_rows(cat: Catalog, seed: int = 0, trials: int = 32) -> List[EntryReport]:
+    from .morphisms import LinMap, check_lie_isomorphism, transport
+    from .phase_space import normal_form
     out = []
     for entry_id, row in cat.iso_rows.items():
         rep = EntryReport(entry_id, row_note=row.raw.get("notes", ""))
@@ -229,6 +234,8 @@ def run_equivalence_witnesses(cat: Catalog) -> List[EntryReport]:
     """Replays the four-fold pullback to (omega0, K0i), the normalizing
     automorphism families, the equivalence witness and the two
     non-equivalence residuals, exactly as parameter identities."""
+    from .morphisms import LinMap, check_equivalence, check_lie_isomorphism, transport
+    from .phase_space import normal_form
     reports: List[EntryReport] = []
     rr30 = LieAlgebra4.parse("[e1,e2]=e2", "rr3_0")
     omega0 = parse_two_form("e12+e34")

@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,7 @@ from pk4lie import (
 )
 from pk4lie.catalog import DATA_DIR, Catalog, load_catalog
 from pk4lie.cli import _curvature_table, main
-from pk4lie.scalars import ParamDomain
+from pk4lie.scalars import Param, ParamDomain, parse_scalar
 from pk4lie.verify import run_curvature_rows, run_scope
 
 
@@ -53,6 +55,44 @@ def test_geometry_worked_example(capsys):
     assert data["soliton"]["lambda"] == "(3*x)/2"
     assert data["soliton"]["X"] == ["0", "0", "0", "0"]
     assert data["flat"] is False
+
+
+TWO_PARAMETER_GEOMETRY = [
+    "geometry", "--algebra", "[e1,e2]=x*e3+e4; [e1,e3]=y*e4; [e2,e3]=e4",
+    "--metric", "x*eps11+2*x*y*eps12+(y/3+1)*eps22+x*x*eps13+eps33+eps44+(1-x)*eps24"]
+# three times the 1.6-1.7 s this command took in-process on a 2-CPU VM
+TWO_PARAMETER_BOUND_S = 5.0
+
+
+def _at(value, point):
+    """A geometry report's tensors with every entry evaluated at `point`."""
+    if isinstance(value, str):
+        return parse_scalar(value).eval(point)
+    if isinstance(value, dict):
+        return {k: _at(v, point) for k, v in value.items()}
+    return [_at(v, point) for v in value]
+
+
+def test_two_parameter_geometry_finishes_and_specializes(capsys):
+    # A metric and an algebra in x and y: det h has degree 6, and the
+    # rational-function chain through the inverse of h did not finish in
+    # 90 s.  Evaluated at a point, every tensor is the one that the
+    # metric at that point gives.
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "--format", "json", *TWO_PARAMETER_GEOMETRY)
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert elapsed < TWO_PARAMETER_BOUND_S
+    data = json.loads(out)
+    assert not data["flat"] and not data["ricci_flat"]
+    for x, y in (("2", "3"), ("-1", "1/2")):
+        code, out, _ = run_cli(capsys, "--format", "json", *TWO_PARAMETER_GEOMETRY,
+                               "--set", f"x={x}", "--set", f"y={y}")
+        assert code == 0
+        at = json.loads(out)
+        point = {Param("x"): Fraction(x), Param("y"): Fraction(y)}
+        for key in ("nabla", "curvature", "ric", "Ric", "scalar_curvature"):
+            assert _at(data[key], point) == _at(at[key], point), (key, x, y)
 
 
 def test_geometry_at_assignment(capsys):
@@ -332,6 +372,16 @@ def test_a_scope_asserts_each_section_it_builds_rows_of(monkeypatch, capsys, sco
         assert bool(rows._rows) == asserted, name
 
 
+@pytest.mark.parametrize("scope, algebras", [("curvature", 24), ("all", 99)])
+def test_a_scope_checks_jacobi_once_per_algebra(monkeypatch, scope, algebras):
+    # An algebra keeps its Jacobi verdict: the checked catalog and the
+    # suites ask each algebra they read, and only the first ask computes.
+    # The recorded calls keep their algebras alive, so ids are not reused.
+    calls = _count_calls(monkeypatch, liealg.LieAlgebra4.jacobi_defect)
+    run_scope(load_catalog(), scope)
+    assert len({id(args[0]) for args in calls}) == len(calls) == algebras
+
+
 def test_verify_all_parses_each_bracket_table_once(monkeypatch):
     calls = _count_calls(monkeypatch, notation.parse_brackets)
     cat = load_catalog()
@@ -413,9 +463,13 @@ CATALOG = {"pk4lie.catalog", "pk4lie.curvature"}
     (["dump", "curvature/d4_half/1"], CORE | CATALOG),
     (["geometry", "curvature/d4_half/1"], CORE | CATALOG),
     (["phase", "b2", "e3.e3=x*e4"], CORE | {"pk4lie.phase_space"}),
-    (["verify", "symplectic"], CORE | CATALOG | {
+    (["verify", "symplectic"], CORE | CATALOG | {"pk4lie.verify"}),
+    (["verify", "curvature"], CORE | CATALOG | {"pk4lie.verify"}),
+    (["verify", "phase"], CORE | CATALOG | {"pk4lie.phase_space", "pk4lie.verify"}),
+    (["verify", "iso"], CORE | CATALOG | {
         "pk4lie.morphisms", "pk4lie.phase_space", "pk4lie.verify"}),
-], ids=["dump", "geometry", "phase", "verify"])
+], ids=["dump", "geometry", "phase", "verify", "verify-curvature", "verify-phase",
+        "verify-iso"])
 def test_each_command_imports_only_what_it_runs(argv, modules):
     # a cold process: the modules loaded once the command has run
     code = ("import json, sys\n"

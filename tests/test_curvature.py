@@ -3,6 +3,8 @@ from pk4lie.curvature import (
     lie_derivative_metric, ricci, ricci_operator, scalar_curvature,
     solve_soliton, soliton_family_equal, soliton_residual, soliton_system,
 )
+from pk4lie import scalars
+from pk4lie.catalog import load_catalog
 from pk4lie.liealg import LieAlgebra4
 from pk4lie.linalg import Mat4
 from pk4lie.notation import parse_endo, parse_sym_form, parse_two_form, parse_tuple4
@@ -212,3 +214,36 @@ def test_type_tag_decides_the_sign_on_the_domain():
     assert tag(x, "x*x - 1 > 0") == "sign depends on parameters"
     assert tag(x, "x > -1") == "sign depends on parameters"
     assert tag(x, "") == "sign depends on parameters"
+
+
+def test_r_of_a_metric_with_constant_determinant_takes_no_gcd(monkeypatch):
+    # curvature/r2p/3 has two parameters and det h = 1: the connection's
+    # numerators are polynomials over a constant denominator, so R divides
+    # each entry by a constant and no polynomial gcd is taken.
+    row = load_catalog(check=False).curvature_rows["curvature/r2p/3"]
+    assert row.metric.det() == Scalar.const(1)
+    assert len(row.metric.params()) == 2
+    calls = []
+    gcd = scalars.poly_gcd
+    monkeypatch.setattr(scalars, "poly_gcd", lambda a, b: calls.append((a, b)) or gcd(a, b))
+    g = Geometry(row.algebra, row.metric, row.domain)
+    assert not g.R.is_zero()
+    assert g.R.matrices and calls == []
+
+
+def test_connection_and_curvature_do_not_change_when_the_metric_is_scaled():
+    # h -> f h for a nonzero f in the parameters, constant on the group,
+    # leaves the Levi-Civita connection and R as they are; levi_civita
+    # clears the denominators of h this way.
+    cat = load_catalog(check=False)
+    # d4_half has rational brackets, r2p/1 a rational metric entry
+    for entry in ("curvature/d4_half/1", "curvature/r2p/3", "curvature/r2p/1",
+                  "curvature/d4_1/2"):
+        row = cat.curvature_rows[entry]
+        g = Geometry(row.algebra, row.metric)
+        for f in ("x+2", "1/(x-3)", "-3/2"):
+            scaled = Geometry(row.algebra, row.metric.scale(parse_scalar(f)))
+            assert scaled.conn.nabla == g.conn.nabla, (entry, f)
+            assert scaled.R.matrices == g.R.matrices, (entry, f)
+            assert scaled.ric == g.ric, (entry, f)
+            assert scaled.R.is_zero() == g.flat

@@ -3,11 +3,12 @@ nullspace_fractions and rank_fractions), which shares no code with
 linalg._eliminate."""
 
 from fractions import Fraction
+from itertools import permutations
 
 from hypothesis import given, settings, strategies as st
 
-from pk4lie.linalg import Mat4, generic_rank, rank_on_domain, solve_affine
-from pk4lie.scalars import Scalar
+from pk4lie.linalg import Mat4, adjugate_det, generic_rank, rank_on_domain, solve_affine
+from pk4lie.scalars import Poly, Scalar, ZERO, common_denominator, numerator_over
 from oracles import nullspace_fractions, rank_fractions
 
 small = st.fractions(-3, 3, max_denominator=3)
@@ -63,3 +64,44 @@ def test_solve_affine_matches_the_fraction_oracle(rows, data):
         y = left[data.draw(st.integers(0, len(left) - 1))]
         bad = [Scalar.const(u + v) for u, v in zip(b, y)]
         assert solve_affine(_scalars(rows), bad) is None
+
+
+# Sparse entries: mostly zero, else an integer, a fraction, a monomial in one
+# or two parameters, or a rational function.
+ENTRIES = st.one_of(st.just(0), st.just(0), st.integers(-3, 3),
+                    st.fractions(-2, 2, max_denominator=4),
+                    st.sampled_from(["x", "x*y", "1/(x+1)"]))
+
+
+def _leibniz_det(rows):
+    """det as the signed sum over the 24 permutations: no minor is shared
+    with the Laplace expansion of linalg."""
+    total = ZERO
+    for p in permutations(range(4)):
+        sign = (-1) ** sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4))
+        term = Scalar.const(sign)
+        for i in range(4):
+            term = term * rows[i][p[i]]
+        total = total + term
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(ENTRIES, min_size=16, max_size=16))
+def test_adjugate_times_matrix_is_det_times_identity(entries):
+    m = Mat4([[Scalar.of(v) for v in entries[4 * i:4 * i + 4]] for i in range(4)])
+    adj, det = adjugate_det(m.rows, ZERO)
+    assert det == m.det() == _leibniz_det(m.rows)
+    a = Mat4._of(adj)
+    assert m @ a == Mat4.identity().scale(det) == a @ m
+    if not det.is_zero:
+        assert m.inverse() == a.scale(Scalar.const(1) / det)
+    # over Poly, on f*m for the lcm f of the denominators:
+    # adj(f m) = f^3 adj(m) and det(f m) = f^4 det(m)
+    f = common_denominator(v for row in m.rows for v in row)
+    adj_f, det_f = adjugate_det(
+        [[numerator_over(v, f) for v in row] for row in m.rows], Poly())
+    fs = Scalar(f)
+    assert Scalar(det_f) == fs ** 4 * det
+    assert [[Scalar(p) for p in row] for row in adj_f] == [[fs ** 3 * v for v in row]
+                                                           for row in adj]

@@ -209,23 +209,26 @@ def _ce_d_matches_dense_loop(L, omega):
     assert ce_d(L, omega).components == dense_ce_d(L, omega).components
 
 
-# Metric entries: mostly zero, else an integer or a fraction.  Structure
-# constants may also be polynomials in two parameters.
+# Metric entries: mostly zero, else an integer, a fraction or, one draw in
+# three, a rational function of one parameter.  Structure constants may also
+# be polynomials in two parameters.
 RATIONALS = hst.one_of(hst.just(0), hst.just(0), hst.integers(-3, 3),
                        hst.fractions(-2, 2, max_denominator=4))
 CONSTANTS = hst.one_of(
     RATIONALS, hst.sampled_from(["x", "-x/2", "1-x", "2*x*y", "y/3+1", "x*x"]))
+ONE_PARAMETER = hst.one_of(
+    RATIONALS, RATIONALS, hst.sampled_from(["x", "-x/2", "1-x", "x*x", "1/(x+1)"]))
 
 
 @settings(max_examples=20, deadline=None)
 @given(hst.lists(CONSTANTS, min_size=24, max_size=24),
-       hst.lists(RATIONALS, min_size=10, max_size=10))
+       hst.lists(ONE_PARAMETER, min_size=10, max_size=10))
 def test_kernels_match_dense_loops_on_drawn_algebras(consts, metric):
     # Jacobi is not needed: every kernel is a formula in the constants.
     pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     L = LieAlgebra4({ij: [Scalar.of(c) for c in consts[4 * k:4 * k + 4]]
                      for k, ij in enumerate(pairs)})
-    upper = iter(metric)
+    upper = (Scalar.of(v) for v in metric)
     h = [[None] * 4 for _ in range(4)]
     for i in range(4):
         for j in range(i, 4):

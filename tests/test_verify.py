@@ -2,10 +2,11 @@
 
 import hashlib
 import json
-from types import SimpleNamespace
+from types import FunctionType, SimpleNamespace
 
 import pytest
 
+from pk4lie import morphisms
 from pk4lie.catalog import CurvatureRowEntry, StructureEntry, load_catalog
 from pk4lie.liealg import LieAlgebra4
 from pk4lie.notation import parse_sym_form
@@ -110,9 +111,14 @@ def test_witness_reports_frozen():
 
 def test_erratum_note_does_not_hide_a_failed_check(monkeypatch):
     # an erratum explains its own check only: with every Lie isomorphism
-    # check failing, the rows that carry an erratum fail too
-    monkeypatch.setattr("pk4lie.verify.check_lie_isomorphism",
-                        lambda m: (False, {}))
+    # check of the witness suite failing, the rows that carry an erratum
+    # fail too.  The suite imports the check from `morphisms` when it runs;
+    # `check_equivalence`, which raises on a map that fails it, keeps the
+    # real check.
+    monkeypatch.setattr(morphisms, "check_equivalence", FunctionType(
+        morphisms.check_equivalence.__code__,
+        {**vars(morphisms), "check_lie_isomorphism": morphisms.check_lie_isomorphism}))
+    monkeypatch.setattr(morphisms, "check_lie_isomorphism", lambda m: (False, {}))
     statuses = {r.entry_id: r.status for r in run_equivalence_witnesses(CAT)}
     for rid in WITNESS_WARNS:
         assert statuses[rid] == "FAIL", rid
