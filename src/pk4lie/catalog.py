@@ -189,14 +189,6 @@ class IsoRowEntry:
         self.source, self.matrix, self.target = source, matrix, target
         self.domain = domain
 
-    @property
-    def source_ref(self) -> str:
-        return self.raw.get("source")
-
-    @property
-    def target_ref(self) -> str:
-        return self.raw.get("target")
-
 
 class CurvatureRowEntry:
     """Concrete curvature row: metric plus the expected verdict columns.

@@ -221,7 +221,7 @@ def cmd_geometry(args) -> int:
     out["curvature"] = {f"R(e{i+1},e{j+1})": _mat(g.R[(i, j)])
                         for (i, j) in sorted(g.R.matrices)}
     out["ric"] = _mat(g.ric)
-    ric_op = ricci_operator(h, g.ric)
+    ric_op = ricci_operator(conn, g.ric)
     out["Ric"] = _mat(ric_op)
     out["scalar_curvature"] = str(scalar_curvature(ric_op))
     out["flat"] = g.flat

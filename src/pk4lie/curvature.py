@@ -12,10 +12,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .liealg import LieAlgebra4, NotSymmetric, lowered_brackets
-from .linalg import (
-    PAIRS, DegenerateError, Mat4, RankAmbiguous, Vec4, _eliminate, _pick_pivot,
-    adjugate_det, solve_affine,
-)
+from .linalg import PAIRS, Mat4, RankAmbiguous, Vec4, _eliminate, solve_affine
 from .scalars import (
     EMPTY_DOMAIN, ParamDomain, Poly, Scalar, ZERO, _P_ZERO, numerator_over,
     poly_combination, ratio,
@@ -99,19 +96,17 @@ def ricci(L: LieAlgebra4, conn: Connection4) -> Mat4:
     return ric
 
 
-def ricci_operator(h: Mat4, ric: Mat4) -> Mat4:
-    """Ric with h(Ric(X), Y) = ric(X, Y), i.e. Ric = h^{-1} ric, fraction-free:
-    with f and delta the lcms of the denominators of h and of ric,
-    Ric = f adj(f h) (delta ric) / (delta det(f h)), a polynomial matrix
-    product and one division per entry."""
-    f, hp = h.cleared()
-    adj, det = adjugate_det(hp, Poly())
-    if det.is_zero:
-        raise DegenerateError("matrix determinant is identically zero")
+def ricci_operator(conn: Connection4, ric: Mat4) -> Mat4:
+    """Ric with h(Ric(X), Y) = ric(X, Y), i.e. Ric = h^{-1} ric, fraction-free
+    on the inverse that the Levi-Civita connection of h keeps: with delta the
+    lcm of the denominators of ric, Ric = f adj(f h) (delta ric) /
+    (delta det(f h)), a polynomial matrix product and one division per
+    entry."""
     delta, rp = ric.cleared()
-    den = delta * det
-    return Mat4._of([[ratio(n * f, den) for n in poly_combination(zip(adj_row, rp))]
-                     for adj_row in adj])
+    den = delta * conn.det
+    return Mat4._of([[ratio(n * conn.f, den)
+                      for n in poly_combination(zip(adj_row, rp))]
+                     for adj_row in conn.adj])
 
 
 def scalar_curvature(ric_op: Mat4) -> Scalar:
@@ -204,7 +199,7 @@ def family_dimension(x: List[Scalar], lam: Scalar,
         m = dict(zero_map)
         m[p] = Scalar.const(1)
         cols.append([c.substitute(m) - b for c, b in zip(comps, base)])
-    return len(_eliminate(cols, 5, domain, _pick_pivot))
+    return len(_eliminate(cols, 5, domain))
 
 
 def soliton_family_equal(system: SolitonSystem, ric_mat: Mat4,

@@ -5,8 +5,8 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional
 
 from .linalg import (
-    Mat4, RankAmbiguous, ThreeForm4, Vec4, rank_on_domain, vadd, vbasis,
-    vis_zero, vsub, vzero,
+    Mat4, RankAmbiguous, Vec4, rank_on_domain, vadd, vbasis, vis_zero, vsub,
+    vzero,
 )
 from .notation import emit_brackets, parse_brackets
 from .scalars import (
@@ -17,6 +17,10 @@ from .scalars import (
 
 class NotSymmetric(ScalarError):
     pass
+
+
+# The index triples i < j < k of a 3-form's components.
+TRIPLES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 
 
 def form_apply(form: Mat4, u: Vec4, v: Vec4) -> Scalar:
@@ -90,7 +94,7 @@ class LieAlgebra4:
     def jacobi_defect(self) -> Dict[tuple, Vec4]:
         """Cyclic sums [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]."""
         out = {}
-        for (i, j, k) in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
+        for (i, j, k) in TRIPLES:
             s = self.bracket(self.bracket_basis(i, j), vbasis(k))
             s = vadd(s, self.bracket(self.bracket_basis(j, k), vbasis(i)))
             s = vadd(s, self.bracket(self.bracket_basis(k, i), vbasis(j)))
@@ -117,13 +121,14 @@ class LieAlgebra4:
         return LieAlgebra4(br, self.name)
 
 
-def ce_d(L: LieAlgebra4, omega: Mat4) -> ThreeForm4:
+def ce_d(L: LieAlgebra4, omega: Mat4) -> Dict[tuple, Scalar]:
     """Chevalley-Eilenberg differential of an antisymmetric two-form,
     d(omega)(X,Y,Z) = -omega([X,Y],Z) + omega([X,Z],Y) - omega([Y,Z],X),
-    read off the lowered brackets c(i,j,k) = omega([e_i,e_j],e_k)."""
+    read off the lowered brackets c(i,j,k) = omega([e_i,e_j],e_k): one
+    component per triple of TRIPLES."""
     c = lowered_brackets(L, omega)
-    return ThreeForm4({(i, j, k): -c[i][j][k] + c[i][k][j] - c[j][k][i]
-                       for (i, j, k) in ThreeForm4.TRIPLES})
+    return {(i, j, k): -c[i][j][k] + c[i][k][j] - c[j][k][i]
+            for (i, j, k) in TRIPLES}
 
 
 def pfaffian_nondegenerate(omega: Mat4, domain: ParamDomain = EMPTY_DOMAIN,
@@ -160,16 +165,16 @@ class ParacomplexReport:
 
 def paracomplex_check(L: LieAlgebra4, K: Mat4,
                       domain: ParamDomain = EMPTY_DOMAIN) -> ParacomplexReport:
-    from .linalg import generic_rank
     ident = Mat4.identity()
     squares = K @ K == ident
     rp = rm = constraint = None
     if squares:
-        # With K*K = Id the two eigenspaces span pointwise, so the ranks of
-        # K -+ Id cannot drop below their generic values anywhere: the
-        # generic rank is the rank on the whole domain.
-        rp = 4 - generic_rank(K - ident)
-        rm = 4 - generic_rank(K + ident)
+        # K*K = Id over the field of rational functions: K is diagonalizable
+        # there with eigenvalues +-1, so tr K = dim E+ - dim E- is an integer
+        # constant and dim E+- = (4 +- tr K) / 2.  At each point of the
+        # domain K squares to Id with the same trace, so the ranks hold there.
+        t = int(K.trace().const_value())
+        rp, rm = (4 + t) // 2, (4 - t) // 2
     else:
         try:
             rp = 4 - rank_on_domain(K - ident, domain)

@@ -226,24 +226,6 @@ def mat_from_cols(cols: Sequence[Vec4]) -> Mat4:
     return Mat4([[cols[j][i] for j in range(4)] for i in range(4)])
 
 
-class ThreeForm4:
-    """Alternating 3-form: one Scalar per index triple i<j<k."""
-
-    TRIPLES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
-
-    def __init__(self, components: Optional[dict] = None):
-        self.components = {t: ZERO for t in self.TRIPLES}
-        if components:
-            for t, v in components.items():
-                self.components[t] = Scalar.of(v)
-
-    def __getitem__(self, triple):
-        return self.components[triple]
-
-    def is_zero(self) -> bool:
-        return all(v.is_zero for v in self.components.values())
-
-
 # ---------------------------------------------------------------------------
 # Domain-aware elimination: ranks and affine linear solving
 
@@ -281,7 +263,7 @@ def rank_on_domain(m: Mat4, domain: ParamDomain = EMPTY_DOMAIN,
     the branches genuinely disagree."""
     rows = [[v for v in r] for r in m.rows]
     try:
-        return len(_eliminate(rows, 4, domain, _pick_pivot))
+        return len(_eliminate(rows, 4, domain))
     except RankAmbiguous as e:
         split = split_at_root(e.poly, domain) if _depth < 4 else None
         if split is None:
@@ -316,27 +298,13 @@ def split_at_root(pivot: Scalar, domain: ParamDomain) -> Optional[tuple]:
         domain.constraints + [Constraint(num, "!=")])
 
 
-def _first_nonzero(rows, row_used, col, domain):
-    """Pivot rule of generic_rank: the first unused row whose entry in `col`
-    is not identically zero.  `domain` is the pick rule's slot, unread."""
-    return next((i for i in range(len(rows)) if i not in row_used
-                 and not rows[i][col].is_zero), None)
-
-
-def generic_rank(m: Mat4) -> int:
-    """Rank at generic parameter values: pivots only need to be nonzero as
-    rational functions."""
-    return len(_eliminate([list(r) for r in m.rows], 4, EMPTY_DOMAIN, _first_nonzero))
-
-
-def _eliminate(rows, ncols, domain, pick) -> dict:
-    """In-place Gauss-Jordan elimination of the first `ncols` columns;
-    returns {column: pivot row}.  `pick(rows, row_used, col, domain)` is the
-    pivot-row rule: a row index not in `row_used`, or None to skip `col`."""
+def _eliminate(rows, ncols, domain) -> dict:
+    """In-place Gauss-Jordan elimination of the first `ncols` columns, with
+    `_pick_pivot`'s rule on the domain; returns {column: pivot row}."""
     row_used: set = set()
     pivots = {}
     for col in range(ncols):
-        i = pick(rows, row_used, col, domain)
+        i = _pick_pivot(rows, row_used, col, domain)
         if i is None:
             continue
         row_used.add(i)
@@ -381,7 +349,7 @@ def solve_affine(a_rows: List[List[Scalar]], b: List[Scalar],
     m = len(a_rows)
     n = len(a_rows[0]) if m else 0
     aug = [list(row) + [b[i]] for i, row in enumerate(a_rows)]
-    pivots = _eliminate(aug, n, domain, _pick_pivot)
+    pivots = _eliminate(aug, n, domain)
     row_used = set(pivots.values())
     # consistency
     for j in range(m):

@@ -272,25 +272,6 @@ def poly_combination(terms) -> list:
     return [Poly(t) if t else _P_ZERO for t in out]
 
 
-def _times_int(p: Poly, k: int) -> Poly:
-    """p * k for an integer k != 0."""
-    return p if k == 1 else Poly({m: c * k for m, c in p.terms.items()})
-
-
-def _int_ratio(a: Poly, b: Poly) -> Optional[tuple]:
-    """Coprime integers (p, q) with q*a = p*b when a and b are nonzero
-    polynomials that differ by a rational factor, else None."""
-    at, bt = a.terms, b.terms
-    if at.keys() != bt.keys():
-        return None
-    m = next(iter(at))
-    g = gcd(at[m], bt[m])
-    p, q = at[m] // g, bt[m] // g
-    if all(c * q == bt[k] * p for k, c in at.items()):
-        return p, q
-    return None
-
-
 def _divide_content(p: Poly, k: int) -> Poly:
     """p / k for an integer k that divides every coefficient."""
     return p if k == 1 else Poly({m: c // k for m, c in p.terms.items()})
@@ -593,15 +574,11 @@ class Scalar:
             return _const(a[0] * b[1] + b[0] * a[1], a[1] * b[1])
         if self.den == other.den:
             return Scalar(self.num + other.num, self.den)
-        pq = _int_ratio(self.den, other.den)
-        if pq:
-            # q*den1 = p*den2: n1/den1 + n2/den2 = (q*n1 + p*n2) / (q*den1)
-            p, q = pq
-            return Scalar(_times_int(self.num, q) + _times_int(other.num, p),
-                          _times_int(self.den, q))
-        # Henrici's sum (Knuth, TAOCP vol. 2, 4.5.1): with g = gcd(den1, den2)
-        # and den_k = g e_k, every common factor of positive degree of
-        # t = n1 e2 + n2 e1 and e1 den2 divides g, so the gcd is taken with g.
+        # Henrici's sum (Knuth, TAOCP vol. 2, 4.5.1), the one sum of two
+        # distinct denominators: with g = gcd(den1, den2) and den_k = g e_k,
+        # every common factor of positive degree of t = n1 e2 + n2 e1 and
+        # e1 den2 divides g, so the gcd is taken with g.  A constant
+        # denominator gives g = 1 with no gcd taken.
         d1, d2 = self.den, other.den
         g = _P_ONE if d1.is_const or d2.is_const else poly_gcd(d1, d2)
         if not g.is_const:
@@ -776,7 +753,6 @@ def _subst_poly(p: Poly, mapping: Mapping[Param, Scalar]) -> Scalar:
 
 ZERO = Scalar.const(0)
 ONE = Scalar.const(1)
-HALF = Scalar.const(Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------

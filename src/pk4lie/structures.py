@@ -10,12 +10,13 @@ the row report that every verify suite returns.
 Both of the last two checks are exact.  The signature is neutral by the
 isotropic-eigenspace certificate (`neutral_certified`) whenever its
 premises passed, and is sampled only when one of them failed.  nabla K = 0
-is decided on the Koszul values (`K_parallel`), with no connection and no
-inverse of the metric.  `levi_civita` builds the connection itself, for
-the curvature suite and the `geometry` command, fraction-free: polynomial
-numerators adj(h) (2 G) over one common denominator 2 det h, after h and
-the brackets are cleared of their denominators (the connection does not
-change when h is scaled by a nonzero function of the parameters).
+is decided on the doubled Koszul values 2 G (`koszul_sums`, read by
+`K_parallel`), with no connection and no inverse of the metric.
+`levi_civita` builds the connection itself, for the curvature suite and
+the `geometry` command, fraction-free: polynomial numerators adj(h) (2 G)
+over one common denominator 2 det h, after h and the brackets are cleared
+of their denominators (the connection does not change when h is scaled by
+a nonzero function of the parameters).
 """
 
 from __future__ import annotations
@@ -23,13 +24,15 @@ from __future__ import annotations
 from functools import cached_property
 from typing import List, Set
 
-from .linalg import DegenerateError, Mat4, Vec4, adjugate_det, signature_of
+from .linalg import (
+    DegenerateError, Mat4, Vec4, adjugate_det, signature_of, vis_zero,
+)
 from .liealg import (
     LieAlgebra4, NotSymmetric, ParacomplexReport, ce_d, lowered_brackets,
     paracomplex_check, pfaffian_nondegenerate,
 )
 from .scalars import (
-    EMPTY_DOMAIN, HALF, ParamDomain, Poly, Scalar, Verdict, ZERO,
+    EMPTY_DOMAIN, ParamDomain, Poly, Scalar, Verdict, ZERO,
     common_denominator, numerator_over, poly_combination, ratio,
 )
 
@@ -48,10 +51,14 @@ class Connection4:
     """Left-invariant connection with polynomial numerators over one common
     denominator: the matrix of u -> nabla_{e_i} u is gamma[i] / den, gamma[i]
     a 4x4 list of Polys and den a nonzero Poly.  `nabla`, the list of those
-    matrices over Scalar, is built on first read, one division per entry."""
+    matrices over Scalar, is built on first read, one division per entry.
+    The metric's inverse comes along, fraction-free: h^-1 = f adj / det for
+    the lcm f of h's denominators and adj, det those of the Poly matrix f h."""
 
-    def __init__(self, gamma: List[List[List[Poly]]], den: Poly):
+    def __init__(self, gamma: List[List[List[Poly]]], den: Poly, f: Poly,
+                 adj: List[List[Poly]], det: Poly):
         self.gamma, self.den = gamma, den
+        self.f, self.adj, self.det = f, adj, det
 
     @cached_property
     def nabla(self) -> List[Mat4]:
@@ -59,24 +66,19 @@ class Connection4:
                 for g in self.gamma]
 
 
-def _koszul_sums(L: LieAlgebra4, h: Mat4) -> List[List[Vec4]]:
-    """2 G[i][j][k] = c(i,j,k) + c(k,i,j) + c(k,j,i) for the lowered brackets
-    c(i,j,k) = h([e_i,e_j],e_k): the Koszul values of `koszul_values`, doubled."""
-    c = lowered_brackets(L, h)
-    return [[[c[i][j][k] + c[k][i][j] + c[k][j][i] for k in range(4)]
-             for j in range(4)] for i in range(4)]
-
-
-def koszul_values(L: LieAlgebra4, h: Mat4) -> List[List[Vec4]]:
-    """G[i][j][k] = h(nabla_{e_i} e_j, e_k), from Koszul's formula:
+def koszul_sums(L: LieAlgebra4, h: Mat4) -> List[List[Vec4]]:
+    """2 G[i][j][k] for the Koszul values G[i][j][k] = h(nabla_{e_i} e_j, e_k),
+    from Koszul's formula:
 
         2 h(nabla_u v, w) = h([u,v],w) + h([w,u],v) + h([w,v],u),
 
     read off the lowered brackets c(i,j,k) = h([e_i,e_j],e_k):
-    G[i][j][k] = (c(i,j,k) + c(k,i,j) + c(k,j,i)) / 2.  For a symmetric h,
+    2 G[i][j][k] = c(i,j,k) + c(k,i,j) + c(k,j,i).  For a symmetric h,
     G[i][j][k] = -G[i][k][j] term by term.
     """
-    return [[[HALF * v for v in g] for g in gi] for gi in _koszul_sums(L, h)]
+    c = lowered_brackets(L, h)
+    return [[[c[i][j][k] + c[k][i][j] + c[k][j][i] for k in range(4)]
+             for j in range(4)] for i in range(4)]
 
 
 def levi_civita(L: LieAlgebra4, h: Mat4) -> Connection4:
@@ -92,23 +94,23 @@ def levi_civita(L: LieAlgebra4, h: Mat4) -> Connection4:
     gamma[i] has column j equal to adj(f h) (2 beta G[i][j]), and the common
     denominator is D = 2 beta det(f h).
     """
-    _, hp = h.cleared()
+    f, hp = h.cleared()
     adj, det = adjugate_det(hp, Poly())
     if det.is_zero:
         raise DegenerateError("metric is degenerate on the whole domain")
     beta = common_denominator(b for v in L.brackets.values() for b in v)
     hf = Mat4._of([[Scalar(p, _canonical=True) for p in row] for row in hp])
     gamma = []
-    for gi in _koszul_sums(L, hf):
+    for gi in koszul_sums(L, hf):
         # w[k][j] = 2 beta G[i][j][k]; row r of gamma[i] is sum_k adj[r][k] w[k]
         w = list(zip(*[[numerator_over(v, beta) for v in g] for g in gi]))
         gamma.append([poly_combination(zip(adj_row, w)) for adj_row in adj])
-    return Connection4(gamma, Poly.const(2) * beta * det)
+    return Connection4(gamma, Poly.const(2) * beta * det, f, adj, det)
 
 
 def K_parallel(L: LieAlgebra4, h: Mat4, K: Mat4) -> bool:
     """nabla K = 0 for the Levi-Civita connection of h, decided on the
-    Koszul values G = koszul_values(L, h), with no connection and no
+    doubled Koszul values 2 G = koszul_sums(L, h), with no connection and no
     inverse of h.
 
     Premises: h is symmetric and nondegenerate on the domain, and K is
@@ -117,12 +119,13 @@ def K_parallel(L: LieAlgebra4, h: Mat4, K: Mat4) -> bool:
     h(Kx, y) = h(y, Kx) = omega(Ky, Kx) = -omega(Kx, Ky) = -h(x, Ky).
     Then h((nabla_i K) e_j, e_k) = h(nabla_i(K e_j), e_k) + h(nabla_i e_j, K e_k)
     = sum_m K[m][j] G[i][m][k] + sum_m K[m][k] G[i][j][m], and since h is
-    nondegenerate nabla K = 0 exactly when all of these vanish.  G[i] is
-    antisymmetric in (j, k), so these values are too, and j < k suffices.
+    nondegenerate nabla K = 0 exactly when all of these vanish, and so when
+    they vanish with 2 G in place of G.  G[i] is antisymmetric in (j, k), so
+    these values are too, and j < k suffices.
     """
     k_cols = [[(m, K.rows[m][j]) for m in range(4) if not K.rows[m][j].is_zero]
               for j in range(4)]
-    for gi in koszul_values(L, h):
+    for gi in koszul_sums(L, h):
         for j in range(4):
             for k in range(j + 1, 4):
                 val = ZERO
@@ -217,7 +220,7 @@ def validate_para_kahler(L: LieAlgebra4, omega: Mat4, K: Mat4,
     rep.add("jacobi", L.is_lie_algebra())
     antisymmetric = omega.is_antisymmetric()
     rep.add("omega_antisymmetric", antisymmetric)
-    rep.add("omega_closed", ce_d(L, omega).is_zero())
+    rep.add("omega_closed", vis_zero(ce_d(L, omega).values()))
     nd = pfaffian_nondegenerate(omega, domain, trials, seed)
     rep.add("omega_nondegenerate", nd.kind == "NonZero",
             "" if nd.kind == "NonZero" else nd.kind)

@@ -46,7 +46,7 @@ def run_symplectic(cat: Catalog, seed: int = 0, trials: int = 32) -> List[EntryR
         L, omega = sym.algebra, sym.omega
         rep.add("jacobi", L.is_lie_algebra())
         rep.add("omega_antisymmetric", omega.is_antisymmetric())
-        rep.add("omega_closed", ce_d(L, omega).is_zero())
+        rep.add("omega_closed", vis_zero(ce_d(L, omega).values()))
         nd = pfaffian_nondegenerate(omega, sym.domain, trials=trials, seed=seed)
         rep.add("omega_nondegenerate", nd.kind == "NonZero", nd.kind)
         out.append(rep)

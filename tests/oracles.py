@@ -15,15 +15,17 @@ by its list `nabla`: nabla[i] is the matrix of u -> nabla_{e_i} u.
 
 from fractions import Fraction
 
-from pk4lie.liealg import form_apply
-from pk4lie.linalg import Mat4, ThreeForm4, vadd, vbasis, vis_zero, vzero
+from pk4lie.liealg import TRIPLES, form_apply
+from pk4lie.linalg import Mat4, vadd, vbasis, vis_zero, vzero
 from pk4lie.phase_space import (
     LSA2, LSA_CATALOG_TEXT, LSAPair, assembled_brackets, lsa_pair,
 )
 from pk4lie.scalars import (
-    DenominatorVanishes, HALF, ONE, ParseError, Scalar, ZERO, _make_primitive,
+    DenominatorVanishes, ONE, ParseError, Scalar, ZERO, _make_primitive,
 )
 from pk4lie.structures import metric_from
+
+HALF = Scalar.const(Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +164,10 @@ def dense_lie_derivative_metric(L, h, x):
 def dense_ce_d(L, omega):
     """d(omega)(e_i,e_j,e_k) = -omega([e_i,e_j],e_k) + omega([e_i,e_k],e_j)
     - omega([e_j,e_k],e_i), each term a `form_apply`."""
-    return ThreeForm4({(i, j, k): -form_apply(omega, L.bracket_basis(i, j), vbasis(k))
-                       + form_apply(omega, L.bracket_basis(i, k), vbasis(j))
-                       - form_apply(omega, L.bracket_basis(j, k), vbasis(i))
-                       for (i, j, k) in ThreeForm4.TRIPLES})
+    return {(i, j, k): -form_apply(omega, L.bracket_basis(i, j), vbasis(k))
+            + form_apply(omega, L.bracket_basis(i, k), vbasis(j))
+            - form_apply(omega, L.bracket_basis(j, k), vbasis(i))
+            for (i, j, k) in TRIPLES}
 
 
 # ---------------------------------------------------------------------------
@@ -443,5 +445,5 @@ def unreferenced_phase_rows(cat):
     """Phase-space rows that no isomorphism row uses as its source; the
     printed tables reference some family labels they never define and omit
     others, so the mismatch is reported instead of repaired."""
-    used = {row.source_ref for row in cat.iso_rows.values()}
+    used = {row.raw.get("source") for row in cat.iso_rows.values()}
     return [rid for rid in cat.phase_rows if rid not in used]

@@ -196,7 +196,7 @@ def test_criterion_6_worked_geometry_golden():
 
     ric = ricci(L, conn)
     assert ric == parse_sym_form("3/2*x*eps12+3/2*x*x*eps33+3/2*x*eps34")
-    ric_op = ricci_operator(h1, ric)
+    ric_op = ricci_operator(conn, ric)
     assert ric_op == Mat4.identity().scale(parse_scalar("3/2*x"))
     assert scalar_curvature(ric_op) == parse_scalar("6*x")
 

@@ -74,10 +74,11 @@ def test_a_row_without_subst_shares_the_algebra_it_names():
             shared += 1
     for row in CAT.iso_rows.values():
         if not (row.raw.get("source_subst") or row.raw.get("radical")):
-            assert row.source is CAT.phase_rows[row.source_ref].algebra, row.entry_id
+            source = CAT.phase_rows[row.raw.get("source")]
+            assert row.source is source.algebra, row.entry_id
             shared += 1
         if not row.raw.get("subst"):
-            assert row.target is named(row.target_ref), row.entry_id
+            assert row.target is named(row.raw.get("target")), row.entry_id
             shared += 1
     # of the 389 algebras of structure, curvature and iso rows
     assert shared == 320
@@ -122,8 +123,8 @@ def test_thm_entries_reference_existing_pairs():
     for st in CAT.structures.values():
         assert st.symplectic_ref in CAT.raw_entries
     for row in CAT.iso_rows.values():
-        assert row.source_ref in CAT.phase_rows
-        assert row.target_ref in CAT.algebras
+        assert row.raw.get("source") in CAT.phase_rows
+        assert row.raw.get("target") in CAT.algebras
 
 
 def test_parse_errors():

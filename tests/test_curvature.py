@@ -52,7 +52,7 @@ def test_ricci_goldens_d4_half():
     conn = levi_civita(D4HALF, H1)
     ric = ricci(D4HALF, conn)
     assert ric == parse_sym_form("3/2*x*eps12 + 3/2*x*x*eps33 + 3/2*x*eps34")
-    ric_op = ricci_operator(H1, ric)
+    ric_op = ricci_operator(conn, ric)
     assert ric_op == Mat4.identity().scale(parse_scalar("3/2*x"))
     assert scalar_curvature(ric_op) == parse_scalar("6*x")
 
@@ -140,7 +140,7 @@ def test_einstein_consistency():
     ric = ricci(D4HALF, conn)
     sol = solve_soliton(soliton_system(D4HALF, H1), XNZ, ric)
     assert all(c.is_zero for c in sol.x) and not sol.lam.is_zero
-    ric_op = ricci_operator(H1, ric)
+    ric_op = ricci_operator(conn, ric)
     assert ric_op == Mat4.identity().scale(sol.lam)
 
 

@@ -1,6 +1,6 @@
 
 from pk4lie.liealg import LieAlgebra4
-from pk4lie.linalg import _eliminate, _pick_pivot
+from pk4lie.linalg import _eliminate
 from pk4lie.notation import parse_endo, parse_two_form
 from pk4lie.phase_space import (
     LSA2, LSAPair, assembled_brackets, is_lie_extendible, lsa_pair,
@@ -25,8 +25,7 @@ def U_STAR(text):
 
 def derived_rank(L: LieAlgebra4) -> int:
     """Rank of the span of all basis brackets (the derived subalgebra)."""
-    return len(_eliminate([list(v) for v in L.brackets.values()], 4,
-                          EMPTY_DOMAIN, _pick_pivot))
+    return len(_eliminate([list(v) for v in L.brackets.values()], 4, EMPTY_DOMAIN))
 
 
 def test_all_ten_families_left_symmetric():

@@ -4,10 +4,12 @@ Levi-Civita axioms and uniqueness, parallelism of omega, anti-isometry of
 the metric under K, flat => Ricci-flat, the equivalence between Nijenhuis
 vanishing and sampled eigenplane involutivity, the Koszul-value test of
 nabla K = 0 against the connection, the sparse kernels against their dense
-references, and Besse's Ricci formula against the curvature chain.
+references, Besse's Ricci formula against the curvature chain, and the
+eigenranks of drawn involutions against ranks over Fractions.
 """
 
 import random
+from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as hst
 
@@ -15,16 +17,17 @@ from pk4lie.catalog import load_catalog
 from pk4lie.curvature import (
     classify_row, curvature, lie_derivative_metric, ricci, soliton_system,
 )
-from pk4lie.liealg import LieAlgebra4, ce_d, nijenhuis, form_apply
+from pk4lie import liealg
+from pk4lie.liealg import LieAlgebra4, ce_d, nijenhuis, form_apply, paracomplex_check
 from pk4lie.linalg import Mat4, RankAmbiguous, vbasis, vis_zero
 from pk4lie.notation import parse_endo
 from pk4lie.phase_space import normal_form
-from pk4lie.scalars import Scalar
-from pk4lie.structures import K_parallel, koszul_values, levi_civita, metric_from
+from pk4lie.scalars import DenominatorVanishes, Param, ParamDomain, Scalar
+from pk4lie.structures import K_parallel, koszul_sums, levi_civita, metric_from
 from oracles import (
     besse_ricci, dense_bracket, dense_ce_d, dense_curvature, dense_koszul_values,
     dense_lie_derivative_metric, involutive_samples, levi_civita_axioms_hold,
-    nabla_K, omega_parallel, perturbed,
+    nabla_K, omega_parallel, perturbed, rank_fractions,
 )
 
 CAT = load_catalog()
@@ -195,7 +198,8 @@ def _kernels_match_dense_loops(L, h, conn):
     for a, u in enumerate(h.rows):
         for v in [vbasis(a)] + h.rows[a + 1:]:
             assert L.bracket(u, v) == dense_bracket(L, u, v)
-    assert koszul_values(L, h) == dense_koszul_values(L, h)
+    assert koszul_sums(L, h) == [[[2 * v for v in g] for g in gi]
+                                 for gi in dense_koszul_values(L, h)]
     system = soliton_system(L, h)
     lx = [dense_lie_derivative_metric(L, h, x) for x in vectors]
     assert [lie_derivative_metric(system, x) for x in vectors] == lx
@@ -206,7 +210,7 @@ def _kernels_match_dense_loops(L, h, conn):
 
 
 def _ce_d_matches_dense_loop(L, omega):
-    assert ce_d(L, omega).components == dense_ce_d(L, omega).components
+    assert ce_d(L, omega) == dense_ce_d(L, omega)
 
 
 # Metric entries: mostly zero, else an integer, a fraction or, one draw in
@@ -246,3 +250,53 @@ def test_besse_ricci_matches_the_curvature_chain():
     # connection, no curvature and no shared kernel.
     for row in CAT.curvature_list():
         assert besse_ricci(row.algebra, row.metric) == row.geometry.ric, row.entry_id
+
+
+ABELIAN = LieAlgebra4({})
+INVOLUTION_ENTRIES = hst.sampled_from(["0", "1", "-1", "2", "-2", "x", "1/(x+1)"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(hst.lists(INVOLUTION_ENTRIES, min_size=16, max_size=16),
+       hst.lists(hst.sampled_from([1, -1]), min_size=4, max_size=4))
+def test_involution_eigenranks_match_the_fraction_oracle(entries, signs):
+    # K = P D P^-1 squares to Id exactly; its eigenranks are the counts of
+    # the signs in D, and 4 - the ranks of K -+ Id at a rational point of x.
+    p = Mat4([entries[4 * r:4 * r + 4] for r in range(4)])
+    assume(not p.det().is_zero)
+    d = Mat4([[signs[i] if i == j else 0 for j in range(4)] for i in range(4)])
+    K = p @ d @ p.inverse()
+    pc = paracomplex_check(ABELIAN, K)
+    assert pc.squares_to_id
+    assert (pc.eigenrank_plus, pc.eigenrank_minus) == (signs.count(1), signs.count(-1))
+    rng = random.Random(24)
+    while True:
+        point = {Param("x"): Fraction(rng.randint(-50, 50), rng.randint(1, 50))}
+        try:
+            k = K.eval(point)
+            break
+        except DenominatorVanishes:
+            continue
+    for sign, rank in ((1, pc.eigenrank_plus), (-1, pc.eigenrank_minus)):
+        shifted = [[v - sign if i == j else v for j, v in enumerate(row)]
+                   for i, row in enumerate(k)]
+        assert rank == 4 - rank_fractions(shifted)
+
+
+def test_non_involution_eigenranks_run_rank_on_domain(monkeypatch):
+    # K = diag(1, 1, x, -1) does not square to Id: its ranks come from
+    # rank_on_domain, exact where the domain keeps x off +-1 and undecided
+    # where it does not.
+    calls, real = [], liealg.rank_on_domain
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(liealg, "rank_on_domain", counted)
+    K = parse_endo("E11+E22+x*E33-E44")
+    pc = paracomplex_check(ABELIAN, K, ParamDomain.parse("x != 1, x != -1"))
+    assert not pc.squares_to_id and len(calls) == 2
+    assert (pc.eigenrank_plus, pc.eigenrank_minus, pc.rank_constraint) == (2, 1, None)
+    pc = paracomplex_check(ABELIAN, K)
+    assert pc.rank_constraint is not None and pc.eigenrank_plus is None

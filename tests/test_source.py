@@ -72,8 +72,6 @@ UNREAD_PARAMETERS = {
         "emit_endo's cell filter keeps every cell (i, j)",
     ("notation.py", "<lambda>", "j"):
         "emit_endo's cell filter keeps every cell (i, j)",
-    ("linalg.py", "_first_nonzero", "domain"):
-        "_eliminate's pick protocol: pick(rows, row_used, col, domain)",
     ("structures.py", "metric_from", "domain"):
         "perfbench/explore.py passes it positionally",
 }
@@ -100,3 +98,58 @@ def test_every_parameter_is_read():
     unread = {u for path in SRC.glob("*.py") for u in _unread_parameters(path)}
     assert unread - UNREAD_PARAMETERS.keys() == set(), "parameters never read"
     assert UNREAD_PARAMETERS.keys() - unread == set(), "stale allowlist entries"
+
+
+# "module.py:name" -> why nothing in src/ or perfbench/ refers to it
+UNREFERENCED_DEFINITIONS = {
+    "liealg.py:form_apply":
+        "tests/oracles.py's dense loops call it; perfbench/tracer.py wraps "
+        "it by its name, a string",
+    "linalg.py:Mat4.scale":
+        "the tests scale metrics and forms by a Scalar",
+}
+
+
+def _definitions(path):
+    """(qualified name, is a method) of each module-level function and class
+    and of each function in a class body (methods and properties), dunders
+    aside."""
+    tree = ast.parse(path.read_text(), str(path))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, False
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    yield f"{node.name}.{item.name}", True
+
+
+def _references(paths) -> tuple:
+    """(names read or imported, attribute names read) over the files."""
+    names, attrs = set(), set()
+    for path in paths:
+        for n in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(n, ast.Name):
+                names.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                attrs.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                names.update(a.name for a in n.names)
+    return names, attrs
+
+
+def test_every_definition_is_referenced():
+    # A method or property counts as referenced when some attribute of that
+    # name is read; a function or class when its name is read or imported.
+    names, attrs = _references([*SRC.glob("*.py"),
+                                *(SRC.parent.parent / "perfbench").glob("*.py")])
+    unreferenced = set()
+    for path in SRC.glob("*.py"):
+        for qual, is_method in _definitions(path):
+            short = qual.rsplit(".", 1)[-1]
+            if short not in attrs and (is_method or short not in names):
+                unreferenced.add(f"{path.name}:{qual}")
+    assert unreferenced - UNREFERENCED_DEFINITIONS.keys() == set(), "defined, never used"
+    assert UNREFERENCED_DEFINITIONS.keys() - unreferenced == set(), \
+        "stale allowlist entries"
