@@ -43,6 +43,10 @@ def positive_int(text: str) -> int:
 
 
 def main(argv=None) -> int:
+    # an exact checker reads and prints integers of any length; the default
+    # limit on int-string conversion guards servers that parse untrusted text
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = argparse.ArgumentParser(
         prog="pk4lie",
         description="exact verification of para-Kahler structures on "
@@ -189,7 +193,7 @@ def _parse_assignments(items, L: LieAlgebra4, h: Mat4, dom: ParamDomain) -> dict
 
 def cmd_geometry(args) -> int:
     from .catalog import load_catalog
-    from .curvature import Geometry, ricci_operator, scalar_curvature
+    from .curvature import Geometry, ricci_operator
     cat = load_catalog(check=False)
     L, h, dom, label = _resolve_geometry(args, cat)
     subst = _parse_assignments(args.set, L, h, dom)
@@ -218,12 +222,12 @@ def cmd_geometry(args) -> int:
         _emit_geometry(args, out)
         return 1
     out["nabla"] = {f"e{i+1}": _mat(conn.nabla[i]) for i in range(4)}
-    out["curvature"] = {f"R(e{i+1},e{j+1})": _mat(g.R[(i, j)])
-                        for (i, j) in sorted(g.R.matrices)}
+    out["curvature"] = {f"R(e{i+1},e{j+1})": _mat(m)
+                        for (i, j), m in sorted(g.R.matrices.items())}
     out["ric"] = _mat(g.ric)
     ric_op = ricci_operator(conn, g.ric)
     out["Ric"] = _mat(ric_op)
-    out["scalar_curvature"] = str(scalar_curvature(ric_op))
+    out["scalar_curvature"] = str(ric_op.trace())
     out["flat"] = g.flat
     out["ricci_flat"] = g.ricci_flat
     try:
@@ -295,14 +299,14 @@ def _emit_geometry(args, out: dict) -> None:
 
 def cmd_phase(args) -> int:
     from .phase_space import (
-        assembled_brackets, is_lie_extendible, lsa_pair, normal_form,
+        assembled_brackets, emit_products, is_lie_extendible, lsa_pair, normal_form,
     )
     pair = lsa_pair(args.base, args.dual)
     L = assembled_brackets(pair)
     ok, defects = is_lie_extendible(L)
     out = {
-        "base": pair.on_U.serialize(),
-        "dual": pair.on_Ustar.serialize(offset=2),
+        "base": emit_products(pair.on_U),
+        "dual": emit_products(pair.on_Ustar, 2),
         "brackets": L.serialize(),
         "lie_extendible": ok,
     }

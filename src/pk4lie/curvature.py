@@ -24,9 +24,10 @@ SolitonSystem = Tuple[List[List[Scalar]], List[Tuple[int, int]]]
 
 class CurvatureTensor:
     """R(e_i,e_j) = numerators[(i, j)] / den for each basis pair i < j, with
-    polynomial numerator matrices over one common denominator;
-    R(e_j,e_i) = -R(e_i,e_j) structurally.  The Scalar matrices are built on
-    first read, one division per entry; flatness reads the numerators."""
+    polynomial numerator matrices over one common denominator; the other
+    pairs follow from R(e_j,e_i) = -R(e_i,e_j).  The Scalar matrices, keyed
+    by the same pairs, are built on first read, one division per entry;
+    flatness reads the numerators."""
 
     def __init__(self, numerators: Dict[tuple, List[List[Poly]]], den: Poly):
         self.numerators, self.den = numerators, den
@@ -35,14 +36,6 @@ class CurvatureTensor:
     def matrices(self) -> Dict[tuple, Mat4]:
         return {pair: Mat4._of([[ratio(n, self.den) for n in row] for row in rows])
                 for pair, rows in self.numerators.items()}
-
-    def __getitem__(self, pair) -> Mat4:
-        i, j = pair
-        if i == j:
-            return Mat4.zeros()
-        if i < j:
-            return self.matrices[(i, j)]
-        return -self.matrices[(j, i)]
 
     def is_zero(self) -> bool:
         return all(n.is_zero for rows in self.numerators.values()
@@ -107,10 +100,6 @@ def ricci_operator(conn: Connection4, ric: Mat4) -> Mat4:
     return Mat4._of([[ratio(n * conn.f, den)
                       for n in poly_combination(zip(adj_row, rp))]
                      for adj_row in conn.adj])
-
-
-def scalar_curvature(ric_op: Mat4) -> Scalar:
-    return ric_op.trace()
 
 
 class SolitonSolutionSet:

@@ -636,11 +636,12 @@ class Scalar:
             raise ZeroDivisionError("division by zero scalar")
         if not self.num.terms:
             return self
-        a = _ints(self)
-        b = a and _ints(other)
-        if b:
-            return _const(a[0] * b[1], a[1] * b[0])
-        return Scalar(self.num * other.den, self.den * other.num)
+        # the reciprocal of a canonical n/d is d/n, negated in both when n's
+        # lex-leading coefficient is negative: canonical as it stands
+        n, d = other.num, other.den
+        if n.lead_coeff() < 0:
+            n, d = -n, -d
+        return self * Scalar(d, n, _canonical=True)
 
     def __rtruediv__(self, other):
         return Scalar.of(other) / self
@@ -648,7 +649,9 @@ class Scalar:
     def __pow__(self, n: int):
         if n < 0:
             return Scalar.const(1) / self ** (-n)
-        return Scalar(self.num ** n, self.den ** n)
+        # powers of coprime polynomials are coprime, their integer contents
+        # stay coprime and den's lead coefficient stays positive
+        return Scalar(self.num ** n, self.den ** n, _canonical=True)
 
     def substitute(self, mapping: Mapping[Param, "Scalar"]) -> "Scalar":
         """Substitute scalars for parameters (exact); self when the mapping

@@ -7,10 +7,13 @@ rational point, and ranks by elimination over plain Fractions, which
 shares no code with `pk4lie.linalg._eliminate`.  The dense loops over
 every basis pair are the references for the sparse kernels of `liealg`,
 `structures` and `curvature`, and Besse's formula gives the Ricci form from
-the structure constants alone, with no connection.  The extendibility
-system is the Jacobi identity of a phase-space pair with a generic product
-on U*, the polynomial equations the paper displays.  A connection is given
-by its list `nabla`: nabla[i] is the matrix of u -> nabla_{e_i} u.
+the structure constants alone, with no connection.  The paper's extension
+product, expanded on coordinate vectors, is the reference for the
+block-diagonal assembly of `phase_space.assembled_brackets`.  The
+extendibility system is the Jacobi identity of a phase-space pair with a
+generic product on U*, the polynomial equations the paper displays.  A
+connection is given by its list `nabla`: nabla[i] is the matrix of
+u -> nabla_{e_i} u.
 """
 
 from fractions import Fraction
@@ -18,7 +21,7 @@ from fractions import Fraction
 from pk4lie.liealg import TRIPLES, form_apply
 from pk4lie.linalg import Mat4, vadd, vbasis, vis_zero, vzero
 from pk4lie.phase_space import (
-    LSA2, LSA_CATALOG_TEXT, LSAPair, assembled_brackets, lsa_pair,
+    LSA_CATALOG_TEXT, LSAPair, assembled_brackets, lsa_pair,
 )
 from pk4lie.scalars import (
     DenominatorVanishes, ONE, ParseError, Scalar, ZERO, _make_primitive,
@@ -294,24 +297,67 @@ def involutive_samples(L, K, domain, rng, wanted, attempts=None):
 
 
 # ---------------------------------------------------------------------------
-# Left-symmetric algebras
+# Two-dimensional left-symmetric algebras, as product tables: the dict
+# {(a, b): coefficients of e_a.e_b} of `parse_products`
 
 
-def is_left_symmetric(lsa):
+E2 = ([ONE, ZERO], [ZERO, ONE])
+
+
+def lsa_product(products, u, v):
+    """u.v as the dense double sum of u_a v_b (e_a.e_b) over the basis."""
+    out = [ZERO, ZERO]
+    for a in range(2):
+        for b in range(2):
+            for r, c in enumerate(products.get((a, b), (ZERO, ZERO))):
+                out[r] = out[r] + u[a] * v[b] * c
+    return out
+
+
+def phase_product(on_U, on_Ustar, p, q):
+    """The paper's extension product on U + U* on coordinate vectors,
+
+        (X + a).(Y + b) = X.Y - Lt_a Y - Lt_X b + a.b,
+
+    with the transposes read through the dual pairing: the e*_j component
+    of Lt_X b is b(X.e_j), and the e_j component of Lt_a Y is (a.e*_j)(Y)."""
+    X, alpha, Y, beta = p[:2], p[2:], q[:2], q[2:]
+
+    def pairing(f, v):
+        return sum((x * y for x, y in zip(f, v)), ZERO)
+
+    lt_x_beta = [pairing(beta, lsa_product(on_U, X, e)) for e in E2]
+    lt_alpha_y = [pairing(lsa_product(on_Ustar, alpha, e), Y) for e in E2]
+    xy, ab = lsa_product(on_U, X, Y), lsa_product(on_Ustar, alpha, beta)
+    return ([a - b for a, b in zip(xy, lt_alpha_y)]
+            + [a - b for a, b in zip(ab, lt_x_beta)])
+
+
+def phase_commutators(on_U, on_Ustar):
+    """[e_i, e_j] = e_i.e_j - e_j.e_i of the extension product, i < j."""
+    e = [vbasis(i) for i in range(4)]
+    return {(i, j): [a - b for a, b in zip(phase_product(on_U, on_Ustar, e[i], e[j]),
+                                           phase_product(on_U, on_Ustar, e[j], e[i]))]
+            for i in range(4) for j in range(i + 1, 4)}
+
+
+def is_left_symmetric(products):
     """ass(u,v,w) = ass(v,u,w) with ass(u,v,w) = (uv)w - u(vw), on the
     basis triples with u != v, as rational functions."""
+    def mul(u, v):
+        return lsa_product(products, u, v)
+
     def ass(u, v, w):
-        return [a - b for a, b in zip(lsa.product(lsa.product(u, v), w),
-                                      lsa.product(u, lsa.product(v, w)))]
+        return [a - b for a, b in zip(mul(mul(u, v), w), mul(u, mul(v, w)))]
 
-    e = ([ONE, ZERO], [ZERO, ONE])
-    return all((a - b).is_zero for w in e
-               for a, b in zip(ass(e[0], e[1], w), ass(e[1], e[0], w)))
+    return all((a - b).is_zero for w in E2
+               for a, b in zip(ass(E2[0], E2[1], w), ass(E2[1], E2[0], w)))
 
 
-def commutator_brackets(lsa):
+def commutator_brackets(products):
     """[e1, e2] = e1.e2 - e2.e1 (Jacobi is automatic in dimension 2)."""
-    return [a - b for a, b in zip(lsa.product_basis(0, 1), lsa.product_basis(1, 0))]
+    return [a - b for a, b in zip(lsa_product(products, *E2),
+                                  lsa_product(products, *E2[::-1]))]
 
 
 def lsa_catalog():
@@ -331,12 +377,12 @@ USTAR_COEFFS = ("a33", "b33", "a34", "b34", "a43", "b43", "a44", "b44")
 def generic_ustar():
     """Arbitrary product on U*: e3.e3 = a33 e3 + b33 e4, etc."""
     s = {n: Scalar.var(n) for n in USTAR_COEFFS}
-    return LSA2({
+    return {
         (0, 0): [s["a33"], s["b33"]],
         (0, 1): [s["a34"], s["b34"]],
         (1, 0): [s["a43"], s["b43"]],
         (1, 1): [s["a44"], s["b44"]],
-    })
+    }
 
 
 class ConstraintSystem:

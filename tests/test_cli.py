@@ -194,6 +194,37 @@ def test_phase_reports_frozen(capsys):
     assert digest.hexdigest() == PHASE_REPORTS_SHA256
 
 
+@pytest.fixture
+def default_int_digit_limit():
+    """The interpreter's default limit on int-string conversion while the
+    test runs (`main` lifts it for its process), restored afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_integers_beyond_the_conversion_limit(capsys, default_int_digit_limit):
+    # a 5,000-digit coefficient is read, and a 4,800-digit product printed
+    nines = "9" * 5000
+    code, out, err = run_cli(capsys, "--format", "json", "geometry", "--algebra",
+                             f"[e1,e2]={nines}*e3", "--metric", "eps14-eps23")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["algebra"] == f"[e1,e2]={nines}*e3"
+    assert len(data["nabla"]["e2"][2][0].lstrip("-")) == 5000
+    product = "*".join(["9999"] * 1200)
+    code, out, err = run_cli(capsys, "--format", "json", "phase", "b2",
+                             f"e3.e3={product}*e4")
+    assert (code, err) == (0, "")
+    dual = json.loads(out)["dual"]
+    assert dual.startswith("e3.e3=") and dual.endswith("*e4")
+    assert len(dual[len("e3.e3="):-len("*e4")]) == 4800
+
+
 def test_dump_byte_identical(capsys):
     code, out, _ = run_cli(capsys, "dump", "structures/d4_half/K1")
     assert code == 0

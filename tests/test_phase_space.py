@@ -1,26 +1,25 @@
+import json
+from pathlib import Path
 
 from pk4lie.liealg import LieAlgebra4
 from pk4lie.linalg import _eliminate
 from pk4lie.notation import parse_endo, parse_two_form
 from pk4lie.phase_space import (
-    LSA2, LSAPair, assembled_brackets, is_lie_extendible, lsa_pair,
-    phase_product, parse_products,
+    LSA_CATALOG_TEXT, LSAPair, assembled_brackets, emit_products,
+    is_lie_extendible, lsa_pair, parse_products,
 )
 from pk4lie.scalars import EMPTY_DOMAIN, Scalar, ZERO, ONE, parse_scalar
 from pk4lie.structures import validate_para_kahler
 from oracles import (
-    commutator_brackets, extendibility_constraints, is_left_symmetric,
-    lsa_catalog, ustar_coeffs_from_products,
+    commutator_brackets, extendibility_constraints, generic_ustar,
+    is_left_symmetric, lsa_catalog, phase_commutators, phase_product,
+    ustar_coeffs_from_products,
 )
 
 CATALOG = lsa_catalog()
 B2 = CATALOG["b2"]
 C1 = CATALOG["c1"]
 C2 = CATALOG["c2"]
-
-
-def U_STAR(text):
-    return LSA2.parse(text, offset=2)
 
 
 def derived_rank(L: LieAlgebra4) -> int:
@@ -45,17 +44,17 @@ def test_catalog_commutators_split_by_series():
 
 
 def test_trivial_pair_product_vanishes():
-    pair = LSAPair(C1, U_STAR("trivial"))
+    pair = LSAPair(C1, parse_products("trivial", 2))
     p = [parse_scalar(t) for t in ("1", "x", "2", "y")]
     q = [parse_scalar(t) for t in ("3", "0", "1", "1")]
-    assert all(c.is_zero for c in phase_product(pair, p, q))
+    assert all(c.is_zero for c in phase_product(pair.on_U, pair.on_Ustar, p, q))
     ok, _ = is_lie_extendible(assembled_brackets(pair))
     assert ok
 
 
 def test_b2_with_solution_product_gives_printed_brackets():
     # U* product e3.e3 = x e4 reproduces the listed bracket family.
-    pair = LSAPair(B2, U_STAR("e3.e3=x*e4"))
+    pair = LSAPair(B2, parse_products("e3.e3=x*e4", 2))
     L = assembled_brackets(pair)
     expected = LieAlgebra4.parse("[e1,e2]=-e1; [e2,e3]=x*e1-e3-e4; [e2,e4]=-e4")
     assert L.serialize() == expected.serialize()
@@ -68,13 +67,14 @@ def test_c2_pair_hand_oracle():
     # 16 basis pairs leaves e2.e2 = e2 and the cross term
     # e2.e4 = -Lt_{e2} e4 = -e4; everything else vanishes, so the only
     # bracket is [e2,e4] = -e4.
-    pair = LSAPair(C2, U_STAR("trivial"))
+    pair = LSAPair(C2, parse_products("trivial", 2))
     basis = [[ONE, ZERO, ZERO, ZERO], [ZERO, ONE, ZERO, ZERO],
              [ZERO, ZERO, ONE, ZERO], [ZERO, ZERO, ZERO, ONE]]
     prods = {}
     for i in range(4):
         for j in range(4):
-            prods[(i, j)] = phase_product(pair, basis[i], basis[j])
+            prods[(i, j)] = phase_product(pair.on_U, pair.on_Ustar,
+                                          basis[i], basis[j])
     for (i, j), v in prods.items():
         if (i, j) == (1, 1):
             assert v == [ZERO, ONE, ZERO, ZERO]
@@ -84,6 +84,31 @@ def test_c2_pair_hand_oracle():
             assert all(c.is_zero for c in v), (i, j)
     L = assembled_brackets(pair)
     assert L.serialize() == "[e2,e4]=-e4"
+
+
+def _assert_assembly_matches_product_formula(on_U, on_Ustar, label):
+    L = assembled_brackets(LSAPair(on_U, on_Ustar))
+    for (i, j), want in phase_commutators(on_U, on_Ustar).items():
+        assert L.bracket_basis(i, j) == want, (label, i, j)
+
+
+def test_assembly_matches_product_formula_on_explore_pairs():
+    # every base/dual pair that `pk4lie phase` is benchmarked on
+    root = Path(__file__).resolve().parent.parent
+    space = json.loads((root / "perfbench" / "explore_space.json").read_text())
+    pairs = [(b, d) for b in space["phase_bases"] for d in space["phase_duals"]]
+    assert len(pairs) == 156
+    for base, dual in pairs:
+        pair = lsa_pair(base, dual)
+        _assert_assembly_matches_product_formula(pair.on_U, pair.on_Ustar,
+                                                 (base, dual))
+
+
+def test_assembly_matches_product_formula_on_generic_dual():
+    # the symbolic dual product in the eight coefficients a33 .. b44
+    for name in LSA_CATALOG_TEXT:
+        _assert_assembly_matches_product_formula(CATALOG[name], generic_ustar(),
+                                                 name)
 
 
 def test_b2_constraint_system_contains_displayed_equations():
@@ -146,7 +171,7 @@ def test_b2_solution_and_nonsolution_membership():
 
 
 def test_b2_claimed_product_fails_jacobi_directly():
-    pair = LSAPair(B2, U_STAR("e3.e4=e4"))
+    pair = LSAPair(B2, parse_products("e3.e4=e4", 2))
     ok, defects = is_lie_extendible(assembled_brackets(pair))
     assert not ok
     # the violated identity is the cyclic sum on (e1,e2,e3), e1 component
@@ -181,7 +206,7 @@ def test_c2_rows_reproduce_table_brackets():
             "[e1,e3]=x*e1; [e2,e3]=y*e1; [e2,e4]=x*e1-e4; [e3,e4]=-x*e4",
     }
     for ustar, brackets in cases.items():
-        pair = LSAPair(C2, U_STAR(ustar))
+        pair = LSAPair(C2, parse_products(ustar, 2))
         ok, _ = is_lie_extendible(assembled_brackets(pair))
         assert ok
         assert assembled_brackets(pair).serialize() == \
@@ -192,7 +217,7 @@ def test_assembled_algebra_carries_normal_form_structure():
     # The construction's guarantee, made checkable: the assembled bracket
     # of a Lie-extendible pair validates with omega = e13+e24 and
     # K = diag(1,1,-1,-1).
-    pair = LSAPair(B2, U_STAR("e3.e3=x*e4"))
+    pair = LSAPair(B2, parse_products("e3.e3=x*e4", 2))
     L = assembled_brackets(pair)
     rep = validate_para_kahler(L, parse_two_form("e13+e24"),
                                parse_endo("E11+E22-E33-E44"))
@@ -213,17 +238,17 @@ def test_specialized_row_is_two_step_solvable():
 
 def test_lsa_round_trip():
     for name, lsa in CATALOG.items():
-        text = lsa.serialize()
-        again = LSA2.parse(text)
-        assert again.serialize() == text
+        text = emit_products(lsa)
+        again = parse_products(text)
+        assert emit_products(again) == text
 
 
 def test_the_pair_owns_the_family_domain():
     pair = lsa_pair("b3_alpha", "")
     assert repr(pair.domain) == "ParamDomain(alpha != 0)"
-    assert pair.on_Ustar.serialize(offset=2) == "trivial"
-    assert not hasattr(pair.on_U, "domain")
-    assert not hasattr(pair.on_Ustar, "domain")
+    assert emit_products(pair.on_Ustar, 2) == "trivial"
+    # the products are plain tables, with no domain of their own
+    assert type(pair.on_U) is type(pair.on_Ustar) is dict
     assert repr(lsa_pair("b2", "e3.e3=x*e4").domain) == "ParamDomain()"
 
 

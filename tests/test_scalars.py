@@ -362,6 +362,18 @@ def test_arithmetic_shortcuts_match_general_path(a, b):
           _subst_poly(a.num, unrelated) / _subst_poly(a.den, unrelated))
 
 
+@settings(max_examples=150, deadline=None)
+@given(operands(), operands(), st.integers(0, 4))
+def test_quotients_and_powers_match_the_general_path(a, b, k):
+    # a quotient is the product with the reciprocal, and a power is built
+    # in canonical form: both agree with canonicalizing the plain fraction
+    if not b.is_zero:
+        _same(a / b, Scalar(a.num * b.den, a.den * b.num))
+    _same(a ** k, Scalar(a.num ** k, a.den ** k))
+    if not a.is_zero:
+        _same(a ** -k, Scalar(a.den ** k, a.num ** k))
+
+
 # ---------------------------------------------------------------------------
 # the canonical form over Z[params]
 
