@@ -52,6 +52,17 @@ DATA_FILES = ("algebras.txt", "symplectic.txt", "structures.txt",
               "phase_b.txt", "phase_c.txt", "iso_b.txt", "iso_c.txt",
               "curvature.txt")
 
+# section -> (the Catalog attribute of its rows, the fields whose sign
+# tokens expand into variants)
+SECTIONS = {
+    "alg": ("algebras", ()),
+    "symplectic": ("symplectic", ("omega",)),
+    "structures": ("structures", ("omega", "K")),
+    "phase_b": ("phase_rows", ()), "phase_c": ("phase_rows", ()),
+    "iso_b": ("iso_rows", ()), "iso_c": ("iso_rows", ()),
+    "curvature": ("curvature_rows", ("metric", "X", "lam")),
+}
+
 _HEADER_RE = re.compile(r"^\[([A-Za-z0-9_/]+)\]\s*$")
 _RADICAL_RE = re.compile(r"^w\s*\*\s*w\s*=\s*(.+?)\s+solve\s+([A-Za-z_][A-Za-z0-9_]*)$")
 
@@ -275,8 +286,11 @@ class Catalog:
             self._curvature_row, _assert_curvature_row)
 
     def dump(self, entry_id: str) -> str:
-        base = entry_id.split(":")[0]
-        if base not in self.raw_entries:
+        """The text of an entry, named by its id, or by the id and `:a` or
+        `:b` in a section whose fields take sign variants."""
+        base, colon, variant = entry_id.partition(":")
+        if base not in self.raw_entries or colon and not (
+                variant in ("a", "b") and SECTIONS[base.split("/")[0]][1]):
             raise ParseError(f"unknown entry {entry_id!r}")
         return self.raw_entries[base].raw
 
@@ -453,21 +467,12 @@ def load_catalog(data_dir: Optional[Path] = None, check: bool = True) -> Catalog
                 raise ParseError(f"duplicate entry id {raw.entry_id!r}")
             cat.raw_entries[raw.entry_id] = raw
 
-    # section -> (rows, the fields whose sign tokens expand into variants)
-    sections = {
-        "alg": (cat.algebras, ()),
-        "symplectic": (cat.symplectic, ("omega",)),
-        "structures": (cat.structures, ("omega", "K")),
-        "phase_b": (cat.phase_rows, ()), "phase_c": (cat.phase_rows, ()),
-        "iso_b": (cat.iso_rows, ()), "iso_c": (cat.iso_rows, ()),
-        "curvature": (cat.curvature_rows, ("metric", "X", "lam")),
-    }
     for entry_id, raw in cat.raw_entries.items():
         section = entry_id.split("/")[0]
-        if section not in sections:
+        if section not in SECTIONS:
             raise ParseError(f"unknown section in id {entry_id!r}")
-        rows, keys = sections[section]
-        rows.add(raw, keys)
+        rows, keys = SECTIONS[section]
+        getattr(cat, rows).add(raw, keys)
     return cat
 
 

@@ -161,8 +161,11 @@ def solve_soliton(system: SolitonSystem, domain: ParamDomain,
     sol = solve_affine(rows, rhs, domain)
     if sol is None:
         return None
-    full = sol.with_params([f"t{k+1}" for k in range(sol.free_count)])
-    return SolitonSolutionSet(full[:4], full[4], sol.free_count)
+    full, basis = sol
+    for k, vec in enumerate(basis):
+        t = Scalar.var(f"t{k+1}")
+        full = [a + t * v for a, v in zip(full, vec)]
+    return SolitonSolutionSet(full[:4], full[4], len(basis))
 
 
 def soliton_residual(system: SolitonSystem, x: Vec4, lam: Scalar,

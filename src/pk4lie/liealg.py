@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional
 
 from .linalg import (
@@ -56,15 +57,14 @@ class LieAlgebra4:
     is structural.  The Jacobi identity is a checked property, not an
     assumption.  A family's parameter range is its catalog row's domain.
     An algebra is never mutated after construction (`substitute` builds a
-    new one), so its Jacobi verdict is computed once, on the first
-    `is_lie_algebra` call, and kept.
+    new one), so its Jacobi defects are computed once, on the first read
+    of `defects`, and kept.
     """
 
     def __init__(self, brackets: Dict[tuple, Vec4], name: str = ""):
         self.brackets = {k: list(v) for k, v in brackets.items()
                          if not all(c.is_zero for c in v)}
         self.name = name
-        self._jacobi: Optional[bool] = None
 
     @staticmethod
     def parse(text: str, name: str = ""):
@@ -101,10 +101,13 @@ class LieAlgebra4:
             out[(i, j, k)] = s
         return out
 
+    @cached_property
+    def defects(self) -> Dict[tuple, Vec4]:
+        """`jacobi_defect`, shared by the Jacobi verdict and its residuals."""
+        return self.jacobi_defect()
+
     def is_lie_algebra(self) -> bool:
-        if self._jacobi is None:
-            self._jacobi = all(vis_zero(v) for v in self.jacobi_defect().values())
-        return self._jacobi
+        return all(vis_zero(v) for v in self.defects.values())
 
     def params(self) -> set:
         out = set()

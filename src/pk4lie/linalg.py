@@ -256,28 +256,10 @@ def _pick_pivot(rows, row_used, col, domain):
     return None
 
 
-def rank_on_domain(m: Mat4, domain: ParamDomain = EMPTY_DOMAIN,
-                   _depth: int = 0) -> int:
-    """Rank over the domain; case-splits on single-variable pivots whose
-    vanishing the domain leaves open, and raises RankAmbiguous only when
-    the branches genuinely disagree."""
-    rows = [[v for v in r] for r in m.rows]
-    try:
-        return len(_eliminate(rows, 4, domain))
-    except RankAmbiguous as e:
-        split = split_at_root(e.poly, domain) if _depth < 4 else None
-        if split is None:
-            raise
-        var, value, branch = split
-        try:
-            at_root = m.substitute({var: value})
-        except ZeroDivisionError:
-            raise e
-        r_at = rank_on_domain(at_root, domain, _depth + 1)
-        r_off = rank_on_domain(m, branch, _depth + 1)
-        if r_at == r_off:
-            return r_at
-        raise RankAmbiguous(e.poly)
+def rank_on_domain(m: Mat4, domain: ParamDomain = EMPTY_DOMAIN) -> int:
+    """Rank over the domain, by `_eliminate`; RankAmbiguous when a pivot
+    might vanish there."""
+    return len(_eliminate([list(r) for r in m.rows], 4, domain))
 
 
 def split_at_root(pivot: Scalar, domain: ParamDomain) -> Optional[tuple]:
@@ -319,29 +301,10 @@ def _eliminate(rows, ncols, domain) -> dict:
     return pivots
 
 
-class AffineSolution:
-    """Affine solution set: point + span(basis), with fresh free parameters."""
-
-    def __init__(self, point: List[Scalar], basis: List[List[Scalar]]):
-        self.point = point
-        self.basis = basis
-
-    @property
-    def free_count(self) -> int:
-        return len(self.basis)
-
-    def with_params(self, names: Sequence[str]) -> List[Scalar]:
-        """point + sum t_k * basis_k as Scalar expressions."""
-        out = list(self.point)
-        for k, b in enumerate(self.basis):
-            t = Scalar.var(names[k])
-            out = [o + t * v for o, v in zip(out, b)]
-        return out
-
-
 def solve_affine(a_rows: List[List[Scalar]], b: List[Scalar],
-                 domain: ParamDomain = EMPTY_DOMAIN) -> Optional[AffineSolution]:
-    """Solve A x = b exactly over Scalar; None when provably inconsistent.
+                 domain: ParamDomain = EMPTY_DOMAIN) -> Optional[tuple]:
+    """Solve A x = b exactly over Scalar: (point, basis), the solution set
+    point + span(basis), or None when provably inconsistent.
 
     Raises RankAmbiguous when a pivot or a consistency decision depends on
     parameters in a way the domain cannot certify.
@@ -373,7 +336,7 @@ def solve_affine(a_rows: List[List[Scalar]], b: List[Scalar],
         for col, i in pivots.items():
             vec[col] = -aug[i][fc] / aug[i][col]
         basis.append(vec)
-    return AffineSolution(point, basis)
+    return point, basis
 
 
 def signature_of(matrix: List[List[Fraction]]) -> tuple:

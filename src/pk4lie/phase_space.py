@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from .liealg import LieAlgebra4
-from .linalg import PAIRS, Mat4, Vec4, vis_zero
+from .linalg import PAIRS, Mat4, Vec4
 from .notation import parse_endo, parse_two_form, parse_vector, read_table, write_table
 from .scalars import EMPTY_DOMAIN, ParamDomain, ParseError, Scalar, ZERO
 
@@ -95,9 +95,7 @@ def assembled_brackets(pair: LSAPair) -> LieAlgebra4:
 
 def is_lie_extendible(L: LieAlgebra4) -> Tuple[bool, Dict[tuple, Vec4]]:
     """Jacobi verdict for L = assembled_brackets(pair), with residuals."""
-    defects = L.jacobi_defect()
-    ok = all(vis_zero(v) for v in defects.values())
-    return ok, defects
+    return L.is_lie_algebra(), L.defects
 
 
 # ---------------------------------------------------------------------------

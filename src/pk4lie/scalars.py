@@ -1017,22 +1017,17 @@ class ParamDomain:
         if self._root_excluded(p) or self._definite_sign(p):
             return True
         p = _make_primitive(p)
-        basis = self.nonvanishing_basis()
-        progress = True
-        while not p.is_const and progress:
-            progress = False
-            for q in basis:
-                # Any common factor g divides q, and q has no zero on the
-                # domain, so neither does g; stripping it is sound.
-                g = poly_gcd(p, q)
-                while not g.is_const:
-                    p = _make_primitive(poly_divexact(p, g))
-                    progress = True
-                    if p.is_const:
-                        break
-                    g = poly_gcd(p, q)
+        for q in self.nonvanishing_basis():
+            # Any common factor g divides q, and q has no zero on the
+            # domain, so neither does g; stripping it is sound.  Once p is
+            # coprime to q, dividing p further keeps it so: one pass strips
+            # every factor that the basis certifies.
+            g = poly_gcd(p, q)
+            while not g.is_const:
+                p = _make_primitive(poly_divexact(p, g))
                 if p.is_const:
-                    break
+                    return True
+                g = poly_gcd(p, q)
         return p.is_const
 
     def _root_excluded(self, p: Poly, half_line: bool = False) -> Optional[Constraint]:

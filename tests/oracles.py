@@ -3,13 +3,14 @@
 No command runs any of this.  Each check recomputes a property from its
 definition: the Levi-Civita axioms and parallel forms on a connection's
 matrices, left-symmetry of a product table, involutive eigenplanes at a
-rational point, and ranks by elimination over plain Fractions, which
-shares no code with `pk4lie.linalg._eliminate`.  The dense loops over
-every basis pair are the references for the sparse kernels of `liealg`,
-`structures` and `curvature`, and Besse's formula gives the Ricci form from
-the structure constants alone, with no connection.  The paper's extension
-product, expanded on coordinate vectors, is the reference for the
-block-diagonal assembly of `phase_space.assembled_brackets`.  The
+rational point, and ranks by elimination over plain Fractions or over the
+rational functions, which shares no code with `pk4lie.linalg._eliminate`.  The
+dense loops over every basis pair are the references for the sparse kernels
+of `liealg`, `structures` and `curvature`, and Besse's formula gives the
+Ricci form from the structure constants alone, with no connection.  The
+paper's extension product, expanded on coordinate vectors, is the
+reference for the block-diagonal assembly of
+`phase_space.assembled_brackets`.  The
 extendibility system is the Jacobi identity of a phase-space pair with a
 generic product on U*, the polynomial equations the paper displays.  A
 connection is given by its list `nabla`: nabla[i] is the matrix of
@@ -70,6 +71,27 @@ def nullspace_fractions(matrix):
 def rank_fractions(matrix):
     ncols = len(matrix[0]) if matrix else 0
     return ncols - len(nullspace_fractions(matrix))
+
+
+def generic_rank(rows):
+    """Rank of Scalar rows over the field of rational functions in their
+    parameters: row reduction that takes any entry not identically zero
+    as a pivot, as the parameters' values do away from finitely many
+    hypersurfaces."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        k = next((i for i in range(rank, len(rows)) if not rows[i][col].is_zero), None)
+        if k is None:
+            continue
+        rows[rank], rows[k] = rows[k], rows[rank]
+        piv = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / piv[col]
+            if not f.is_zero:
+                rows[i] = [a - f * b for a, b in zip(rows[i], piv)]
+        rank += 1
+    return rank
 
 
 # ---------------------------------------------------------------------------

@@ -267,6 +267,10 @@ def test_usage_error_exit_code(capsys):
                              "--set", "x=1", "--set", "x=2")
     assert (code, out) == (2, "")
     assert err == "error: --set 'x=2': duplicate assignment for x\n"
+    # a variant key that no section lists names no entry
+    for key in ("alg/r4_0:a", "structures/h4/K1:", "structures/h4/K1:c",
+                "curvature/d4_half/1:zz"):
+        assert run_cli(capsys, "dump", key) == (2, "", f"error: unknown entry {key!r}\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -411,6 +415,16 @@ def test_a_scope_checks_jacobi_once_per_algebra(monkeypatch, scope, algebras):
     calls = _count_calls(monkeypatch, liealg.LieAlgebra4.jacobi_defect)
     run_scope(load_catalog(), scope)
     assert len({id(args[0]) for args in calls}) == len(calls) == algebras
+
+
+@pytest.mark.parametrize("base, dual, code", [
+    ("b2", "e3.e3=x*e4", 0), ("c1", "", 0), ("b2", "e3.e4=e4", 1)])
+def test_phase_checks_jacobi_once(monkeypatch, capsys, base, dual, code):
+    # the Lie-extendible verdict, its residuals and the validation of the
+    # normal form read one evaluation of the assembled algebra's defects
+    calls = _count_calls(monkeypatch, liealg.LieAlgebra4.jacobi_defect)
+    assert run_cli(capsys, "phase", base, dual)[0] == code
+    assert len(calls) == 1
 
 
 def test_verify_all_parses_each_bracket_table_once(monkeypatch):

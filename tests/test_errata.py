@@ -1,0 +1,74 @@
+"""The structure errata of the catalog as checked claims.
+
+Every `notes:` line of `structures.txt` says that the printed K differs
+from the stored one and why the printed one fails.  ERRATA writes each
+printed K out from its note, with the validation checks that it fails:
+every other check must pass, and the stored K must pass them all.
+"""
+
+import pytest
+
+from pk4lie.catalog import DATA_DIR, load_catalog
+from pk4lie.notation import parse_endo
+from pk4lie.structures import validate_para_kahler
+
+NOT_INTEGRABLE = ["nijenhuis_zero", "nabla_K_zero"]
+NOT_AN_INVOLUTION = ["K_squares_to_id", "eigenranks_2_2", "nijenhuis_zero",
+                     "metric_symmetric"]
+
+# entry -> (the printed K, the checks it fails)
+ERRATA = {
+    # printed with -2*x*E14
+    "structures/d4_2/w2/K1": ("-E11-E22+(1/x)*E32+E33-2*x*E14+E44", NOT_INTEGRABLE),
+    # printed with 2*E24
+    "structures/d4_2/w2/K2": ("-E11-E22-2*E31+x*E32+E33+2*E24+E44", NOT_AN_INVOLUTION),
+    "structures/d4_2/w2/K3": ("E11+E22-2*E31+x*E32-E33+2*E24-E44", NOT_AN_INVOLUTION),
+    # printed transposed: E12, E32, E14, E34 for E21, E23, E41, E43
+    "structures/d4_2/w2/K4": ("E11-E22+x*E12+x*E32+E33+x*E14+x*E34-E44", NOT_INTEGRABLE),
+    # printed with -2*x*E43
+    "structures/d4_2/w2/K7": ("-E11+2*x*E21+E22-2*x*E23-E33-2*x*E41-2*x*E43+E44",
+                              ["nijenhuis_zero", "metric_symmetric"]),
+    # printed with -2*x*E14
+    "structures/d4_2/w3/K1": ("-E11-E22+(1/x)*E32+E33-2*x*E14+E44", NOT_INTEGRABLE),
+    # printed with x*E14
+    "structures/d4_2/w3/K2": ("-E11+E22-E33+x*E14+E44", NOT_INTEGRABLE),
+    "structures/d4_2/w3/K3": ("E11-E22+x*E23+E33-(1/2)*x*E14-E44", NOT_INTEGRABLE),
+    # printed as -+E11+x*E12+-E22+E33-E44: the bottom signs
+    "structures/d4_lam/K6:b": ("E11+x*E12-E22+E33-E44", NOT_INTEGRABLE),
+}
+
+
+@pytest.fixture(scope="module")
+def cat():
+    return load_catalog(check=False)
+
+
+@pytest.mark.parametrize("key", list(ERRATA))
+def test_the_printed_K_fails_as_its_note_says(cat, key):
+    printed, fails = ERRATA[key]
+    st = cat.structures[key]
+    report = validate_para_kahler(st.algebra, st.omega, parse_endo(printed),
+                                  st.domain, key)
+    assert report.failing() == fails
+    assert validate_para_kahler(st.algebra, st.omega, st.K, st.domain,
+                                key).status == "PASS"
+
+
+def test_every_structure_note_has_an_erratum(cat):
+    noted = {raw.entry_id for raw in cat.raw_entries.values()
+             if raw.entry_id.startswith("structures/") and raw.get("notes")}
+    assert noted == {key.split(":")[0] for key in ERRATA}
+    text = (DATA_DIR / "structures.txt").read_text()
+    assert text.count("\nnotes:") == len(ERRATA)
+
+
+@pytest.mark.parametrize("key, pivot", [
+    ("structures/d4_2/w2/K2", "Scalar(x)"), ("structures/d4_2/w2/K3", "Scalar(-x)")])
+def test_a_printed_non_involution_names_its_undecided_pivot(cat, key, pivot):
+    # K*K != Id, so the eigenranks come from rank_on_domain, whose pivot
+    # is undecided on the row's domain
+    st = cat.structures[key]
+    report = validate_para_kahler(st.algebra, st.omega, parse_endo(ERRATA[key][0]),
+                                  st.domain, key)
+    check = next(c for c in report.checks if c["name"] == "eigenranks_2_2")
+    assert check == {"name": "eigenranks_2_2", "ok": False, "detail": pivot}

@@ -51,12 +51,12 @@ def test_solve_affine_matches_the_fraction_oracle(rows, data):
     n = len(rows[0])
     x0 = data.draw(st.lists(small, min_size=n, max_size=n))
     b = _times(rows, x0)
-    sol = solve_affine(_scalars(rows), [Scalar.const(v) for v in b])
-    point = [s.eval({}) for s in sol.point]
+    sol_point, basis = solve_affine(_scalars(rows), [Scalar.const(v) for v in b])
+    point = [s.eval({}) for s in sol_point]
     assert _times(rows, point) == b
-    for vec in sol.basis:
+    for vec in basis:
         assert _times(rows, [s.eval({}) for s in vec]) == [0] * len(rows)
-    assert sol.free_count == n - rank_fractions(rows)
+    assert len(basis) == n - rank_fractions(rows)
     # b plus a nonzero vector of the left kernel leaves the column space
     transpose = [list(col) for col in zip(*rows)]
     left = nullspace_fractions(transpose)

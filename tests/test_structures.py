@@ -1,17 +1,21 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from pk4lie.catalog import load_catalog
+from pk4lie.curvature import Geometry
 from pk4lie.liealg import (
     LieAlgebra4, NotSymmetric, paracomplex_check, pfaffian_nondegenerate,
 )
 from pk4lie.linalg import Mat4, signature_of
 from pk4lie.notation import parse_endo, parse_sym_form, parse_two_form
-from pk4lie.scalars import ParamDomain, parse_scalar
+from pk4lie.scalars import EMPTY_DOMAIN, ParamDomain, parse_scalar
 from pk4lie.structures import (
     K_parallel, _signature_neutral, levi_civita, metric_from,
     neutral_certified, validate_para_kahler,
 )
-from oracles import levi_civita_axioms_hold, nabla_K, omega_parallel, perturbed
+from oracles import (
+    generic_rank, levi_civita_axioms_hold, nabla_K, omega_parallel, perturbed,
+)
 
 D4HALF = LieAlgebra4.parse(
     "[e1,e2]=e3; [e4,e3]=e3; [e4,e1]=1/2*e1; [e4,e2]=1/2*e2", "d4_half")
@@ -219,3 +223,34 @@ def test_certificate_needs_a_certified_pfaffian():
     assert signature_of(h.eval({next(iter(h.params())): 0})) == (1, 1, 2)
     rep = validate_para_kahler(ABELIAN, omega, K, trials=8)
     assert rep.status == "PASS", rep.failing()
+
+
+def _bracket_dims(L, K):
+    """(dim [g+,g-], dim [g+,g+], dim [g-,g-]) for the eigenplanes g+- of an
+    involution K, spanned by the columns of Id +- K, over the rational
+    functions in the parameters."""
+    ident = Mat4.identity()
+    plus, minus = ((ident + K).transpose().rows, (ident - K).transpose().rows)
+    return tuple(generic_rank([L.bracket(u, v) for u in us for v in vs])
+                 for us, vs in ((plus, minus), (plus, plus), (minus, minus)))
+
+
+def test_a_d4_2_structure_off_the_printed_list():
+    # An integrable (omega, K) on d4_2 whose bracket dimensions no listed
+    # d4_2 structure on omega = e14 -+ e23 shares.  The dimensions are
+    # invariant under automorphisms, omega -> c*omega and K -> -K, so no
+    # equivalence of the README's convention maps it onto a listed row.
+    cat = load_catalog(check=False)
+    L = cat.algebras["alg/d4_2"].algebra
+    omega, K = parse_two_form("e14-e23"), parse_endo("-E12-E13+E24-E31-E34+E42")
+    assert validate_para_kahler(L, omega, K).status == "PASS"
+    h = metric_from(omega, K)
+    assert h == parse_sym_form("-eps12-eps24-eps34")
+    geometry = Geometry(L, h, EMPTY_DOMAIN)
+    assert geometry.flat and geometry.ricci_flat
+    assert _bracket_dims(L, K) == (2, 1, 1)
+    listed = [f"structures/d4_2/w2/K{i}" for i in range(1, 8)] + [
+        f"structures/d4_2/w3/K{i}" for i in range(1, 4)]
+    for key in listed:
+        st = cat.structures[key]
+        assert _bracket_dims(st.algebra, st.K) == (3, 1, 1), key
