@@ -224,7 +224,7 @@ class CurvatureRowEntry:
 
 class _LazyRows(Mapping):
     """Rows keyed by id, with ":a"/":b" for sign variants.  A row is built
-    by `build(key, raw, variant, fields)` the first time it is read, then
+    by `build(key, raw, fields)` the first time it is read, then
     kept; the keys, their order and membership need no build.  With a
     `check(key, row)`, the first read builds and checks every row in file
     order, and each later read repeats a failed check.  A build or check
@@ -233,13 +233,13 @@ class _LazyRows(Mapping):
     def __init__(self, build, check=None):
         self._build = build
         self._check = check  # None once every row has passed it
-        self._specs: Dict[str, Tuple[RawEntry, str, Dict[str, str]]] = {}
+        self._specs: Dict[str, Tuple[RawEntry, Dict[str, str]]] = {}
         self._rows: Dict[str, object] = {}
 
     def add(self, raw: RawEntry, keys: Tuple[str, ...]) -> None:
         for variant, fields in expand_variants(raw, keys):
             key = raw.entry_id + (f":{variant}" if variant else "")
-            self._specs[key] = (raw, variant, fields)
+            self._specs[key] = (raw, fields)
 
     def __getitem__(self, key: str):
         if self._check is not None:
@@ -286,11 +286,12 @@ class Catalog:
             self._curvature_row, _assert_curvature_row)
 
     def dump(self, entry_id: str) -> str:
-        """The text of an entry, named by its id, or by the id and `:a` or
-        `:b` in a section whose fields take sign variants."""
-        base, colon, variant = entry_id.partition(":")
-        if base not in self.raw_entries or colon and not (
-                variant in ("a", "b") and SECTIONS[base.split("/")[0]][1]):
+        """The text of an entry, named by its id or by a key that its
+        section lists."""
+        base = entry_id.partition(":")[0]
+        listed = base in self.raw_entries and (
+            entry_id == base or entry_id in getattr(self, SECTIONS[base.split("/")[0]][0]))
+        if not listed:
             raise ParseError(f"unknown entry {entry_id!r}")
         return self.raw_entries[base].raw
 
@@ -307,12 +308,12 @@ class Catalog:
         return list(self.curvature_rows.values())
 
     # -- row builders -------------------------------------------------------
-    def _symplectic_row(self, key: str, raw: RawEntry, variant: str,
+    def _symplectic_row(self, key: str, raw: RawEntry,
                         fields: Dict[str, str]) -> SymplecticEntry:
         alg = self._algebra(key, raw.get("alg"))
         row_domain = ParamDomain.parse(raw.get("domain"))
         domain = alg.domain.merged(row_domain)
-        return SymplecticEntry(key, raw, variant, alg.algebra,
+        return SymplecticEntry(key, raw, key.partition(":")[2], alg.algebra,
                                parse_two_form(_column(fields, "omega")), domain, row_domain)
 
     def _symplectic_variants(self, key: str, ref: str) -> List[SymplecticEntry]:
@@ -323,7 +324,7 @@ class Catalog:
             raise BrokenReference(key, f"unknown symplectic row {ref!r}")
         return variants
 
-    def _structure(self, key: str, raw: RawEntry, variant: str,
+    def _structure(self, key: str, raw: RawEntry,
                    fields: Dict[str, str]) -> StructureEntry:
         ref = raw.get("symplectic")
         sym = self._symplectic_variants(key, ref)[0]
@@ -345,7 +346,7 @@ class Catalog:
             omega, sym_domain = omega.substitute(subst), sym_domain.substituted(subst)
         domain = alg_domain.merged(sym_domain).merged(
             ParamDomain.parse(fields.get("domain", "")))
-        return StructureEntry(key, raw, variant, algebra, omega,
+        return StructureEntry(key, raw, key.partition(":")[2], algebra, omega,
                               parse_endo(_column(fields, "K")), domain, ref)
 
     def _assert_structure(self, key: str, st: StructureEntry) -> None:
@@ -359,28 +360,28 @@ class Catalog:
                        for sym in self._symplectic_variants(key, st.symplectic_ref)):
                 raise LoadAssertionFailed(key, "omega is not a variant of its symplectic row")
 
-    def _iso_row(self, key: str, raw: RawEntry, variant: str,
+    def _iso_row(self, key: str, raw: RawEntry,
                  fields: Dict[str, str]) -> IsoRowEntry:
-        source_ref = raw.get("source")
+        source_ref = fields.get("source", "")
         if source_ref not in self.phase_rows:
             raise BrokenReference(key, f"source {source_ref!r}")
-        target = self._algebra(key, raw.get("target")).algebra
-        ssub = _parse_subst(raw.get("source_subst"))
-        if raw.get("radical"):
-            z, value = _radical_subst(raw.get("radical"))
+        target = self._algebra(key, fields.get("target", "")).algebra
+        ssub = _parse_subst(fields.get("source_subst", ""))
+        if fields.get("radical"):
+            z, value = _radical_subst(fields["radical"])
             if z in ssub:
                 raise ParseError(f"duplicate substitution for {z.name}")
             ssub[z] = value
         # branch parameters are shared by the brackets and the map columns
-        matrix = _map_matrix(raw.get("map")).substitute(ssub)
+        matrix = _map_matrix(fields.get("map", "")).substitute(ssub)
         source, source_domain = _instance(self.phase_rows[source_ref], ssub)
-        domain = source_domain.merged(ParamDomain.parse(raw.get("condition")))
+        domain = source_domain.merged(ParamDomain.parse(fields.get("condition", "")))
         # The target's own family range is superseded by the row's condition
         # column; substitutions may be rational, so only brackets are mapped.
-        target = target.substitute(_parse_subst(raw.get("subst")))
+        target = target.substitute(_parse_subst(fields.get("subst", "")))
         return IsoRowEntry(key, raw, source, matrix, target, domain)
 
-    def _curvature_row(self, key: str, raw: RawEntry, variant: str,
+    def _curvature_row(self, key: str, raw: RawEntry,
                        fields: Dict[str, str]) -> CurvatureRowEntry:
         subst = _parse_subst(raw.get("subst"))
         algebra, alg_domain = _instance(self._algebra(key, raw.get("alg")), subst)
@@ -392,7 +393,8 @@ class Catalog:
             ex = parse_tuple4(_column(fields, "X"))
             elam = parse_scalar(_column(fields, "lam"))
         return CurvatureRowEntry(
-            key, raw, variant, algebra, metric, domain, fields.get("flat") == "yes",
+            key, raw, key.partition(":")[2], algebra, metric, domain,
+            fields.get("flat") == "yes",
             fields.get("ricflat") == "yes", ex, elam, fields.get("notes", ""))
 
 
@@ -403,10 +405,9 @@ def _column(fields: Dict[str, str], key: str) -> str:
     return fields[key]
 
 
-def _algebra_row(key: str, raw: RawEntry, variant: str,
-                 fields: Dict[str, str]) -> AlgebraEntry:
-    L = LieAlgebra4.parse(raw.get("brackets"), key.split("/")[-1])
-    return AlgebraEntry(key, raw, L, ParamDomain.parse(raw.get("domain")))
+def _algebra_row(key: str, raw: RawEntry, fields: Dict[str, str]) -> AlgebraEntry:
+    L = LieAlgebra4.parse(fields.get("brackets", ""), key.split("/")[-1])
+    return AlgebraEntry(key, raw, L, ParamDomain.parse(fields.get("domain", "")))
 
 
 def _instance(row: AlgebraEntry, subst: dict) -> Tuple[LieAlgebra4, ParamDomain]:
@@ -432,11 +433,11 @@ def _map_matrix(text: str) -> Mat4:
 def expand_variants(raw: RawEntry, keys: Tuple[str, ...]) -> List[Tuple[str, Dict[str, str]]]:
     """Resolve sign tokens across the given fields, co-variantly.
 
-    Returns [(variant_suffix, resolved_fields)]; one entry when no tokens.
+    Returns [(variant_suffix, resolved_fields)]; [("", raw.fields)] when no tokens.
     """
     tokens = any(has_sign_tokens(raw.get(k)) for k in keys)
     if not tokens:
-        return [("", dict(raw.fields))]
+        return [("", raw.fields)]
     out = []
     for variant in ("a", "b"):
         fields = dict(raw.fields)

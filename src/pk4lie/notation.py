@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import operator
 import re
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .linalg import Mat4, Vec4, vzero
-from .scalars import ParseError, Scalar, ZERO, ONE, _parse, _scalar_leaf, emit_scalar
+from .scalars import ParseError, Scalar, ONE, _parse, _scalar_leaf, emit_scalar
 
 SIGN_RE = re.compile(r"\+-|-\+")
 
@@ -44,55 +44,41 @@ _ATOM_RES = {
 
 
 class _Lin:
-    """Scalar multiple of structured atoms plus a pure scalar part."""
+    """A combination of structured atoms: atom index tuple -> nonzero
+    coefficient, with the scalar part as the coefficient of ()."""
 
-    def __init__(self, coeffs: Optional[dict] = None, scalar: Scalar = ZERO):
-        self.coeffs = coeffs or {}
-        self.scalar = scalar
-
-    @staticmethod
-    def of_scalar(s: Scalar) -> "_Lin":
-        return _Lin({}, s)
-
-    @staticmethod
-    def of_atom(key) -> "_Lin":
-        return _Lin({key: ONE}, ZERO)
-
-    @property
-    def is_scalar(self):
-        return not self.coeffs
+    def __init__(self, coeffs: dict):
+        self.coeffs = coeffs
 
     @property
     def is_zero(self):
-        return self.is_scalar and self.scalar.is_zero
+        return not self.coeffs
 
     def __add__(self, other):
         c = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            c[k] = c.get(k, ZERO) + v
-        return _Lin({k: v for k, v in c.items() if not v.is_zero},
-                    self.scalar + other.scalar)
+            c[k] = c[k] + v if k in c else v
+        return _Lin({k: v for k, v in c.items() if not v.is_zero})
 
     def __neg__(self):
-        return _Lin({k: -v for k, v in self.coeffs.items()}, -self.scalar)
+        return _Lin({k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if self.is_scalar:
-            return _Lin({k: self.scalar * v for k, v in other.coeffs.items()},
-                        self.scalar * other.scalar)
-        if other.is_scalar:
-            return _Lin({k: v * other.scalar for k, v in self.coeffs.items()},
-                        self.scalar * other.scalar)
-        raise ParseError("cannot multiply two atom-valued expressions")
+        if self.coeffs.keys() - {()}:  # put the scalar-only operand left
+            if other.coeffs.keys() - {()}:
+                raise ParseError("cannot multiply two atom-valued expressions")
+            self, other = other, self
+        return _Lin({k: s * v for s in self.coeffs.values()
+                     for k, v in other.coeffs.items()})
 
     def __truediv__(self, other):
-        if not other.is_scalar:
+        if other.coeffs.keys() - {()}:
             raise ParseError("cannot divide by an atom-valued expression")
-        return _Lin({k: v / other.scalar for k, v in self.coeffs.items()},
-                    self.scalar / other.scalar)
+        d, = other.coeffs.values()  # the parser refuses a zero divisor
+        return _Lin({k: v / d for k, v in self.coeffs.items()})
 
 
 def _parse_lin(text: str, kind: str) -> _Lin:
@@ -105,12 +91,13 @@ def _parse_lin(text: str, kind: str) -> _Lin:
     def leaf(tok: str, val: str) -> _Lin:
         m = atom_re.match(val)
         if m is not None:
-            return _Lin.of_atom(tuple(int(g) - 1 for g in m.groups()))
+            return _Lin({tuple(int(g) - 1 for g in m.groups()): ONE})
         for other, other_re in others:
             if other_re.match(val):
                 raise ParseError(f"{other} atom {val} in a {kind} "
                                  f"expression: {text!r}")
-        return _Lin.of_scalar(_scalar_leaf(tok, val))
+        s = _scalar_leaf(tok, val)
+        return _Lin({} if s.is_zero else {(): s})
 
     return _parse(text, leaf)
 
@@ -121,10 +108,10 @@ def _parse_lin(text: str, kind: str) -> _Lin:
 
 def _parse_terms(text: str, kind: str, what: str) -> dict:
     """The atom coefficients of `text`; a ParseError if it has a scalar part."""
-    lin = _parse_lin(text, kind)
-    if not lin.scalar.is_zero:
+    coeffs = _parse_lin(text, kind).coeffs
+    if () in coeffs:
         raise ParseError(f"{what} has a scalar part: {text!r}")
-    return lin.coeffs
+    return coeffs
 
 
 def _parse_matrix(text: str, kind: str, what: str, mirror=None) -> Mat4:

@@ -49,12 +49,23 @@ class ParseError(ScalarError):
 # Parameter registry
 
 
+# The names the catalog uses, ranked first in this order; any other name
+# ranks after them, by name, so that canonical forms do not depend on the
+# order in which a process first meets its parameters.
+LISTED_NAMES = ("alpha", "beta", "delta", "lam", "mu", "w", "x", "y", "z",
+                "x1", "x2", "x3", "x4", "t1", "t2", "t3", "t4", "t5",
+                "a21", "a22", "a31", "a33", "a34", "a41", "a43", "a44",
+                "b33", "b34", "b43", "b44")
+
+
 class Param:
-    """A named parameter; identity and ordering are by registration index."""
+    """A named parameter; identity is by registration index, ordering by
+    rank.  `_rank[index]` is the rank of the parameter `_order[index]`."""
 
     __slots__ = ("name", "index")
     _registry: dict = {}
     _order: list = []
+    _rank: list = []
 
     def __new__(cls, name: str):
         existing = cls._registry.get(name)
@@ -67,21 +78,20 @@ class Param:
         p.index = len(cls._order)
         cls._registry[name] = p
         cls._order.append(p)
+        cls._rank.append(p.index)
+        unlisted = sorted(cls._order[len(LISTED_NAMES):], key=lambda q: q.name)
+        for rank, q in enumerate(unlisted, len(LISTED_NAMES)):
+            cls._rank[q.index] = rank
         return p
 
     def __repr__(self):
         return f"Param({self.name})"
 
     def __lt__(self, other):
-        return self.index < other.index
+        return Param._rank[self.index] < Param._rank[other.index]
 
 
-# Stable registration order for the names the catalog uses, so canonical
-# forms do not depend on load order.
-for _n in ("alpha", "beta", "delta", "lam", "mu", "w", "x", "y", "z",
-           "x1", "x2", "x3", "x4", "t1", "t2", "t3", "t4", "t5",
-           "a21", "a22", "a31", "a33", "a34", "a41", "a43", "a44",
-           "b33", "b34", "b43", "b44"):
+for _n in LISTED_NAMES:
     Param(_n)
 
 
@@ -116,12 +126,12 @@ _LEX_END = (float("inf"),)
 
 
 def _mono_lex_key(m: Mono) -> tuple:
-    # Lex over registration order: the lex-leading monomial has the smallest
-    # key, so an ascending sort emits terms lex-descending.  Comparing the
-    # (index, -exponent) pairs finds the first parameter where the exponent
+    # Lex over rank order: the lex-leading monomial has the smallest key, so
+    # an ascending sort emits terms lex-descending.  Comparing the sorted
+    # (rank, -exponent) pairs finds the first parameter where the exponent
     # vectors differ; the end marker sorts after every pair, so a monomial
     # that stops there has the smaller exponent.
-    return (*[(i, -e) for i, e in m], _LEX_END)
+    return (*sorted([(Param._rank[i], -e) for i, e in m]), _LEX_END)
 
 
 class Poly:
@@ -885,8 +895,8 @@ def emit_poly(p: Poly, den: int = 1) -> str:
     parts = []
     for m, c in sorted(p.terms.items(), key=lambda kv: _mono_lex_key(kv[0])):
         factors = []
-        for i, e in m:
-            factors.extend([Param._order[i].name] * e)
+        for prm, e in sorted((Param._order[i], e) for i, e in m):
+            factors.extend([prm.name] * e)
         mag = abs(c) if den == 1 else Fraction(abs(c), den)
         if not factors or mag != 1:
             factors.insert(0, str(mag))
@@ -1083,7 +1093,7 @@ class ParamDomain:
     # -- sampling
     def sample(self, rng: random.Random, params: Iterable[Param],
                attempts: int = 400) -> dict:
-        params = sorted(set(params) | self.params(), key=lambda p: p.index)
+        params = sorted(set(params) | self.params())
         for _ in range(attempts):
             asg = {}
             for p in params:

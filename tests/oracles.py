@@ -6,8 +6,10 @@ matrices, left-symmetry of a product table, involutive eigenplanes at a
 rational point, and ranks by elimination over plain Fractions or over the
 rational functions, which shares no code with `pk4lie.linalg._eliminate`.  The
 dense loops over every basis pair are the references for the sparse kernels
-of `liealg`, `structures` and `curvature`, and Besse's formula gives the
-Ricci form from the structure constants alone, with no connection.  The
+of `liealg`, `structures` and `curvature`.  Besse's formula gives the
+Ricci form from the structure constants alone, with no connection, and on
+a para-Kahler structure Koszul's form gives it from the brackets and K
+alone, with no metric.  The
 paper's extension product, expanded on coordinate vectors, is the
 reference for the block-diagonal assembly of
 `phase_space.assembled_brackets`.  The
@@ -214,6 +216,16 @@ def inverse_by_elimination(h):
     return [row[4:] for row in a]
 
 
+def structure_constants(L):
+    """C[i][j][k], the e_k component of [e_i, e_j], read from the stored
+    brackets."""
+    C = [[[ZERO] * 4 for _ in range(4)] for _ in range(4)]
+    for (i, j), v in L.brackets.items():
+        C[i][j] = list(v)
+        C[j][i] = [-c for c in v]
+    return C
+
+
 def besse_ricci(L, h):
     """ric from the structure constants alone (Besse, Einstein Manifolds,
     1987, Cor. 7.38), with h^-1 in the fixed basis so that it holds in any
@@ -225,13 +237,9 @@ def besse_ricci(L, h):
 
     with B the Killing form and Z the mean curvature vector,
     h(Z, .) = tr ad(.).  No connection, no curvature, no `LieAlgebra4`
-    method and no `form_apply`: C[i][j][k] is the e_k component of
-    [e_i, e_j], read from the stored brackets."""
+    method and no `form_apply`."""
     n = range(4)
-    C = [[[ZERO] * 4 for _ in n] for _ in n]
-    for (i, j), v in L.brackets.items():
-        C[i][j] = list(v)
-        C[j][i] = [-c for c in v]
+    C = structure_constants(L)
     g = h.rows
     hinv = inverse_by_elimination(h)
     # low[i][j][k] = h([e_i,e_j],e_k); up[i][j][k] = sum h^ia h^jb low[a][b][k]
@@ -256,6 +264,41 @@ def besse_ricci(L, h):
             row.append(-HALF * t1 - HALF * killing[p][q] + t3 / 4 - HALF * t4)
         ric.append(row)
     return Mat4(ric)
+
+
+# ---------------------------------------------------------------------------
+# Ricci from the Koszul form
+
+
+def koszul_psi(L, K):
+    """psi(e_m) = tr(ad_{K e_m}) - tr(K o ad_{e_m}), from the structure
+    constants and K alone: K e_m = sum_i K[i][m] e_i, and ad_{e_m} has the
+    entry C[m][l][k] at (k, l)."""
+    C = structure_constants(L)
+    k = K.rows
+    tr_ad = [sum(C[i][l][l] for l in range(4)) for i in range(4)]
+    return [sum(k[i][m] * tr_ad[i] for i in range(4))
+            - sum(k[l][j] * C[m][l][j] for j in range(4) for l in range(4))
+            for m in range(4)]
+
+
+def koszul_ricci(L, K):
+    """ric(X, Y) = 1/2 psi([KX, Y]) of a para-Kahler structure (omega, K):
+    the analogue of Koszul's canonical form for left-invariant Kahler
+    metrics (Koszul, Canad. J. Math. 7 (1955); Benayadi and Boucetta,
+    J. Algebra 436 (2015)).  No metric, no connection and no curvature."""
+    C, psi, k = structure_constants(L), koszul_psi(L, K), K.rows
+    return Mat4([[HALF * sum(k[i][p] * C[i][q][r] * psi[r]
+                             for i in range(4) for r in range(4))
+                  for q in range(4)] for p in range(4)])
+
+
+def psi_vanishes_on_derived_algebra(L, K):
+    """Whether psi([e_i, e_j]) = 0 for every i < j: the Ricci-flat test of a
+    para-Kahler structure."""
+    C, psi = structure_constants(L), koszul_psi(L, K)
+    return all(sum(C[i][j][r] * psi[r] for r in range(4)).is_zero
+               for i in range(4) for j in range(i + 1, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -458,30 +501,32 @@ def ustar_coeffs_from_products(products):
 
 def link_curvature_metrics(cat):
     """For each curvature row, a structure whose induced metric matches the
-    literal one (up to overall sign and simple parameter renormalizations);
-    None when no listed structure matches."""
+    literal one (up to overall sign and simple parameter renormalizations),
+    named with the renormalization's tag; None when no listed structure
+    matches."""
+    return {key: link and link[0].entry_id + link[1]
+            for key, link in linked_structures(cat).items()}
+
+
+def linked_structures(cat):
+    """For each curvature row, (structure, tag, substitution) of the first
+    match `link_curvature_metrics` names; None when none matches."""
     by_alg = {}
     for st in cat.structure_list():
         by_alg.setdefault(st.algebra.name, []).append(st)
     out = {}
     for row in cat.curvature_list():
-        match = None
-        for st in by_alg.get(row.algebra.name, []):
-            hst = metric_from(st.omega, st.K)
-            for cand_id, cand in _metric_candidates(hst):
-                if cand == row.metric:
-                    match = st.entry_id + cand_id
-                    break
-            if match:
-                break
-        out[row.entry_id] = match
+        out[row.entry_id] = next(
+            ((st, tag, sub) for st in by_alg.get(row.algebra.name, [])
+             for tag, sub, cand in _metric_candidates(metric_from(st.omega, st.K))
+             if cand == row.metric), None)
     return out
 
 
 def _metric_candidates(h):
-    """The metric with its parameters renormalized in simple ways: sign
-    flips, rescalings, shifts and zero specializations, plus an overall
-    sign."""
+    """(tag, substitution, metric) for the metric with its parameters
+    renormalized in simple ways: sign flips, rescalings, shifts and zero
+    specializations, plus an overall sign."""
     params = {p.name: p for p in h.params() if p.name in ("x", "y")}
     x = Scalar.var("x")
     y = Scalar.var("y")
@@ -505,8 +550,8 @@ def _metric_candidates(h):
                 cand = h.substitute(sub) if sub else h
             except ZeroDivisionError:
                 continue
-            yield xt + yt, cand
-            yield xt + yt + "[-]", -cand
+            yield xt + yt, sub, cand
+            yield xt + yt + "[-]", sub, -cand
 
 
 def unreferenced_phase_rows(cat):

@@ -92,9 +92,11 @@ def test_dump_is_byte_identical():
                  "iso_b": "iso_b.txt", "curvature": "curvature.txt"}[
                      entry_id.split("/")[0]]
         assert dumped.rstrip() + "\n" in (DATA_DIR / fname).read_text()
-        # variants dump their parent literally
-        if entry_id in ("structures/d4_half/K1",):
-            assert CAT.dump(entry_id + ":a") == dumped
+    # a variant key dumps its parent literally; one its section does not
+    # list names no entry
+    assert CAT.dump("structures/rh3/K2:a") == CAT.dump("structures/rh3/K2")
+    with pytest.raises(ParseError, match="unknown entry"):
+        CAT.dump("structures/d4_half/K1:a")
 
 
 def test_expand_variants_counts():

@@ -269,7 +269,7 @@ def test_usage_error_exit_code(capsys):
     assert err == "error: --set 'x=2': duplicate assignment for x\n"
     # a variant key that no section lists names no entry
     for key in ("alg/r4_0:a", "structures/h4/K1:", "structures/h4/K1:c",
-                "curvature/d4_half/1:zz"):
+                "curvature/d4_half/1:zz", "structures/d4_half/K1:a"):
         assert run_cli(capsys, "dump", key) == (2, "", f"error: unknown entry {key!r}\n")
 
 
@@ -481,6 +481,7 @@ def test_geometry_and_dump_build_only_the_named_row(monkeypatch, capsys):
     assert built == ["structures/rr3_m1/K1:b"]
     built.clear()
     assert main(["dump", "curvature/d4_half/1"]) == 0
+    assert main(["dump", "structures/rr3_m1/K1:b"]) == 0
     assert built == []
     capsys.readouterr()
 
@@ -529,3 +530,20 @@ def test_each_command_imports_only_what_it_runs(argv, modules):
     loaded = set(json.loads(r.stderr))
     assert {m for m in loaded if m.split(".")[0] == "pk4lie"} == modules
     assert "dataclasses" not in loaded
+
+
+def test_output_does_not_depend_on_which_parameter_came_first(capsys):
+    # p and q are not in scalars.LISTED_NAMES: they rank by name, whichever
+    # the process registered first
+    metric = "eps14-eps23+(p-q)*eps11+p*q*eps22"
+    algebras = ["[e1,e2]=p*e3+q*e4; [e1,e3]=e4", "[e1,e2]=q*e4+p*e3; [e1,e3]=e4"]
+    root = Path(__file__).resolve().parent.parent
+    cold = [subprocess.run(
+        [sys.executable, "-m", "pk4lie.cli", "geometry", "--algebra", alg,
+         "--metric", metric], env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, check=True).stdout for alg in algebras]
+    Param("q"), Param("p")
+    warm = [run_cli(capsys, "geometry", "--algebra", alg, "--metric", metric)[1]
+            for alg in algebras]
+    assert cold[0] == cold[1] == warm[0] == warm[1]
+    assert "metric:  (p-q)*eps11+eps14+p*q*eps22-eps23\n" in cold[0]

@@ -1,16 +1,23 @@
-"""The structure errata of the catalog as checked claims.
+"""The errata of the catalog as checked claims.
 
 Every `notes:` line of `structures.txt` says that the printed K differs
 from the stored one and why the printed one fails.  ERRATA writes each
 printed K out from its note, with the validation checks that it fails:
 every other check must pass, and the stored K must pass them all.
+COLUMN_ERRATA does the same for notes of other sections, on the suite
+report of a row whose column is printed text instead of the stored one.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
-from pk4lie.catalog import DATA_DIR, load_catalog
-from pk4lie.notation import parse_endo
+from pk4lie.catalog import (
+    DATA_DIR, CurvatureRowEntry, IsoRowEntry, _map_matrix, load_catalog,
+)
+from pk4lie.notation import parse_endo, parse_sym_form
 from pk4lie.structures import validate_para_kahler
+from pk4lie.verify import run_curvature_rows, run_iso_rows
 
 NOT_INTEGRABLE = ["nijenhuis_zero", "nabla_K_zero"]
 NOT_AN_INVOLUTION = ["K_squares_to_id", "eigenranks_2_2", "nijenhuis_zero",
@@ -52,6 +59,44 @@ def test_the_printed_K_fails_as_its_note_says(cat, key):
     assert report.failing() == fails
     assert validate_para_kahler(st.algebra, st.omega, st.K, st.domain,
                                 key).status == "PASS"
+
+
+# entry -> (column, stored text, printed text, the checks the printed fails)
+COLUMN_ERRATA = {
+    # "printed f1 = -e3-e4; only -e3+e4 satisfies the bracket relations"
+    "iso_b/B5_3p_x": ("map", "f1=-e3+e4", "f1=-e3-e4",
+                      ["lie_isomorphism", "transported_structure_valid"]),
+    # "printed with -eps23; ... only that coefficient reproduces the
+    # printed columns"
+    "curvature/r2r2_mu0/5": ("metric", "-2*eps23", "-eps23",
+                             ["flat", "ricci_flat", "soliton_family"]),
+}
+
+
+def _report(cat, key, text):
+    """The suite report of the row `key` with its erratum column read from
+    `text`."""
+    section = key.split("/")[0]
+    if section == "iso_b":
+        r = cat.iso_rows[key]
+        row = IsoRowEntry(key, r.raw, r.source, _map_matrix(text), r.target, r.domain)
+        [rep] = run_iso_rows(SimpleNamespace(iso_rows={key: row}))
+    else:
+        r = cat.curvature_rows[key]
+        row = CurvatureRowEntry(key, r.raw, r.variant, r.algebra, parse_sym_form(text),
+                                r.domain, r.expect_flat, r.expect_ricci_flat,
+                                r.expect_x, r.expect_lam, r.notes)
+        [rep] = run_curvature_rows(SimpleNamespace(curvature_list=lambda: [row]))
+    return rep
+
+
+@pytest.mark.parametrize("key", list(COLUMN_ERRATA))
+def test_the_printed_column_fails_as_its_note_says(cat, key):
+    column, stored, printed, fails = COLUMN_ERRATA[key]
+    text = cat.raw_entries[key].get(column)
+    assert text.count(stored) == 1
+    assert _report(cat, key, text.replace(stored, printed)).failing() == fails
+    assert _report(cat, key, text).status == "PASS"
 
 
 def test_every_structure_note_has_an_erratum(cat):

@@ -4,9 +4,10 @@ Each digest covers a command's exit code, stdout and stderr, run in-process
 through `pk4lie.cli.main`; a `Catalog.dump` digest covers the returned text.
 The commands are text and JSON `geometry` of every id in the benchmark's
 explore space, JSON `geometry` of each parametric id with every parameter
-set to 1/2, `verify all` at another seed and trial count, the usage-error
-corpus, and `Catalog.dump` of every entry and variant key.  A mismatch names
-the first command that differs.
+set to 1/2 and to 2/3, `verify all` at another seed and trial count, the
+usage-error corpus, and `Catalog.dump` of every entry and variant key.  A
+mismatch names the first command that differs.  The commands share one
+catalog per check mode, as `load_catalog` is memoized while they run.
 
 A digest changes only when a PR corrects a printed table on purpose; that PR
 says so in CHANGES.md.  The file was written by
@@ -19,11 +20,13 @@ which rewrites it from the current code.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
 from pathlib import Path
 
+from pk4lie import catalog
 from pk4lie.catalog import load_catalog
 from pk4lie.cli import main
 
@@ -61,12 +64,13 @@ def commands() -> list:
     space = json.loads((ROOT / "perfbench" / "explore_space.json").read_text())
     ids = sorted(space["geometry"])
     argvs = [["--format", fmt, "geometry", i] for i in ids for fmt in ("text", "json")]
-    for i in ids:
-        argv = ["--format", "json", "geometry", i]
-        for p in space["geometry"][i]:
-            argv += ["--set", f"{p}=1/2"]
-        if space["geometry"][i]:
-            argvs.append(argv)
+    for value in ("1/2", "2/3"):
+        for i in ids:
+            argv = ["--format", "json", "geometry", i]
+            for p in space["geometry"][i]:
+                argv += ["--set", f"{p}={value}"]
+            if space["geometry"][i]:
+                argvs.append(argv)
     argvs.append(["--format", "json", "--seed", "3", "--trials", "5", "verify", "all"])
     return [(" ".join(map(repr, argv)), argv) for argv in argvs + USAGE_ERRORS]
 
@@ -90,7 +94,9 @@ def outputs():
         yield f"dump {key}", _sha(cat.dump(key))
 
 
-def test_outputs_match_their_frozen_digests():
+def test_outputs_match_their_frozen_digests(monkeypatch):
+    # the CLI looks `catalog.load_catalog` up when a command runs
+    monkeypatch.setattr(catalog, "load_catalog", functools.cache(load_catalog))
     frozen = json.loads(DIGEST_FILE.read_text())
     seen = []
     for label, digest in outputs():
@@ -101,4 +107,5 @@ def test_outputs_match_their_frozen_digests():
 
 
 if __name__ == "__main__":
+    catalog.load_catalog = functools.cache(load_catalog)
     DIGEST_FILE.write_text(json.dumps(dict(outputs()), indent=0) + "\n")

@@ -15,19 +15,21 @@ from hypothesis import assume, given, settings, strategies as hst
 
 from pk4lie.catalog import load_catalog
 from pk4lie.curvature import (
-    classify_row, curvature, lie_derivative_metric, ricci, soliton_system,
+    Geometry, classify_row, curvature, lie_derivative_metric, ricci, soliton_system,
 )
 from pk4lie import liealg
 from pk4lie.liealg import LieAlgebra4, ce_d, nijenhuis, form_apply, paracomplex_check
 from pk4lie.linalg import Mat4, RankAmbiguous, vbasis, vis_zero
 from pk4lie.notation import parse_endo
+from pk4lie.morphisms import LinMap, transport
 from pk4lie.phase_space import normal_form
 from pk4lie.scalars import DenominatorVanishes, Param, ParamDomain, Scalar
 from pk4lie.structures import K_parallel, koszul_sums, levi_civita, metric_from
 from oracles import (
     besse_ricci, dense_bracket, dense_ce_d, dense_curvature, dense_koszul_values,
-    dense_lie_derivative_metric, involutive_samples, levi_civita_axioms_hold,
-    nabla_K, omega_parallel, perturbed, rank_fractions,
+    dense_lie_derivative_metric, involutive_samples, koszul_ricci,
+    levi_civita_axioms_hold, linked_structures, nabla_K, omega_parallel, perturbed,
+    psi_vanishes_on_derived_algebra, rank_fractions,
 )
 
 CAT = load_catalog()
@@ -250,6 +252,47 @@ def test_besse_ricci_matches_the_curvature_chain():
     # connection, no curvature and no shared kernel.
     for row in CAT.curvature_list():
         assert besse_ricci(row.algebra, row.metric) == row.geometry.ric, row.entry_id
+
+
+def _para_kahler_structures():
+    """(id, algebra, omega, K, domain) of the 98 catalog structures and the
+    88 normal forms that the iso rows transport to their targets."""
+    for st in STRUCTURES:
+        yield st.entry_id, st.algebra, st.omega, st.K, st.domain
+    for key, row in CAT.iso_rows.items():
+        yield (key, row.target,
+               *transport(LinMap(row.matrix, row.target, row.source), *normal_form()),
+               row.domain)
+
+
+def test_ricci_is_half_the_koszul_form_on_brackets():
+    # ric(X, Y) = 1/2 psi([KX, Y]) with psi(Z) = tr ad_{KZ} - tr(K o ad_Z),
+    # read from the brackets and K alone: no metric, no connection
+    seen = 0
+    for key, L, omega, K, domain in _para_kahler_structures():
+        ric = Geometry(L, metric_from(omega, K), domain).ric
+        assert ric == koszul_ricci(L, K), key
+        seen += 1
+    assert seen == 98 + 88
+
+
+# the printed Ricci-flat "Yes" that the curvature suite WARNs about
+PRINTED_RICCI_FLAT_ERRATA = {"curvature/d4_1/2"}
+
+
+def test_printed_ricci_flat_column_is_psi_vanishing_on_the_derived_algebra():
+    # a para-Kahler structure is Ricci-flat exactly when psi([g, g]) = 0;
+    # K is the linked structure's, under the link's substitution
+    links = {key: link for key, link in linked_structures(CAT).items() if link}
+    assert len(links) == 108
+    disagree = set()
+    for key, (st, _, sub) in links.items():
+        row = CAT.curvature_rows[key]
+        K = st.K.substitute(sub) if sub else st.K
+        assert row.geometry.ric == koszul_ricci(row.algebra, K), key
+        if psi_vanishes_on_derived_algebra(row.algebra, K) != row.expect_ricci_flat:
+            disagree.add(key)
+    assert disagree == PRINTED_RICCI_FLAT_ERRATA
 
 
 ABELIAN = LieAlgebra4({})

@@ -20,6 +20,8 @@ import pk4lie
 X = Param("x")
 Y = Param("y")
 MU = Param("mu")
+# two names outside LISTED_NAMES, registered against their rank order
+Param("u_b"), Param("u_a")
 
 
 def S(text):
@@ -402,7 +404,8 @@ def _emit_reference(s):
 def _emit_terms_reference(terms):
     out = ""
     for m, c in sorted(terms.items(), key=lambda kv: _mono_lex_key(kv[0])):
-        factors = [Param._order[i].name for i, e in m for _ in range(e)]
+        factors = [p.name for p, e in sorted((Param._order[i], e) for i, e in m)
+                   for _ in range(e)]
         if not factors or abs(c) != 1:
             factors.insert(0, str(abs(c)))
         out += ("-" if c < 0 else "+" if out else "") + "*".join(factors)
@@ -539,7 +542,7 @@ def _padded_lex_key(m):
     # The registry-sized key _mono_lex_key replaced, kept as its oracle.
     vec = [0] * len(Param._order)
     for i, e in m:
-        vec[i] = e
+        vec[Param._rank[i]] = e
     return tuple(-v for v in vec)
 
 
@@ -552,3 +555,10 @@ monomials = st.dictionaries(st.integers(0, len(Param._order) - 1),
 @given(st.lists(monomials, min_size=2, max_size=12))
 def test_mono_lex_key_orders_as_the_padded_key(ms):
     assert sorted(ms, key=_mono_lex_key) == sorted(ms, key=_padded_lex_key)
+
+
+def test_an_unlisted_parameter_ranks_by_name():
+    assert [p.name for p in sorted(map(Param, ("x", "u_b", "u_a", "alpha")))] == [
+        "alpha", "x", "u_a", "u_b"]
+    assert str(S("u_b*u_a + u_b - u_a")) == "u_a*u_b-u_a+u_b"
+    assert str(S("1/(u_b - u_a)")) == "-1/(u_a-u_b)"

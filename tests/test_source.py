@@ -56,14 +56,6 @@ def test_every_imported_name_is_used(path):
 
 # (module, function, parameter) -> why the parameter is never read
 UNREAD_PARAMETERS = {
-    ("catalog.py", "_algebra_row", "variant"):
-        "row-builder protocol: build(key, raw, variant, fields)",
-    ("catalog.py", "_algebra_row", "fields"):
-        "row-builder protocol: build(key, raw, variant, fields)",
-    ("catalog.py", "_iso_row", "variant"):
-        "row-builder protocol: build(key, raw, variant, fields)",
-    ("catalog.py", "_iso_row", "fields"):
-        "row-builder protocol: build(key, raw, variant, fields)",
     ("verify.py", "<lambda>", "seed"):
         "SUITES protocol: the curvature and witness suites sample nothing",
     ("verify.py", "<lambda>", "trials"):
