@@ -21,7 +21,6 @@ from functools import cached_property
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .curvature import Geometry
 from .liealg import LieAlgebra4
 from .linalg import Mat4, mat_from_cols
 from .notation import (
@@ -217,8 +216,9 @@ class CurvatureRowEntry:
         self.expect_lam, self.notes = expect_lam, notes
 
     @cached_property
-    def geometry(self) -> Geometry:
-        """The row's geometry, shared by the curvature suite and its table."""
+    def geometry(self):
+        """The row's `curvature.Geometry`, shared by the suite and its table."""
+        from .curvature import Geometry
         return Geometry(self.algebra, self.metric, self.domain)
 
 

@@ -7,10 +7,10 @@ which every sampled check of `verify` and `phase` reads.
 Every command runs on the scalar, matrix, notation, Lie algebra and
 structure modules imported here.  A subcommand imports the rest of what it
 runs when it starts, so that a cold process compiles and loads only that:
-`dump` and `geometry` load `catalog` and `curvature`, `phase` loads
+`dump` loads `catalog`, `geometry` `catalog` and `curvature`, `phase`
 `phase_space`, and only `verify` loads `verify`.  Of the verify suites,
-phase, iso and witnesses load `phase_space`, and iso and witnesses
-`morphisms`.
+curvature loads `curvature`, phase, iso and witnesses `phase_space`, and
+iso and witnesses `morphisms`.
 """
 
 from __future__ import annotations

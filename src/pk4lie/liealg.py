@@ -142,7 +142,7 @@ def pfaffian_nondegenerate(omega: Mat4, domain: ParamDomain = EMPTY_DOMAIN,
 
 def nijenhuis(L: LieAlgebra4, K: Mat4) -> Dict[tuple, Vec4]:
     """N_K(e_i,e_j) = [e_i,e_j] + [Ke_i,Ke_j] - K[Ke_i,e_j] - K[e_i,Ke_j]."""
-    kcols = [K.apply(vbasis(i)) for i in range(4)]
+    kcols = K.transpose().rows
     out = {}
     for i in range(4):
         for j in range(i + 1, 4):

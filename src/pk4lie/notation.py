@@ -14,7 +14,7 @@ import re
 from typing import Dict, List
 
 from .linalg import Mat4, Vec4, vzero
-from .scalars import ParseError, Scalar, ONE, _parse, _scalar_leaf, emit_scalar
+from .scalars import ParseError, Scalar, ONE, _parse, _scalar_leaf, emit_scalar, parse_scalar
 
 SIGN_RE = re.compile(r"\+-|-\+")
 
@@ -254,24 +254,7 @@ def parse_tuple4(text: str) -> List[Scalar]:
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
         raise ParseError(f"expected a 4-tuple, got {text!r}")
-    parts = _split_top(text[1:-1])
+    parts = text[1:-1].split(",")
     if len(parts) != 4:
         raise ParseError(f"expected 4 components in {text!r}")
-    from .scalars import parse_scalar
     return [parse_scalar(p) for p in parts]
-
-
-def _split_top(text: str) -> List[str]:
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts

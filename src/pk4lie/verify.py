@@ -13,9 +13,9 @@ at, or on the generic branch of that split.
 In the witness suite each known erratum is a check of its own, and its
 note explains that check alone.
 
-The phase, iso and witness suites import `phase_space`, and the iso and
-witness suites `morphisms`, when they run, so `verify curvature` and
-`verify symplectic` load neither.
+The phase, iso and witness suites import `phase_space`, the iso and
+witness suites `morphisms`, and the curvature suite `curvature`, when they
+run, so each scope loads only the modules it reads.
 """
 
 from __future__ import annotations
@@ -23,9 +23,6 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from .catalog import Catalog, CurvatureRowEntry
-from .curvature import (
-    classify_row, soliton_family_equal, soliton_residual, solve_soliton,
-)
 from .liealg import LieAlgebra4, ce_d, pfaffian_nondegenerate
 from .linalg import (
     DegenerateError, Mat4, RankAmbiguous, mat_from_cols, split_at_root, vis_zero,
@@ -113,6 +110,7 @@ def run_phase_rows(cat: Catalog, seed: int = 0, trials: int = 32) -> List[EntryR
 def run_iso_rows(cat: Catalog, seed: int = 0, trials: int = 32) -> List[EntryReport]:
     from .morphisms import LinMap, check_lie_isomorphism, transport
     from .phase_space import normal_form
+    nf = normal_form()
     out = []
     for entry_id, row in cat.iso_rows.items():
         rep = EntryReport(entry_id, row_note=row.raw.get("notes", ""))
@@ -128,7 +126,7 @@ def run_iso_rows(cat: Catalog, seed: int = 0, trials: int = 32) -> List[EntryRep
                    for (i, j), v in res.items() if not vis_zero(v)}
             rep.add("lie_isomorphism", False, f"residuals {bad}")
         try:
-            w, k = transport(m, *normal_form())
+            w, k = transport(m, *nf)
             failed = validate_para_kahler(row.target, w, k, dom, entry_id,
                                           seed, trials).failing()
             rep.add("transported_structure_valid", not failed, ",".join(failed))
@@ -147,6 +145,9 @@ def run_curvature_rows(cat: Catalog) -> List[EntryReport]:
 
 
 def _verify_curvature_row(row: CurvatureRowEntry) -> EntryReport:
+    from .curvature import (
+        classify_row, soliton_family_equal, soliton_residual, solve_soliton,
+    )
     rep = EntryReport(row.entry_id, row_note=row.notes)
     L, h, dom = row.algebra, row.metric, row.domain
     if _domain_fails(rep, dom):
@@ -234,11 +235,12 @@ def run_equivalence_witnesses(cat: Catalog) -> List[EntryReport]:
     """Replays the four-fold pullback to (omega0, K0i), the normalizing
     automorphism families, the equivalence witness and the two
     non-equivalence residuals, exactly as parameter identities."""
-    from .morphisms import LinMap, check_equivalence, check_lie_isomorphism, transport
+    from .morphisms import LinMap, check_lie_isomorphism, transport
     from .phase_space import normal_form
     reports: List[EntryReport] = []
     rr30 = LieAlgebra4.parse("[e1,e2]=e2", "rr3_0")
     omega0 = parse_two_form("e12+e34")
+    k01 = parse_endo("-E11+E22-E33+E44")
     nf = normal_form()
     a21, a33, a34, a43, a44, y = (Scalar.var(n) for n in
                                   ("a21", "a33", "a34", "a43", "a44", "y"))
@@ -296,9 +298,10 @@ def run_equivalence_witnesses(cat: Catalog) -> List[EntryReport]:
     for (name, t, k0_text, pull_erratum, k0_erratum), (w_i, k_i) in zip(
             normalizers, transported):
         rep = EntryReport(f"witness/normalize/{name}")
-        auto_ok, _ = check_lie_isomorphism(LinMap(t, rr30, rr30))
+        m = LinMap(t, rr30, rr30)
+        auto_ok, _ = check_lie_isomorphism(m)
         rep.add("automorphism", auto_ok)
-        pull = t.transpose() @ w_i @ t
+        pull, _ = transport(m, w_i, k_i)
         pull_ok = pull == omega0
         rep.add("pullback_is_omega0", pull_ok,
                 "" if pull_ok else f"T*omega_i = {emit_two_form(pull)}",
@@ -306,10 +309,10 @@ def run_equivalence_witnesses(cat: Catalog) -> List[EntryReport]:
         if not pull_ok and pull_erratum:
             t = t2
             rep.add("corrected_pullback_is_omega0",
-                    t.transpose() @ w_i @ t == omega0)
+                    transport(LinMap(t, rr30, rr30), w_i, k_i)[0] == omega0)
         # normalized conjugation at a21 = a34 = a43 = 0, a44 symbolic
-        t0 = t.substitute(norm_subst)
-        k0 = t0.inverse() @ k_i.substitute(norm_subst) @ t0
+        _, k0 = transport(LinMap(t.substitute(norm_subst), rr30, rr30),
+                          w_i.substitute(norm_subst), k_i.substitute(norm_subst))
         k0_ok, relabelled = _matches_up_to_y_flip(k0, parse_endo(k0_text))
         if relabelled:
             rep.note("matches after the y -> -y relabelling of the free "
@@ -321,26 +324,26 @@ def run_equivalence_witnesses(cat: Catalog) -> List[EntryReport]:
 
     # equivalence witness L (printed): carries (omega0, K04) to (omega0, K01)
     rep = EntryReport("witness/equivalence/L")
-    L_mat = mat_from_cols([[one, zero, zero, zero], [zero, one, zero, zero],
-                           [zero, zero, zero, -one], [zero, zero, one, zero]])
-    ok, _ = check_equivalence(LinMap(L_mat, rr30, rr30),
-                              (omega0, parse_endo("-E11+E22+E33-E44")),
-                              (omega0, parse_endo("-E11+E22-E33+E44")))
-    rep.add("L_carries_K04_to_K01", ok)
+    m = LinMap(mat_from_cols([[one, zero, zero, zero], [zero, one, zero, zero],
+                              [zero, zero, zero, -one], [zero, zero, one, zero]]),
+               rr30, rr30)
+    ok, _ = check_lie_isomorphism(m)
+    rep.add("L_carries_K04_to_K01", ok and transport(m, omega0, k01) == (
+        omega0, parse_endo("-E11+E22+E33-E44")))
     reports.append(rep)
 
     # non-equivalence residuals, exactly as parameter identities
     rep = EntryReport("witness/nonequivalence/residuals")
-    k01 = parse_endo("-E11+E22-E33+E44")
     k02 = parse_endo("E11+2*y*E12-E22+E33-E44")
     l2 = mat_from_cols([[one, a21, zero, zero], [zero, one, zero, zero],
                         [zero, zero, a33, -one / a34], [zero, zero, a34, zero]])
     for name, l in (("L1", family(one, q_plus)), ("L2", l2)):
-        auto_ok, _ = check_lie_isomorphism(LinMap(l, rr30, rr30))
+        m = LinMap(l, rr30, rr30)
+        auto_ok, _ = check_lie_isomorphism(m)
         rep.add(f"{name}_automorphism", auto_ok)
-        symp = l.transpose() @ omega0 @ l == omega0
-        rep.add(f"{name}_symplectomorphism", symp)
-        diff = l.inverse() @ k01 @ l - k02
+        w, k = transport(m, omega0, k01)
+        rep.add(f"{name}_symplectomorphism", w == omega0)
+        diff = k - k02
         if name == "L1":
             val = diff.rows[1][1]
             rep.add("L1_residual_is_2", val == Scalar.const(2), str(val))

@@ -6,6 +6,8 @@ printed K out from its note, with the validation checks that it fails:
 every other check must pass, and the stored K must pass them all.
 COLUMN_ERRATA does the same for notes of other sections, on the suite
 report of a row whose column is printed text instead of the stored one.
+A noted curvature row either WARNs, so that a failed check reads its note,
+or its note is a claim checked here.
 """
 
 from types import SimpleNamespace
@@ -15,8 +17,9 @@ import pytest
 from pk4lie.catalog import (
     DATA_DIR, CurvatureRowEntry, IsoRowEntry, _map_matrix, load_catalog,
 )
+from pk4lie.cli import main
 from pk4lie.notation import parse_endo, parse_sym_form
-from pk4lie.structures import validate_para_kahler
+from pk4lie.structures import metric_from, validate_para_kahler
 from pk4lie.verify import run_curvature_rows, run_iso_rows
 
 NOT_INTEGRABLE = ["nijenhuis_zero", "nabla_K_zero"]
@@ -105,6 +108,54 @@ def test_every_structure_note_has_an_erratum(cat):
     assert noted == {key.split(":")[0] for key in ERRATA}
     text = (DATA_DIR / "structures.txt").read_text()
     assert text.count("\nnotes:") == len(ERRATA)
+
+
+# the noted curvature rows that PASS, besides COLUMN_ERRATA's, each with a
+# test of its note below
+NOTED_PASSING_ROWS = {"curvature/d4_2/5:a", "curvature/d4_2/5:b",
+                      "curvature/d4_half/1", "curvature/h4/1:a", "curvature/h4/1:b"}
+
+
+def test_every_noted_curvature_row_warns_or_has_an_erratum(cat):
+    noted = [row for row in cat.curvature_list() if row.notes]
+    reports = run_curvature_rows(SimpleNamespace(curvature_list=lambda: noted))
+    passing = {r.entry_id for r in reports if r.status != "WARN"}
+    assert len(noted) == 19
+    assert passing == NOTED_PASSING_ROWS | {
+        key for key in COLUMN_ERRATA if key.startswith("curvature/")}
+
+
+def _negate_eps34(h):
+    """h with the sign of its eps34 coefficient flipped."""
+    return h - parse_sym_form("eps34").scale(h.rows[2][3] + h.rows[2][3])
+
+
+@pytest.mark.parametrize("key", ["curvature/d4_2/5:a", "curvature/d4_2/5:b"])
+def test_a_1_over_x_coefficient_forces_the_x_constraint(cat, capsys, key):
+    # "the x constraint is forced by the 1/x coefficient"
+    assert repr(cat.curvature_rows[key].domain) == "ParamDomain(x != 0)"
+    assert main(["geometry", key, "--set", "x=0"]) == 1
+    assert "error:  assignment makes a denominator vanish\n" in capsys.readouterr().out
+
+
+def test_the_worked_metric_h1_carries_plus_eps34(cat):
+    # "the worked metric h1 carries +eps34 where this row prints -eps34"
+    st = cat.structures["structures/d4_half/K1"]
+    h1 = metric_from(st.omega, st.K)
+    assert h1 == parse_sym_form("eps12+x*eps33+eps34")
+    assert _negate_eps34(h1) == cat.curvature_rows["curvature/d4_half/1"].metric
+
+
+@pytest.mark.parametrize("variant", ["a", "b"])
+def test_the_h4_row_prints_eps34_with_the_other_sign(cat, variant):
+    # "the linked structure's metric is +-(eps12+eps34); this row prints -eps34"
+    st = cat.structures[f"structures/h4/K1:{variant}"]
+    h = metric_from(st.omega, st.K)
+    assert h == parse_sym_form("-eps12-eps34")
+    printed = cat.curvature_rows[f"curvature/h4/1:{variant}"].metric
+    assert printed in (parse_sym_form("eps12-eps34"), parse_sym_form("-eps12+eps34"))
+    assert printed not in (h, -h)
+    assert _negate_eps34(printed) in (h, -h)
 
 
 @pytest.mark.parametrize("key, pivot", [

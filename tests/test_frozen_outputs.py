@@ -1,13 +1,15 @@
 """Outputs frozen byte for byte: a sha256 per command in `frozen_outputs.json`.
 
 Each digest covers a command's exit code, stdout and stderr, run in-process
-through `pk4lie.cli.main`; a `Catalog.dump` digest covers the returned text.
-The commands are text and JSON `geometry` of every id in the benchmark's
-explore space, JSON `geometry` of each parametric id with every parameter
-set to 1/2 and to 2/3, `verify all` at another seed and trial count, the
-usage-error corpus, and `Catalog.dump` of every entry and variant key.  A
-mismatch names the first command that differs.  The commands share one
-catalog per check mode, as `load_catalog` is memoized while they run.
+through `pk4lie.cli.main`.  The commands are text and JSON `geometry` of
+every id in the benchmark's explore space, JSON `geometry` of each
+parametric id with every parameter set to 1/2 and to 2/3, `verify all` as
+JSON at seeds 0 and 3, text `verify curvature` with its table, JSON
+`verify witnesses`, text and JSON `phase` for every base/dual pair of the
+explore space, the usage-error corpus, and `dump` of every entry and
+variant key.  A mismatch names the first command that differs.  The
+commands share one catalog per check mode, as `load_catalog` is memoized
+while they run.
 
 A digest changes only when a PR corrects a printed table on purpose; that PR
 says so in CHANGES.md.  The file was written by
@@ -71,8 +73,17 @@ def commands() -> list:
                 argv += ["--set", f"{p}={value}"]
             if space["geometry"][i]:
                 argvs.append(argv)
-    argvs.append(["--format", "json", "--seed", "3", "--trials", "5", "verify", "all"])
-    return [(" ".join(map(repr, argv)), argv) for argv in argvs + USAGE_ERRORS]
+    argvs += [["--format", "json", "--seed", "3", "--trials", "5", "verify", "all"],
+              ["--format", "json", "verify", "all"], ["verify", "curvature"],
+              ["--format", "json", "verify", "witnesses"]]
+    argvs += [["--format", fmt, "phase", base, dual] for base in space["phase_bases"]
+              for dual in space["phase_duals"] for fmt in ("text", "json")]
+    cat = catalog.load_catalog(check=False)
+    sections = (cat.algebras, cat.symplectic, cat.structures, cat.phase_rows,
+                cat.iso_rows, cat.curvature_rows)
+    keys = list(cat.raw_entries) + [k for rows in sections for k in rows if ":" in k]
+    argvs += USAGE_ERRORS + [["dump", key] for key in keys]
+    return [(" ".join(map(repr, argv)), argv) for argv in argvs]
 
 
 def _sha(text: str) -> str:
@@ -86,12 +97,6 @@ def outputs():
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
         yield label, _sha(json.dumps([code, out.getvalue(), err.getvalue()]))
-    cat = load_catalog(check=False)
-    sections = (cat.algebras, cat.symplectic, cat.structures, cat.phase_rows,
-                cat.iso_rows, cat.curvature_rows)
-    keys = list(cat.raw_entries) + [k for rows in sections for k in rows if ":" in k]
-    for key in keys:
-        yield f"dump {key}", _sha(cat.dump(key))
 
 
 def test_outputs_match_their_frozen_digests(monkeypatch):

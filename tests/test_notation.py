@@ -11,7 +11,8 @@ from pk4lie.catalog import _map_matrix, _parse_subst
 from pk4lie.linalg import Mat4
 from pk4lie.notation import (
     emit_brackets, emit_endo, emit_sym_form, emit_two_form, emit_vector,
-    parse_brackets, parse_endo, parse_sym_form, parse_two_form, parse_vector,
+    parse_brackets, parse_endo, parse_sym_form, parse_tuple4, parse_two_form,
+    parse_vector,
 )
 from pk4lie.phase_space import emit_products, parse_products
 from pk4lie.scalars import ParseError, Scalar, ZERO
@@ -98,6 +99,10 @@ TABLE_ERRORS = [
     (_parse_subst, "x=1, y", "bad substitution 'y'"),
     (_parse_subst, "x=1, x = 2", "duplicate substitution for x"),
     (_parse_subst, "2x=1", "bad parameter name '2x'"),
+    (parse_tuple4, "(1,2,3)", "expected 4 components in '(1,2,3)'"),
+    (parse_tuple4, "1,2,3,4", "expected a 4-tuple, got '1,2,3,4'"),
+    # the scalar grammar has no comma
+    (parse_tuple4, "(1,(2,3),4)", "expected ), got ''"),
 ]
 
 

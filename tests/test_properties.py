@@ -4,8 +4,9 @@ Levi-Civita axioms and uniqueness, parallelism of omega, anti-isometry of
 the metric under K, flat => Ricci-flat, the equivalence between Nijenhuis
 vanishing and sampled eigenplane involutivity, the Koszul-value test of
 nabla K = 0 against the connection, the sparse kernels against their dense
-references, Besse's Ricci formula against the curvature chain, and the
-eigenranks of drawn involutions against ranks over Fractions.
+references, Besse's Ricci formula against the curvature chain, Koszul's
+form and the para-Kahler curvature identities, and the eigenranks of
+drawn involutions against ranks over Fractions.
 """
 
 import random
@@ -294,6 +295,27 @@ def test_printed_ricci_flat_column_is_psi_vanishing_on_the_derived_algebra():
             disagree.add(key)
     assert disagree == PRINTED_RICCI_FLAT_ERRATA
 
+
+
+def test_para_kahler_curvature_identities():
+    # K is parallel, so every R(e_i, e_j) commutes with K; K is an
+    # anti-isometry of ric; the Ricci form rho = K^t ric is a closed
+    # two-form; and tr(K o R(e_i, e_j)) = -2 rho(e_i, e_j)
+    minus_two, with_rho = Scalar.const(-2), 0
+    for st, h in _metrics():
+        L, K = st.algebra, st.K
+        conn = levi_civita(L, h)
+        R, ric = curvature(L, conn).matrices, ricci(L, conn)
+        rho = K.transpose() @ ric
+        assert (rho @ K + ric).is_zero(), st.entry_id
+        assert rho.is_antisymmetric(), st.entry_id
+        assert vis_zero(ce_d(L, rho).values()), st.entry_id
+        for (i, j), r in R.items():
+            assert (r @ K - K @ r).is_zero(), (st.entry_id, i, j)
+            assert (K @ r).trace() == minus_two * rho.rows[i][j], (st.entry_id, i, j)
+        with_rho += not rho.is_zero()
+    # the last two identities are not vacuous
+    assert (len(STRUCTURES), with_rho) == (98, 29)
 
 ABELIAN = LieAlgebra4({})
 INVOLUTION_ENTRIES = hst.sampled_from(["0", "1", "-1", "2", "-2", "x", "1/(x+1)"])
