@@ -145,6 +145,9 @@ def _curvature_table(cat: Catalog) -> str:
         except RankAmbiguous as e:
             flat = ricflat = "?"
             lam, xs = "", f"branches on {e.poly!r}"
+        except DegenerateError:
+            flat = ricflat = "?"
+            lam, xs = "", "metric is degenerate"
         metric = emit_sym_form(row.metric)
         lines.append(f"{row.entry_id:34s} {metric:46s} {flat:>4s} "
                      f"{ricflat:>6s} {lam:>10s}  {xs}")

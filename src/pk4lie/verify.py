@@ -153,54 +153,56 @@ def _verify_curvature_row(row: CurvatureRowEntry) -> EntryReport:
     if _domain_fails(rep, dom):
         return rep
     computed = row.geometry
+    # one handler per structural failure, whether the connection, a solve
+    # or the printed family's dimension raises it
     try:
-        sol = computed.soliton
-    except DegenerateError:
-        rep.add("metric_nondegenerate", False, "identically degenerate",
-                structural=True)
-        return rep
-    except RankAmbiguous as e:
-        split = split_at_root(e.poly, dom)
         try:
+            sol = computed.soliton
+        except RankAmbiguous as e:
+            split = split_at_root(e.poly, dom)
             if split is None:
-                raise e
+                raise
             var, value, dom = split
+            if _domain_fails(rep, dom):
+                return rep
             # The connection, R and ric do not depend on the domain, so the
             # branch reuses them: only the soliton solve changes.
             sol = solve_soliton(computed.system, dom, computed.ric)
-        except RankAmbiguous as ambiguous:
-            rep.add("classified", False, f"rank ambiguous: {ambiguous.poly!r}",
-                    structural=True)
-            return rep
-        try:
-            special = classify_row(L.substitute({var: value}),
-                                   h.substitute({var: value}), row.domain)
-            sp = ("none" if special.soliton is None else
-                  f"lam={special.soliton.lam}")
-            branch_note = (f"rank jumps at {var.name}={value}; on that slice "
-                           f"flat={special.flat}, ricci_flat={special.ricci_flat}, "
-                           f"soliton {sp}; columns below are the generic branch")
-        except (ScalarError, ZeroDivisionError):
-            branch_note = (f"rank jumps at {var.name}={value}; columns below "
-                           f"are the generic branch")
-        rep.add("classified_on_generic_branch", True, branch_note)
-    rep.add("flat", computed.flat == row.expect_flat,
-            f"computed {computed.flat}, printed {row.expect_flat}")
-    rep.add("ricci_flat", computed.ricci_flat == row.expect_ricci_flat,
-            f"computed {computed.ricci_flat}, printed {row.expect_ricci_flat}")
-    same, why = soliton_family_equal(computed.system, computed.ric, sol,
-                                     row.expect_x, row.expect_lam, dom)
-    printed = ("none" if row.expect_x is None else
-               f"lam={row.expect_lam}, X=({','.join(str(c) for c in row.expect_x)})")
-    got = ("none" if sol is None else
-           f"lam={sol.lam}, X=({','.join(str(c) for c in sol.x)})")
-    rep.add("soliton_family", same, f"computed {got}; printed {printed}" +
-            (f"; {why}" if why else ""))
-    if sol is not None:
-        resid = soliton_residual(computed.system, sol.x, sol.lam, computed.ric)
-        rep.add("soliton_residual_zero", resid.is_zero())
-    if computed.flat and not computed.ricci_flat:
-        rep.add("flat_implies_ricci_flat", False)
+            try:
+                special = classify_row(L.substitute({var: value}),
+                                       h.substitute({var: value}), row.domain)
+                sp = ("none" if special.soliton is None else
+                      f"lam={special.soliton.lam}")
+                branch_note = (f"rank jumps at {var.name}={value}; on that slice "
+                               f"flat={special.flat}, ricci_flat={special.ricci_flat}, "
+                               f"soliton {sp}; columns below are the generic branch")
+            except (ScalarError, ZeroDivisionError):
+                branch_note = (f"rank jumps at {var.name}={value}; columns below "
+                               f"are the generic branch")
+            rep.add("classified_on_generic_branch", True, branch_note)
+        rep.add("flat", computed.flat == row.expect_flat,
+                f"computed {computed.flat}, printed {row.expect_flat}")
+        rep.add("ricci_flat", computed.ricci_flat == row.expect_ricci_flat,
+                f"computed {computed.ricci_flat}, printed {row.expect_ricci_flat}")
+        same, why = soliton_family_equal(computed.system, computed.ric, sol,
+                                         row.expect_x, row.expect_lam, dom)
+        printed = ("none" if row.expect_x is None else
+                   f"lam={row.expect_lam}, X=({','.join(str(c) for c in row.expect_x)})")
+        got = ("none" if sol is None else
+               f"lam={sol.lam}, X=({','.join(str(c) for c in sol.x)})")
+        rep.add("soliton_family", same, f"computed {got}; printed {printed}" +
+                (f"; {why}" if why else ""))
+        if sol is not None:
+            resid = soliton_residual(computed.system, sol.x, sol.lam, computed.ric)
+            rep.add("soliton_residual_zero", resid.is_zero())
+        if computed.flat and not computed.ricci_flat:
+            rep.add("flat_implies_ricci_flat", False)
+    except DegenerateError:
+        rep.add("metric_nondegenerate", False, "identically degenerate",
+                structural=True)
+    except RankAmbiguous as e:
+        rep.add("classified", False, f"rank ambiguous: {e.poly!r}",
+                structural=True)
     return rep
 
 
@@ -219,18 +221,6 @@ T4_K0_ERRATUM = ("printed K04 = -E11+E22+E33-E44 is not a conjugate of the "
                  "so the (1,1) entry stays +1")
 
 
-def _matches_up_to_y_flip(computed: Mat4, printed: Mat4) -> Tuple[bool, bool]:
-    """(equal, relabelled): whether computed equals printed, and whether
-    only after y -> -y, a relabelling since the branch parameter y is free."""
-    if computed == printed:
-        return True, False
-    y = Scalar.var("y")
-    if y.params() <= computed.params():
-        if computed.substitute({next(iter(y.params())): -y}) == printed:
-            return True, True
-    return False, False
-
-
 def run_equivalence_witnesses(cat: Catalog) -> List[EntryReport]:
     """Replays the four-fold pullback to (omega0, K0i), the normalizing
     automorphism families, the equivalence witness and the two
@@ -246,6 +236,28 @@ def run_equivalence_witnesses(cat: Catalog) -> List[EntryReport]:
                                   ("a21", "a33", "a34", "a43", "a44", "y"))
     one, zero = Scalar.const(1), Scalar.const(0)
 
+    def pullback(rep: EntryReport, check: str, m, omega: Mat4, K: Mat4):
+        """transport(m, omega, K), after the map's isomorphism check."""
+        ok, _ = check_lie_isomorphism(m)
+        rep.add(check, ok)
+        return transport(m, omega, K)
+
+    def matches(rep: EntryReport, check: str, computed: Mat4, text: str,
+                flip_note: str = "", note: str = ""):
+        """Compares a computed two-form or endomorphism with its printed
+        display; with a `flip_note`, also after y -> -y, a relabelling since
+        the branch parameter y is free, and that note says so."""
+        parse, emit = ((parse_endo, emit_endo) if "E" in text else
+                       (parse_two_form, emit_two_form))
+        printed = parse(text)
+        ok = computed == printed
+        if not ok and flip_note:
+            ok = computed.substitute({y.params().pop(): -y}) == printed
+            if ok:
+                rep.note(flip_note)
+        detail = "" if ok else f"computed {emit(computed)}, printed {text}"
+        rep.add(check, ok, detail, note=note)
+
     # the four sources, their printed pullbacks and the erratum of omega
     sources = [
         ("iso_c/C1_6", "e12-e34", "-E11+E22-E33+E44", ""),
@@ -258,20 +270,12 @@ def run_equivalence_witnesses(cat: Catalog) -> List[EntryReport]:
     for ref, w_text, k_text, w_erratum in sources:
         rep = EntryReport(f"witness/transport/{ref.split('/')[-1]}")
         row = cat.iso_rows[ref]
-        m = LinMap(row.matrix, row.target, row.source)
-        ok, _ = check_lie_isomorphism(m)
-        rep.add("lie_isomorphism", ok)
-        w, k = transport(m, *nf)
-        w_ok = w == parse_two_form(w_text)
-        k_ok, relabelled = _matches_up_to_y_flip(k, parse_endo(k_text))
-        if relabelled:
-            rep.note("printed K corresponds to the branch parameter -y; the "
-                     "free parameter makes both families equal")
-        rep.add("omega_matches_printed", w_ok,
-                "" if w_ok else f"computed {emit_two_form(w)}, printed {w_text}",
-                note=w_erratum)
-        rep.add("K_matches_printed", k_ok,
-                "" if k_ok else f"computed {emit_endo(k)}, printed {k_text}")
+        w, k = pullback(rep, "lie_isomorphism",
+                        LinMap(row.matrix, row.target, row.source), *nf)
+        matches(rep, "omega_matches_printed", w, w_text, note=w_erratum)
+        matches(rep, "K_matches_printed", k, k_text,
+                "printed K corresponds to the branch parameter -y; the "
+                "free parameter makes both families equal")
         transported.append((w, k))
         reports.append(rep)
 
@@ -298,28 +302,19 @@ def run_equivalence_witnesses(cat: Catalog) -> List[EntryReport]:
     for (name, t, k0_text, pull_erratum, k0_erratum), (w_i, k_i) in zip(
             normalizers, transported):
         rep = EntryReport(f"witness/normalize/{name}")
-        m = LinMap(t, rr30, rr30)
-        auto_ok, _ = check_lie_isomorphism(m)
-        rep.add("automorphism", auto_ok)
-        pull, _ = transport(m, w_i, k_i)
+        pull, k = pullback(rep, "automorphism", LinMap(t, rr30, rr30), w_i, k_i)
         pull_ok = pull == omega0
         rep.add("pullback_is_omega0", pull_ok,
                 "" if pull_ok else f"T*omega_i = {emit_two_form(pull)}",
                 note=pull_erratum)
         if not pull_ok and pull_erratum:
-            t = t2
-            rep.add("corrected_pullback_is_omega0",
-                    transport(LinMap(t, rr30, rr30), w_i, k_i)[0] == omega0)
-        # normalized conjugation at a21 = a34 = a43 = 0, a44 symbolic
-        _, k0 = transport(LinMap(t.substitute(norm_subst), rr30, rr30),
-                          w_i.substitute(norm_subst), k_i.substitute(norm_subst))
-        k0_ok, relabelled = _matches_up_to_y_flip(k0, parse_endo(k0_text))
-        if relabelled:
-            rep.note("matches after the y -> -y relabelling of the free "
-                     "branch parameter")
-        rep.add("normalized_K_matches_printed", k0_ok,
-                "" if k0_ok else f"computed {emit_endo(k0)}, printed {k0_text}",
-                note=k0_erratum)
+            pull, k = transport(LinMap(t2, rr30, rr30), w_i, k_i)
+            rep.add("corrected_pullback_is_omega0", pull == omega0)
+        # the normalized K at a21 = a34 = a43 = 0, a44 symbolic: canonical
+        # forms are unique, and det T stays nonzero there
+        matches(rep, "normalized_K_matches_printed", k.substitute(norm_subst),
+                k0_text, "matches after the y -> -y relabelling of the free "
+                "branch parameter", k0_erratum)
         reports.append(rep)
 
     # equivalence witness L (printed): carries (omega0, K04) to (omega0, K01)
@@ -332,24 +327,20 @@ def run_equivalence_witnesses(cat: Catalog) -> List[EntryReport]:
         omega0, parse_endo("-E11+E22+E33-E44")))
     reports.append(rep)
 
-    # non-equivalence residuals, exactly as parameter identities
+    # non-equivalence residuals, exactly as parameter identities: the entry
+    # of K - K02 each map leaves, and its value
     rep = EntryReport("witness/nonequivalence/residuals")
     k02 = parse_endo("E11+2*y*E12-E22+E33-E44")
     l2 = mat_from_cols([[one, a21, zero, zero], [zero, one, zero, zero],
                         [zero, zero, a33, -one / a34], [zero, zero, a34, zero]])
-    for name, l in (("L1", family(one, q_plus)), ("L2", l2)):
-        m = LinMap(l, rr30, rr30)
-        auto_ok, _ = check_lie_isomorphism(m)
-        rep.add(f"{name}_automorphism", auto_ok)
-        w, k = transport(m, omega0, k01)
+    for name, l, check, (r, c), value in (
+            ("L1", family(one, q_plus), "L1_residual_is_2", (1, 1), 2),
+            ("L2", l2, "L2_residual_is_minus_2", (0, 0), -2)):
+        w, k = pullback(rep, f"{name}_automorphism", LinMap(l, rr30, rr30),
+                        omega0, k01)
         rep.add(f"{name}_symplectomorphism", w == omega0)
-        diff = k - k02
-        if name == "L1":
-            val = diff.rows[1][1]
-            rep.add("L1_residual_is_2", val == Scalar.const(2), str(val))
-        else:
-            val = diff.rows[0][0]
-            rep.add("L2_residual_is_minus_2", val == Scalar.const(-2), str(val))
+        val = k.rows[r][c] - k02.rows[r][c]
+        rep.add(check, val == Scalar.const(value), str(val))
     reports.append(rep)
     return reports
 

@@ -21,6 +21,7 @@ u -> nabla_{e_i} u.
 
 from fractions import Fraction
 
+from pk4lie.curvature import Geometry
 from pk4lie.liealg import TRIPLES, form_apply
 from pk4lie.linalg import Mat4, vadd, vbasis, vis_zero, vzero
 from pk4lie.phase_space import (
@@ -197,6 +198,33 @@ def dense_ce_d(L, omega):
             for (i, j, k) in TRIPLES}
 
 
+def dense_nijenhuis(L, K):
+    """N_K(e_i,e_j) = [e_i,e_j] + [Ke_i,Ke_j] - K[Ke_i,e_j] - K[e_i,Ke_j] for
+    i < j, each bracket a `dense_bracket` and each K a sum over its entries."""
+    def k(v):
+        return [sum((K.rows[r][c] * v[c] for c in range(4)), ZERO) for r in range(4)]
+    out = {}
+    for i in range(4):
+        for j in range(i + 1, 4):
+            ei, ej = vbasis(i), vbasis(j)
+            terms = (dense_bracket(L, ei, ej), dense_bracket(L, k(ei), k(ej)),
+                     k(dense_bracket(L, k(ei), ej)), k(dense_bracket(L, ei, k(ej))))
+            out[(i, j)] = [a + b - c - d for a, b, c, d in zip(*terms)]
+    return out
+
+
+def para_hermitian_integrable(L, omega, K):
+    """d omega = 0 and N_K = 0, by `dense_ce_d` and `dense_nijenhuis`: for
+    an almost para-Hermitian pair (omega antisymmetric, K*K = Id and
+    h = omega(K., .) symmetric and nondegenerate) this holds exactly when
+    nabla K = 0 for the Levi-Civita connection of h, the para-Hermitian
+    counterpart of the Kahler identity (Cruceanu, Fortuny and Gadea, Rocky
+    Mountain J. Math. 26 (1996); Ivanov and Zamkovoy, Differential Geom.
+    Appl. 23 (2005))."""
+    return (vis_zero(dense_ce_d(L, omega).values())
+            and all(vis_zero(v) for v in dense_nijenhuis(L, K).values()))
+
+
 # ---------------------------------------------------------------------------
 # Besse's Ricci formula
 
@@ -299,6 +327,43 @@ def psi_vanishes_on_derived_algebra(L, K):
     C, psi = structure_constants(L), koszul_psi(L, K)
     return all(sum(C[i][j][r] * psi[r] for r in range(4)).is_zero
                for i in range(4) for j in range(i + 1, 4))
+
+
+# ---------------------------------------------------------------------------
+# Invariants of a structure under automorphisms
+
+
+def rank_invariants(L, K):
+    """The dimensions of [g+,g+], [g-,g-], [g+,g-], [g,g], g+ + [g,g],
+    g- + [g,g], g+ + [g+,g-], g- + [g+,g-] and [g+,g+] + [g-,g-] for the
+    eigenplanes g+- of an involution K, spanned by the columns of Id +- K,
+    by `generic_rank` over the rational functions in the parameters.  An
+    automorphism that carries K to K' carries each space to its primed
+    counterpart, so equivalent structures share these."""
+    ident = Mat4.identity()
+    plus, minus = (ident + K).transpose().rows, (ident - K).transpose().rows
+
+    def brackets(us, vs):
+        return [dense_bracket(L, u, v) for u in us for v in vs]
+    pp, mm, pm = brackets(plus, plus), brackets(minus, minus), brackets(plus, minus)
+    gg = brackets(ident.rows, ident.rows)
+    return tuple(generic_rank(rows) for rows in (
+        pp, mm, pm, gg, plus + gg, minus + gg, plus + pm, minus + pm, pp + mm))
+
+
+def curvature_invariants(L, omega, K):
+    """(flat, Ricci-flat, tr Ric^k for k = 1..4, tr(K o Ric)) of the metric
+    h = omega(K., .), with Ric = h^-1 ric by `inverse_by_elimination`.  An
+    automorphism conjugates Ric and K alike, so equivalent structures share
+    these."""
+    h = metric_from(omega, K)
+    g = Geometry(L, h)
+    ric_op = Mat4(inverse_by_elimination(h)) @ g.ric
+    traces, power = [], Mat4.identity()
+    for _ in range(4):
+        power = power @ ric_op
+        traces.append(power.trace())
+    return (g.flat, g.ricci_flat, *traces, (K @ ric_op).trace())
 
 
 # ---------------------------------------------------------------------------

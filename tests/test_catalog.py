@@ -238,6 +238,37 @@ def test_a_row_without_a_required_column_names_the_row_and_column(tmp_path, monk
         "error: curvature/d4_half/1: missing column 'metric'\n")
 
 
+RR3_M1_2_X = ("[curvature/rr3_m1/2]\nalg: alg/rr3_m1\nmetric: eps14+eps23+x*eps44\n"
+              "flat: yes\nricflat: yes\nlam: 0\nX: (x1,0,0,x4)\n")
+
+
+@pytest.mark.parametrize("old, new, row, check", [
+    # the printed family still solves the system, but its dimension
+    # depends on x
+    (RR3_M1_2_X, RR3_M1_2_X.replace("(x1,", "(x*x1,"), "curvature/rr3_m1/2",
+     "classified"),
+    # the checked load finds x = 0, so the generic branch x != 0 is empty
+    ("[curvature/d4_2/7]\nalg: alg/d4_2\n",
+     "[curvature/d4_2/7]\nalg: alg/d4_2\ndomain: x >= 0, x <= 0\n",
+     "curvature/d4_2/7", "domain_satisfiable"),
+    # symmetric, so the load accepts it, but degenerate everywhere
+    (D4_HALF_1, D4_HALF_1.replace("eps12+x*eps33-eps34", "eps11+eps12+eps22"),
+     "curvature/d4_half/1", "metric_nondegenerate"),
+], ids=["family-dimension", "empty-generic-branch", "degenerate-metric"])
+def test_a_structurally_broken_curvature_row_fails_without_a_traceback(
+        tmp_path, monkeypatch, capsys, old, new, row, check):
+    monkeypatch.setattr(catalog, "DATA_DIR",
+                        _broken_copy(tmp_path, "curvature.txt", old, new))
+    assert main(["verify", "curvature"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert f"FAIL {row}  [{check}]" in out
+    if check == "metric_nondegenerate":
+        assert (f"{row:34s} {'eps11+eps12+eps22':46s} {'?':>4s} {'?':>6s} "
+                f"{'':>10s}  metric is degenerate") in out
+    assert main(["verify", "all"]) == 1
+    assert main(["--format", "json", "verify", "all"]) == 1
+
+
 def test_corrupted_bracket_fails_load(tmp_path):
     # break Jacobi in one algebra
     data = _broken_copy(tmp_path, "algebras.txt",

@@ -7,9 +7,11 @@ every other check must pass, and the stored K must pass them all.
 COLUMN_ERRATA does the same for notes of other sections, on the suite
 report of a row whose column is printed text instead of the stored one.
 A noted curvature row either WARNs, so that a failed check reads its note,
-or its note is a claim checked here.
+or its note is a claim checked here, and so is every other `notes:` line
+of the data files.
 """
 
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -18,9 +20,11 @@ from pk4lie.catalog import (
     DATA_DIR, CurvatureRowEntry, IsoRowEntry, _map_matrix, load_catalog,
 )
 from pk4lie.cli import main
+from pk4lie.morphisms import LinMap, check_lie_isomorphism
 from pk4lie.notation import parse_endo, parse_sym_form
+from pk4lie.scalars import DenominatorVanishes, Param, ParamDomain, Scalar
 from pk4lie.structures import metric_from, validate_para_kahler
-from pk4lie.verify import run_curvature_rows, run_iso_rows
+from pk4lie.verify import run_curvature_rows, run_iso_rows, run_scope
 
 NOT_INTEGRABLE = ["nijenhuis_zero", "nabla_K_zero"]
 NOT_AN_INVOLUTION = ["K_squares_to_id", "eigenranks_2_2", "nijenhuis_zero",
@@ -168,3 +172,95 @@ def test_a_printed_non_involution_names_its_undecided_pivot(cat, key, pivot):
                                   st.domain, key)
     check = next(c for c in report.checks if c["name"] == "eigenranks_2_2")
     assert check == {"name": "eigenranks_2_2", "ok": False, "detail": pivot}
+
+
+@pytest.mark.parametrize("member, family, param, value", [
+    ("alg/r4_m1_m1", "alg/r4_m1_beta", "beta", -1),  # "the beta family at beta=-1"
+    ("alg/d4_half", "alg/d4_lam", "lam", Fraction(1, 2)),  # "... at lam=1/2"
+])
+def test_a_member_algebra_is_its_family_at_the_noted_value(cat, member, family,
+                                                           param, value):
+    L = cat.algebras[family].algebra.substitute({Param(param): Scalar.const(value)})
+    assert L.serialize() == cat.algebras[member].algebra.serialize()
+
+
+def test_alpha_0_makes_a_c1_3_coefficient_vanish(cat):
+    # "the alpha constraint is forced by the 1/alpha coefficients"
+    row = cat.phase_rows["phase_c/C1_3"]
+    assert repr(row.domain) == "ParamDomain(alpha != 0)"
+    with pytest.raises(ZeroDivisionError):
+        row.algebra.substitute({Param("alpha"): Scalar.const(0)})
+
+
+def test_x_equal_z_is_excluded_by_the_c3_1_beta_map_alone(cat):
+    # "x=z is excluded by the printed map's x-z denominator although the
+    # ratio condition alone would allow it"
+    x, y, z = Param("x"), Param("y"), Param("z")
+    point = {x: Fraction(1), y: Fraction(1), z: Fraction(1)}
+    with pytest.raises(DenominatorVanishes):
+        cat.iso_rows["iso_c/C3_1_beta"].matrix.eval(point)
+    ratio_only = ParamDomain.parse("z != 0, z*(z-x) >= 0, z*(x+z) > 0")
+    assert all(c.holds(c.poly.eval(point)) for c in ratio_only.constraints)
+
+
+def _holds(row, matrix=None, source=None):
+    """Whether the row's map, or `matrix`, carries its target onto its source
+    algebra, or onto `source`."""
+    m = LinMap(row.matrix if matrix is None else matrix, row.target,
+               row.source if source is None else source)
+    return check_lie_isomorphism(m)[0]
+
+
+def test_the_b1_0_maps_and_their_source_rows(cat):
+    # "printed with a superscript source label that has no bracket row of
+    # its own": B1_0 is the only B1_0 phase row
+    assert [k for k in cat.phase_rows if k.startswith("phase_b/B1_0")] == [
+        "phase_b/B1_0"]
+    family = cat.phase_rows["phase_b/B1_0"].algebra
+    # "on the stored family the map holds on the x=0 slice only"
+    for key in ("iso_b/B1_0_1", "iso_b/B1_0_3"):
+        row = cat.iso_rows[key]
+        assert cat.raw_entries[key].get("source_subst") == "x=0"
+        assert _holds(row)
+        assert not _holds(row, _map_matrix(cat.raw_entries[key].get("map")), family)
+    # the second map holds on the whole family
+    row = cat.iso_rows["iso_b/B1_0_2"]
+    assert row.source is family and _holds(row)
+
+
+@pytest.mark.parametrize("key, other", [
+    # "on this branch the middle columns swap": the positive branch's map
+    # fails on the negative one ...
+    ("iso_b/B1_alpha_1_lt", "iso_b/B1_alpha_1_gt"),
+    ("iso_b/B1_alpha_2_lt", "iso_b/B1_alpha_2_gt"),
+    # ... and "the printed modulus splits into the two sign branches": the
+    # negative branch's map fails on the positive one
+    ("iso_b/B1_alpha_1_gt", "iso_b/B1_alpha_1_lt"),
+])
+def test_each_modulus_branch_needs_its_own_map(cat, key, other):
+    row = cat.iso_rows[key]
+    assert _holds(row)
+    assert not _holds(row, cat.iso_rows[other].matrix)
+
+
+# entries whose note is a claim checked by a test of this file, besides
+# ERRATA, COLUMN_ERRATA and NOTED_PASSING_ROWS
+CHECKED_NOTES = {
+    "alg/r4_m1_m1", "alg/d4_half", "phase_c/C1_3", "iso_c/C3_1_beta",
+    "iso_b/B1_0_1", "iso_b/B1_0_2", "iso_b/B1_0_3", "iso_b/B1_alpha_1_gt",
+    "iso_b/B1_alpha_1_lt", "iso_b/B1_alpha_2_lt",
+}
+
+
+def test_every_note_has_an_erratum_or_a_warn_check(cat):
+    noted = {key for key, raw in cat.raw_entries.items() if raw.get("notes")}
+    assert len(noted) == sum(path.read_text().count("\nnotes:")
+                             for path in DATA_DIR.glob("*.txt"))
+    checked = {key.split(":")[0] for key in
+               [*ERRATA, *COLUMN_ERRATA, *NOTED_PASSING_ROWS, *CHECKED_NOTES]}
+    statuses = {}
+    for rep in run_scope(cat, "all"):
+        statuses.setdefault(rep.entry_id.split(":")[0], set()).add(rep.status)
+    warned = {key for key, seen in statuses.items() if seen == {"WARN"}}
+    assert checked <= noted
+    assert noted - checked <= warned

@@ -5,8 +5,9 @@ the metric under K, flat => Ricci-flat, the equivalence between Nijenhuis
 vanishing and sampled eigenplane involutivity, the Koszul-value test of
 nabla K = 0 against the connection, the sparse kernels against their dense
 references, Besse's Ricci formula against the curvature chain, Koszul's
-form and the para-Kahler curvature identities, and the eigenranks of
-drawn involutions against ranks over Fractions.
+form and the para-Kahler curvature identities, nabla K = 0 against
+d omega = 0 and N_K = 0, and the eigenranks of drawn involutions against
+ranks over Fractions.
 """
 
 import random
@@ -30,8 +31,9 @@ from oracles import (
     besse_ricci, dense_bracket, dense_ce_d, dense_curvature, dense_koszul_values,
     dense_lie_derivative_metric, involutive_samples, koszul_ricci,
     levi_civita_axioms_hold, linked_structures, nabla_K, omega_parallel, perturbed,
-    psi_vanishes_on_derived_algebra, rank_fractions,
+    para_hermitian_integrable, psi_vanishes_on_derived_algebra, rank_fractions,
 )
+from test_errata import ERRATA, NOT_INTEGRABLE
 
 CAT = load_catalog()
 STRUCTURES = CAT.structure_list()
@@ -316,6 +318,73 @@ def test_para_kahler_curvature_identities():
         with_rho += not rho.is_zero()
     # the last two identities are not vacuous
     assert (len(STRUCTURES), with_rho) == (98, 29)
+
+def _nabla_K_matches_the_integrability_oracle(L, omega, K):
+    """K_parallel against d omega = 0 and N_K = 0 by the dense oracles;
+    returns the common verdict."""
+    parallel = K_parallel(L, metric_from(omega, K), K)
+    assert parallel == para_hermitian_integrable(L, omega, K)
+    return parallel
+
+
+def test_nabla_K_vanishes_exactly_on_closed_integrable_pairs():
+    # every catalog structure and transported normal form is positive
+    for key, L, omega, K, _ in _para_kahler_structures():
+        assert _nabla_K_matches_the_integrability_oracle(L, omega, K), key
+    # the printed K of the non-integrable errata: d omega = 0, N_K != 0
+    printed = [key for key, (_, fails) in ERRATA.items() if fails == NOT_INTEGRABLE]
+    assert len(printed) == 6
+    for key in printed:
+        st = CAT.structures[key]
+        assert not _nabla_K_matches_the_integrability_oracle(
+            st.algebra, st.omega, parse_endo(ERRATA[key][0])), key
+
+
+SMALL = hst.sampled_from([0, 0, 0, 1, -1, 2, -2])
+PAIRS = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+
+
+def _drawn_algebra(consts):
+    return LieAlgebra4({ij: [Scalar.const(c) for c in consts[4 * k:4 * k + 4]]
+                        for k, ij in enumerate(PAIRS)})
+
+
+def _lagrangian_omega(b):
+    """[[0, B], [-B^t, 0]]: both coordinate planes are omega-Lagrangian."""
+    return Mat4([[0, 0, b[0], b[1]], [0, 0, b[2], b[3]],
+                 [-b[0], -b[2], 0, 0], [-b[1], -b[3], 0, 0]])
+
+
+DIAG_K = parse_endo("E11+E22-E33-E44")
+
+
+@settings(max_examples=150, deadline=None)
+@given(hst.lists(SMALL, min_size=24, max_size=24), hst.lists(SMALL, min_size=4, max_size=4))
+def test_nabla_K_matches_the_oracle_on_drawn_integrable_pairs(consts, b):
+    # [e1,e2] in span(e1,e2) and [e3,e4] in span(e3,e4) make both
+    # eigenplanes of K = diag(1,1,-1,-1) subalgebras, so N_K = 0 and
+    # nabla K = 0 exactly when d omega = 0.  Jacobi is not needed.
+    assume(b[0] * b[3] != b[1] * b[2])
+    consts[2:4], consts[20:22] = [0, 0], [0, 0]
+    _nabla_K_matches_the_integrability_oracle(_drawn_algebra(consts),
+                                              _lagrangian_omega(b), DIAG_K)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hst.lists(SMALL, min_size=24, max_size=24), hst.lists(SMALL, min_size=4, max_size=4),
+       hst.lists(hst.integers(-2, 2), min_size=16, max_size=16))
+def test_nabla_K_matches_the_oracle_on_drawn_para_hermitian_pairs(consts, b, entries):
+    # (omega, K) = (P^-t Omega P^-1, P D P^-1) for the Lagrangian Omega and
+    # D = diag(1,1,-1,-1): an almost para-Hermitian pair in a drawn basis,
+    # on drawn brackets
+    assume(b[0] * b[3] != b[1] * b[2])
+    p = Mat4([entries[4 * r:4 * r + 4] for r in range(4)])
+    assume(not p.det().is_zero)
+    pinv = p.inverse()
+    _nabla_K_matches_the_integrability_oracle(
+        _drawn_algebra(consts), pinv.transpose() @ _lagrangian_omega(b) @ pinv,
+        p @ DIAG_K @ pinv)
+
 
 ABELIAN = LieAlgebra4({})
 INVOLUTION_ENTRIES = hst.sampled_from(["0", "1", "-1", "2", "-2", "x", "1/(x+1)"])

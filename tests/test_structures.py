@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -14,7 +16,8 @@ from pk4lie.structures import (
     neutral_certified, validate_para_kahler,
 )
 from oracles import (
-    generic_rank, levi_civita_axioms_hold, nabla_K, omega_parallel, perturbed,
+    curvature_invariants, generic_rank, levi_civita_axioms_hold, nabla_K,
+    omega_parallel, perturbed, rank_invariants,
 )
 
 D4HALF = LieAlgebra4.parse(
@@ -254,3 +257,51 @@ def test_a_d4_2_structure_off_the_printed_list():
     for key in listed:
         st = cat.structures[key]
         assert _bracket_dims(st.algebra, st.K) == (3, 1, 1), key
+
+
+# Same-algebra pairs of constant structures that neither the curvature nor
+# the rank invariants separate: nine :a/:b sign variants of one entry and
+# eleven pairs across entries.  Whether any of them is equivalent needs an
+# exact search for the automorphism.
+UNSEPARATED_PAIRS = {
+    ("structures/d4_1/w1/K1:a", "structures/d4_1/w1/K1:b"),
+    ("structures/d4_1/w1/K4:a", "structures/d4_1/w1/K4:b"),
+    ("structures/d4_1/w1/K6:a", "structures/d4_1/w1/K6:b"),
+    ("structures/d4_2/w1/K1:a", "structures/d4_2/w1/K1:b"),
+    ("structures/r4_0/w1/K:a", "structures/r4_0/w1/K:b"),
+    ("structures/r4_0/w2/K:a", "structures/r4_0/w2/K:b"),
+    ("structures/r4_m1_m1/K5:a", "structures/r4_m1_m1/K5:b"),
+    ("structures/r4_m1_m1/K8:a", "structures/r4_m1_m1/K8:b"),
+    ("structures/rr3_m1/K3:a", "structures/rr3_m1/K3:b"),
+    ("structures/r4_0/w1/K:a", "structures/r4_0/w2/K:a"),
+    ("structures/r4_0/w1/K:a", "structures/r4_0/w2/K:b"),
+    ("structures/r4_0/w1/K:b", "structures/r4_0/w2/K:a"),
+    ("structures/r4_0/w1/K:b", "structures/r4_0/w2/K:b"),
+    ("structures/r4_m1_m1/K2", "structures/r4_m1_m1/K3"),
+    ("structures/r4_m1_m1/K2", "structures/r4_m1_m1/K5:a"),
+    ("structures/r4_m1_m1/K2", "structures/r4_m1_m1/K5:b"),
+    ("structures/r4_m1_m1/K3", "structures/r4_m1_m1/K5:a"),
+    ("structures/r4_m1_m1/K3", "structures/r4_m1_m1/K5:b"),
+    ("structures/rr3_m1/K1:b", "structures/rr3_m1/K3:a"),
+    ("structures/rr3_m1/K1:b", "structures/rr3_m1/K3:b"),
+}
+
+
+def test_invariants_leave_twenty_same_algebra_pairs_unseparated():
+    # structures whose algebra, omega and K are all constant, grouped by
+    # their algebra's brackets
+    by_algebra = {}
+    for st in load_catalog(check=False).structure_list():
+        if not (st.algebra.params() or st.omega.params() or st.K.params()):
+            by_algebra.setdefault(st.algebra.serialize(), []).append(st)
+    pairs = [pair for sts in by_algebra.values()
+             for pair in itertools.combinations(sts, 2)]
+    curv = {st.entry_id: curvature_invariants(st.algebra, st.omega, st.K)
+            for sts in by_algebra.values() for st in sts}
+    both = {st.entry_id: (curv[st.entry_id], rank_invariants(st.algebra, st.K))
+            for sts in by_algebra.values() for st in sts}
+    assert len(pairs) == 68
+    assert sum(curv[a.entry_id] != curv[b.entry_id] for a, b in pairs) == 22
+    unseparated = {(a.entry_id, b.entry_id) for a, b in pairs
+                   if both[a.entry_id] == both[b.entry_id]}
+    assert unseparated == UNSEPARATED_PAIRS
