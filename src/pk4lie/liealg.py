@@ -141,16 +141,14 @@ def pfaffian_nondegenerate(omega: Mat4, domain: ParamDomain = EMPTY_DOMAIN,
 
 
 def nijenhuis(L: LieAlgebra4, K: Mat4) -> Dict[tuple, Vec4]:
-    """N_K(e_i,e_j) = [e_i,e_j] + [Ke_i,Ke_j] - K[Ke_i,e_j] - K[e_i,Ke_j]."""
+    """N_K(e_i,e_j) = [e_i,e_j] + [Ke_i,Ke_j] - K([Ke_i,e_j] + [e_i,Ke_j])."""
     kcols = K.transpose().rows
     out = {}
     for i in range(4):
         for j in range(i + 1, 4):
-            n = L.bracket_basis(i, j)
-            n = vadd(n, L.bracket(kcols[i], kcols[j]))
-            n = vsub(n, K.apply(L.bracket(kcols[i], vbasis(j))))
-            n = vsub(n, K.apply(L.bracket(vbasis(i), kcols[j])))
-            out[(i, j)] = n
+            n = vadd(L.bracket_basis(i, j), L.bracket(kcols[i], kcols[j]))
+            mixed = vadd(L.bracket(kcols[i], vbasis(j)), L.bracket(vbasis(i), kcols[j]))
+            out[(i, j)] = vsub(n, K.apply(mixed))
     return out
 
 

@@ -314,17 +314,19 @@ def solve_affine(a_rows: List[List[Scalar]], b: List[Scalar],
     aug = [list(row) + [b[i]] for i, row in enumerate(a_rows)]
     pivots = _eliminate(aug, n, domain)
     row_used = set(pivots.values())
-    # consistency
+    # consistency: an unused row is zero in every eliminated column (a pivot
+    # column is cleared outside its pivot row, and `_pick_pivot` passes over
+    # a column only when it is zero in every unused row, which later updates
+    # keep), so only its right-hand side is left
     for j in range(m):
         if j in row_used:
             continue
-        if all(aug[j][c].is_zero for c in range(n)):
-            rhs = aug[j][n]
-            if rhs.is_zero:
-                continue
-            if domain.known_nonzero(rhs.num) or rhs.is_const:
-                return None
-            raise RankAmbiguous(rhs)
+        rhs = aug[j][n]
+        if rhs.is_zero:
+            continue
+        if domain.known_nonzero(rhs.num) or rhs.is_const:
+            return None
+        raise RankAmbiguous(rhs)
     free_cols = [c for c in range(n) if c not in pivots]
     point = [ZERO] * n
     for col, i in pivots.items():

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import operator
 import re
-from typing import Dict, List
+from functools import cache
+from types import MappingProxyType
+from typing import Dict, List, Mapping
 
 from .linalg import Mat4, Vec4, vzero
 from .scalars import ParseError, Scalar, ONE, _parse, _scalar_leaf, emit_scalar, parse_scalar
@@ -81,10 +83,13 @@ class _Lin:
         return _Lin({k: v / d for k, v in self.coeffs.items()})
 
 
-def _parse_lin(text: str, kind: str) -> _Lin:
-    """Parse `text` as a combination of `kind` atoms, keyed by their 0-based
-    index tuples.  An atom of another kind is a ParseError; any other name
-    is a parameter."""
+@cache
+def _parse_lin(text: str, kind: str) -> Mapping[tuple, Scalar]:
+    """The coefficients of `text` as a combination of `kind` atoms, keyed by
+    their 0-based index tuples, with the scalar part at ().  An atom of
+    another kind is a ParseError; any other name is a parameter.  Parsed
+    once per (text, kind) and returned read-only: callers build their own
+    containers from it.  A ParseError is not cached."""
     atom_re = _ATOM_RES[kind]
     others = [(k, r) for k, r in _ATOM_RES.items() if k != kind]
 
@@ -99,16 +104,16 @@ def _parse_lin(text: str, kind: str) -> _Lin:
         s = _scalar_leaf(tok, val)
         return _Lin({} if s.is_zero else {(): s})
 
-    return _parse(text, leaf)
+    return MappingProxyType(_parse(text, leaf).coeffs)
 
 
 # ---------------------------------------------------------------------------
 # Concrete object parsers
 
 
-def _parse_terms(text: str, kind: str, what: str) -> dict:
+def _parse_terms(text: str, kind: str, what: str) -> Mapping[tuple, Scalar]:
     """The atom coefficients of `text`; a ParseError if it has a scalar part."""
-    coeffs = _parse_lin(text, kind).coeffs
+    coeffs = _parse_lin(text, kind)
     if () in coeffs:
         raise ParseError(f"{what} has a scalar part: {text!r}")
     return coeffs

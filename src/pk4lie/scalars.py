@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -884,7 +885,12 @@ def _scalar_leaf(kind: str, text: str) -> Scalar:
     return Scalar.const(int(text)) if kind == "int" else Scalar.var(text)
 
 
+@cache
 def parse_scalar(text: str) -> Scalar:
+    """The Scalar `text` denotes, parsed once per text.  A Scalar is never
+    mutated, and a canonical form stays canonical when a later parameter
+    registers: ranks keep their relative order, the listed names fixed and
+    the others sorted by name.  A ParseError is not cached."""
     return _parse(text, _scalar_leaf)
 
 

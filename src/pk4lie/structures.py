@@ -9,8 +9,9 @@ the row report that every verify suite returns.
 
 Both of the last two checks are exact.  The signature is neutral by the
 isotropic-eigenspace certificate (`neutral_certified`) whenever its
-premises passed, and is sampled only when one of them failed.  nabla K = 0
-is decided on the doubled Koszul values 2 G (`koszul_sums`, read by
+premises passed, and is sampled only when one of them failed.  Under the
+same certificate nabla K = 0 is read off d omega = 0 and N_K = 0; otherwise
+it is decided on the doubled Koszul values 2 G (`koszul_sums`, read by
 `K_parallel`), with no connection and no inverse of the metric.
 `levi_civita` builds the connection itself, for the curvature suite and
 the `geometry` command, fraction-free: polynomial numerators adj(h) (2 G)
@@ -215,12 +216,25 @@ def validate_para_kahler(L: LieAlgebra4, omega: Mat4, K: Mat4,
                          entry_id: str = "", seed: int = 0,
                          trials: int = 32) -> EntryReport:
     """Nine-point validation; failures are verdicts, never exceptions.  The
-    Pfaffian check and the signature's fallback sample `trials` seeded points."""
+    Pfaffian check and the signature's fallback sample `trials` seeded points.
+
+    nabla K = 0 is decided by theorem whenever `neutral_certified` holds.
+    Its premises make (omega, K) almost para-Hermitian on the whole domain:
+    omega is antisymmetric and certified nondegenerate, K*K = Id with
+    eigenranks (2,2), and h = omega(K., .) is symmetric, so K is h-skew and
+    det h = +-det omega does not vanish.  For such a pair nabla K = 0
+    exactly when d omega = 0 and N_K = 0, the para-Hermitian counterpart of
+    the Kahler identity (Cruceanu, Fortuny and Gadea, Rocky Mountain J. Math.
+    26 (1996)), an identity in the structure constants that needs no Jacobi.
+    So nabla_K_zero is omega_closed and nijenhuis_zero, with no det h and no
+    `K_parallel`; any other input runs `K_parallel`.
+    """
     rep = EntryReport(entry_id)
     rep.add("jacobi", L.is_lie_algebra())
     antisymmetric = omega.is_antisymmetric()
     rep.add("omega_antisymmetric", antisymmetric)
-    rep.add("omega_closed", vis_zero(ce_d(L, omega).values()))
+    closed = vis_zero(ce_d(L, omega).values())
+    rep.add("omega_closed", closed)
     nd = pfaffian_nondegenerate(omega, domain, trials, seed)
     rep.add("omega_nondegenerate", nd.kind == "NonZero",
             "" if nd.kind == "NonZero" else nd.kind)
@@ -238,8 +252,9 @@ def validate_para_kahler(L: LieAlgebra4, omega: Mat4, K: Mat4,
     rep.add("metric_symmetric", True)
     if neutral_certified(antisymmetric, nd, pc):
         rep.add("signature_neutral", True)
-    else:
-        rep.add("signature_neutral", *_signature_neutral(h, domain, trials, seed))
+        rep.add("nabla_K_zero", closed and pc.nijenhuis_zero)
+        return rep
+    rep.add("signature_neutral", *_signature_neutral(h, domain, trials, seed))
     if h.det().is_zero:
         rep.add("nabla_K_zero", False, "metric degenerate")
     elif not antisymmetric:

@@ -369,7 +369,7 @@ def test_a_scope_asserts_each_section_it_builds_rows_of(monkeypatch, capsys, sco
         assert bool(rows._rows) == asserted, name
 
 
-@pytest.mark.parametrize("scope, algebras", [("curvature", 24), ("all", 99)])
+@pytest.mark.parametrize("scope, algebras", [("curvature", 24), ("all", 102)])
 def test_a_scope_checks_jacobi_once_per_algebra(monkeypatch, scope, algebras):
     # An algebra keeps its Jacobi verdict: the checked catalog and the
     # suites ask each algebra they read, and only the first ask computes.

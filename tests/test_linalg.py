@@ -7,8 +7,12 @@ from itertools import permutations
 
 from hypothesis import given, settings, strategies as st
 
-from pk4lie.linalg import Mat4, adjugate_det, rank_on_domain, solve_affine
-from pk4lie.scalars import Poly, Scalar, ZERO, common_denominator, numerator_over
+from pk4lie.linalg import (
+    Mat4, RankAmbiguous, _eliminate, adjugate_det, rank_on_domain, solve_affine,
+)
+from pk4lie.scalars import (
+    ParamDomain, Poly, Scalar, ZERO, common_denominator, numerator_over,
+)
 from oracles import nullspace_fractions, rank_fractions
 
 small = st.fractions(-3, 3, max_denominator=3)
@@ -105,3 +109,37 @@ def test_adjugate_times_matrix_is_det_times_identity(entries):
     assert Scalar(det_f) == fs ** 4 * det
     assert [[Scalar(p) for p in row] for row in adj_f] == [[fs ** 3 * v for v in row]
                                                            for row in adj]
+
+
+@st.composite
+def dependent_scalar_rows(draw, n):
+    """Rows of ENTRIES over the parameters x and y, later ones often integer
+    combinations of earlier ones, so that elimination leaves unused rows."""
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        if rows and draw(st.booleans()):
+            coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(rows),
+                                   max_size=len(rows)))
+            rows.append([sum((Scalar.const(c) * r[j] for c, r in zip(coeffs, rows)), ZERO)
+                         for j in range(n)])
+        else:
+            rows.append([Scalar.of(v) for v in draw(st.lists(ENTRIES, min_size=n,
+                                                             max_size=n))])
+    return rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(dependent_scalar_rows(5), st.sampled_from(["", "x > 0", "x > 0, y > 0"]))
+def test_elimination_leaves_unused_rows_zero_in_each_eliminated_column(rows, domain):
+    # solve_affine's consistency check reads only an unused row's last
+    # entry: a pivot column is cleared outside its pivot row, and a column
+    # without a pivot was zero in every row unused then, which later
+    # updates, by rows unused then, keep
+    try:
+        pivots = _eliminate(rows, 4, ParamDomain.parse(domain))
+    except RankAmbiguous:
+        return
+    used = set(pivots.values())
+    for j, row in enumerate(rows):
+        if j not in used:
+            assert all(v.is_zero for v in row[:4]), (j, row)

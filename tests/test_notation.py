@@ -1,6 +1,7 @@
 """The text notation: emitted vectors, forms, endomorphisms, bracket and
-product tables parse back to the same objects, and malformed input of
-every atom kind and every table is a ParseError."""
+product tables parse back to the same objects, malformed input of every
+atom kind and every table is a ParseError, and the per-text parse cache
+hands out fresh containers and canonical forms."""
 
 import re
 
@@ -10,12 +11,14 @@ from hypothesis import given, settings, strategies as st
 from pk4lie.catalog import _map_matrix, _parse_subst
 from pk4lie.linalg import Mat4
 from pk4lie.notation import (
-    emit_brackets, emit_endo, emit_sym_form, emit_two_form, emit_vector,
+    _parse_lin, emit_brackets, emit_endo, emit_sym_form, emit_two_form, emit_vector,
     parse_brackets, parse_endo, parse_sym_form, parse_tuple4, parse_two_form,
     parse_vector,
 )
 from pk4lie.phase_space import emit_products, parse_products
-from pk4lie.scalars import ParseError, Scalar, ZERO
+from pk4lie.scalars import (
+    Param, ParseError, Scalar, ZERO, _parse, _scalar_leaf, emit_scalar, parse_scalar,
+)
 
 
 def _entries():
@@ -172,3 +175,40 @@ def test_malformed_bracket_vector_is_a_parse_error():
     for text in ("[e1,e2]=e3*e4", "[e1,e2]=e3+2", "[e1,e2]=(e3"):
         with pytest.raises(ParseError):
             parse_brackets(text)
+
+
+def test_a_cached_parse_hands_out_fresh_containers():
+    # each text is parsed once; the readers build their own containers from
+    # the cached, read-only coefficients
+    text = "x*e1-(1/2)*e3"
+    a, b = parse_vector(text), parse_vector(text)
+    assert a == b and a is not b
+    a[0] = ZERO
+    assert parse_vector(text) == b != a
+    m = parse_endo("E12+y*E34")
+    m.rows[0][1] = ZERO
+    assert parse_endo("E12+y*E34").rows[0][1] == Scalar.const(1)
+    with pytest.raises(TypeError):
+        _parse_lin(text, "vec")[(0,)] = ZERO
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_vector, "(x*e1+e2"), (parse_vector, "e1+E12"), (parse_endo, "E12+1"),
+    (parse_scalar, "x+*2"), (parse_scalar, "1/(x-x)"),
+])
+def test_a_malformed_text_fails_on_every_call(parse, text):
+    for _ in range(3):
+        with pytest.raises(ParseError):
+            parse(text)
+
+
+def test_a_cached_scalar_stays_canonical_when_a_parameter_registers():
+    # the lex-leading term of q_b - q_c sets the sign of the denominator; a
+    # later name that ranks before both keeps their relative order
+    text = "1/(q_c-q_b)"
+    cached = parse_scalar(text)
+    assert "q_a" not in Param._registry
+    Param("q_a")
+    assert parse_scalar(text) is cached
+    fresh = _parse(text, _scalar_leaf)
+    assert fresh == cached and emit_scalar(fresh) == emit_scalar(cached)

@@ -19,14 +19,19 @@ from pk4lie.catalog import load_catalog
 from pk4lie.curvature import (
     Geometry, classify_row, curvature, lie_derivative_metric, ricci, soliton_system,
 )
-from pk4lie import liealg
-from pk4lie.liealg import LieAlgebra4, ce_d, nijenhuis, form_apply, paracomplex_check
+from pk4lie import liealg, structures
+from pk4lie.liealg import (
+    LieAlgebra4, ce_d, nijenhuis, form_apply, paracomplex_check, pfaffian_nondegenerate,
+)
 from pk4lie.linalg import Mat4, RankAmbiguous, vbasis, vis_zero
 from pk4lie.notation import parse_endo
 from pk4lie.morphisms import LinMap, transport
 from pk4lie.phase_space import normal_form
-from pk4lie.scalars import DenominatorVanishes, Param, ParamDomain, Scalar
-from pk4lie.structures import K_parallel, koszul_sums, levi_civita, metric_from
+from pk4lie.scalars import EMPTY_DOMAIN, DenominatorVanishes, Param, ParamDomain, Scalar
+from pk4lie.structures import (
+    K_parallel, koszul_sums, levi_civita, metric_from, neutral_certified,
+    validate_para_kahler,
+)
 from oracles import (
     besse_ricci, dense_bracket, dense_ce_d, dense_curvature, dense_koszul_values,
     dense_lie_derivative_metric, involutive_samples, koszul_ricci,
@@ -384,6 +389,77 @@ def test_nabla_K_matches_the_oracle_on_drawn_para_hermitian_pairs(consts, b, ent
     _nabla_K_matches_the_integrability_oracle(
         _drawn_algebra(consts), pinv.transpose() @ _lagrangian_omega(b) @ pinv,
         p @ DIAG_K @ pinv)
+
+
+# For each component (i, j, k) of d omega, a bracket and the two of its
+# components that omega = [[0, B], [-B^t, 0]] pairs with the third vector:
+# the component is affine in them, with slopes read off a row or column of
+# B, and no other component reads them.
+CLOSING = {(0, 1, 2): ((0, 2), (2, 3)), (0, 1, 3): ((0, 3), (2, 3)),
+           (0, 2, 3): ((0, 2), (0, 1)), (1, 2, 3): ((1, 2), (0, 1))}
+
+
+def _closed_drawn_algebra(consts, omega):
+    """The drawn brackets with one constant per component of d omega solved
+    for, so that d omega = 0; B invertible gives each a nonzero slope."""
+    c = [Fraction(v) for v in consts]
+    for triple, (pair, comps) in CLOSING.items():
+        for r in comps:
+            k = 4 * PAIRS.index(pair) + r
+            c[k] = Fraction(0)
+            at0 = dense_ce_d(_drawn_algebra(c), omega)[triple].const_value()
+            c[k] = Fraction(1)
+            slope = dense_ce_d(_drawn_algebra(c), omega)[triple].const_value() - at0
+            if slope:
+                c[k] = -at0 / slope
+                break
+            c[k] = Fraction(consts[k])
+    return _drawn_algebra(c)
+
+
+def _certified_nabla_K(L, omega, K, domain=EMPTY_DOMAIN):
+    """validate_para_kahler's nabla_K_zero, where neutral_certified holds
+    and K_parallel is not called."""
+    nd = pfaffian_nondegenerate(omega, domain)
+    assert neutral_certified(omega.is_antisymmetric(), nd,
+                             paracomplex_check(L, K, domain))
+    [check] = [c for c in validate_para_kahler(L, omega, K, domain).checks
+               if c["name"] == "nabla_K_zero"]
+    assert "detail" not in check
+    return check["ok"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(hst.lists(SMALL, min_size=24, max_size=24), hst.lists(SMALL, min_size=4, max_size=4),
+       hst.booleans())
+def test_nabla_K_matches_the_oracle_on_drawn_closed_pairs(consts, b, block):
+    # d omega = 0 by construction, so nabla K = 0 exactly when N_K = 0.
+    # Block brackets ([e1,e2] in span(e1,e2), [e3,e4] in span(e3,e4)) keep
+    # N_K = 0, and the drawn block-breaking parts, which d omega does not
+    # read, mostly break it: both verdicts occur.  Jacobi is not needed.
+    assume(b[0] * b[3] != b[1] * b[2])
+    if block:
+        consts[2:4], consts[20:22] = [0, 0], [0, 0]
+    omega = _lagrangian_omega(b)
+    L = _closed_drawn_algebra(consts, omega)
+    assert vis_zero(dense_ce_d(L, omega).values())
+    parallel = _nabla_K_matches_the_integrability_oracle(L, omega, DIAG_K)
+    assert parallel or not block
+    assert _certified_nabla_K(L, omega, DIAG_K) == parallel
+
+
+def test_the_nabla_K_certificate_matches_K_parallel(monkeypatch):
+    # validate_para_kahler reads nabla K = 0 off d omega = 0 and N_K = 0 on
+    # the 98 structures, the 88 transported normal forms and the normal form
+    # on the 45 phase rows, and never calls K_parallel there
+    monkeypatch.setattr(structures, "K_parallel", None)
+    nf = normal_form()
+    pairs = [*_para_kahler_structures(),
+             *((key, row.algebra, *nf, row.domain) for key, row in CAT.phase_rows.items())]
+    assert len(pairs) == 98 + 88 + 45
+    for key, L, omega, K, domain in pairs:
+        assert _certified_nabla_K(L, omega, K, domain) == K_parallel(
+            L, metric_from(omega, K), K), key
 
 
 ABELIAN = LieAlgebra4({})

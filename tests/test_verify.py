@@ -7,13 +7,18 @@ import pytest
 from pk4lie import morphisms
 from pk4lie.catalog import CurvatureRowEntry, StructureEntry, load_catalog
 from pk4lie.liealg import LieAlgebra4
+from pk4lie.linalg import Mat4
+from pk4lie.morphisms import LinMap, check_lie_isomorphism, transport
 from pk4lie.notation import parse_sym_form
+from pk4lie.phase_space import normal_form
 from pk4lie.scalars import ParamDomain, parse_scalar
+from pk4lie.structures import validate_para_kahler
 from pk4lie.verify import (
     _verify_curvature_row, run_curvature_rows, run_equivalence_witnesses,
     run_iso_rows, run_phase_rows, run_scope, run_structures, run_symplectic,
 )
 from oracles import link_curvature_metrics, unreferenced_phase_rows
+from test_catalog import _broken_copy
 
 CAT = load_catalog()
 
@@ -76,6 +81,67 @@ def test_iso_suite_all_pass():
     assert len(reports) == 88
     assert all(r.status == "PASS" for r in reports), [
         (r.entry_id, r.status) for r in reports if r.status != "PASS"]
+
+
+def _counting_transport(monkeypatch):
+    """The map of each `transport` call the suites make; they import it
+    from `morphisms` when they run."""
+    calls = []
+
+    def counted(m, *args, _orig=morphisms.transport):
+        calls.append(m.matrix)
+        return _orig(m, *args)
+    monkeypatch.setattr(morphisms, "transport", counted)
+    return calls
+
+
+def test_iso_rows_pass_by_transport_where_the_full_validation_passes(monkeypatch):
+    # the oracle of proof by transport: each of the 88 rows meets the four
+    # premises and passes with no pullback, and the pullback followed by the
+    # full validation passes on each as well
+    calls = _counting_transport(monkeypatch)
+    derived = {r.entry_id: r for r in run_iso_rows(CAT)}
+    assert calls == []
+    nf = normal_form()
+    for key, row in CAT.iso_rows.items():
+        m = LinMap(row.matrix, row.target, row.source)
+        inv = m.invertible(row.domain)
+        assert (inv.kind, inv.trials) == ("NonZero", 0), key
+        assert check_lie_isomorphism(m)[0], key
+        full = validate_para_kahler(row.target, *transport(m, *nf),
+                                    row.domain, key).failing()
+        assert derived[key].checks[-1] == {"name": "transported_structure_valid",
+                                           "ok": not full}, key
+        assert not full, (key, full)
+
+
+def test_an_iso_row_with_sampled_invertibility_takes_the_full_path(
+        tmp_path, monkeypatch):
+    # y - w*w > 0 keeps det P = y off zero, but only sampling says so: the
+    # row is pulled back and validated in full, and passes; no other row is
+    old = "condition: y != 0\nmap: f1=e4; f2=-y*e1; f3=e3; f4=-e2"
+    cat = load_catalog(_broken_copy(tmp_path, "iso_c.txt", old,
+                                    old.replace("y != 0", "y - w*w > 0")))
+    row = cat.iso_rows["iso_c/C2_2_0y"]
+    inv = LinMap(row.matrix, row.target, row.source).invertible(row.domain)
+    assert inv.kind == "NonZero" and inv.trials > 0
+    calls = _counting_transport(monkeypatch)
+    reports = run_iso_rows(cat)
+    assert calls == [row.matrix]
+    assert all(r.status == "PASS" for r in reports)
+
+
+def test_an_iso_row_whose_source_fails_takes_the_full_path(monkeypatch):
+    # the identity map of an algebra on which the normal form is not closed:
+    # the row is pulled back and validated in full, and fails as its source
+    L = LieAlgebra4.parse("[e1,e3]=e2")
+    row = SimpleNamespace(raw={}, source=L, target=L, matrix=Mat4.identity(),
+                          domain=ParamDomain.parse(""))
+    calls = _counting_transport(monkeypatch)
+    [rep] = run_iso_rows(SimpleNamespace(iso_rows={"iso/identity": row}))
+    assert calls == [row.matrix]
+    assert rep.failing() == ["transported_structure_valid"]
+    assert rep.checks[-1]["detail"] == "omega_closed,nabla_K_zero"
 
 
 def test_curvature_suite_statuses_frozen():
