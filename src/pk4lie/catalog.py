@@ -343,7 +343,7 @@ class Catalog:
         omega = parse_two_form(fields["omega"]) if fields.get("omega") else sym.omega
         sym_domain = sym.row_domain
         if subst:
-            omega, sym_domain = omega.substitute(subst), sym_domain.substituted(subst)
+            omega, sym_domain = omega.substitute(subst), _substituted(sym_domain, subst)
         domain = alg_domain.merged(sym_domain).merged(
             ParamDomain.parse(fields.get("domain", "")))
         return StructureEntry(key, raw, key.partition(":")[2], algebra, omega,
@@ -414,7 +414,15 @@ def _instance(row: AlgebraEntry, subst: dict) -> Tuple[LieAlgebra4, ParamDomain]
     """The row's algebra and domain under `subst`: the row's own if it is empty."""
     if not subst:
         return row.algebra, row.domain
-    return row.algebra.substitute(subst), row.domain.substituted(subst)
+    return row.algebra.substitute(subst), _substituted(row.domain, subst)
+
+
+def _substituted(domain: ParamDomain, subst: dict) -> ParamDomain:
+    """The domain under `subst`; ScalarError if it violates a constraint."""
+    domain, violated = domain.substituted(subst)
+    if violated:
+        raise ScalarError(f"substitution violates constraint {violated[0]!r}")
+    return domain
 
 
 def _map_matrix(text: str) -> Mat4:

@@ -83,19 +83,13 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return USAGE_ERROR if e.code else 0
 
+    commands = {"verify": cmd_verify, "geometry": cmd_geometry,
+                "phase": cmd_phase, "dump": cmd_dump}
     try:
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "geometry":
-            return cmd_geometry(args)
-        if args.command == "phase":
-            return cmd_phase(args)
-        if args.command == "dump":
-            return cmd_dump(args)
+        return commands[args.command](args)
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
-    return USAGE_ERROR
 
 
 def cmd_verify(args) -> int:
@@ -155,7 +149,6 @@ def _curvature_table(cat: Catalog) -> str:
 
 
 def _resolve_geometry(args, cat: Catalog):
-    from .catalog import _check_satisfiable
     if args.entry:
         if args.entry in cat.curvature_rows:
             row = cat.curvature_rows[args.entry]
@@ -169,7 +162,8 @@ def _resolve_geometry(args, cat: Catalog):
     dom = ParamDomain.parse(args.domain)
     L = LieAlgebra4.parse(args.algebra, "inline")
     h = parse_sym_form(args.metric)
-    _check_satisfiable("inline", dom, L.params() | h.params())
+    if not dom.satisfiable(L.params() | h.params()):
+        raise ParseError("inline: domain unsatisfiable")
     return L, h, dom, "inline"
 
 
@@ -208,7 +202,10 @@ def cmd_geometry(args) -> int:
                                   "metric": emit_sym_form(h), "error":
                                   "assignment makes a denominator vanish"})
             return 1
-        dom = _substitute_domain_lenient(dom, subst)
+        # `--set` may leave the stated domain on purpose: say so, go on
+        dom, violated = dom.substituted(subst)
+        for c in violated:
+            print(f"note: assignment leaves the stated domain ({c!r})", file=sys.stderr)
     out = {"entry": label, "algebra": L.serialize(),
            "metric": emit_sym_form(h)}
     # only `verify` reads a checked catalog, which asserts Jacobi on the first
@@ -248,21 +245,6 @@ def cmd_geometry(args) -> int:
         out["soliton"] = f"rank depends on parameters through {e.poly!r}"
     _emit_geometry(args, out)
     return 0
-
-
-def _substitute_domain_lenient(dom: ParamDomain, subst) -> ParamDomain:
-    """Apply an explicit assignment, dropping (with a note) constraints it
-    violates: `--set` deliberately explores outside a row's domain."""
-    from .scalars import _subst_poly
-    kept = []
-    for c in dom.constraints:
-        s = _subst_poly(c.poly, subst)
-        if s.is_const and not c.holds(s.const_value()):
-            print(f"note: assignment leaves the stated domain ({c!r})",
-                  file=sys.stderr)
-        else:
-            kept.append(c)
-    return ParamDomain(kept).substituted(subst)
 
 
 def _mat(m: Mat4):

@@ -276,8 +276,7 @@ def split_at_root(pivot: Scalar, domain: ParamDomain) -> Optional[tuple]:
         var, root = next(iter(num.params())), 0
     else:
         return None
-    return var, Scalar.const(root), ParamDomain(
-        domain.constraints + [Constraint(num, "!=")])
+    return var, Scalar.const(root), domain.merged(ParamDomain([Constraint(num, "!=")]))
 
 
 def _eliminate(rows, ncols, domain) -> dict:

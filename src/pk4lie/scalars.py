@@ -19,6 +19,7 @@ gcd oracle.
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 from functools import cache
@@ -394,8 +395,6 @@ def _gcd(a: Poly, b: Poly) -> Poly:
     sa, sb = _split(a, v), _split(b, v)
     ca, cb = _content(sa), _content(sb)
     c = _gcd(ca, cb)
-    if max(sa) == 0 or max(sb) == 0:
-        return c     # one operand is free of v: it is its own content
     pa, pb = _primitive(a, ca, v), _primitive(b, cb, v)
     if max(pa) < max(pb):
         pa, pb = pb, pa
@@ -931,7 +930,10 @@ def emit_scalar(s: Scalar) -> str:
 # Parameter domains and randomized identity testing
 
 
-_RELS = ("!=", ">=", "<=", ">", "<")
+# Each relation and its test against 0, in the order `ParamDomain.parse`
+# searches a constraint for them (">=" before ">").
+_RELS = {"!=": operator.ne, ">=": operator.ge, "<=": operator.le,
+         ">": operator.gt, "<": operator.lt}
 # `ParamDomain.sample` draws each parameter as n/d, |n| <= SAMPLE_HEIGHT and
 # 1 <= d <= SAMPLE_HEIGHT.
 SAMPLE_HEIGHT = 100
@@ -951,15 +953,7 @@ class Constraint:
         self.den = den
 
     def holds(self, value: Fraction) -> bool:
-        if self.rel == "!=":
-            return value != 0
-        if self.rel == ">":
-            return value > 0
-        if self.rel == "<":
-            return value < 0
-        if self.rel == ">=":
-            return value >= 0
-        return value <= 0
+        return _RELS[self.rel](value, 0)
 
     def __repr__(self):
         return f"{emit_poly(self.poly, self.den)} {self.rel} 0"
@@ -1005,18 +999,22 @@ class ParamDomain:
     def merged(self, other: "ParamDomain") -> "ParamDomain":
         return ParamDomain(self.constraints + other.constraints)
 
-    def substituted(self, mapping) -> "ParamDomain":
-        cons = []
+    def substituted(self, mapping) -> tuple:
+        """(domain, violated): the domain under `mapping`, and the
+        constraints that the substitution makes false constants, which the
+        domain leaves out.  ScalarError when a constraint becomes
+        non-polynomial."""
+        cons, violated = [], []
         for c in self.constraints:
             s = _subst_poly(c.poly, mapping)
             if s.is_const:
                 if not c.holds(s.const_value()):
-                    raise ScalarError(f"substitution violates constraint {c!r}")
+                    violated.append(c)
                 continue
             if not s.den.is_const:
                 raise ScalarError("substituted constraint not polynomial")
             cons.append(Constraint(s.num, c.rel, s.den.const_value()))
-        return ParamDomain(cons)
+        return ParamDomain(cons), violated
 
     # -- nonvanishing certificates
     def nonvanishing_basis(self) -> list:

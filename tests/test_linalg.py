@@ -1,17 +1,19 @@
 """Elimination over Scalar against the Fraction oracle (oracles.py's
 nullspace_fractions and rank_fractions), which shares no code with
-linalg._eliminate."""
+linalg._eliminate; signature_of against Sylvester's law of inertia."""
 
 from fractions import Fraction
 from itertools import permutations
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pk4lie.linalg import (
-    Mat4, RankAmbiguous, _eliminate, adjugate_det, rank_on_domain, solve_affine,
+    Mat4, RankAmbiguous, _eliminate, adjugate_det, rank_on_domain, signature_of,
+    solve_affine,
 )
 from pk4lie.scalars import (
-    ParamDomain, Poly, Scalar, ZERO, common_denominator, numerator_over,
+    ParamDomain, Poly, Scalar, ScalarError, ZERO, common_denominator, numerator_over,
 )
 from oracles import nullspace_fractions, rank_fractions
 
@@ -143,3 +145,45 @@ def test_elimination_leaves_unused_rows_zero_in_each_eliminated_column(rows, dom
     for j, row in enumerate(rows):
         if j not in used:
             assert all(v.is_zero for v in row[:4]), (j, row)
+
+
+@st.composite
+def congruent_diagonals(draw):
+    """(d, P): d in {-2..2}^n and an invertible rational P, n in 1..4.  Half
+    the draws are hyperbolic planes, d = (a, -a, ...) with P's 2 x 2 blocks
+    [[s, t], [s, -t]] and permuted columns, so that P^T diag(d) P has an
+    all-zero diagonal."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        d = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        p = draw(st.lists(st.lists(small, min_size=n, max_size=n),
+                          min_size=n, max_size=n))
+        assume(rank_fractions(p) == n)
+        return d, p
+    nonzero = small.filter(bool)
+    d, p = [0] * n, [[Fraction(0)] * n for _ in range(n)]
+    for k in range(0, n - 1, 2):
+        d[k] = draw(st.sampled_from([-2, -1, 1, 2]))
+        d[k + 1] = -d[k]
+        s, t = draw(nonzero), draw(nonzero)
+        p[k][k], p[k][k + 1], p[k + 1][k], p[k + 1][k + 1] = s, t, s, -t
+    if n % 2:
+        p[n - 1][n - 1] = draw(nonzero)
+    cols = draw(st.permutations(range(n)))
+    return d, [[row[j] for j in cols] for row in p]
+
+
+@settings(max_examples=150, deadline=None)
+@given(congruent_diagonals())
+def test_signature_obeys_sylvesters_law_of_inertia(drawn):
+    # congruence keeps the signature: P^T diag(d) P has d's sign counts
+    d, p = drawn
+    n = len(d)
+    a = [[sum((p[k][i] * d[k] * p[k][j] for k in range(n)), Fraction(0))
+          for j in range(n)] for i in range(n)]
+    expected = (sum(v > 0 for v in d), sum(v < 0 for v in d), d.count(0))
+    assert signature_of(a) == expected
+    if n > 1:
+        a[0][1] += 1
+        with pytest.raises(ScalarError):
+            signature_of(a)

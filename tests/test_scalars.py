@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from pk4lie.liealg import ParacomplexReport
 from pk4lie.linalg import split_at_root
 from pk4lie.scalars import (
     DenominatorVanishes, DomainUnsatisfiable, EMPTY_DOMAIN,
@@ -15,6 +16,7 @@ from pk4lie.scalars import (
     ScalarError, ZERO, ONE, _mono_lex_key, _subst_poly, emit_scalar, identity_test,
     nonvanishing, parse_scalar, poly_divexact, poly_gcd,
 )
+from pk4lie.structures import neutral_certified
 import pk4lie
 
 X = Param("x")
@@ -290,6 +292,13 @@ def test_nonvanishing_verdicts():
     # no certificate: identity_test samples a witness
     sampled = nonvanishing(S("x+1"), dom, seed=3)
     assert sampled.kind == "NonZero" and sampled.witness is not None
+    # x*x - 5 vanishes at sqrt(5), in (2, 3), and y at (y, w) = (0, 1): no
+    # certificate exists, so a NonZero verdict rests on sampling, and the
+    # metric of a pc with K*K = Id and eigenranks (2, 2) is not certified
+    for domain, text in (("x - 2 > 0, x - 3 < 0", "x*x - 5"), ("y*y + w*w > 0", "y")):
+        weak = nonvanishing(S(text), ParamDomain.parse(domain))
+        assert weak.kind == "NonZero" and weak.trials >= 1
+        assert not neutral_certified(True, weak, ParacomplexReport(True, 2, 2, True))
 
 
 def test_split_at_root():
@@ -316,7 +325,7 @@ def test_split_at_root_is_exact(text, root):
 
 def test_domain_substitution():
     dom = ParamDomain.parse("beta >= -1, beta < 1")
-    sub = dom.substituted({Param("beta"): S("-alpha")})
+    sub, _ = dom.substituted({Param("beta"): S("-alpha")})
     import random
     asg = sub.sample(random.Random(0), {Param("alpha")})
     a = asg[Param("alpha")]

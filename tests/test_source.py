@@ -145,3 +145,34 @@ def test_every_definition_is_referenced():
     assert unreferenced - UNREFERENCED_DEFINITIONS.keys() == set(), "defined, never used"
     assert UNREFERENCED_DEFINITIONS.keys() - unreferenced == set(), \
         "stale allowlist entries"
+
+
+# "module.py:name" -> why the module imports another pk4lie module's
+# underscore name
+PRIVATE_IMPORTS = {
+    "notation.py:_parse":
+        "the one grammar, which notation.py runs with its own leaf builder",
+    "notation.py:_scalar_leaf":
+        "the Scalar leaf builder that notation.py's leaves fall back on",
+    "curvature.py:_eliminate":
+        "the one elimination; rank_on_domain is for 4 x 4 matrices only",
+    "curvature.py:_P_ZERO":
+        "the shared zero polynomial",
+}
+
+
+def _private_imports(path):
+    """"module.py:name" for each underscore name the module imports from
+    another pk4lie module."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("pk4lie")):
+            for a in node.names:
+                if a.name.startswith("_"):
+                    yield f"{path.name}:{a.name}"
+
+
+def test_no_module_imports_a_private_name_of_another():
+    found = {imp for path in SRC.glob("*.py") for imp in _private_imports(path)}
+    assert found - PRIVATE_IMPORTS.keys() == set(), "private names imported"
+    assert PRIVATE_IMPORTS.keys() - found == set(), "stale allowlist entries"

@@ -131,6 +131,19 @@ def test_an_iso_row_with_sampled_invertibility_takes_the_full_path(
     assert all(r.status == "PASS" for r in reports)
 
 
+def test_an_iso_row_with_a_map_singular_on_its_domain_takes_the_full_path(
+        tmp_path, monkeypatch):
+    # y*y + w*w > 0 holds at y = 0, where det P = y vanishes; invertibility
+    # rests on a sample there, so the row is not passed by transport
+    old = "condition: y != 0\nmap: f1=e4; f2=-y*e1; f3=e3; f4=-e2"
+    cat = load_catalog(_broken_copy(tmp_path, "iso_c.txt", old,
+                                    old.replace("y != 0", "y*y + w*w > 0")))
+    row = cat.iso_rows["iso_c/C2_2_0y"]
+    calls = _counting_transport(monkeypatch)
+    run_iso_rows(cat)
+    assert calls == [row.matrix]
+
+
 def test_an_iso_row_whose_source_fails_takes_the_full_path(monkeypatch):
     # the identity map of an algebra on which the normal form is not closed:
     # the row is pulled back and validated in full, and fails as its source
