@@ -27,6 +27,7 @@ from .liealg import LieAlgebra4
 from .linalg import PAIRS, Mat4, Vec4
 from .notation import parse_endo, parse_two_form, parse_vector, read_table, write_table
 from .scalars import EMPTY_DOMAIN, ParamDomain, ParseError, Scalar, ZERO
+from .structures import validate_para_kahler
 
 Vec2 = List[Scalar]
 Products = Dict[Tuple[int, int], Vec2]
@@ -142,3 +143,10 @@ NF_K_TEXT = "E11+E22-E33-E44"
 def normal_form() -> Tuple[Mat4, Mat4]:
     """The phase-space normal form (omega, K) = (e13+e24, diag(1,1,-1,-1))."""
     return parse_two_form(NF_OMEGA_TEXT), parse_endo(NF_K_TEXT)
+
+
+def normal_form_failures(L: LieAlgebra4) -> List[str]:
+    """The checks of `validate_para_kahler` that the normal form fails on L.
+    omega and K are constant, so `neutral_certified` holds and no check
+    samples or reads a domain: each is an identity in L's brackets."""
+    return validate_para_kahler(L, *normal_form()).failing()

@@ -1160,7 +1160,8 @@ EMPTY_DOMAIN = ParamDomain()
 
 
 class Verdict:
-    """Outcome of identity testing: ZeroExact, ZeroSampled or NonZero."""
+    """Outcome of identity_test (ZeroExact, ZeroSampled or NonZero) or of
+    `nonvanishing`, whose NonZero is certified and which adds GenericNonZero."""
 
     __slots__ = ("kind", "witness", "trials")
 
@@ -1168,6 +1169,13 @@ class Verdict:
         self.kind = kind
         self.witness = witness
         self.trials = trials
+
+    def __str__(self):
+        """The kind, and for GenericNonZero the sample it is nonzero at."""
+        if self.kind != "GenericNonZero":
+            return self.kind
+        sample = {p.name: str(v) for p, v in self.witness.items()}
+        return f"GenericNonZero at {sample}"
 
 
 def identity_test(s: Scalar, domain: ParamDomain = EMPTY_DOMAIN,
@@ -1193,11 +1201,13 @@ def identity_test(s: Scalar, domain: ParamDomain = EMPTY_DOMAIN,
 
 def nonvanishing(s: Scalar, domain: ParamDomain = EMPTY_DOMAIN,
                  trials: int = 32, seed: int = 0) -> Verdict:
-    """Whether s is nonzero on the domain: ZeroExact when it vanishes there,
-    NonZero for a constant or a certified numerator (known_nonzero), and
-    otherwise the sampled verdict of identity_test."""
+    """Whether s is nonzero on the domain.  NonZero is certified: s is a
+    constant, or `known_nonzero` certifies its numerator.  Otherwise
+    identity_test samples, and an s nonzero at a sample is GenericNonZero,
+    which certifies nothing: x*x - 5 on 2 < x < 3 vanishes at sqrt(5)."""
     if s.is_zero:
         return Verdict("ZeroExact")
     if s.is_const or domain.known_nonzero(s.num):
-        return Verdict("NonZero", witness=None, trials=0)
-    return identity_test(s, domain, trials=trials, seed=seed)
+        return Verdict("NonZero")
+    v = identity_test(s, domain, trials=trials, seed=seed)
+    return Verdict("GenericNonZero", v.witness, v.trials) if v.kind == "NonZero" else v

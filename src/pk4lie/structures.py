@@ -146,10 +146,10 @@ def neutral_certified(omega_antisymmetric: bool, nondegenerate: Verdict,
     once `metric_from` has found h symmetric.
 
     Premises: h is symmetric; omega is antisymmetric; omega's nondegeneracy
-    is certified (a constant Pfaffian or `known_nonzero`: a NonZero verdict
-    that sampled nothing, not identity_test's generic NonZero); K*K = Id;
-    both eigenranks are 2, which once K*K = Id is exact on the whole domain
-    (see `paracomplex_check`).
+    is certified (NonZero, which `nonvanishing` gives only to a constant
+    Pfaffian or a `known_nonzero` one); K*K = Id; both eigenranks are 2,
+    which once K*K = Id is exact on the whole domain (see
+    `paracomplex_check`).
 
     The argument: for u, v in the +1 eigenspace E+, h(u, v) = omega(Ku, v)
     = omega(u, v), which is symmetric in (u, v) and antisymmetric, so it is
@@ -160,8 +160,7 @@ def neutral_certified(omega_antisymmetric: bool, nondegenerate: Verdict,
     geometry: Cruceanu, Fortuny and Gadea, "A survey on paracomplex
     geometry", Rocky Mountain J. Math. 26 (1996).
     """
-    return (omega_antisymmetric
-            and nondegenerate.kind == "NonZero" and nondegenerate.trials == 0
+    return (omega_antisymmetric and nondegenerate.kind == "NonZero"
             and pc.squares_to_id
             and pc.eigenrank_plus == 2 and pc.eigenrank_minus == 2)
 
@@ -237,7 +236,7 @@ def validate_para_kahler(L: LieAlgebra4, omega: Mat4, K: Mat4,
     rep.add("omega_closed", closed)
     nd = pfaffian_nondegenerate(omega, domain, trials, seed)
     rep.add("omega_nondegenerate", nd.kind == "NonZero",
-            "" if nd.kind == "NonZero" else nd.kind)
+            "" if nd.kind == "NonZero" else str(nd))
     pc = paracomplex_check(L, K, domain)
     rep.add("K_squares_to_id", pc.squares_to_id)
     rep.add("eigenranks_2_2", pc.eigenrank_plus == 2 and pc.eigenrank_minus == 2,

@@ -45,7 +45,7 @@ def run_symplectic(cat: Catalog, seed: int = 0, trials: int = 32) -> List[EntryR
         rep.add("omega_antisymmetric", omega.is_antisymmetric())
         rep.add("omega_closed", vis_zero(ce_d(L, omega).values()))
         nd = pfaffian_nondegenerate(omega, sym.domain, trials=trials, seed=seed)
-        rep.add("omega_nondegenerate", nd.kind == "NonZero", nd.kind)
+        rep.add("omega_nondegenerate", nd.kind == "NonZero", str(nd))
         out.append(rep)
     return out
 
@@ -82,15 +82,14 @@ def _domain_fails(rep: EntryReport, dom: ParamDomain) -> bool:
 
 
 def run_phase_rows(cat: Catalog, seed: int = 0, trials: int = 32) -> List[EntryReport]:
-    from .phase_space import normal_form
-    nf_omega, nf_k = normal_form()
+    from .phase_space import normal_form, normal_form_failures
+    nf_omega, _ = normal_form()
     out = []
     for entry_id, row in cat.phase_rows.items():
         rep = EntryReport(entry_id)
-        L, dom = row.algebra, row.domain
+        L = row.algebra
         rep.add("jacobi", L.is_lie_algebra())
-        failed = validate_para_kahler(L, nf_omega, nf_k, dom, entry_id,
-                                      seed, trials).failing()
+        failed = normal_form_failures(L)
         rep.add("normal_form_structure", not failed, ",".join(failed))
         # span(e1,e2) and span(e3,e4) are the K eigenplanes; they must be
         # bracket-closed and omega-Lagrangian.
@@ -108,39 +107,22 @@ def run_phase_rows(cat: Catalog, seed: int = 0, trials: int = 32) -> List[EntryR
 
 
 def run_iso_rows(cat: Catalog, seed: int = 0, trials: int = 32) -> List[EntryReport]:
-    """Each row's map, and the phase-space normal form pulled back along it.
+    """Each row's map, and the phase-space normal form carried along it.
 
-    The pulled-back structure passes by transport, with no pullback and no
-    validation of its own, when four premises hold: the map's invertibility
-    is certified (NonZero with no sample), it is an exact Lie isomorphism,
-    the normal form passed validation on the row's source, and the row's
-    domain lies inside the source's (`Catalog._iso_row` builds it as the
-    source's substituted domain merged with the `condition` column).  A
-    pullback by such a map carries each of the nine checks over.  The
-    normal form is constant and each of its checks is an exact identity or
-    a constant certificate, so its validation depends on neither the domain,
-    the seed nor the trials, and runs once per source algebra, keyed by its
-    brackets.  Any other row is pulled back and validated in full.
-    """
-    from .morphisms import LinMap, check_lie_isomorphism, transport
-    from .phase_space import normal_form
-    nf = normal_form()
+    A certified invertible map that is an exact Lie isomorphism is a change
+    of basis, and each of the nine checks is invariant under it: the normal
+    form pulled back to the target fails what it fails on the row's source
+    (`normal_form_failures`, once per source bracket table).  Otherwise the
+    check fails and names the failed premise."""
+    from .morphisms import LinMap, check_lie_isomorphism
+    from .phase_space import normal_form_failures
     failing = {}  # source brackets -> the checks the normal form fails there
-
-    def source_valid(row) -> bool:
-        key = frozenset((ij, tuple(v)) for ij, v in row.source.brackets.items())
-        if key not in failing:
-            failing[key] = validate_para_kahler(row.source, *nf, row.domain,
-                                                seed=seed, trials=trials).failing()
-        return not failing[key]
-
     out = []
     for entry_id, row in cat.iso_rows.items():
         rep = EntryReport(entry_id, row_note=row.raw.get("notes", ""))
-        dom = row.domain
         m = LinMap(row.matrix, row.target, row.source)
-        inv = m.invertible(dom, trials, seed)
-        rep.add("invertible", inv.kind == "NonZero", inv.kind)
+        inv = m.invertible(row.domain, trials, seed)
+        rep.add("invertible", inv.kind == "NonZero", str(inv))
         ok, res = check_lie_isomorphism(m)
         if ok:
             rep.add("lie_isomorphism", True)
@@ -148,16 +130,16 @@ def run_iso_rows(cat: Catalog, seed: int = 0, trials: int = 32) -> List[EntryRep
             bad = {f"[f{i+1},f{j+1}]": [str(c) for c in v]
                    for (i, j), v in res.items() if not vis_zero(v)}
             rep.add("lie_isomorphism", False, f"residuals {bad}")
-        if ok and inv.kind == "NonZero" and inv.trials == 0 and source_valid(row):
-            rep.add("transported_structure_valid", True)
+        premises = rep.failing()
+        if premises:
+            rep.add("transported_structure_valid", False,
+                    f"not carried over: {','.join(premises)} failed")
         else:
-            try:
-                w, k = transport(m, *nf)
-                failed = validate_para_kahler(row.target, w, k, dom, entry_id,
-                                              seed, trials).failing()
-                rep.add("transported_structure_valid", not failed, ",".join(failed))
-            except DegenerateError as e:  # already reported by "invertible"
-                rep.add("transported_structure_valid", False, repr(e))
+            key = frozenset((ij, tuple(v)) for ij, v in row.source.brackets.items())
+            if key not in failing:
+                failing[key] = normal_form_failures(row.source)
+            rep.add("transported_structure_valid", not failing[key],
+                    ",".join(failing[key]))
         out.append(rep)
     return out
 

@@ -6,7 +6,7 @@ from pk4lie.linalg import _eliminate
 from pk4lie.notation import parse_endo, parse_two_form
 from pk4lie.phase_space import (
     LSA_CATALOG_TEXT, LSAPair, assembled_brackets, emit_products,
-    is_lie_extendible, lsa_pair, parse_products,
+    is_lie_extendible, lsa_pair, normal_form, normal_form_failures, parse_products,
 )
 from pk4lie.scalars import EMPTY_DOMAIN, Scalar, ZERO, ONE, parse_scalar
 from pk4lie.structures import validate_para_kahler
@@ -264,3 +264,19 @@ def test_build_table_rows_all_validate():
     assert len(reports) == 45
     assert [(r.entry_id, r.status) for r in reports
             if r.status != "PASS"] == [("phase_b/B2", "FAIL")]
+
+
+def test_the_normal_form_verdict_reads_no_domain_seed_or_trials():
+    # the premise on which the phase and iso suites and `pk4lie phase` drop
+    # the domain, the seed and the trial count
+    from pk4lie.catalog import load_catalog
+    cat = load_catalog()
+    algebras = [(key, row.algebra, row.domain) for key, row in cat.phase_rows.items()]
+    algebras += [(key, row.source, row.domain) for key, row in cat.iso_rows.items()]
+    assert len(algebras) == 45 + 88
+    for key, L, domain in algebras:
+        failed = normal_form_failures(L)
+        for seed in (0, 5):
+            for trials in (1, 32):
+                assert failed == validate_para_kahler(
+                    L, *normal_form(), domain, seed=seed, trials=trials).failing(), key

@@ -66,6 +66,10 @@ UNREAD_PARAMETERS = {
         "emit_endo's cell filter keeps every cell (i, j)",
     ("structures.py", "metric_from", "domain"):
         "perfbench/explore.py passes it positionally",
+    ("verify.py", "run_phase_rows", "seed"):
+        "SUITES protocol: the phase suite samples nothing",
+    ("verify.py", "run_phase_rows", "trials"):
+        "SUITES protocol: the phase suite samples nothing",
 }
 
 
@@ -176,3 +180,20 @@ def test_no_module_imports_a_private_name_of_another():
     found = {imp for path in SRC.glob("*.py") for imp in _private_imports(path)}
     assert found - PRIVATE_IMPORTS.keys() == set(), "private names imported"
     assert PRIVATE_IMPORTS.keys() - found == set(), "stale allowlist entries"
+
+
+# "module.py" -> why the module reads an attribute named `trials`
+TRIALS_READERS = {
+    "cli.py": "argparse's args.trials, the --trials option",
+}
+
+
+def test_only_scalars_reads_how_many_trials_a_verdict_took():
+    # Whether a verdict is certified is its kind, which scalars.py decides;
+    # no other module re-derives it from the samples a verdict took.
+    found = {path.name for path in SRC.glob("*.py") if path.name != "scalars.py"
+             for n in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(n, ast.Attribute) and n.attr == "trials"
+             and isinstance(n.ctx, ast.Load)}
+    assert found - TRIALS_READERS.keys() == set(), "trials read outside scalars.py"
+    assert TRIALS_READERS.keys() - found == set(), "stale allowlist entries"

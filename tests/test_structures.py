@@ -215,17 +215,19 @@ def test_certificate_needs_omega_antisymmetric():
 
 def test_certificate_needs_a_certified_pfaffian():
     # omega = x*e13 + e24 on no constraint: det omega = x^2 is nonzero only
-    # by sampling, and h is degenerate at x = 0.  The certificate refuses,
-    # and the sampled signature is what the report gives.
+    # at samples, and h is degenerate at x = 0.  The Pfaffian check fails
+    # naming its sample, the certificate refuses, and the sampled signature
+    # is what the report gives.
     omega = parse_two_form("x*e13+e24")
     K = parse_endo("E11+E22-E33-E44")
     nd = pfaffian_nondegenerate(omega)
-    assert nd.kind == "NonZero" and nd.trials > 0
+    assert nd.kind == "GenericNonZero" and nd.trials > 0
     assert not neutral_certified(True, nd, paracomplex_check(ABELIAN, K))
     h = metric_from(omega, K)
     assert signature_of(h.eval({next(iter(h.params())): 0})) == (1, 1, 2)
     rep = validate_para_kahler(ABELIAN, omega, K, trials=8)
-    assert rep.status == "PASS", rep.failing()
+    assert rep.failing() == ["omega_nondegenerate"]
+    assert rep.checks[3]["detail"].startswith("GenericNonZero at {'x': ")
 
 
 def _bracket_dims(L, K):

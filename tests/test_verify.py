@@ -3,11 +3,12 @@
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, given, settings, strategies as hst
 
 from pk4lie import morphisms
 from pk4lie.catalog import CurvatureRowEntry, StructureEntry, load_catalog
 from pk4lie.liealg import LieAlgebra4
-from pk4lie.linalg import Mat4
+from pk4lie.linalg import PAIRS, Mat4
 from pk4lie.morphisms import LinMap, check_lie_isomorphism, transport
 from pk4lie.notation import parse_sym_form
 from pk4lie.phase_space import normal_form
@@ -96,7 +97,7 @@ def _counting_transport(monkeypatch):
 
 
 def test_iso_rows_pass_by_transport_where_the_full_validation_passes(monkeypatch):
-    # the oracle of proof by transport: each of the 88 rows meets the four
+    # the oracle of proof by transport: each of the 88 rows meets both
     # premises and passes with no pullback, and the pullback followed by the
     # full validation passes on each as well
     calls = _counting_transport(monkeypatch)
@@ -115,46 +116,95 @@ def test_iso_rows_pass_by_transport_where_the_full_validation_passes(monkeypatch
         assert not full, (key, full)
 
 
-def test_an_iso_row_with_sampled_invertibility_takes_the_full_path(
-        tmp_path, monkeypatch):
-    # y - w*w > 0 keeps det P = y off zero, but only sampling says so: the
-    # row is pulled back and validated in full, and passes; no other row is
+def _iso_copy(tmp_path, condition):
+    """A checked catalog whose row iso_c/C2_2_0y has `condition`, with the
+    row and the iso suite's reports by entry."""
     old = "condition: y != 0\nmap: f1=e4; f2=-y*e1; f3=e3; f4=-e2"
     cat = load_catalog(_broken_copy(tmp_path, "iso_c.txt", old,
-                                    old.replace("y != 0", "y - w*w > 0")))
-    row = cat.iso_rows["iso_c/C2_2_0y"]
+                                    old.replace("y != 0", condition)))
+    return cat.iso_rows["iso_c/C2_2_0y"], {r.entry_id: r for r in run_iso_rows(cat)}
+
+
+def test_an_iso_row_with_sampled_invertibility_fails_invertible(tmp_path):
+    # y - w*w > 0 keeps det P = y off zero, but only a sample says so, and a
+    # sample certifies nothing (exact domain decisions would): the row fails,
+    # nothing is carried over, and no other row fails
+    row, reports = _iso_copy(tmp_path, "y - w*w > 0")
     inv = LinMap(row.matrix, row.target, row.source).invertible(row.domain)
-    assert inv.kind == "NonZero" and inv.trials > 0
-    calls = _counting_transport(monkeypatch)
-    reports = run_iso_rows(cat)
-    assert calls == [row.matrix]
-    assert all(r.status == "PASS" for r in reports)
+    assert inv.kind == "GenericNonZero" and inv.trials > 0
+    rep = reports.pop("iso_c/C2_2_0y")
+    assert rep.status == "FAIL"
+    assert rep.failing() == ["invertible", "transported_structure_valid"]
+    assert rep.checks[0]["detail"] == str(inv)
+    assert rep.checks[-1]["detail"] == "not carried over: invertible failed"
+    assert all(r.status == "PASS" for r in reports.values())
 
 
-def test_an_iso_row_with_a_map_singular_on_its_domain_takes_the_full_path(
-        tmp_path, monkeypatch):
-    # y*y + w*w > 0 holds at y = 0, where det P = y vanishes; invertibility
-    # rests on a sample there, so the row is not passed by transport
-    old = "condition: y != 0\nmap: f1=e4; f2=-y*e1; f3=e3; f4=-e2"
-    cat = load_catalog(_broken_copy(tmp_path, "iso_c.txt", old,
-                                    old.replace("y != 0", "y*y + w*w > 0")))
-    row = cat.iso_rows["iso_c/C2_2_0y"]
-    calls = _counting_transport(monkeypatch)
-    run_iso_rows(cat)
-    assert calls == [row.matrix]
+def test_an_iso_row_with_a_map_singular_on_its_domain_fails_invertible(tmp_path):
+    # det P = y vanishes at (y, w) = (0, 1), inside y*y + w*w > 0: the sample
+    # that finds det P nonzero is named, and the row fails
+    _, reports = _iso_copy(tmp_path, "y*y + w*w > 0")
+    rep = reports["iso_c/C2_2_0y"]
+    assert rep.failing() == ["invertible", "transported_structure_valid"]
+    assert rep.checks[0]["detail"].startswith("GenericNonZero at {")
 
 
-def test_an_iso_row_whose_source_fails_takes_the_full_path(monkeypatch):
+def _iso_row(L, domain=ParamDomain.parse(""), matrix=Mat4.identity(), target=None):
+    """An iso row whose map `matrix` carries `target` (L by default) onto L."""
+    return SimpleNamespace(raw={}, source=L, target=target or L, matrix=matrix,
+                           domain=domain)
+
+
+def test_an_iso_row_whose_source_fails_carries_its_failures_over():
     # the identity map of an algebra on which the normal form is not closed:
-    # the row is pulled back and validated in full, and fails as its source
-    L = LieAlgebra4.parse("[e1,e3]=e2")
-    row = SimpleNamespace(raw={}, source=L, target=L, matrix=Mat4.identity(),
-                          domain=ParamDomain.parse(""))
-    calls = _counting_transport(monkeypatch)
-    [rep] = run_iso_rows(SimpleNamespace(iso_rows={"iso/identity": row}))
-    assert calls == [row.matrix]
+    # the row fails as its source does
+    [rep] = run_iso_rows(SimpleNamespace(
+        iso_rows={"iso/identity": _iso_row(LieAlgebra4.parse("[e1,e3]=e2"))}))
     assert rep.failing() == ["transported_structure_valid"]
     assert rep.checks[-1]["detail"] == "omega_closed,nabla_K_zero"
+
+
+def test_an_iso_row_that_is_no_lie_isomorphism_carries_nothing_over():
+    row = _iso_row(LieAlgebra4.parse("[e1,e2]=e3"),
+                   target=LieAlgebra4.parse("[e1,e2]=e4"))
+    [rep] = run_iso_rows(SimpleNamespace(iso_rows={"iso/not-iso": row}))
+    assert rep.failing() == ["lie_isomorphism", "transported_structure_valid"]
+    assert rep.checks[-1]["detail"] == "not carried over: lie_isomorphism failed"
+
+
+# algebras on which the normal form fails, next to the phase rows' algebras
+NORMAL_FORM_FAILS = [LieAlgebra4.parse(t) for t in (
+    "[e1,e3]=e2", "[e1,e2]=e3; [e3,e4]=e1", "[e1,e4]=x*e1; [e2,e3]=e4")]
+PHASE_ROWS = list(CAT.phase_rows.values())
+SMALL = hst.integers(-2, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hst.booleans(), hst.integers(0, 10 ** 6),
+       hst.lists(SMALL, min_size=16, max_size=16))
+def test_a_carried_over_verdict_matches_the_pullback_validated_in_full(
+        fails, pick, entries):
+    # The oracle is the path the iso suite no longer takes: pull the normal
+    # form back along the map and validate it on the target.  The target is
+    # L pulled back along a constant invertible P, so P is an exact Lie
+    # isomorphism onto L with a certified determinant.
+    if fails:
+        L, dom = NORMAL_FORM_FAILS[pick % len(NORMAL_FORM_FAILS)], ParamDomain.parse("")
+    else:
+        row = PHASE_ROWS[pick % len(PHASE_ROWS)]
+        L, dom = row.algebra, row.domain
+    p = Mat4([entries[4 * r:4 * r + 4] for r in range(4)])
+    assume(not p.det().is_zero)
+    cols, p_inv = p.transpose().rows, p.inverse()
+    target = LieAlgebra4({(i, j): p_inv.apply(L.bracket(cols[i], cols[j]))
+                          for i, j in PAIRS})
+    [rep] = run_iso_rows(SimpleNamespace(
+        iso_rows={"iso/drawn": _iso_row(L, dom, p, target)}))
+    full = validate_para_kahler(target, *transport(LinMap(p, target, L), *normal_form()),
+                                dom).failing()
+    assert rep.checks[-1] == {"name": "transported_structure_valid", "ok": not full,
+                              **({"detail": ",".join(full)} if full else {})}
+    assert rep.failing() == (["transported_structure_valid"] if full else [])
 
 
 def test_curvature_suite_statuses_frozen():
@@ -257,7 +307,9 @@ def test_seed_and_trials_reach_every_sampled_check(monkeypatch):
         return _orig(self, params, evaluate, trials, seed)
     monkeypatch.setattr(ParamDomain, "sampled_values", recorded)
     [rep] = run_structures(SimpleNamespace(structure_list=lambda: [row]), 7, 3)
-    assert rep.status == "PASS", rep.failing()
+    # y = 0 lies in the domain, so a sample cannot certify the Pfaffian
+    assert rep.failing() == ["omega_nondegenerate"]
+    assert rep.checks[3]["detail"].startswith("GenericNonZero at {")
     assert len(calls) == 2 and set(calls) == {(3, 7)}
 
 
