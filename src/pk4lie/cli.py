@@ -1,8 +1,9 @@
 """Command-line front end: verify suites, per-entry geometry, phase products.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage or parse
-errors.  Output is deterministic for a fixed catalog, seed and trial count,
-which every sampled check of `verify` reads.
+errors.  Output is deterministic for a fixed catalog.  No check samples:
+`--seed` and `--trials` are parsed, validated and recorded in `verify`'s
+JSON report, and nothing reads them.
 
 Every command runs on the scalar, matrix, notation, Lie algebra and
 structure modules imported here.  A subcommand imports the rest of what it
@@ -96,7 +97,7 @@ def cmd_verify(args) -> int:
     from .catalog import load_catalog
     from .verify import run_scope
     cat = load_catalog()
-    reports = run_scope(cat, args.scope, seed=args.seed, trials=args.trials)
+    reports = run_scope(cat, args.scope)
     failed = sum(r.status == "FAIL" for r in reports)
     warned = sum(r.status == "WARN" for r in reports)
     if args.format == "json":

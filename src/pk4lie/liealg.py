@@ -134,10 +134,9 @@ def ce_d(L: LieAlgebra4, omega: Mat4) -> Dict[tuple, Scalar]:
             for (i, j, k) in TRIPLES}
 
 
-def pfaffian_nondegenerate(omega: Mat4, domain: ParamDomain = EMPTY_DOMAIN,
-                           trials: int = 32, seed: int = 0) -> Verdict:
+def pfaffian_nondegenerate(omega: Mat4, domain: ParamDomain = EMPTY_DOMAIN) -> Verdict:
     """Nondegeneracy verdict for an antisymmetric form: NonZero det on domain."""
-    return nonvanishing(omega.det(), domain, trials, seed)
+    return nonvanishing(omega.det(), domain)
 
 
 def nijenhuis(L: LieAlgebra4, K: Mat4) -> Dict[tuple, Vec4]:

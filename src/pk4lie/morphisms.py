@@ -17,10 +17,9 @@ class LinMap:
     def __init__(self, matrix: Mat4, source: LieAlgebra4, target: LieAlgebra4):
         self.matrix, self.source, self.target = matrix, source, target
 
-    def invertible(self, domain: ParamDomain, trials: int = 32,
-                   seed: int = 0) -> Verdict:
+    def invertible(self, domain: ParamDomain) -> Verdict:
         """Whether det P is nonzero on the domain (see `nonvanishing`)."""
-        return nonvanishing(self.matrix.det(), domain, trials, seed)
+        return nonvanishing(self.matrix.det(), domain)
 
 
 def iso_residuals(m: LinMap) -> Dict[tuple, Vec4]:

@@ -26,7 +26,7 @@ from typing import Dict, List, Tuple
 from .liealg import LieAlgebra4
 from .linalg import PAIRS, Mat4, Vec4
 from .notation import parse_endo, parse_two_form, parse_vector, read_table, write_table
-from .scalars import EMPTY_DOMAIN, ParamDomain, ParseError, Scalar, ZERO
+from .scalars import ParseError, Scalar, ZERO
 from .structures import validate_para_kahler
 
 Vec2 = List[Scalar]
@@ -61,14 +61,12 @@ def emit_products(products: Products, offset: int = 0) -> str:
 
 
 class LSAPair:
-    """The product tables on U and on U*, over the family's domain: the
-    only domain of a phase-space pair."""
+    """The product tables on U and on U*."""
 
-    __slots__ = ("on_U", "on_Ustar", "domain")
+    __slots__ = ("on_U", "on_Ustar")
 
-    def __init__(self, on_U: Products, on_Ustar: Products,
-                 domain: ParamDomain = EMPTY_DOMAIN):
-        self.on_U, self.on_Ustar, self.domain = on_U, on_Ustar, domain
+    def __init__(self, on_U: Products, on_Ustar: Products):
+        self.on_U, self.on_Ustar = on_U, on_Ustar
 
 
 def assembled_brackets(pair: LSAPair) -> LieAlgebra4:
@@ -106,6 +104,11 @@ def is_lie_extendible(L: LieAlgebra4) -> Tuple[bool, Dict[tuple, Vec4]]:
 # below are the ones that are actually left-symmetric and reproduce the
 # phase-space bracket tables (b4: e2.e2 = e1+e2; b5+/-: e2.e2 = -2 e2 with
 # e1.e1 = +-e2; c5-: e1.e1 = -e2).
+#
+# Each entry is (products, the family's parameter range as printed).  The
+# range is a record of the paper's statement, which nothing parses: the
+# Jacobi identity of an assembled pair and the normal form's checks are
+# identities in the parameters, and read no domain.
 
 LSA_CATALOG_TEXT = {
     "b1_alpha": ("e2.e1=e1; e2.e2=alpha*e2", ""),
@@ -125,13 +128,12 @@ LSA_CATALOG_TEXT = {
 
 def lsa_pair(name: str, dual: str) -> LSAPair:
     """The cataloged algebra `name` on U with the product table `dual` on U*
-    (empty for the trivial one), over the family's domain."""
+    (empty for the trivial one)."""
     if name not in LSA_CATALOG_TEXT:
         raise ParseError(f"unknown left-symmetric algebra {name!r}; "
                          f"choices: {', '.join(sorted(LSA_CATALOG_TEXT))}")
-    text, domain = LSA_CATALOG_TEXT[name]
-    return LSAPair(parse_products(text), parse_products(dual or "trivial", 2),
-                   ParamDomain.parse(domain))
+    return LSAPair(parse_products(LSA_CATALOG_TEXT[name][0]),
+                   parse_products(dual or "trivial", 2))
 
 
 # The normal form that every phase-space pair carries: omega pairs U with
@@ -148,5 +150,5 @@ def normal_form() -> Tuple[Mat4, Mat4]:
 def normal_form_failures(L: LieAlgebra4) -> List[str]:
     """The checks of `validate_para_kahler` that the normal form fails on L.
     omega and K are constant, so `neutral_certified` holds and no check
-    samples or reads a domain: each is an identity in L's brackets."""
+    reads a domain: each is an identity in L's brackets."""
     return validate_para_kahler(L, *normal_form()).failing()

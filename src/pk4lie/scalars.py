@@ -3,8 +3,10 @@
 Every quantity in this package is a Scalar: a reduced fraction num/den of
 polynomials over Z in a registry of named parameters, in one canonical
 form (see Scalar), so a constant is a reduced pair of integers.  Identities
-are decided exactly (numerator identically zero); random sampling is only
-used for sign conditions and witness production.
+are decided exactly (numerator identically zero), and so is nonvanishing on
+a domain: certified, or not.  No verdict samples; seeded draws only find a
+point of a domain (`ParamDomain.satisfiable`).  `identity_test`, which
+samples, is the tests' oracle and no check's.
 
 Canonical forms need polynomial gcds and exact divisions over Z (Geddes,
 Czapor and Labahn, Algorithms for Computer Algebra, 1992, ch. 2).  Both are
@@ -1126,7 +1128,8 @@ class ParamDomain:
                        seed: int):
         """Yield up to `trials` pairs (point, evaluate(point)) at seeded
         random points of the domain, skipping points where a denominator
-        vanishes, within a budget of 20 * trials draws.
+        vanishes, within a budget of 20 * trials draws: the loop of
+        `identity_test`, for the tests, and of no check.
 
         A nonzero polynomial of total degree d vanishes at a uniform point
         of S^n with probability at most d / |S| (Schwartz, "Fast
@@ -1160,8 +1163,9 @@ EMPTY_DOMAIN = ParamDomain()
 
 
 class Verdict:
-    """Outcome of identity_test (ZeroExact, ZeroSampled or NonZero) or of
-    `nonvanishing`, whose NonZero is certified and which adds GenericNonZero."""
+    """Outcome of `nonvanishing` (ZeroExact, NonZero or GenericNonZero) or of
+    the sampling oracle identity_test (ZeroExact, ZeroSampled or NonZero,
+    with the sample that decided it and how many it took)."""
 
     __slots__ = ("kind", "witness", "trials")
 
@@ -1171,16 +1175,13 @@ class Verdict:
         self.trials = trials
 
     def __str__(self):
-        """The kind, and for GenericNonZero the sample it is nonzero at."""
-        if self.kind != "GenericNonZero":
-            return self.kind
-        sample = {p.name: str(v) for p, v in self.witness.items()}
-        return f"GenericNonZero at {sample}"
+        return self.kind
 
 
 def identity_test(s: Scalar, domain: ParamDomain = EMPTY_DOMAIN,
                   trials: int = 32, seed: int = 0) -> Verdict:
-    """Decide whether s vanishes identically on the domain.
+    """Decide whether s vanishes identically on the domain, by samples: an
+    oracle for the tests, which no check calls.
 
     ZeroExact and NonZero are exact.  ZeroSampled (flagged for review) needs
     every sample on a zero set of the nonzero numerator: a parameter pinned
@@ -1199,15 +1200,14 @@ def identity_test(s: Scalar, domain: ParamDomain = EMPTY_DOMAIN,
     return Verdict("ZeroSampled", trials=done)
 
 
-def nonvanishing(s: Scalar, domain: ParamDomain = EMPTY_DOMAIN,
-                 trials: int = 32, seed: int = 0) -> Verdict:
-    """Whether s is nonzero on the domain.  NonZero is certified: s is a
-    constant, or `known_nonzero` certifies its numerator.  Otherwise
-    identity_test samples, and an s nonzero at a sample is GenericNonZero,
-    which certifies nothing: x*x - 5 on 2 < x < 3 vanishes at sqrt(5)."""
+def nonvanishing(s: Scalar, domain: ParamDomain = EMPTY_DOMAIN) -> Verdict:
+    """Whether s is nonzero on the domain, with no sample.  ZeroExact: s is
+    identically zero.  NonZero is certified: s is a constant, or
+    `known_nonzero` certifies its numerator.  Any other s is GenericNonZero,
+    nonzero as a function but with no certificate, which certifies nothing:
+    x*x - 5 on 2 < x < 3 vanishes at sqrt(5)."""
     if s.is_zero:
         return Verdict("ZeroExact")
     if s.is_const or domain.known_nonzero(s.num):
         return Verdict("NonZero")
-    v = identity_test(s, domain, trials=trials, seed=seed)
-    return Verdict("GenericNonZero", v.witness, v.trials) if v.kind == "NonZero" else v
+    return Verdict("GenericNonZero")

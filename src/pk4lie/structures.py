@@ -7,12 +7,13 @@ tensor, symmetry and neutral signature of the induced metric, and
 parallelism of K under the Levi-Civita product.  It is an EntryReport,
 the row report that every verify suite returns.
 
-Both of the last two checks are exact.  The signature is neutral by the
-isotropic-eigenspace certificate (`neutral_certified`) whenever its
-premises passed, and is sampled only when one of them failed.  Under the
-same certificate nabla K = 0 is read off d omega = 0 and N_K = 0; otherwise
-it is decided on the doubled Koszul values 2 G (`koszul_sums`, read by
-`K_parallel`), with no connection and no inverse of the metric.
+Every check is exact, and none samples.  The signature passes exactly
+when the isotropic-eigenspace certificate (`neutral_certified`) holds; its
+premises are four checks of the report, so it fails only on a report that
+already fails, and names the premises that did.  Under the same certificate
+nabla K = 0 is read off d omega = 0 and N_K = 0; otherwise it is decided on
+the doubled Koszul values 2 G (`koszul_sums`, read by `K_parallel`), with
+no connection and no inverse of the metric.
 `levi_civita` builds the connection itself, for the curvature suite and
 the `geometry` command, fraction-free: polynomial numerators adj(h) (2 G)
 over one common denominator 2 det h, after h and the brackets are cleared
@@ -26,7 +27,7 @@ from functools import cached_property
 from typing import List, Set
 
 from .linalg import (
-    DegenerateError, Mat4, Vec4, adjugate_det, signature_of, vis_zero,
+    DegenerateError, Mat4, Vec4, adjugate_det, vis_zero,
 )
 from .liealg import (
     LieAlgebra4, NotSymmetric, ParacomplexReport, ce_d, lowered_brackets,
@@ -210,15 +211,21 @@ class EntryReport:
                 "checks": self.checks, **({"notes": self.notes} if self.notes else {})}
 
 
+# The report's checks that `neutral_certified` reads, in report order.
+SIGNATURE_PREMISES = ("omega_antisymmetric", "omega_nondegenerate",
+                      "K_squares_to_id", "eigenranks_2_2")
+
+
 def validate_para_kahler(L: LieAlgebra4, omega: Mat4, K: Mat4,
                          domain: ParamDomain = EMPTY_DOMAIN,
-                         entry_id: str = "", seed: int = 0,
-                         trials: int = 32) -> EntryReport:
-    """Nine-point validation; failures are verdicts, never exceptions.  The
-    Pfaffian check and the signature's fallback sample `trials` seeded points.
+                         entry_id: str = "") -> EntryReport:
+    """Nine-point validation; failures are verdicts, never exceptions, and
+    every check is exact.
 
-    nabla K = 0 is decided by theorem whenever `neutral_certified` holds.
-    Its premises make (omega, K) almost para-Hermitian on the whole domain:
+    signature_neutral passes exactly when `neutral_certified` holds, and
+    otherwise fails naming the premises that failed.  Whenever it holds,
+    nabla K = 0 is decided by theorem.  Its premises make (omega, K) almost
+    para-Hermitian on the whole domain:
     omega is antisymmetric and certified nondegenerate, K*K = Id with
     eigenranks (2,2), and h = omega(K., .) is symmetric, so K is h-skew and
     det h = +-det omega does not vanish.  For such a pair nabla K = 0
@@ -234,7 +241,7 @@ def validate_para_kahler(L: LieAlgebra4, omega: Mat4, K: Mat4,
     rep.add("omega_antisymmetric", antisymmetric)
     closed = vis_zero(ce_d(L, omega).values())
     rep.add("omega_closed", closed)
-    nd = pfaffian_nondegenerate(omega, domain, trials, seed)
+    nd = pfaffian_nondegenerate(omega, domain)
     rep.add("omega_nondegenerate", nd.kind == "NonZero",
             "" if nd.kind == "NonZero" else str(nd))
     pc = paracomplex_check(L, K, domain)
@@ -253,7 +260,8 @@ def validate_para_kahler(L: LieAlgebra4, omega: Mat4, K: Mat4,
         rep.add("signature_neutral", True)
         rep.add("nabla_K_zero", closed and pc.nijenhuis_zero)
         return rep
-    rep.add("signature_neutral", *_signature_neutral(h, domain, trials, seed))
+    failed = [c for c in rep.failing() if c in SIGNATURE_PREMISES]
+    rep.add("signature_neutral", False, f"not certified: {','.join(failed)} failed")
     if h.det().is_zero:
         rep.add("nabla_K_zero", False, "metric degenerate")
     elif not antisymmetric:
@@ -261,16 +269,3 @@ def validate_para_kahler(L: LieAlgebra4, omega: Mat4, K: Mat4,
     else:
         rep.add("nabla_K_zero", K_parallel(L, h, K))
     return rep
-
-
-def _signature_neutral(h: Mat4, domain: ParamDomain, trials: int, seed: int):
-    """The signature of h at `trials` seeded points of the domain: the
-    fallback when `neutral_certified` refuses."""
-    done = 0
-    for done, (asg, m) in enumerate(domain.sampled_values(h.params(), h.eval,
-                                                          trials, seed), 1):
-        sig = signature_of(m)
-        if sig != (2, 2, 0):
-            detail = {p.name: str(v) for p, v in asg.items()}
-            return False, f"signature {sig} at {detail}"
-    return done == trials, "" if done == trials else f"only {done} samples"

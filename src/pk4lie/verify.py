@@ -36,7 +36,7 @@ from .structures import EntryReport, validate_para_kahler
 # Suite: symplectic rows (Jacobi, closedness, nondegeneracy)
 
 
-def run_symplectic(cat: Catalog, seed: int = 0, trials: int = 32) -> List[EntryReport]:
+def run_symplectic(cat: Catalog) -> List[EntryReport]:
     out = []
     for key, sym in cat.symplectic.items():
         rep = EntryReport(key)
@@ -44,7 +44,7 @@ def run_symplectic(cat: Catalog, seed: int = 0, trials: int = 32) -> List[EntryR
         rep.add("jacobi", L.is_lie_algebra())
         rep.add("omega_antisymmetric", omega.is_antisymmetric())
         rep.add("omega_closed", vis_zero(ce_d(L, omega).values()))
-        nd = pfaffian_nondegenerate(omega, sym.domain, trials=trials, seed=seed)
+        nd = pfaffian_nondegenerate(omega, sym.domain)
         rep.add("omega_nondegenerate", nd.kind == "NonZero", str(nd))
         out.append(rep)
     return out
@@ -54,13 +54,13 @@ def run_symplectic(cat: Catalog, seed: int = 0, trials: int = 32) -> List[EntryR
 # Suite: para-Kahler structures (nine-point validation per entry)
 
 
-def run_structures(cat: Catalog, seed: int = 0, trials: int = 32) -> List[EntryReport]:
+def run_structures(cat: Catalog) -> List[EntryReport]:
     out = []
     for st in cat.structure_list():
         rep = EntryReport(st.entry_id)
         if not _domain_fails(rep, st.domain):
             rep = validate_para_kahler(st.algebra, st.omega, st.K, st.domain,
-                                       st.entry_id, seed, trials)
+                                       st.entry_id)
         out.append(rep)
     return out
 
@@ -81,7 +81,7 @@ def _domain_fails(rep: EntryReport, dom: ParamDomain) -> bool:
 # Suite: phase-space rows (Jacobi + normal form + Lagrangian eigenplanes)
 
 
-def run_phase_rows(cat: Catalog, seed: int = 0, trials: int = 32) -> List[EntryReport]:
+def run_phase_rows(cat: Catalog) -> List[EntryReport]:
     from .phase_space import normal_form, normal_form_failures
     nf_omega, _ = normal_form()
     out = []
@@ -106,7 +106,7 @@ def run_phase_rows(cat: Catalog, seed: int = 0, trials: int = 32) -> List[EntryR
 # Suite: isomorphism rows
 
 
-def run_iso_rows(cat: Catalog, seed: int = 0, trials: int = 32) -> List[EntryReport]:
+def run_iso_rows(cat: Catalog) -> List[EntryReport]:
     """Each row's map, and the phase-space normal form carried along it.
 
     A certified invertible map that is an exact Lie isomorphism is a change
@@ -121,7 +121,7 @@ def run_iso_rows(cat: Catalog, seed: int = 0, trials: int = 32) -> List[EntryRep
     for entry_id, row in cat.iso_rows.items():
         rep = EntryReport(entry_id, row_note=row.raw.get("notes", ""))
         m = LinMap(row.matrix, row.target, row.source)
-        inv = m.invertible(row.domain, trials, seed)
+        inv = m.invertible(row.domain)
         rep.add("invertible", inv.kind == "NonZero", str(inv))
         ok, res = check_lie_isomorphism(m)
         if ok:
@@ -357,22 +357,21 @@ def run_equivalence_witnesses(cat: Catalog) -> List[EntryReport]:
 # Scope runner
 
 
-# scope -> (cat, seed, trials) -> reports, in `verify all` order;
-# cli.SCOPES copies the keys.
+# scope -> suite of the catalog, in `verify all` order; cli.SCOPES copies
+# the keys.
 SUITES = {
     "symplectic": run_symplectic,
     "structures": run_structures,
     "phase": run_phase_rows,
     "iso": run_iso_rows,
-    "curvature": lambda cat, seed, trials: run_curvature_rows(cat),
-    "witnesses": lambda cat, seed, trials: run_equivalence_witnesses(cat),
+    "curvature": run_curvature_rows,
+    "witnesses": run_equivalence_witnesses,
 }
 
 
-def run_scope(cat: Catalog, scope: str, seed: int = 0,
-              trials: int = 32) -> List[EntryReport]:
+def run_scope(cat: Catalog, scope: str) -> List[EntryReport]:
     if scope == "all":  # through run_scope, so that a wrapper sees each suite
-        return [r for s in SUITES for r in run_scope(cat, s, seed, trials)]
+        return [r for s in SUITES for r in run_scope(cat, s)]
     if scope not in SUITES:
         raise ValueError(f"unknown scope {scope!r}")
-    return SUITES[scope](cat, seed, trials)
+    return SUITES[scope](cat)

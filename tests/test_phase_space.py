@@ -244,12 +244,12 @@ def test_lsa_round_trip():
 
 
 def test_the_pair_owns_the_family_domain():
+    # a pair is its two product tables: no check reads the family's range,
+    # which LSA_CATALOG_TEXT keeps as printed text
     pair = lsa_pair("b3_alpha", "")
-    assert repr(pair.domain) == "ParamDomain(alpha != 0)"
     assert emit_products(pair.on_Ustar, 2) == "trivial"
     # the products are plain tables, with no domain of their own
     assert type(pair.on_U) is type(pair.on_Ustar) is dict
-    assert repr(lsa_pair("b2", "e3.e3=x*e4").domain) == "ParamDomain()"
 
 
 def test_build_table_rows_all_validate():
@@ -260,7 +260,7 @@ def test_build_table_rows_all_validate():
     # rows are built on first read, so the edit goes in before it
     cat.raw_entries["phase_b/B2"].fields["brackets"] = (
         "[e1,e2]=-e1; [e2,e3]=x*e1-e3-e4; [e1,e3]=e4")
-    reports = run_phase_rows(cat, trials=4)
+    reports = run_phase_rows(cat)
     assert len(reports) == 45
     assert [(r.entry_id, r.status) for r in reports
             if r.status != "PASS"] == [("phase_b/B2", "FAIL")]
@@ -268,15 +268,12 @@ def test_build_table_rows_all_validate():
 
 def test_the_normal_form_verdict_reads_no_domain_seed_or_trials():
     # the premise on which the phase and iso suites and `pk4lie phase` drop
-    # the domain, the seed and the trial count
+    # the domain; no check takes a seed or a trial count
     from pk4lie.catalog import load_catalog
     cat = load_catalog()
     algebras = [(key, row.algebra, row.domain) for key, row in cat.phase_rows.items()]
     algebras += [(key, row.source, row.domain) for key, row in cat.iso_rows.items()]
     assert len(algebras) == 45 + 88
     for key, L, domain in algebras:
-        failed = normal_form_failures(L)
-        for seed in (0, 5):
-            for trials in (1, 32):
-                assert failed == validate_para_kahler(
-                    L, *normal_form(), domain, seed=seed, trials=trials).failing(), key
+        assert normal_form_failures(L) == validate_para_kahler(
+            L, *normal_form(), domain).failing(), key

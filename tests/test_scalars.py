@@ -289,17 +289,17 @@ def test_nonvanishing_verdicts():
     assert (const.kind, const.trials) == ("NonZero", 0)
     cert = nonvanishing(S("x*x"), dom)
     assert (cert.kind, cert.trials, cert.witness) == ("NonZero", 0, None)
-    # no certificate: identity_test samples a witness, and a value nonzero
-    # at a sample is GenericNonZero, whose text names that sample
-    sampled = nonvanishing(S("x+1"), dom, seed=3)
-    assert sampled.kind == "GenericNonZero" and sampled.trials >= 1
-    assert str(sampled) == f"GenericNonZero at { {'x': str(sampled.witness[X])} }"
+    # no certificate: GenericNonZero, with no sample, and its text is its
+    # kind alone
+    generic = nonvanishing(S("x+1"), dom)
+    assert (generic.kind, generic.trials, generic.witness) == ("GenericNonZero", 0, None)
+    assert str(generic) == "GenericNonZero"
     # x*x - 5 vanishes at sqrt(5), in (2, 3), and y at (y, w) = (0, 1): no
     # certificate exists, so the verdict is GenericNonZero, and the metric
     # of a pc with K*K = Id and eigenranks (2, 2) is not certified
     for domain, text in (("x - 2 > 0, x - 3 < 0", "x*x - 5"), ("y*y + w*w > 0", "y")):
         weak = nonvanishing(S(text), ParamDomain.parse(domain))
-        assert weak.kind == "GenericNonZero" and weak.trials >= 1
+        assert (weak.kind, weak.trials) == ("GenericNonZero", 0)
         assert not neutral_certified(True, weak, ParacomplexReport(True, 2, 2, True))
 
 

@@ -56,20 +56,12 @@ def test_every_imported_name_is_used(path):
 
 # (module, function, parameter) -> why the parameter is never read
 UNREAD_PARAMETERS = {
-    ("verify.py", "<lambda>", "seed"):
-        "SUITES protocol: the curvature and witness suites sample nothing",
-    ("verify.py", "<lambda>", "trials"):
-        "SUITES protocol: the curvature and witness suites sample nothing",
     ("notation.py", "<lambda>", "i"):
         "emit_endo's cell filter keeps every cell (i, j)",
     ("notation.py", "<lambda>", "j"):
         "emit_endo's cell filter keeps every cell (i, j)",
     ("structures.py", "metric_from", "domain"):
         "perfbench/explore.py passes it positionally",
-    ("verify.py", "run_phase_rows", "seed"):
-        "SUITES protocol: the phase suite samples nothing",
-    ("verify.py", "run_phase_rows", "trials"):
-        "SUITES protocol: the phase suite samples nothing",
 }
 
 
@@ -103,7 +95,38 @@ UNREFERENCED_DEFINITIONS = {
         "it by its name, a string",
     "linalg.py:Mat4.scale":
         "the tests scale metrics and forms by a Scalar",
+    "scalars.py:identity_test":
+        "the tests' sampling oracle; perfbench/tracer.py wraps it by its "
+        "name, a string",
+    "linalg.py:signature_of":
+        "the tests' oracle for a metric's signature; perfbench/tracer.py "
+        "wraps it by its name, a string",
 }
+
+
+# The tests' sampling oracles and `signature_of`, which a sampled signature
+# reads: each may call another, and no other function in src/ calls any of
+# them, so no verdict rests on a sample.
+SAMPLERS = ("identity_test", "sampled_values", "signature_of")
+
+
+def _sampler_calls(path):
+    """"module.py:line name" for each call of a sampler outside the
+    samplers' own bodies."""
+    tree = ast.parse(path.read_text(), str(path))
+    inside = {id(n) for f in ast.walk(tree)
+              if isinstance(f, ast.FunctionDef) and f.name in SAMPLERS
+              for n in ast.walk(f)}
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Call) and id(n) not in inside:
+            name = getattr(n.func, "id", getattr(n.func, "attr", None))
+            if name in SAMPLERS:
+                yield f"{path.name}:{n.lineno} {name}"
+
+
+def test_no_module_samples_a_verdict():
+    found = {c for path in SRC.glob("*.py") for c in _sampler_calls(path)}
+    assert found == set(), "a check samples"
 
 
 def _definitions(path):

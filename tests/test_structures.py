@@ -12,7 +12,7 @@ from pk4lie.linalg import Mat4, signature_of
 from pk4lie.notation import parse_endo, parse_sym_form, parse_two_form
 from pk4lie.scalars import EMPTY_DOMAIN, ParamDomain, parse_scalar
 from pk4lie.structures import (
-    K_parallel, _signature_neutral, levi_civita, metric_from,
+    SIGNATURE_PREMISES, K_parallel, levi_civita, metric_from,
     neutral_certified, validate_para_kahler,
 )
 from oracles import (
@@ -170,6 +170,54 @@ def test_certificate_accepts_a_transported_lagrangian_pair(entries):
     assert validate_para_kahler(ABELIAN, omega, K, XNZ).status == "PASS"
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.fractions(-4, 4, max_denominator=3), min_size=16,
+                max_size=16), st.booleans(), st.booleans(), st.booleans(),
+       st.booleans())
+def test_the_signature_passes_exactly_when_its_premises_do(
+        entries, scaled, flipped, symmetric, doubled):
+    # The transported Lagrangian pair above, on no constraint, perturbed so
+    # that each premise fails in some draws: omega scaled by x (det omega =
+    # 1/(x det p0)^2 is certified, x^2/(det p0)^2 is not), K conjugate to
+    # diag(1,1,1,-1) (eigenranks (3,1)), omega made symmetric (P^-t P^-1,
+    # which keeps omega(K., .) symmetric), or K doubled (K*K = 4 Id, while h
+    # stays symmetric and neutral).
+    p0 = Mat4([entries[4 * r:4 * r + 4] for r in range(4)])
+    assume(not p0.det().is_zero)
+    p = p0 @ parse_endo("x*E11+E22+E33+E44")
+    pinv = p.inverse()
+    K = p @ parse_endo("E11+E22+E33-E44" if flipped else "E11+E22-E33-E44") @ pinv
+    if doubled:
+        K = K.scale(parse_scalar("2"))
+    w = Mat4.identity() if symmetric else parse_two_form("e13+e24")
+    omega = pinv.transpose() @ w @ pinv
+    if scaled:
+        omega = omega.scale(parse_scalar("x"))
+    rep = validate_para_kahler(ABELIAN, omega, K)
+    checks = {c["name"]: c for c in rep.checks}
+    failed = [n for n in SIGNATURE_PREMISES if not checks[n]["ok"]]
+    expected = ({"omega_nondegenerate"} if scaled else set()) | (
+        {"eigenranks_2_2"} if flipped or doubled else set()) | (
+        {"omega_antisymmetric"} if symmetric else set()) | (
+        {"K_squares_to_id"} if doubled else set())
+    assert set(failed) == expected
+    if "signature_neutral" not in checks:
+        # flipped against the Lagrangian pair, omega(K., .) is not symmetric
+        # and the report stops before the signature
+        assert not checks["metric_symmetric"]["ok"] and rep.status == "FAIL"
+        return
+    sig = checks["signature_neutral"]
+    assert sig["ok"] == (not failed)
+    if not sig["ok"]:
+        assert rep.status == "FAIL"
+        # it names the premises that failed, and only those
+        assert sig["detail"] == f"not certified: {','.join(failed)} failed"
+        return
+    h = metric_from(omega, K)
+    for _, m in EMPTY_DOMAIN.sampled_values(h.params(), h.eval, 4, seed=0):
+        assert signature_of(m) == (2, 2, 0)
+
+
 def test_certificate_refuses_eigenranks_3_1():
     # h = diag(1+x^2, 1, 1, -1) = omega(K., .) with K = diag(1,1,1,-1):
     # symmetric, nondegenerate, K*K = Id, but the eigenranks are (3,1).
@@ -182,13 +230,15 @@ def test_certificate_refuses_eigenranks_3_1():
     assert (pc.squares_to_id, pc.eigenrank_plus, pc.eigenrank_minus) == (True, 3, 1)
     nd = pfaffian_nondegenerate(omega, dom)
     assert nd.kind == "NonZero" and nd.trials == 0
-    # refused on the eigenranks even if omega were antisymmetric
+    # refused on the eigenranks even if omega were antisymmetric, and rightly:
+    # h is not neutral
     assert not neutral_certified(True, nd, pc)
-    ok, detail = _signature_neutral(h, dom, 8, seed=0)
-    assert not ok and detail.startswith("signature (3, 1, 0) at {'x': ")
+    assert signature_of(h.eval({next(iter(h.params())): 0})) == (3, 1, 0)
     rep = validate_para_kahler(ABELIAN, omega, K, dom)
     checks = {c["name"]: c for c in rep.checks}
-    assert checks["signature_neutral"]["detail"] == detail
+    assert checks["signature_neutral"] == {
+        "name": "signature_neutral", "ok": False,
+        "detail": "not certified: omega_antisymmetric,eigenranks_2_2 failed"}
     assert checks["nabla_K_zero"] == {"name": "nabla_K_zero", "ok": False,
                                       "detail": "omega not antisymmetric"}
 
@@ -199,7 +249,8 @@ def test_certificate_needs_omega_antisymmetric():
     # yet h is definite.  Only the antisymmetry of omega is missing.
     K = parse_endo("E11+E22-E33-E44")
     omega = Mat4(K.rows)
-    assert metric_from(omega, K) == Mat4.identity()
+    h = metric_from(omega, K)
+    assert h == Mat4.identity() and signature_of(h.eval({})) == (4, 0, 0)
     nd = pfaffian_nondegenerate(omega)
     pc = paracomplex_check(ABELIAN, K)
     assert neutral_certified(True, nd, pc)
@@ -208,26 +259,27 @@ def test_certificate_needs_omega_antisymmetric():
     checks = {c["name"]: c for c in rep.checks}
     assert checks["signature_neutral"] == {
         "name": "signature_neutral", "ok": False,
-        "detail": "signature (4, 0, 0) at {}"}
+        "detail": "not certified: omega_antisymmetric failed"}
     assert checks["nabla_K_zero"]["detail"] == "omega not antisymmetric"
     assert rep.status == "FAIL"
 
 
 def test_certificate_needs_a_certified_pfaffian():
-    # omega = x*e13 + e24 on no constraint: det omega = x^2 is nonzero only
-    # at samples, and h is degenerate at x = 0.  The Pfaffian check fails
-    # naming its sample, the certificate refuses, and the sampled signature
-    # is what the report gives.
+    # omega = x*e13 + e24 on no constraint: det omega = x^2 has no
+    # certificate, and h is degenerate at x = 0.  The Pfaffian check fails,
+    # the certificate refuses, and so the signature fails, naming that
+    # premise: h is neutral wherever x != 0, but not on the whole domain.
     omega = parse_two_form("x*e13+e24")
     K = parse_endo("E11+E22-E33-E44")
     nd = pfaffian_nondegenerate(omega)
-    assert nd.kind == "GenericNonZero" and nd.trials > 0
+    assert (nd.kind, str(nd)) == ("GenericNonZero", "GenericNonZero")
     assert not neutral_certified(True, nd, paracomplex_check(ABELIAN, K))
     h = metric_from(omega, K)
     assert signature_of(h.eval({next(iter(h.params())): 0})) == (1, 1, 2)
-    rep = validate_para_kahler(ABELIAN, omega, K, trials=8)
-    assert rep.failing() == ["omega_nondegenerate"]
-    assert rep.checks[3]["detail"].startswith("GenericNonZero at {'x': ")
+    rep = validate_para_kahler(ABELIAN, omega, K)
+    assert rep.failing() == ["omega_nondegenerate", "signature_neutral"]
+    assert rep.checks[3]["detail"] == "GenericNonZero"
+    assert rep.checks[-2]["detail"] == "not certified: omega_nondegenerate failed"
 
 
 def _bracket_dims(L, K):

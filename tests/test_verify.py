@@ -5,12 +5,12 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import assume, given, settings, strategies as hst
 
-from pk4lie import morphisms
+from pk4lie import morphisms, scalars
 from pk4lie.catalog import CurvatureRowEntry, StructureEntry, load_catalog
 from pk4lie.liealg import LieAlgebra4
 from pk4lie.linalg import PAIRS, Mat4
 from pk4lie.morphisms import LinMap, check_lie_isomorphism, transport
-from pk4lie.notation import parse_sym_form
+from pk4lie.notation import parse_endo, parse_sym_form, parse_two_form
 from pk4lie.phase_space import normal_form
 from pk4lie.scalars import ParamDomain, parse_scalar
 from pk4lie.structures import validate_para_kahler
@@ -64,21 +64,21 @@ def test_symplectic_suite_all_pass():
 
 
 def test_structures_suite_all_pass():
-    reports = run_structures(CAT, trials=8)
+    reports = run_structures(CAT)
     assert len(reports) == 98
     assert all(r.status == "PASS" for r in reports), [
         r.entry_id for r in reports if r.status != "PASS"]
 
 
 def test_phase_suite_all_pass():
-    reports = run_phase_rows(CAT, trials=4)
+    reports = run_phase_rows(CAT)
     assert len(reports) == 45
     assert all(r.status == "PASS" for r in reports), [
         r.entry_id for r in reports if r.status != "PASS"]
 
 
 def test_iso_suite_all_pass():
-    reports = run_iso_rows(CAT, trials=4)
+    reports = run_iso_rows(CAT)
     assert len(reports) == 88
     assert all(r.status == "PASS" for r in reports), [
         (r.entry_id, r.status) for r in reports if r.status != "PASS"]
@@ -126,27 +126,28 @@ def _iso_copy(tmp_path, condition):
 
 
 def test_an_iso_row_with_sampled_invertibility_fails_invertible(tmp_path):
-    # y - w*w > 0 keeps det P = y off zero, but only a sample says so, and a
-    # sample certifies nothing (exact domain decisions would): the row fails,
-    # nothing is carried over, and no other row fails
+    # y - w*w > 0 keeps det P = y off zero, but `known_nonzero` does not see
+    # it, and an uncertified determinant is GenericNonZero, with no sample
+    # (exact domain decisions would certify it): the row fails, nothing is
+    # carried over, and no other row fails
     row, reports = _iso_copy(tmp_path, "y - w*w > 0")
     inv = LinMap(row.matrix, row.target, row.source).invertible(row.domain)
-    assert inv.kind == "GenericNonZero" and inv.trials > 0
+    assert (inv.kind, inv.witness) == ("GenericNonZero", None)
     rep = reports.pop("iso_c/C2_2_0y")
     assert rep.status == "FAIL"
     assert rep.failing() == ["invertible", "transported_structure_valid"]
-    assert rep.checks[0]["detail"] == str(inv)
+    assert rep.checks[0]["detail"] == str(inv) == "GenericNonZero"
     assert rep.checks[-1]["detail"] == "not carried over: invertible failed"
     assert all(r.status == "PASS" for r in reports.values())
 
 
 def test_an_iso_row_with_a_map_singular_on_its_domain_fails_invertible(tmp_path):
-    # det P = y vanishes at (y, w) = (0, 1), inside y*y + w*w > 0: the sample
-    # that finds det P nonzero is named, and the row fails
+    # det P = y vanishes at (y, w) = (0, 1), inside y*y + w*w > 0: det P has
+    # no certificate, and the row fails
     _, reports = _iso_copy(tmp_path, "y*y + w*w > 0")
     rep = reports["iso_c/C2_2_0y"]
     assert rep.failing() == ["invertible", "transported_structure_valid"]
-    assert rep.checks[0]["detail"].startswith("GenericNonZero at {")
+    assert rep.checks[0]["detail"] == "GenericNonZero"
 
 
 def _iso_row(L, domain=ParamDomain.parse(""), matrix=Mat4.identity(), target=None):
@@ -293,24 +294,47 @@ def test_an_unsatisfiable_domain_fails_its_row():
     assert rep.notes == row.notes
 
 
-def test_seed_and_trials_reach_every_sampled_check(monkeypatch):
-    # omega scaled by y has a Pfaffian that only sampling decides, so both
-    # the Pfaffian check and the signature fallback sample.
+def test_no_check_samples_even_on_uncertified_input(monkeypatch, tmp_path):
+    # With the sampling loop and the sampling oracle made to raise, inputs
+    # that no certificate covers fail on the checks they failed when the
+    # Pfaffian and the signature were sampled, and also on
+    # signature_neutral where a sample passed it.
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a check sampled")
+    monkeypatch.setattr(ParamDomain, "sampled_values", no_sampling)
+    monkeypatch.setattr(scalars, "identity_test", no_sampling)
+    # omega scaled by y: y = 0 lies in the domain, so det omega has no
+    # certificate
     st = CAT.structures["structures/r2r2_mupos/K1"]
     row = StructureEntry(st.entry_id, st.raw, st.variant, st.algebra,
                          st.omega.scale(parse_scalar("y")), st.K, st.domain,
                          st.symplectic_ref)
-    calls = []
-
-    def recorded(self, params, evaluate, trials, seed, _orig=ParamDomain.sampled_values):
-        calls.append((trials, seed))
-        return _orig(self, params, evaluate, trials, seed)
-    monkeypatch.setattr(ParamDomain, "sampled_values", recorded)
-    [rep] = run_structures(SimpleNamespace(structure_list=lambda: [row]), 7, 3)
-    # y = 0 lies in the domain, so a sample cannot certify the Pfaffian
-    assert rep.failing() == ["omega_nondegenerate"]
-    assert rep.checks[3]["detail"].startswith("GenericNonZero at {")
-    assert len(calls) == 2 and set(calls) == {(3, 7)}
+    [rep] = run_structures(SimpleNamespace(structure_list=lambda: [row]))
+    assert rep.status == "FAIL"
+    assert rep.failing() == ["omega_nondegenerate", "signature_neutral"]
+    assert rep.checks[3]["detail"] == "GenericNonZero"
+    # the three inputs of test_structures.py's test_certificate_* tests
+    k22 = parse_endo("E11+E22-E33-E44")
+    abelian = LieAlgebra4({})
+    for omega, K, failed, premises in (
+            (Mat4([["1+x*x", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+             parse_endo("E11+E22+E33-E44"),
+             ["omega_antisymmetric", "eigenranks_2_2", "signature_neutral",
+              "nabla_K_zero"], "omega_antisymmetric,eigenranks_2_2"),
+            (Mat4(k22.rows), k22,
+             ["omega_antisymmetric", "signature_neutral", "nabla_K_zero"],
+             "omega_antisymmetric"),
+            (parse_two_form("x*e13+e24"), k22,
+             ["omega_nondegenerate", "signature_neutral"], "omega_nondegenerate")):
+        rep = validate_para_kahler(abelian, omega, K)
+        assert rep.status == "FAIL" and rep.failing() == failed
+        assert {"name": "signature_neutral", "ok": False,
+                "detail": f"not certified: {premises} failed"} in rep.checks
+    # an iso row whose det P vanishes inside its domain
+    _, reports = _iso_copy(tmp_path, "y*y + w*w > 0")
+    rep = reports["iso_c/C2_2_0y"]
+    assert rep.status == "FAIL"
+    assert rep.failing() == ["invertible", "transported_structure_valid"]
 
 
 def test_metric_linkage_frozen():
@@ -322,11 +346,11 @@ def test_metric_linkage_frozen():
 
 
 def test_reports_deterministic_for_fixed_seed():
-    a = [r.to_dict() for r in run_symplectic(CAT, seed=7)]
-    b = [r.to_dict() for r in run_symplectic(CAT, seed=7)]
+    a = [r.to_dict() for r in run_symplectic(CAT)]
+    b = [r.to_dict() for r in run_symplectic(CAT)]
     assert a == b
-    c = [r.to_dict() for r in run_scope(CAT, "curvature", seed=3)]
-    d = [r.to_dict() for r in run_scope(CAT, "curvature", seed=3)]
+    c = [r.to_dict() for r in run_scope(CAT, "curvature")]
+    d = [r.to_dict() for r in run_scope(CAT, "curvature")]
     assert c == d
 
 
@@ -338,7 +362,7 @@ def test_unreferenced_phase_rows_reported():
 
 
 def test_run_scope_all():
-    reports = run_scope(CAT, "symplectic", seed=1, trials=4)
+    reports = run_scope(CAT, "symplectic")
     assert reports
     with pytest.raises(ValueError):
         run_scope(CAT, "nonsense")
