@@ -1,9 +1,9 @@
 """Command-line front end: verify suites, per-entry geometry, phase products.
 
-Exit codes: 0 all checks pass, 1 verification failure, 2 usage or parse
-errors.  Output is deterministic for a fixed catalog.  No check samples:
-`--seed` and `--trials` are parsed, validated and recorded in `verify`'s
-JSON report, and nothing reads them.
+Exit codes: 0 all checks pass, 1 verification failure or a closed stdout,
+2 usage or parse errors.  Output is deterministic for a fixed catalog.
+No check samples: `--seed` and `--trials` are parsed, validated and
+recorded in `verify`'s JSON report, and nothing reads them.
 
 Every command runs on the scalar, matrix, notation, Lie algebra and
 structure modules imported here.  A subcommand imports the rest of what it
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -91,6 +92,11 @@ def main(argv=None) -> int:
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): send what is still buffered to
+        # devnull, so that the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 def cmd_verify(args) -> int:

@@ -1164,15 +1164,12 @@ EMPTY_DOMAIN = ParamDomain()
 
 class Verdict:
     """Outcome of `nonvanishing` (ZeroExact, NonZero or GenericNonZero) or of
-    the sampling oracle identity_test (ZeroExact, ZeroSampled or NonZero,
-    with the sample that decided it and how many it took)."""
+    the sampling oracle identity_test (ZeroExact, ZeroSampled or NonZero)."""
 
-    __slots__ = ("kind", "witness", "trials")
+    __slots__ = ("kind",)
 
-    def __init__(self, kind: str, witness: Optional[dict] = None, trials: int = 0):
+    def __init__(self, kind: str):
         self.kind = kind
-        self.witness = witness
-        self.trials = trials
 
     def __str__(self):
         return self.kind
@@ -1192,12 +1189,10 @@ def identity_test(s: Scalar, domain: ParamDomain = EMPTY_DOMAIN,
         raise ScalarError("trials must be >= 1")
     if s.is_zero:
         return Verdict("ZeroExact")
-    done = 0
-    for done, (asg, v) in enumerate(domain.sampled_values(s.params(), s.eval,
-                                                          trials, seed), 1):
+    for _, v in domain.sampled_values(s.params(), s.eval, trials, seed):
         if v != 0:
-            return Verdict("NonZero", witness=asg, trials=done)
-    return Verdict("ZeroSampled", trials=done)
+            return Verdict("NonZero")
+    return Verdict("ZeroSampled")
 
 
 def nonvanishing(s: Scalar, domain: ParamDomain = EMPTY_DOMAIN) -> Verdict:

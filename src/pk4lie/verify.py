@@ -20,15 +20,13 @@ run, so each scope loads only the modules it reads.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from .catalog import Catalog, CurvatureRowEntry
-from .liealg import LieAlgebra4, ce_d, pfaffian_nondegenerate
-from .linalg import (
-    DegenerateError, Mat4, RankAmbiguous, mat_from_cols, split_at_root, vis_zero,
-)
+from .liealg import ce_d, pfaffian_nondegenerate
+from .linalg import DegenerateError, Mat4, RankAmbiguous, split_at_root, vis_zero
 from .notation import emit_endo, emit_two_form, parse_endo, parse_two_form
-from .scalars import ParamDomain, Scalar, ScalarError
+from .scalars import Param, ParamDomain, Scalar, ScalarError, parse_scalar
 from .structures import EntryReport, validate_para_kahler
 
 
@@ -228,6 +226,27 @@ T4_K0_ERRATUM = ("printed K04 = -E11+E22+E33-E44 is not a conjugate of the "
                  "computed K4: every automorphism fixes the e1 coefficient, "
                  "so the (1,1) entry stays +1")
 
+# The printed automorphism families of alg/rr3_0 as endomorphisms: column j
+# is the image of e_j.  T3 repeats T1's shape; T2's shape is the corrected one.
+T1 = "E11+a21*E21+E22+((a34*a43-1)/a44)*E33+a34*E34+a43*E43+a44*E44"
+T2 = "E11+a21*E21-E22+((a34*a43+1)/a44)*E33+a34*E34+a43*E43+a44*E44"
+
+# One row per source iso_c/<ref> of the worked example: its printed pullback
+# (omega_i, K_i) and the erratum of omega_i, then the normalizing family as
+# printed, the printed K0i, and the errata of the normalized pullback and of
+# K0i.
+WITNESS_ROWS = (
+    ("C1_6", "e12-e34", "-E11+E22-E33+E44", "",
+     "T1", T1, "-E11+E22-E33+E44", "", ""),
+    ("C2_1_0", "-e12+e34", "E11-2*y*E12-E22+E33-E44", "",
+     "T2", T2, "E11+2*y*E12-E22+E33-E44", "", ""),
+    ("C2_2_00", "-e12+e34", "E11-E22+E33-E44", "",
+     "T3", T1, "E11-E22+E33-E44", T3_PULLBACK_ERRATUM, ""),
+    ("C2_3_00", "-e12+e24+e34", "E11-E22+E33-E44", C2_3_00_OMEGA_ERRATUM,
+     "T4", "E11+a21*E21-E22-E31+((a34*a43+1)/a44)*E33+a34*E34+a43*E43+a44*E44",
+     "-E11+E22+E33-E44", "", T4_K0_ERRATUM),
+)
+
 
 def run_equivalence_witnesses(cat: Catalog) -> List[EntryReport]:
     """Replays the four-fold pullback to (omega0, K0i), the normalizing
@@ -235,122 +254,84 @@ def run_equivalence_witnesses(cat: Catalog) -> List[EntryReport]:
     non-equivalence residuals, exactly as parameter identities."""
     from .morphisms import LinMap, check_lie_isomorphism, transport
     from .phase_space import normal_form
-    reports: List[EntryReport] = []
-    rr30 = LieAlgebra4.parse("[e1,e2]=e2", "rr3_0")
+    rr30 = cat.algebras["alg/rr3_0"].algebra
     omega0 = parse_two_form("e12+e34")
     k01 = parse_endo("-E11+E22-E33+E44")
     nf = normal_form()
-    a21, a33, a34, a43, a44, y = (Scalar.var(n) for n in
-                                  ("a21", "a33", "a34", "a43", "a44", "y"))
-    one, zero = Scalar.const(1), Scalar.const(0)
+
+    def automorphism(text: str):
+        return LinMap(parse_endo(text), rr30, rr30)
 
     def pullback(rep: EntryReport, check: str, m, omega: Mat4, K: Mat4):
         """transport(m, omega, K), after the map's isomorphism check."""
-        ok, _ = check_lie_isomorphism(m)
-        rep.add(check, ok)
+        rep.add(check, check_lie_isomorphism(m)[0])
         return transport(m, omega, K)
 
     def matches(rep: EntryReport, check: str, computed: Mat4, text: str,
                 flip_note: str = "", note: str = ""):
-        """Compares a computed two-form or endomorphism with its printed
-        display; with a `flip_note`, also after y -> -y, a relabelling since
-        the branch parameter y is free, and that note says so."""
+        """Compares a computed two-form or endomorphism with its printed text;
+        with a `flip_note`, also after y -> -y, since the branch y is free."""
         parse, emit = ((parse_endo, emit_endo) if "E" in text else
                        (parse_two_form, emit_two_form))
         printed = parse(text)
         ok = computed == printed
         if not ok and flip_note:
-            ok = computed.substitute({y.params().pop(): -y}) == printed
+            ok = computed.substitute({Param("y"): parse_scalar("-y")}) == printed
             if ok:
                 rep.note(flip_note)
         detail = "" if ok else f"computed {emit(computed)}, printed {text}"
         rep.add(check, ok, detail, note=note)
 
-    # the four sources, their printed pullbacks and the erratum of omega
-    sources = [
-        ("iso_c/C1_6", "e12-e34", "-E11+E22-E33+E44", ""),
-        ("iso_c/C2_1_0", "-e12+e34", "E11-2*y*E12-E22+E33-E44", ""),
-        ("iso_c/C2_2_00", "-e12+e34", "E11-E22+E33-E44", ""),
-        ("iso_c/C2_3_00", "-e12+e24+e34", "E11-E22+E33-E44",
-         C2_3_00_OMEGA_ERRATUM),
-    ]
-    transported: List[Tuple[Mat4, Mat4]] = []
-    for ref, w_text, k_text, w_erratum in sources:
-        rep = EntryReport(f"witness/transport/{ref.split('/')[-1]}")
-        row = cat.iso_rows[ref]
-        w, k = pullback(rep, "lie_isomorphism",
-                        LinMap(row.matrix, row.target, row.source), *nf)
-        matches(rep, "omega_matches_printed", w, w_text, note=w_erratum)
-        matches(rep, "K_matches_printed", k, k_text,
+    # the normalized K at a21 = a34 = a43 = 0, a44 symbolic: canonical forms
+    # are unique, and det T stays nonzero there
+    norm_subst = {Param(n): Scalar.const(0) for n in ("a21", "a34", "a43")}
+    transported, normalized = [], []
+    for (ref, w_text, k_text, w_erratum, name, t_text, k0_text, pull_erratum,
+         k0_erratum) in WITNESS_ROWS:
+        rep = EntryReport(f"witness/transport/{ref}")
+        row = cat.iso_rows[f"iso_c/{ref}"]
+        w_i, k_i = pullback(rep, "lie_isomorphism",
+                            LinMap(row.matrix, row.target, row.source), *nf)
+        matches(rep, "omega_matches_printed", w_i, w_text, note=w_erratum)
+        matches(rep, "K_matches_printed", k_i, k_text,
                 "printed K corresponds to the branch parameter -y; the "
                 "free parameter makes both families equal")
-        transported.append((w, k))
-        reports.append(rep)
-
-    def family(d22: Scalar, d33: Scalar, c31: Scalar = zero) -> Mat4:
-        """The printed shape of T1..T4 and L1, by the entries that vary."""
-        return mat_from_cols([[one, a21, c31, zero], [zero, d22, zero, zero],
-                              [zero, zero, d33, a43], [zero, zero, a34, a44]])
-
-    q_minus = (a34 * a43 - one) / a44
-    q_plus = (a34 * a43 + one) / a44
-    t1, t2 = family(one, q_minus), family(-one, q_plus)
-    # the normalizing families as printed (T3 repeats T1's shape; T2's shape
-    # is the corrected one), the printed K0i and the errata of the pullback
-    # and of K0i
-    normalizers = [
-        ("T1", t1, "-E11+E22-E33+E44", "", ""),
-        ("T2", t2, "E11+2*y*E12-E22+E33-E44", "", ""),
-        ("T3", t1, "E11-E22+E33-E44", T3_PULLBACK_ERRATUM, ""),
-        ("T4", family(-one, q_plus, -one), "-E11+E22+E33-E44", "",
-         T4_K0_ERRATUM),
-    ]
-    norm_subst = {a21.params().pop(): zero, a34.params().pop(): zero,
-                  a43.params().pop(): zero}
-    for (name, t, k0_text, pull_erratum, k0_erratum), (w_i, k_i) in zip(
-            normalizers, transported):
+        transported.append(rep)
         rep = EntryReport(f"witness/normalize/{name}")
-        pull, k = pullback(rep, "automorphism", LinMap(t, rr30, rr30), w_i, k_i)
+        pull, k = pullback(rep, "automorphism", automorphism(t_text), w_i, k_i)
         pull_ok = pull == omega0
         rep.add("pullback_is_omega0", pull_ok,
                 "" if pull_ok else f"T*omega_i = {emit_two_form(pull)}",
                 note=pull_erratum)
         if not pull_ok and pull_erratum:
-            pull, k = transport(LinMap(t2, rr30, rr30), w_i, k_i)
+            pull, k = transport(automorphism(T2), w_i, k_i)
             rep.add("corrected_pullback_is_omega0", pull == omega0)
-        # the normalized K at a21 = a34 = a43 = 0, a44 symbolic: canonical
-        # forms are unique, and det T stays nonzero there
         matches(rep, "normalized_K_matches_printed", k.substitute(norm_subst),
                 k0_text, "matches after the y -> -y relabelling of the free "
                 "branch parameter", k0_erratum)
-        reports.append(rep)
+        normalized.append(rep)
 
     # equivalence witness L (printed): carries (omega0, K04) to (omega0, K01)
-    rep = EntryReport("witness/equivalence/L")
-    m = LinMap(mat_from_cols([[one, zero, zero, zero], [zero, one, zero, zero],
-                              [zero, zero, zero, -one], [zero, zero, one, zero]]),
-               rr30, rr30)
-    ok, _ = check_lie_isomorphism(m)
-    rep.add("L_carries_K04_to_K01", ok and transport(m, omega0, k01) == (
-        omega0, parse_endo("-E11+E22+E33-E44")))
-    reports.append(rep)
+    equivalence = EntryReport("witness/equivalence/L")
+    m = automorphism("E11+E22+E34-E43")
+    equivalence.add("L_carries_K04_to_K01", check_lie_isomorphism(m)[0] and transport(
+        m, omega0, k01) == (omega0, parse_endo("-E11+E22+E33-E44")))
 
     # non-equivalence residuals, exactly as parameter identities: the entry
     # of K - K02 each map leaves, and its value
     rep = EntryReport("witness/nonequivalence/residuals")
     k02 = parse_endo("E11+2*y*E12-E22+E33-E44")
-    l2 = mat_from_cols([[one, a21, zero, zero], [zero, one, zero, zero],
-                        [zero, zero, a33, -one / a34], [zero, zero, a34, zero]])
-    for name, l, check, (r, c), value in (
-            ("L1", family(one, q_plus), "L1_residual_is_2", (1, 1), 2),
-            ("L2", l2, "L2_residual_is_minus_2", (0, 0), -2)):
-        w, k = pullback(rep, f"{name}_automorphism", LinMap(l, rr30, rr30),
+    for name, l_text, check, (r, c), value in (
+            ("L1", "E11+a21*E21+E22+((a34*a43+1)/a44)*E33+a34*E34+a43*E43+a44*E44",
+             "L1_residual_is_2", (1, 1), 2),
+            ("L2", "E11+a21*E21+E22+a33*E33+a34*E34-(1/a34)*E43",
+             "L2_residual_is_minus_2", (0, 0), -2)):
+        w, k = pullback(rep, f"{name}_automorphism", automorphism(l_text),
                         omega0, k01)
         rep.add(f"{name}_symplectomorphism", w == omega0)
         val = k.rows[r][c] - k02.rows[r][c]
         rep.add(check, val == Scalar.const(value), str(val))
-    reports.append(rep)
-    return reports
+    return transported + normalized + [equivalence, rep]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ COLUMN_ERRATA does the same for notes of other sections, on the suite
 report of a row whose column is printed text instead of the stored one.
 A noted curvature row either WARNs, so that a failed check reads its note,
 or its note is a claim checked here, and so is every other `notes:` line
-of the data files.
+of the data files.  The errata of the worked equivalence example live in
+`verify`, and WITNESS_ERRATA checks each the same way.
 """
 
 from fractions import Fraction
@@ -24,7 +25,10 @@ from pk4lie.morphisms import LinMap, check_lie_isomorphism
 from pk4lie.notation import parse_endo, parse_sym_form
 from pk4lie.scalars import DenominatorVanishes, Param, ParamDomain, Scalar
 from pk4lie.structures import metric_from, validate_para_kahler
-from pk4lie.verify import run_curvature_rows, run_iso_rows, run_scope
+from pk4lie.verify import (
+    C2_3_00_OMEGA_ERRATUM, T3_PULLBACK_ERRATUM, T4_K0_ERRATUM, run_curvature_rows,
+    run_iso_rows, run_scope,
+)
 
 NOT_INTEGRABLE = ["nijenhuis_zero", "nabla_K_zero"]
 NOT_AN_INVOLUTION = ["K_squares_to_id", "eigenranks_2_2", "nijenhuis_zero",
@@ -264,3 +268,29 @@ def test_every_note_has_an_erratum_or_a_warn_check(cat):
     warned = {key for key, seen in statuses.items() if seen == {"WARN"}}
     assert checked <= noted
     assert noted - checked <= warned
+
+
+# erratum of the worked example -> (its witness row, the check it explains,
+# that check's detail)
+WITNESS_ERRATA = {
+    C2_3_00_OMEGA_ERRATUM: ("witness/transport/C2_3_00", "omega_matches_printed",
+                            "computed -e12+e14+e34, printed -e12+e24+e34"),
+    T3_PULLBACK_ERRATUM: ("witness/normalize/T3", "pullback_is_omega0",
+                          "T*omega_i = -e12-e34"),
+    # the computed K04 keeps +1 at (1,1), where the printed one has -1
+    T4_K0_ERRATUM: ("witness/normalize/T4", "normalized_K_matches_printed",
+                    "computed E11-E22+E33-E44, printed -E11+E22+E33-E44"),
+}
+
+
+@pytest.mark.parametrize("erratum", list(WITNESS_ERRATA), ids=["C2_3_00", "T3", "T4"])
+def test_each_witness_erratum_explains_the_one_check_that_fails(cat, erratum):
+    entry, check, detail = WITNESS_ERRATA[erratum]
+    [rep] = [r for r in run_scope(cat, "witnesses") if r.entry_id == entry]
+    assert (rep.status, rep.notes) == ("WARN", erratum)
+    names = [c["name"] for c in rep.checks]
+    assert rep.failing() == [check]
+    assert rep.checks[names.index(check)]["detail"] == detail
+    if erratum == T3_PULLBACK_ERRATUM:
+        # T2's shape carries omega_3 to omega0
+        assert names[names.index(check) + 1] == "corrected_pullback_is_omega0"

@@ -243,7 +243,7 @@ def test_lsa_round_trip():
         assert emit_products(again) == text
 
 
-def test_the_pair_owns_the_family_domain():
+def test_a_pair_is_its_two_product_tables():
     # a pair is its two product tables: no check reads the family's range,
     # which LSA_CATALOG_TEXT keeps as printed text
     pair = lsa_pair("b3_alpha", "")
@@ -266,7 +266,7 @@ def test_build_table_rows_all_validate():
             if r.status != "PASS"] == [("phase_b/B2", "FAIL")]
 
 
-def test_the_normal_form_verdict_reads_no_domain_seed_or_trials():
+def test_the_normal_form_verdict_reads_no_domain():
     # the premise on which the phase and iso suites and `pk4lie phase` drop
     # the domain; no check takes a seed or a trial count
     from pk4lie.catalog import load_catalog

@@ -79,9 +79,10 @@ def test_identity_collapses_canonically():
 def test_identity_nonzero_witness_respects_domain():
     dom = ParamDomain.parse("mu > 0")
     for seed in range(5):
-        v = identity_test(S("mu"), dom, trials=8, seed=seed)
-        assert v.kind == "NonZero"
-        assert v.witness[MU] > 0
+        assert identity_test(S("mu"), dom, trials=8, seed=seed).kind == "NonZero"
+        # the first sample decides it, and it lies in the domain
+        asg, v = next(dom.sampled_values({MU}, S("mu").eval, 8, seed))
+        assert asg[MU] > 0 and v != 0
 
 
 def test_domain_unsatisfiable():
@@ -285,21 +286,19 @@ def test_known_nonzero():
 def test_nonvanishing_verdicts():
     dom = ParamDomain.parse("x != 0")
     assert nonvanishing(S("x-x"), dom).kind == "ZeroExact"
-    const = nonvanishing(S("3"), dom)
-    assert (const.kind, const.trials) == ("NonZero", 0)
-    cert = nonvanishing(S("x*x"), dom)
-    assert (cert.kind, cert.trials, cert.witness) == ("NonZero", 0, None)
+    assert nonvanishing(S("3"), dom).kind == "NonZero"
+    assert nonvanishing(S("x*x"), dom).kind == "NonZero"
     # no certificate: GenericNonZero, with no sample, and its text is its
     # kind alone
     generic = nonvanishing(S("x+1"), dom)
-    assert (generic.kind, generic.trials, generic.witness) == ("GenericNonZero", 0, None)
+    assert generic.kind == "GenericNonZero"
     assert str(generic) == "GenericNonZero"
     # x*x - 5 vanishes at sqrt(5), in (2, 3), and y at (y, w) = (0, 1): no
     # certificate exists, so the verdict is GenericNonZero, and the metric
     # of a pc with K*K = Id and eigenranks (2, 2) is not certified
     for domain, text in (("x - 2 > 0, x - 3 < 0", "x*x - 5"), ("y*y + w*w > 0", "y")):
         weak = nonvanishing(S(text), ParamDomain.parse(domain))
-        assert (weak.kind, weak.trials) == ("GenericNonZero", 0)
+        assert weak.kind == "GenericNonZero"
         assert not neutral_certified(True, weak, ParacomplexReport(True, 2, 2, True))
 
 

@@ -220,3 +220,23 @@ def test_only_scalars_reads_how_many_trials_a_verdict_took():
              and isinstance(n.ctx, ast.Load)}
     assert found - TRIALS_READERS.keys() == set(), "trials read outside scalars.py"
     assert TRIALS_READERS.keys() - found == set(), "stale allowlist entries"
+
+
+# "module.py" -> which bracket tables it parses into an algebra
+ALGEBRA_PARSERS = {
+    "catalog.py": "the data files' tables",
+    "cli.py": "the inline table of `geometry --algebra`",
+}
+
+
+def test_only_the_catalog_and_inline_input_parse_an_algebra():
+    # A suite takes its algebras from the catalog, which parses each table
+    # once and checks its Jacobi identity; no suite keeps a copy of its own.
+    found = {f"{path.name}:{n.lineno}" for path in SRC.glob("*.py")
+             for n in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+             and n.func.attr == "parse"
+             and getattr(n.func.value, "id", None) == "LieAlgebra4"}
+    modules = {site.split(":")[0] for site in found}
+    assert modules - ALGEBRA_PARSERS.keys() == set(), sorted(found)
+    assert ALGEBRA_PARSERS.keys() - modules == set(), "stale allowlist entries"

@@ -107,7 +107,7 @@ def test_iso_rows_pass_by_transport_where_the_full_validation_passes(monkeypatch
     for key, row in CAT.iso_rows.items():
         m = LinMap(row.matrix, row.target, row.source)
         inv = m.invertible(row.domain)
-        assert (inv.kind, inv.trials) == ("NonZero", 0), key
+        assert inv.kind == "NonZero", key
         assert check_lie_isomorphism(m)[0], key
         full = validate_para_kahler(row.target, *transport(m, *nf),
                                     row.domain, key).failing()
@@ -125,14 +125,14 @@ def _iso_copy(tmp_path, condition):
     return cat.iso_rows["iso_c/C2_2_0y"], {r.entry_id: r for r in run_iso_rows(cat)}
 
 
-def test_an_iso_row_with_sampled_invertibility_fails_invertible(tmp_path):
+def test_an_iso_row_with_an_uncertified_determinant_fails_invertible(tmp_path):
     # y - w*w > 0 keeps det P = y off zero, but `known_nonzero` does not see
     # it, and an uncertified determinant is GenericNonZero, with no sample
     # (exact domain decisions would certify it): the row fails, nothing is
     # carried over, and no other row fails
     row, reports = _iso_copy(tmp_path, "y - w*w > 0")
     inv = LinMap(row.matrix, row.target, row.source).invertible(row.domain)
-    assert (inv.kind, inv.witness) == ("GenericNonZero", None)
+    assert inv.kind == "GenericNonZero"
     rep = reports.pop("iso_c/C2_2_0y")
     assert rep.status == "FAIL"
     assert rep.failing() == ["invertible", "transported_structure_valid"]
