@@ -281,7 +281,7 @@ class Catalog:
         self.structures: Mapping[str, StructureEntry] = rows(
             self._structure, self._assert_structure)
         self.phase_rows: Mapping[str, AlgebraEntry] = rows(_algebra_row, _check_algebra)
-        self.iso_rows: Mapping[str, IsoRowEntry] = rows(self._iso_row, _assert_iso_row)
+        self.iso_rows: Mapping[str, IsoRowEntry] = rows(self._iso_row, _check_satisfiable)
         self.curvature_rows: Mapping[str, CurvatureRowEntry] = rows(
             self._curvature_row, _assert_curvature_row)
 
@@ -352,7 +352,7 @@ class Catalog:
     def _assert_structure(self, key: str, st: StructureEntry) -> None:
         if not st.omega.is_antisymmetric():
             raise LoadAssertionFailed(key, "omega not antisymmetric")
-        _check_algebra(key, st, st.K.params() | st.omega.params())
+        _check_algebra(key, st)
         # linkage: an omega override must be a variant of its symplectic row
         if st.raw.get("omega"):
             subst = _parse_subst(st.raw.get("subst"))
@@ -456,8 +456,8 @@ def expand_variants(raw: RawEntry, keys: Tuple[str, ...]) -> List[Tuple[str, Dic
     return out
 
 
-def _check_satisfiable(entry_id: str, domain: ParamDomain, params) -> None:
-    if not domain.satisfiable(params):
+def _check_satisfiable(entry_id: str, row) -> None:
+    if not row.domain.satisfiable():
         raise LoadAssertionFailed(entry_id, "domain unsatisfiable")
 
 
@@ -488,21 +488,17 @@ def load_catalog(data_dir: Optional[Path] = None, check: bool = True) -> Catalog
 def _assert_symplectic_row(key: str, sym: SymplecticEntry) -> None:
     if not sym.omega.is_antisymmetric():
         raise LoadAssertionFailed(key, "omega not antisymmetric")
-    _check_satisfiable(key, sym.domain, sym.algebra.params() | sym.omega.params())
-
-
-def _assert_iso_row(entry_id: str, row: IsoRowEntry) -> None:
-    _check_satisfiable(entry_id, row.domain, row.matrix.params())
+    _check_satisfiable(key, sym)
 
 
 def _assert_curvature_row(key: str, row: CurvatureRowEntry) -> None:
     if not row.metric.is_symmetric():
         raise LoadAssertionFailed(key, "metric not symmetric")
-    _check_algebra(key, row, row.metric.params())
+    _check_algebra(key, row)
 
 
-def _check_algebra(entry_id: str, row, params: set = frozenset()) -> None:
+def _check_algebra(entry_id: str, row) -> None:
     """The row's algebra satisfies Jacobi, and the row's domain has a point."""
     if not row.algebra.is_lie_algebra():
         raise LoadAssertionFailed(entry_id, "Jacobi identity fails")
-    _check_satisfiable(entry_id, row.domain, row.algebra.params() | params)
+    _check_satisfiable(entry_id, row)

@@ -169,7 +169,7 @@ def _resolve_geometry(args, cat: Catalog):
     dom = ParamDomain.parse(args.domain)
     L = LieAlgebra4.parse(args.algebra, "inline")
     h = parse_sym_form(args.metric)
-    if not dom.satisfiable(L.params() | h.params()):
+    if not dom.satisfiable():
         raise ParseError("inline: domain unsatisfiable")
     return L, h, dom, "inline"
 

@@ -1027,10 +1027,12 @@ class ParamDomain:
         return out
 
     def known_nonzero(self, p: Poly) -> bool:
-        """True if p provably has no zero on the domain (sufficient test)."""
+        """True if p provably has no zero on the domain (sufficient test):
+        p has a definite sign, or what is left once the nonvanishing basis's
+        factors are stripped is a constant or has its root excluded."""
         if p.is_zero:
             return False
-        if self._root_excluded(p) or self._definite_sign(p):
+        if self._definite_sign(p):
             return True
         p = _make_primitive(p)
         for q in self.nonvanishing_basis():
@@ -1041,10 +1043,8 @@ class ParamDomain:
             g = poly_gcd(p, q)
             while not g.is_const:
                 p = _make_primitive(poly_divexact(p, g))
-                if p.is_const:
-                    return True
                 g = poly_gcd(p, q)
-        return p.is_const
+        return p.is_const or self._root_excluded(p) is not None
 
     def _root_excluded(self, p: Poly, half_line: bool = False) -> Optional[Constraint]:
         """Univariate-linear p whose only root violates a univariate
@@ -1108,18 +1108,19 @@ class ParamDomain:
                 asg[p] = Fraction(num, den)
             if all(c.holds(c.poly.eval(asg)) for c in self.constraints):
                 return asg
-        if attempts < 4000 and self.satisfiable(params):
+        if attempts < 4000 and self.satisfiable():
             # a thin domain: satisfiable()'s point, this draw for other params
             return {**asg, **self._point}
         raise DomainUnsatisfiable(f"no sample found after {attempts} attempts")
 
-    def satisfiable(self, params: Iterable[Param] = ()) -> bool:
-        """Whether a seeded search of 4000 draws finds a point of the domain.
-        The point once found is remembered, for `sample` to fall back on, and
-        the search runs until it first succeeds (a domain is never changed)."""
+    def satisfiable(self) -> bool:
+        """Whether a seeded search of 4000 draws of the domain's own
+        parameters finds a point of the domain.  The point once found is
+        remembered, for `sample` to fall back on, and the search runs until
+        it first succeeds (a domain is never changed)."""
         if self._point is None:
             try:
-                self._point = self.sample(random.Random(0xC0FFEE), params, attempts=4000)
+                self._point = self.sample(random.Random(0xC0FFEE), (), attempts=4000)
             except DomainUnsatisfiable:
                 return False
         return True

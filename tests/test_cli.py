@@ -112,6 +112,33 @@ def test_assignment_outside_the_domain_notes_the_rational_constraint(capsys):
         "note: assignment leaves the stated domain (lam-1/2 > 0)"]
 
 
+@pytest.mark.parametrize("variant", ["a", "b"])
+def test_r4_a_ma_1_is_flat_at_alpha_minus_one_half(capsys, variant):
+    # The gcd of R's numerators is alpha*(2*alpha+1), and alpha = -1/2 lies
+    # in -1 < alpha < 0: the slice is flat, with no note, while the row's
+    # printed "flat: No" still passes, checked only as R != 0.
+    entry = f"curvature/r4_a_ma/1:{variant}"
+    code, out, err = run_cli(capsys, "--format", "json", "geometry", entry,
+                             "--set", "alpha=-1/2")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["flat"] is True
+    [rep] = [r for r in run_curvature_rows(load_catalog()) if r.entry_id == entry]
+    assert rep.status == "PASS"
+    assert {"name": "flat", "ok": True, "detail": "computed False, printed False"} \
+        in rep.checks
+
+
+@pytest.mark.parametrize("domain, code, err", [
+    ("x > 0, x < 0", 2, "error: inline: domain unsatisfiable\n"),
+    # a domain in a parameter that neither the algebra nor the metric reads
+    ("z > 0", 0, ""),
+])
+def test_an_inline_domain_is_searched_in_its_own_parameters(capsys, domain, code, err):
+    got = run_cli(capsys, "geometry", "--algebra", "[e1,e2]=x*e3",
+                  "--metric", "eps14-eps23", "--domain", domain)
+    assert (got[0], got[2]) == (code, err)
+
+
 def test_geometry_inline_abelian(capsys):
     code, out, _ = run_cli(capsys, "--format", "json", "geometry",
                            "--algebra", "abelian", "--metric", "eps13+eps24")

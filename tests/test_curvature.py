@@ -247,3 +247,29 @@ def test_connection_and_curvature_do_not_change_when_the_metric_is_scaled():
             assert scaled.R.matrices == g.R.matrices, (entry, f)
             assert scaled.ric == g.ric, (entry, f)
             assert scaled.R.is_zero() == g.flat
+
+
+def test_every_computed_no_but_three_has_a_certified_entry():
+    # "flat: No" holds on the whole domain when some numerator entry of R
+    # has no zero there, and likewise "Ricci-flat: No" with ric.  The
+    # exceptions: r4_a_ma/1 is flat at alpha = -1/2, inside its domain, and
+    # R and ric of d4_2/7 vanish at x = 0, on a domain with no point.
+    cat = load_catalog()
+    not_flat, certified_flat, not_ricci_flat, certified_ricci_flat = [], [], [], []
+    for row in cat.curvature_list():
+        g = row.geometry
+        if not g.R.is_zero():
+            not_flat.append(row.entry_id)
+            if any(row.domain.known_nonzero(n) for rows in g.R.numerators.values()
+                   for r in rows for n in r):
+                certified_flat.append(row.entry_id)
+        if not g.ric.is_zero():
+            not_ricci_flat.append(row.entry_id)
+            if any(row.domain.known_nonzero(s.num) for r in g.ric.rows for s in r):
+                certified_ricci_flat.append(row.entry_id)
+    assert len(cat.curvature_list()) == 115
+    assert (len(certified_flat), len(not_flat)) == (68, 71)
+    assert sorted(set(not_flat) - set(certified_flat)) == [
+        "curvature/d4_2/7", "curvature/r4_a_ma/1:a", "curvature/r4_a_ma/1:b"]
+    assert (len(certified_ricci_flat), len(not_ricci_flat)) == (34, 35)
+    assert set(not_ricci_flat) - set(certified_ricci_flat) == {"curvature/d4_2/7"}

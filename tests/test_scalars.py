@@ -100,7 +100,7 @@ def test_a_satisfied_domain_is_not_searched_again():
         raise AssertionError("searched a domain already satisfied")
 
     dom.sample = no_search
-    assert dom.satisfiable({Y})
+    assert dom.satisfiable()
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +161,7 @@ def test_a_nonzero_scalar_on_a_domain_without_radicals_is_nonzero(s, cons, seed)
     # falls back on satisfiable()'s point, and only a root of s there that
     # no later draw avoids could give ZeroSampled
     dom = ParamDomain.parse(", ".join(cons))
-    assume(not s.is_zero and dom.satisfiable(s.params()))
+    assume(not s.is_zero and dom.satisfiable())
     assert identity_test(s, dom, seed=seed).kind == "NonZero"
 
 
@@ -281,6 +281,47 @@ def test_known_nonzero():
     assert dom.known_nonzero(S("-2*x").num)
     assert not dom.known_nonzero(S("x+1").num)
     assert not dom.known_nonzero(S("0").num)
+
+
+@pytest.mark.parametrize("domain, text", [
+    ("x > 0", "x*(x+1)"),
+    # the factors of r4_a_ma/4 and d4_lam/2: the strict constraint's own
+    # polynomial times a linear factor whose root the domain excludes
+    ("alpha + 1 > 0, alpha < 0", "alpha*(2*alpha-1)"),
+    ("lam > 1/2", "3*lam*(2*lam-1)"),
+    ("lam > 1/2, x != 0", "x*lam*(2*lam-1)"),
+])
+def test_known_nonzero_tries_its_root_test_on_what_the_strip_leaves(domain, text):
+    assert ParamDomain.parse(domain).known_nonzero(S(text).num)
+
+
+linear_factors = st.tuples(st.integers(-4, 4).filter(bool), st.integers(-6, 6))
+linear_constraints = st.tuples(st.integers(-4, 4).filter(bool), st.integers(-6, 6),
+                               st.sampled_from([">", "<", ">=", "<=", "!="]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-5, 5).filter(bool), st.lists(linear_factors, min_size=1, max_size=3),
+       st.lists(linear_constraints, max_size=3))
+def test_known_nonzero_certifies_no_polynomial_with_a_root_in_the_domain(c, factors, cons):
+    # c * prod(a*x + b) on a conjunction of a*x + b rel 0: sympy's real
+    # roots, and the constraints evaluated from the drawn integers, are the
+    # oracle
+    import operator
+    import sympy
+    p = S(str(c))
+    for a, b in factors:
+        p = p * S(f"{a}*x + {b}")
+    dom = ParamDomain.parse(", ".join(f"{a}*x + {b} {rel} 0" for a, b, rel in cons))
+    if not dom.known_nonzero(p.num):
+        return
+    rels = {">": operator.gt, "<": operator.lt, ">=": operator.ge,
+            "<=": operator.le, "!=": operator.ne}
+    v = sympy.Symbol("x")
+    expr = c * sympy.prod([a * v + b for a, b in factors])
+    for r in sympy.real_roots(sympy.Poly(expr, v)):
+        root = Fraction(int(r.p), int(r.q))
+        assert not all(rels[rel](a * root + b, 0) for a, b, rel in cons), root
 
 
 def test_nonvanishing_verdicts():

@@ -211,9 +211,9 @@ TRIALS_READERS = {
 }
 
 
-def test_only_scalars_reads_how_many_trials_a_verdict_took():
-    # Whether a verdict is certified is its kind, which scalars.py decides;
-    # no other module re-derives it from the samples a verdict took.
+def test_only_cli_reads_an_attribute_named_trials():
+    # A verdict is its kind alone, so `trials` names nothing but the
+    # --trials option that the CLI parses.
     found = {path.name for path in SRC.glob("*.py") if path.name != "scalars.py"
              for n in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(n, ast.Attribute) and n.attr == "trials"
@@ -240,3 +240,29 @@ def test_only_the_catalog_and_inline_input_parse_an_algebra():
     modules = {site.split(":")[0] for site in found}
     assert modules - ALGEBRA_PARSERS.keys() == set(), sorted(found)
     assert ALGEBRA_PARSERS.keys() - modules == set(), "stale allowlist entries"
+
+
+# The certificates that `ParamDomain.known_nonzero` and `ParamDomain.sign`
+# combine: a caller asks the domain, and never runs one on its own.
+CERTIFICATES = ("_root_excluded", "_definite_sign", "nonvanishing_basis")
+
+
+def _calls(path, names):
+    """(line, name, has arguments) for each call of a function or method
+    named in `names`."""
+    for n in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(n, ast.Call):
+            name = getattr(n.func, "id", getattr(n.func, "attr", None))
+            if name in names:
+                yield n.lineno, name, bool(n.args or n.keywords)
+
+
+def test_a_domain_answers_from_its_own_constraints():
+    outside = {f"{path.name}:{line} {name}" for path in SRC.glob("*.py")
+               if path.name != "scalars.py"
+               for line, name, _ in _calls(path, CERTIFICATES)}
+    assert outside == set(), "a certificate run outside ParamDomain"
+    # the search draws the domain's own parameters, so no caller names any
+    with_args = {f"{path.name}:{line}" for path in SRC.glob("*.py")
+                 for line, _, args in _calls(path, ("satisfiable",)) if args}
+    assert with_args == set(), "satisfiable() given an argument"
